@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -81,6 +80,18 @@ def _check_same_support(mu: DiscreteDistribution, nu: DiscreteDistribution):
         raise ValueError("distributions are on different supports")
 
 
+def _subset_sums(values) -> list:
+    """The sum over every subset of values, the empty one included.
+
+    Each subset's sum is its largest member added to the sum of the rest, so
+    it costs one addition, and the members are added in index order from 0.
+    """
+    sums = [0]
+    for v in values:
+        sums += [s + v for s in sums]
+    return sums
+
+
 def tvd(mu: DiscreteDistribution, nu: DiscreteDistribution):
     """Total variation distance, (1/2) * sum |mu - nu|.
 
@@ -92,10 +103,7 @@ def tvd(mu: DiscreteDistribution, nu: DiscreteDistribution):
     half = Fraction(1, 2) if _is_exact(diffs) else 0.5
     value = half * sum(abs(d) for d in diffs)
     if len(mu) <= 12:
-        best = max(
-            (sum(diffs[i] for i in subset) for size in range(len(diffs) + 1)
-             for subset in combinations(range(len(diffs)), size)),
-        )
+        best = max(_subset_sums(diffs))
         if abs(float(best) - float(value)) > 1e-9:
             raise AssertionError(f"subset form {best} disagrees with half-L1 form {value}")
     return value

@@ -15,6 +15,7 @@ segments in fixed order with a seeded shuffle inside each segment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -84,15 +85,23 @@ def apply_permutation(inst: SIInstance, sigma) -> SIInstance:
     )
 
 
-def enumerate_si(m: int):
-    """The full support of the intersection distribution with exact probabilities."""
+def si_support_size(m: int) -> int:
+    """Number of instances in the support of the intersection distribution.
+
+    C(m, q) choices of Alice's rest, C(m - q, q) of Bob's disjoint rest and
+    m - 2q of the shared target, with q = m/4 - 1.
+    """
     if m < 4 or m % 4:
         raise ValueError(f"universe size must be a positive multiple of 4, got {m}")
     q = m // 4 - 1
+    return math.comb(m, q) * math.comb(m - q, q) * (m - 2 * q)
+
+
+def iter_si(m: int):
+    """The support of the intersection distribution, one (instance, exact probability) at a time."""
+    p = Fraction(1, si_support_size(m))
+    q = m // 4 - 1
     universe = range(1, m + 1)
-    n_choices = _comb(m, q) * _comb(m - q, q) * (m - 2 * q)
-    p = Fraction(1, n_choices)
-    out = []
     for a_rest in combinations(universe, q):
         rest1 = [x for x in universe if x not in a_rest]
         for b_rest in combinations(rest1, q):
@@ -100,16 +109,12 @@ def enumerate_si(m: int):
             for e in universe:
                 if e in taken:
                     continue
-                out.append(
-                    (SIInstance(m, frozenset(a_rest) | {e}, frozenset(b_rest) | {e}, e), p)
-                )
-    return out
+                yield SIInstance(m, frozenset(a_rest) | {e}, frozenset(b_rest) | {e}, e), p
 
 
-def _comb(n, k):
-    import math
-
-    return math.comb(n, k)
+def enumerate_si(m: int):
+    """The full support of the intersection distribution with exact probabilities."""
+    return list(iter_si(m))
 
 
 # --- layered graphs ----------------------------------------------------------

@@ -24,7 +24,7 @@ from itertools import combinations
 from . import rng as rngmod
 from .common import BudgetError, encode_int, encode_ints, int_width
 from .infometrics import from_weights, tvd, uniform
-from .instances import SIInstance, enumerate_si
+from .instances import SIInstance, enumerate_si, iter_si, si_support_size
 
 EXACT_FULL_M_CAP = 12
 B_REST_ENUM_CAP = 200_000
@@ -219,7 +219,10 @@ class InternalEpsReport:
 
 
 def _posterior_shift(groups):
-    """E over (own set, transcript) of TVD(posterior of target, uniform prior)."""
+    """Sum over (own set, transcript) rows of row mass * TVD(posterior of target, uniform prior).
+
+    With the rows' masses as probabilities this is the expected shift.
+    """
     total_shift = Fraction(0)
     for _, by_pi in groups.items():
         for _, weight_by_e in by_pi.items():
@@ -231,10 +234,17 @@ def _posterior_shift(groups):
 
 
 def _accumulate(groups, own_set, pi, e_star, weight):
-    by_pi = groups.setdefault(own_set, {})
-    weight_by_e = by_pi.setdefault(pi, {})
-    for e in sorted(own_set):
-        weight_by_e.setdefault(e, Fraction(0))
+    """Add weight to the target's entry of the (own set, transcript) row.
+
+    A row is created once, with a zero for every candidate in the own set, so
+    the posterior is formed over the whole set.
+    """
+    by_pi = groups.get(own_set)
+    if by_pi is None:
+        by_pi = groups[own_set] = {}
+    weight_by_e = by_pi.get(pi)
+    if weight_by_e is None:
+        weight_by_e = by_pi[pi] = dict.fromkeys(sorted(own_set), 0)
     weight_by_e[e_star] += weight
 
 
@@ -246,6 +256,11 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
     randomness for m <= 12; exact from a single fixed input for oracles that
     declare relabeling symmetry; Monte Carlo (with standard error) behind an
     explicit flag otherwise.
+
+    The full enumeration streams the instances from `iter_si` and accumulates
+    integer multiplicities over the common denominator of the (uniform)
+    instance and randomness probabilities, dividing by it once at the end; the
+    shifts are the same exact rationals as accumulating `Fraction` weights.
     """
     if m < 4 or m % 4:
         raise ValueError(f"universe size must be a positive multiple of 4, got {m}")
@@ -266,17 +281,26 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
     if mode == "exact":
         if m > EXACT_FULL_M_CAP:
             raise BudgetError(f"exact mode enumerates the full joint only for m <= {EXACT_FULL_M_CAP}")
+        # the weight of (instance, rand) is mult / (n_inst * denom) with an
+        # integer mult; posteriors do not depend on that common scale
         support = oracle.randomness_support(m)
+        denom = math.lcm(*(p.denominator for _, p in support))
+        mults = [(rand, int(p_rand * denom)) for rand, p_rand in support]
+        n_inst = si_support_size(m)
+        p_inst = Fraction(1, n_inst)
         alice_groups: dict = {}
         bob_groups: dict = {}
-        for inst, p_inst in enumerate_si(m):
-            for rand, p_rand in support:
-                pi = oracle.transcript(inst.a, inst.b, inst.e_star, rand)
-                w = p_inst * p_rand
-                _accumulate(alice_groups, inst.a, pi, inst.e_star, w)
-                _accumulate(bob_groups, inst.b, pi, inst.e_star, w)
-        alice = _posterior_shift(alice_groups)
-        bob = _posterior_shift(bob_groups)
+        for inst, p in iter_si(m):
+            if p != p_inst:
+                raise AssertionError(f"instance probability {p} is not 1/{n_inst}")
+            a, b, e_star = inst.a, inst.b, inst.e_star
+            for rand, mult in mults:
+                pi = oracle.transcript(a, b, e_star, rand)
+                _accumulate(alice_groups, a, pi, e_star, mult)
+                _accumulate(bob_groups, b, pi, e_star, mult)
+        scale = Fraction(1, n_inst * denom)
+        alice = _posterior_shift(alice_groups) * scale
+        bob = _posterior_shift(bob_groups) * scale
         return InternalEpsReport(float(alice), float(bob), float(max(alice, bob)), "exact")
 
     if mode == "exact-symmetric":
@@ -607,11 +631,11 @@ def measure_internal_eps_ur(oracle: UROracle, rs, budget: int = 300_000) -> Inte
     per-matching pairs, the live index, and the oracle's randomness.
     """
     r, t = rs.r, rs.t
-    si_support = enumerate_si(r)
     rand_support = oracle.randomness_support(rs)
-    n_joint = len(si_support) ** t * t * len(rand_support)
+    n_joint = si_support_size(r) ** t * t * len(rand_support)
     if n_joint > budget:
         raise BudgetError(f"full enumeration needs {n_joint} items (budget {budget})")
+    si_support = enumerate_si(r)
 
     # group by (Bob's input, transcript) = ((i_star, T), pi); the witness's
     # prior given Bob's input alone is uniform over T

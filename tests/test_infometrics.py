@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from streamlb.infometrics import (
     point_mass,
     top_half_check,
     tvd,
+    _subset_sums,
     uniform,
 )
 
@@ -46,6 +48,39 @@ def test_tvd_exact_fractions():
     nu = dist(Fraction(1, 2), Fraction(1, 2))
     assert tvd(mu, nu) == Fraction(1, 6)
     assert isinstance(tvd(mu, nu), Fraction)
+
+
+def _max_subset_sum_by_combinations(diffs):
+    """The subset form as tvd's self-check first computed it: every subset summed anew."""
+    return max(
+        (sum(diffs[i] for i in subset) for size in range(len(diffs) + 1)
+         for subset in combinations(range(len(diffs)), size)),
+    )
+
+
+def test_subset_sums_match_combinations_exhaustive_rationals():
+    cases = 0
+    for size in range(1, 5):
+        comps = [tuple(Fraction(c, 5) for c in counts)
+                 for counts in product(range(6), repeat=size) if sum(counts) == 5]
+        for mu, nu in product(comps, repeat=2):
+            diffs = [p - q for p, q in zip(mu, nu)]
+            assert max(_subset_sums(diffs)) == _max_subset_sum_by_combinations(diffs)
+            cases += 1
+    assert cases == 1 + 6**2 + 21**2 + 56**2
+
+
+@pytest.mark.parametrize("size", range(1, 13))
+def test_subset_sums_match_combinations_seeded_floats(size):
+    for seed in range(3):
+        gen = rngmod.substream(seed, "subset-sums", size)
+        mu, nu = (from_weights(tuple(range(size)), tuple(gen.random(size) + 1e-9))
+                  for _ in range(2))
+        diffs = [p - q for p, q in zip(mu.probs, nu.probs)]
+        # both add the members in index order from 0; sum() may round
+        # differently (it compensates from Python 3.12 on), hence the tolerance
+        assert max(_subset_sums(diffs)) == pytest.approx(
+            _max_subset_sum_by_combinations(diffs), rel=0, abs=1e-12)
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,10 +4,13 @@ from fractions import Fraction
 import pytest
 
 from streamlb import rng as rngmod
+from streamlb import instances, protocols
 from streamlb.common import BudgetError
-from streamlb.instances import sample_si
+from streamlb.infometrics import from_weights, tvd, uniform
+from streamlb.instances import enumerate_si, iter_si, sample_si, si_support_size
 from streamlb.protocols import (
     FullRevealUROracle,
+    InternalEpsReport,
     MinAnnouncerOracle,
     NullOracle,
     NullUROracle,
@@ -110,6 +113,70 @@ def test_measure_min_announcer_positive_bob_only():
     assert report.alice_side == 0.0
     assert report.bob_side > 0.0
     assert report.value == report.bob_side  # the definition takes the max
+
+
+def _reference_exact_report(oracle, m):
+    """Exact mode as it first stood: every weight a Fraction, over the listed support."""
+    def accumulate(groups, own_set, pi, e_star, weight):
+        weight_by_e = groups.setdefault(own_set, {}).setdefault(pi, {})
+        for e in sorted(own_set):
+            weight_by_e.setdefault(e, Fraction(0))
+        weight_by_e[e_star] += weight
+
+    def posterior_shift(groups):
+        total = Fraction(0)
+        for by_pi in groups.values():
+            for weight_by_e in by_pi.values():
+                support = tuple(sorted(weight_by_e))
+                posterior = from_weights(support, tuple(weight_by_e[e] for e in support))
+                total += sum(weight_by_e.values()) * tvd(posterior, uniform(support))
+        return total
+
+    alice_groups, bob_groups = {}, {}
+    for inst, p_inst in enumerate_si(m):
+        for rand, p_rand in oracle.randomness_support(m):
+            pi = oracle.transcript(inst.a, inst.b, inst.e_star, rand)
+            accumulate(alice_groups, inst.a, pi, inst.e_star, p_inst * p_rand)
+            accumulate(bob_groups, inst.b, pi, inst.e_star, p_inst * p_rand)
+    alice, bob = posterior_shift(alice_groups), posterior_shift(bob_groups)
+    return InternalEpsReport(float(alice), float(bob), float(max(alice, bob)), "exact")
+
+
+REFERENCE_ORACLES = {
+    "null": NullOracle(),
+    "reveal-0": RevealOracle(0),
+    "reveal-1": RevealOracle(1),
+    "reveal-3/16": RevealOracle(Fraction(3, 16)),
+    "reveal-1/3": RevealOracle(Fraction(1, 3)),
+    "parity-hint-5/16": ParityHintOracle(Fraction(5, 16)),
+    "parity-hint-1/3": ParityHintOracle(Fraction(1, 3)),
+    "parity-hint-1": ParityHintOracle(1),
+    "min-announcer": MinAnnouncerOracle(),
+}
+
+
+@pytest.mark.parametrize("m, name", [(m, name) for m in (4, 8) for name in REFERENCE_ORACLES]
+                         + [(12, "parity-hint-1/3")])
+def test_exact_mode_equals_fraction_reference(m, name):
+    oracle = REFERENCE_ORACLES[name]
+    assert measure_internal_eps(oracle, m, mode="exact") == _reference_exact_report(oracle, m)
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_iter_si_streams_the_listed_support(m):
+    support = enumerate_si(m)
+    assert list(iter_si(m)) == support
+    assert len(support) == si_support_size(m)
+
+
+def test_exact_mode_rejects_non_uniform_support(monkeypatch):
+    def skewed(m):
+        for i, (inst, p) in enumerate(iter_si(m)):
+            yield inst, (2 * p if i == 0 else p)
+
+    monkeypatch.setattr(protocols, "iter_si", skewed)
+    with pytest.raises(AssertionError, match="is not 1/"):
+        measure_internal_eps(RevealOracle(1), 4, mode="exact")
 
 
 @pytest.mark.parametrize("p", [Fraction(1), Fraction(1, 2), Fraction(2, 7)])
@@ -230,6 +297,17 @@ def test_ur_measure_budget():
     rs = identity_matching_rs(16)
     with pytest.raises(BudgetError):
         measure_internal_eps_ur(FullRevealUROracle(), rs, budget=10)
+
+
+def test_ur_measure_budget_checked_before_enumeration(monkeypatch):
+    def refuse(m):
+        raise AssertionError("the budget must be checked before enumerating")
+
+    for name in ("enumerate_si", "iter_si"):
+        monkeypatch.setattr(instances, name, refuse)
+        monkeypatch.setattr(protocols, name, refuse)
+    with pytest.raises(BudgetError):
+        measure_internal_eps_ur(FullRevealUROracle(), identity_matching_rs(16), budget=10)
 
 
 # --- simulation guard rails ------------------------------------------------------------
