@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 
 class BudgetError(RuntimeError):
     """An operation exceeded its configured enumeration or message budget."""
@@ -55,7 +57,19 @@ def decode_int(bits: str) -> int:
 
 
 def encode_ints(values, width: int) -> str:
-    return "".join(encode_int(v, width) for v in values)
+    """Concatenate the `width`-bit forms of nonnegative integers (any iterable)."""
+    values = list(values)
+    if values and (min(values) < 0 or max(values).bit_length() > width):
+        bad = next(v for v in values if v < 0 or v.bit_length() > width)
+        raise ValueError(f"{bad} does not fit in {width} bits")
+    if not values or width == 0:
+        return ""
+    if width > 64:  # beyond uint64: one exact Python int per value
+        return "".join(format(v, f"0{width}b") for v in values)
+    octets = np.array(values, dtype=">u8").view(np.uint8).reshape(-1, 8)
+    digits = np.unpackbits(octets, axis=1)[:, 64 - width :]
+    digits += ord("0")
+    return digits.tobytes().decode("ascii")
 
 
 def decode_ints(bits: str, width: int) -> list[int]:
@@ -63,4 +77,12 @@ def decode_ints(bits: str, width: int) -> list[int]:
         return []
     if len(bits) % width:
         raise ValueError("bit string length is not a multiple of the field width")
-    return [int(bits[i : i + width], 2) for i in range(0, len(bits), width)]
+    if width > 64:
+        return [int(bits[i : i + width], 2) for i in range(0, len(bits), width)]
+    digits = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
+    if (digits > 1).any():
+        raise ValueError("bit strings hold only '0' and '1'")
+    values = np.zeros(len(bits) // width, dtype=np.uint64)
+    for column in digits.reshape(-1, width).T:  # most significant bit first
+        values = (values << 1) | column
+    return values.tolist()

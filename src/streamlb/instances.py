@@ -505,7 +505,3 @@ def to_stream(inst, shuffle_seed: int | None = None) -> EdgeStream:
             seg = [seg[int(i)] for i in order]
         segments.append((tag, tuple(seg)))
     return EdgeStream(n=inst.n, directed=True, segments=tuple(segments), layers=inst.layers)
-
-
-def undirect(stream: EdgeStream) -> EdgeStream:
-    return EdgeStream(stream.n, False, stream.segments, stream.layers)

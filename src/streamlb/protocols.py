@@ -39,7 +39,7 @@ class Transcript:
     public_randomness: list = field(default_factory=list)
 
     def send(self, sender: str, bits: str, label: str | None = None):
-        if bits is None or any(c not in "01" for c in bits):
+        if not isinstance(bits, str) or bits.count("0") + bits.count("1") != len(bits):
             raise ValueError("messages must be bit strings")
         self.messages.append((sender, bits))
         self.labels.append(label or f"{sender}:{len(self.messages)}")

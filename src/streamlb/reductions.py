@@ -2,7 +2,7 @@
 
 Every transformation maps one input edge to at most one output edge plus
 static per-vertex bookkeeping, so it could be applied on the fly to a stream.
-The oracles (augmenting-path matching, brute-force matching, BFS, Kahn's
+The oracles (Hopcroft-Karp matching, brute-force matching, BFS, Kahn's
 topological sort) are deliberately separate code paths from the reductions
 they certify.
 """
@@ -63,36 +63,67 @@ def reduce_to_matching(h: Digraph, s, t):
 
 
 def perfect_matching_exists(g: BipartiteGraph) -> bool:
-    """Repeated augmenting-path search (Kuhn); exact."""
+    """Hopcroft-Karp with an explicit stack, so path length is not bounded by
+    the interpreter's recursion limit; exact.
+
+    Each phase layers the left vertices by BFS from the free ones, then
+    augments along layered paths found by an iterative DFS; a left vertex that
+    reaches no free right vertex is cut from its layer for the rest of the phase.
+    """
     if len(g.left) != len(g.right):
         return False
-    adj: dict = {u: [] for u in g.left}
+    left = {u: i for i, u in enumerate(g.left)}
+    right = {v: j for j, v in enumerate(g.right)}
+    adj: list[list[int]] = [[] for _ in g.left]
     for u, v in g.edges:
-        adj[u].append(v)
-    match: dict = {}
-
-    def try_augment(u, seen):
-        for v in adj[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            if v not in match or try_augment(match[v], seen):
-                match[v] = u
-                return True
-        return False
-
+        adj[left[u]].append(right[v])
+    match_l = [-1] * len(g.left)
+    match_r = [-1] * len(g.right)
     matched = 0
-    for u in g.left:
-        if try_augment(u, set()):
-            matched += 1
-    return matched == len(g.left)
+    while True:
+        free = [u for u, v in enumerate(match_l) if v < 0]
+        layer = [-1] * len(g.left)
+        for u in free:
+            layer[u] = 0
+        queue = list(free)
+        for u in queue:  # the queue grows while it is read
+            for v in adj[u]:
+                w = match_r[v]
+                if w >= 0 and layer[w] < 0:
+                    layer[w] = layer[u] + 1
+                    queue.append(w)
+        nxt = [0] * len(g.left)  # per left vertex, the next neighbour to try
+        grew = 0
+        for root in free:
+            stack = [root]
+            while stack:
+                u = stack[-1]
+                if nxt[u] == len(adj[u]):
+                    layer[u] = -1
+                    stack.pop()
+                    continue
+                v = adj[u][nxt[u]]
+                nxt[u] += 1
+                w = match_r[v]
+                if w < 0:
+                    # stack[k] reached stack[k+1] through its last-tried neighbour
+                    for x in stack:
+                        y = adj[x][nxt[x] - 1]
+                        match_l[x], match_r[y] = y, x
+                    grew += 1
+                    break
+                if layer[w] == layer[u] + 1:
+                    stack.append(w)
+        if not grew:
+            return matched == len(g.left)
+        matched += grew
 
 
 def perfect_matching_brute(g: BipartiteGraph) -> bool:
     """Naive backtracking over all assignments; the independent oracle."""
     if len(g.left) != len(g.right):
         return False
-    adj = {u: sorted_neighbors(g, u) for u in g.left}
+    adj = {u: sorted(v for x, v in g.edges if x == u) for u in g.left}
     lefts = list(g.left)
     used: set = set()
 
@@ -108,10 +139,6 @@ def perfect_matching_brute(g: BipartiteGraph) -> bool:
         return False
 
     return place(0)
-
-
-def sorted_neighbors(g: BipartiteGraph, u):
-    return sorted(v for x, v in g.edges if x == u)
 
 
 def reduce_to_sssp(stream: EdgeStream):

@@ -1,8 +1,9 @@
 """Multi-pass streaming execution with bit-level space accounting.
 
 Algorithms see edges strictly in stream order, once per pass, and are
-checkpointed by serializing their dynamic state to a bit string at segment
-boundaries and pass ends; the longest checkpoint is the run's space figure.
+checkpointed at segment boundaries and pass ends by the length of their
+serialized dynamic state; the longest checkpoint is the run's space figure.
+`state_bits` gives that length without building the bit string.
 Serialization must round-trip through `restore`, which is what lets the
 communication simulation hand a computation across players mid-pass.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 from .common import decode_ints, encode_int, encode_ints, int_width
 from .instances import EdgeStream
@@ -22,6 +24,7 @@ class StreamAlgorithm:
     `start` binds the instance context and resets state; `restore(bits, p)`
     overwrites the dynamic state with a previously serialized checkpoint taken
     during pass p. Pass bookkeeping calls arrive only at true pass boundaries.
+    `state_bits()` must equal `len(serialize())` in every state.
     """
 
     name = "algorithm"
@@ -41,6 +44,9 @@ class StreamAlgorithm:
 
     def serialize(self) -> str:
         raise NotImplementedError
+
+    def state_bits(self) -> int:
+        return len(self.serialize())
 
     def restore(self, bits: str, pass_index: int):
         raise NotImplementedError
@@ -91,16 +97,14 @@ class StoreAll(StreamAlgorithm):
             self.edges.add((u, v))
 
     def serialize(self) -> str:
-        w = int_width(self.n - 1)
-        flat = []
-        for u, v in sorted(self.edges):
-            flat += [u, v]
-        return encode_ints(flat, w)
+        return encode_ints(chain.from_iterable(sorted(self.edges)), int_width(self.n - 1))
+
+    def state_bits(self) -> int:
+        return 2 * int_width(self.n - 1) * len(self.edges)
 
     def restore(self, bits, pass_index):
-        w = int_width(self.n - 1)
-        vals = decode_ints(bits, w)
-        self.edges = {(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)}
+        vals = decode_ints(bits, int_width(self.n - 1))
+        self.edges = set(zip(vals[::2], vals[1::2]))
         self._pass = pass_index
 
     def result(self):
@@ -130,6 +134,8 @@ class BfsFrontier(StreamAlgorithm):
     name = "bfs-frontier"
 
     def __init__(self, passes: int = 2):
+        if passes >= 1 << 16:
+            raise ValueError("the hop counter is serialized in 16 bits")
         self.passes_needed = passes
 
     def start(self, n, directed, s=0, t=None):
@@ -170,6 +176,9 @@ class BfsFrontier(StreamAlgorithm):
             adds[v] = "1"
         flags = "1" if self.exhausted else "0"
         return encode_int(self.hops, 16) + flags + "".join(bitmap) + "".join(adds)
+
+    def state_bits(self) -> int:
+        return 17 + 2 * self.n
 
     def restore(self, bits, pass_index):
         self.hops = int(bits[:16], 2)
@@ -215,15 +224,13 @@ class SpanningForest(StreamAlgorithm):
             self.forest.append((u, v))
 
     def serialize(self) -> str:
-        w = int_width(self.n - 1)
-        flat = []
-        for u, v in sorted(self.forest):
-            flat += [u, v]
-        return encode_ints(flat, w)
+        return encode_ints(chain.from_iterable(sorted(self.forest)), int_width(self.n - 1))
+
+    def state_bits(self) -> int:
+        return 2 * int_width(self.n - 1) * len(self.forest)
 
     def restore(self, bits, pass_index):
-        w = int_width(self.n - 1)
-        vals = decode_ints(bits, w)
+        vals = decode_ints(bits, int_width(self.n - 1))
         self.parent = list(range(self.n))
         self.forest = []
         for i in range(0, len(vals), 2):
@@ -274,7 +281,7 @@ class XorSketch(StreamAlgorithm):
 class StreamRun:
     algorithm: str
     passes_used: int
-    checkpoints: tuple  # ((label, bits), ...)
+    checkpoints: tuple  # ((label, state bits), ...)
     max_state_bits: int
     output: object
     wall_time_s: float
@@ -283,11 +290,14 @@ class StreamRun:
 def run_stream(alg: StreamAlgorithm, stream: EdgeStream, passes: int,
                s: int = 0, t: int | None = None, per_edge: bool = False) -> StreamRun:
     """Feed the stream to the algorithm once per pass, measuring state at
-    segment boundaries and pass ends (per-edge checkpointing is opt-in: slow)."""
+    segment boundaries and pass ends (and after every edge, opt in)."""
     if alg.passes_needed > passes:
         raise ValueError(
             f"{alg.name} declares {alg.passes_needed} passes but the budget is {passes}"
         )
+    t = stream.n - 1 if t is None else t
+    if not (0 <= s < stream.n and 0 <= t < stream.n):
+        raise ValueError(f"s={s} and t={t} must be vertices of the {stream.n}-vertex stream")
     t0 = time.perf_counter()
     alg.start(stream.n, stream.directed, s, t)
     checkpoints = []
@@ -297,10 +307,10 @@ def run_stream(alg: StreamAlgorithm, stream: EdgeStream, passes: int,
             for u, v in seg:
                 alg.process(u, v)
                 if per_edge:
-                    checkpoints.append((f"pass{p}:{tag}:{u}->{v}", len(alg.serialize())))
-            checkpoints.append((f"pass{p}:{tag}", len(alg.serialize())))
+                    checkpoints.append((f"pass{p}:{tag}:{u}->{v}", alg.state_bits()))
+            checkpoints.append((f"pass{p}:{tag}", alg.state_bits()))
         alg.end_pass(p)
-        checkpoints.append((f"pass{p}:end", len(alg.serialize())))
+        checkpoints.append((f"pass{p}:end", alg.state_bits()))
     return StreamRun(
         algorithm=alg.name,
         passes_used=alg.passes_needed,

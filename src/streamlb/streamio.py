@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 from .common import Report, fail_report, ok_report
@@ -34,28 +35,52 @@ def write_stream(path, stream: EdgeStream):
     Path(path).write_text(render_stream(stream))
 
 
+_HEADER = re.compile(r"STREAM[ \t]+(\d+)[ \t]+directed=([01])", re.ASCII)
+_SEG_LINE = re.compile(r"^[ \t]*SEG(?:[ \t].*)?$", re.MULTILINE)
+# the text between two SEG lines: edge lines of two integers, blank lines between
+_EDGE_LINES = re.compile(r"(?:\s*\n[ \t]*-?\d+[ \t]+-?\d+)*\s*", re.ASCII)
+
+
 def parse_stream(text: str, layers: LayerMap | None = None) -> EdgeStream:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "STREAM" or not head[2].startswith("directed="):
-        raise ValueError("malformed stream header")
+    """Read the text form strictly; every defect raises a one-line ValueError.
+
+    The file opens with `STREAM <n> directed=<0|1>` (n >= 1). Every edge line
+    `u v` holds two vertex ids in [0, n) and follows a `SEG <tag>` line, and no
+    tag repeats. Blank lines and whitespace around lines are ignored.
+    """
+    marks = list(_SEG_LINE.finditer(text))
+    rows = [ln.strip() for ln in text[: marks[0].start() if marks else len(text)].splitlines()]
+    rows = [ln for ln in rows if ln]
+    if not rows:
+        raise ValueError("missing stream header 'STREAM <n> directed=<0|1>'" if marks
+                         else "empty stream file")
+    head = _HEADER.fullmatch(rows[0])
+    if head is None or int(head[1]) < 1:
+        raise ValueError(f"malformed stream header {rows[0][:80]!r}: "
+                         "expected 'STREAM <n> directed=<0|1>' with n >= 1")
+    if len(rows) > 1:
+        raise ValueError(f"line {rows[1][:80]!r} comes between the header and the first SEG line")
     n = int(head[1])
-    directed = head[2].split("=")[1] == "1"
     segments = []
-    tag = None
-    edges: list = []
-    for ln in lines[1:]:
-        if ln.startswith("SEG "):
-            if tag is not None:
-                segments.append((tag, tuple(edges)))
-            tag = ln.split(maxsplit=1)[1]
-            edges = []
-        else:
-            u, v = ln.split()
-            edges.append((int(u), int(v)))
-    if tag is not None:
-        segments.append((tag, tuple(edges)))
-    return EdgeStream(n=n, directed=directed, segments=tuple(segments), layers=layers)
+    for mark, nxt in zip(marks, marks[1:] + [None]):
+        seg_head = mark[0].split(maxsplit=1)
+        if len(seg_head) != 2:
+            raise ValueError("a SEG line has no tag")
+        tag = seg_head[1].strip()
+        if any(tag == seen for seen, _ in segments):
+            raise ValueError(f"segment tag {tag!r} repeats")
+        body = text[mark.end() : nxt.start() if nxt else len(text)]
+        valid = _EDGE_LINES.match(body).end()
+        if valid != len(body):
+            stop = body.find("\n", valid)
+            bad = body[body.rfind("\n", 0, valid) + 1 : stop if stop >= 0 else len(body)].strip()
+            raise ValueError(f"malformed edge line {bad[:80]!r} in segment {tag!r}: expected 'u v'")
+        ids = list(map(int, body.split()))
+        if ids and (min(ids) < 0 or max(ids) >= n):
+            bad_id = min(ids) if min(ids) < 0 else max(ids)
+            raise ValueError(f"vertex id {bad_id} in segment {tag!r} is outside [0, {n})")
+        segments.append((tag, tuple(zip(ids[::2], ids[1::2]))))
+    return EdgeStream(n=n, directed=head[2] == "1", segments=tuple(segments), layers=layers)
 
 
 def read_stream(path, meta_path=None) -> EdgeStream:

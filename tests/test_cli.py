@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from streamlb.cli import OK, USAGE, VERIFY_FAILED, dispatch
 from streamlb.experiments import small_rs
@@ -164,3 +166,90 @@ def test_experiment_worker_pool_parity():
     serial = st_batch(count=40, seed=3, with_distances=True)
     pooled = st_batch(count=40, seed=3, with_distances=True, workers=3)
     assert serial == pooled
+
+
+GOOD_STREAM = "STREAM 4 directed=1\nSEG E1\n0 1\nSEG E2\n1 2\n2 3\n"
+BAD_STREAMS = {
+    "empty file": "",
+    "blank file": "\n  \n",
+    "missing header": "SEG E1\n0 1\n",
+    "header without direction": "STREAM 4\nSEG E1\n0 1\n",
+    "header with a word for n": "STREAM four directed=1\nSEG E1\n0 1\n",
+    "header with a bad direction": "STREAM 4 directed=yes\nSEG E1\n0 1\n",
+    "header with no vertices": "STREAM 0 directed=1\n",
+    "edge before the first SEG": "STREAM 4 directed=1\n0 1\nSEG E1\n1 2\n",
+    "repeated tag": "STREAM 4 directed=1\nSEG E1\n0 1\nSEG E1\n1 2\n",
+    "SEG without a tag": "STREAM 4 directed=1\nSEG\n0 1\n",
+    "edge with three ids": "STREAM 4 directed=1\nSEG E1\n0 1 2\n",
+    "edge with one id": "STREAM 4 directed=1\nSEG E1\n0 1\n2\n",
+    "edge with a junk token": "STREAM 4 directed=1\nSEG E1\n0 x\n",
+    "id equal to n": "STREAM 4 directed=1\nSEG E1\n0 1\nSEG E2\n3 4\n",
+    "negative id": "STREAM 4 directed=1\nSEG E1\n-1 2\n",
+}
+
+
+@pytest.mark.parametrize("alg", ["store-all", "bfs-frontier:2", "edge-count"])
+@pytest.mark.parametrize("case", sorted(BAD_STREAMS))
+def test_stream_run_rejects_malformed_input(tmp_path, capsys, case, alg):
+    path = tmp_path / "bad.stream"
+    path.write_text(BAD_STREAMS[case])
+    assert run("stream", "run", "--alg", alg, "--input", path, "--passes", 2) == USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_stream_run_accepts_the_wellformed_neighbour(tmp_path):
+    path = tmp_path / "good.stream"
+    path.write_text(GOOD_STREAM)
+    assert run("stream", "run", "--alg", "store-all", "--input", path) == OK
+    assert streamio.parse_stream(GOOD_STREAM).segments == (("E1", ((0, 1),)), ("E2", ((1, 2), (2, 3))))
+    assert run("stream", "run", "--alg", "store-all", "--input", path, "--s", 4) == USAGE
+
+
+FUZZ_BASE = streamio.render_stream(to_stream(sample_st(small_rs(), seed=3), shuffle_seed=1))
+FUZZ_N = int(FUZZ_BASE.split()[1])
+JUNK = st.sampled_from(["x", "1.5", "SEG", "STREAM", "--", "0x1", "+3", "1_0", "\u0663", "directed=1", "\t"])
+
+
+@st.composite
+def mutated_stream_texts(draw):
+    lines = FUZZ_BASE.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            break
+        kind = draw(st.sampled_from(["drop", "duplicate", "big id", "negative id", "junk token", "junk line"]))
+        structural = [i for i, ln in enumerate(lines) if ln.startswith(("STREAM", "SEG"))]
+        if structural and kind in ("drop", "duplicate") and draw(st.booleans()):
+            i = draw(st.sampled_from(structural))  # the header and SEG lines
+        else:
+            i = draw(st.integers(0, len(lines) - 1))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif kind == "big id":
+            lines[i] = f"{draw(st.integers(0, FUZZ_N - 1))} {FUZZ_N + draw(st.integers(0, 10**6))}"
+        elif kind == "negative id":
+            lines[i] = f"-{draw(st.integers(1, 10**6))} {draw(st.integers(0, FUZZ_N - 1))}"
+        elif kind == "junk token":
+            tokens = lines[i].split()
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(JUNK))
+            lines[i] = " ".join(tokens)
+        else:
+            lines.insert(i, draw(JUNK))
+    text = "\n".join(lines) + "\n"
+    return text[: draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mutated_stream_texts(),
+       alg=st.sampled_from(["store-all", "bfs-frontier:2", "edge-count", "spanning-forest", "xor-sketch:1"]))
+def test_stream_reader_fuzz(tmp_path, text, alg):
+    path = tmp_path / "fuzz.stream"
+    path.write_text(text)
+    code = run("stream", "run", "--alg", alg, "--input", path, "--passes", 2)
+    assert code in (OK, VERIFY_FAILED, USAGE)
+    try:
+        streamio.parse_stream(text)
+    except ValueError:
+        assert code == USAGE

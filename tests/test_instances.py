@@ -16,10 +16,10 @@ from streamlb.instances import (
     sample_st,
     sample_ur,
     to_stream,
-    undirect,
     verify_st_instance,
     verify_ur_promise,
 )
+from streamlb.reductions import reduce_to_sssp
 from streamlb.rsgraph import RSDigraph
 from streamlb.streamio import render_stream
 
@@ -225,4 +225,4 @@ def test_ur_stream_segments():
     inst = sample_ur(small_rs(), FORWARD, seed=4)
     stream = to_stream(inst)
     assert stream.segment_tags() == ("EA", "EB")
-    assert undirect(stream).directed is False
+    assert reduce_to_sssp(stream)[0].directed is False

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from streamlb import rng as rngmod
 from streamlb.experiments import small_rs
@@ -89,6 +91,38 @@ def test_pm_oracles_agree_random():
         edges = tuple((u, v) for u in left for v in right if gen.random() < 0.4)
         g = BipartiteGraph(left, right, edges)
         assert perfect_matching_exists(g) == perfect_matching_brute(g)
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """Up to 7 vertices a side, equal sides more often than not; edges may repeat."""
+    n_left = draw(st.integers(0, 7))
+    n_right = draw(st.one_of(st.just(n_left), st.integers(0, 7)))
+    left = tuple(("L", i) for i in range(n_left))
+    right = tuple(("R", j) for j in range(n_right))
+    pairs = [(u, v) for u in left for v in right]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * len(pairs))) if pairs else []
+    return BipartiteGraph(left, right, tuple(edges))
+
+
+@settings(max_examples=400, deadline=None)
+@given(bipartite_graphs())
+@example(BipartiteGraph((), (), ()))
+@example(BipartiteGraph((("L", 0), ("L", 1)), (("R", 0), ("R", 1)), ()))
+@example(BipartiteGraph((("L", 0),), (("R", 0), ("R", 1)), ((("L", 0), ("R", 0)),)))
+def test_pm_oracle_equals_brute_force(g):
+    assert perfect_matching_exists(g) == perfect_matching_brute(g)
+
+
+def test_pm_oracle_on_a_deep_chain():
+    # augmenting paths thousands of edges long: no recursion-depth limit applies
+    n = 5001
+    path = tuple((v, v + 1) for v in range(n - 1))
+    g, dropped = reduce_to_matching(Digraph(frozenset(range(n)), path), 0, n - 1)
+    assert dropped == 0 and perfect_matching_exists(g)
+    cut = path[: n // 2] + path[n // 2 + 1 :]
+    g, _ = reduce_to_matching(Digraph(frozenset(range(n)), cut), 0, n - 1)
+    assert not perfect_matching_exists(g)
 
 
 # --- shortest path ----------------------------------------------------------------

@@ -4,7 +4,8 @@ import pytest
 
 from streamlb import rng as rngmod
 from streamlb.experiments import small_rs
-from streamlb.instances import EdgeStream, sample_st, to_stream, undirect
+from streamlb.instances import FORWARD, INVERSE, EdgeStream, sample_st, sample_ur, to_stream
+from streamlb.reductions import reduce_to_sssp
 from streamlb.streaming import (
     BfsFrontier,
     EdgeCounter,
@@ -146,6 +147,51 @@ def test_make_algorithm_registry():
         make_algorithm("quantum")
 
 
+def test_bfs_frontier_hop_counter_width():
+    with pytest.raises(ValueError):
+        make_algorithm("bfs-frontier:65536")
+    assert make_algorithm("bfs-frontier:65535").passes_needed == 65535
+
+
+def test_run_stream_rejects_endpoints_outside_the_stream():
+    stream = tiny_stream([(0, 1)], 3)
+    for s, t in ((3, 2), (0, 3), (-1, 2)):
+        with pytest.raises(ValueError):
+            run_stream(BfsFrontier(1), stream, passes=1, s=s, t=t)
+
+
+def contract_streams():
+    """The small_rs() corpus (st in all three E1 modes, ur both ways) and the m=100 st stream."""
+    rs = small_rs()
+    for seed, mode in enumerate(("random", "random", "complete", "empty")):
+        yield to_stream(sample_st(rs, seed, e1_mode=mode), shuffle_seed=seed)
+    for direction in (FORWARD, INVERSE):
+        yield to_stream(sample_ur(rs, direction, seed=4), shuffle_seed=4)
+    yield big_st_stream()
+
+
+@pytest.mark.parametrize(
+    "tag", ["edge-count", "store-all", "bfs-frontier:1", "bfs-frontier:3", "spanning-forest", "xor-sketch:5"]
+)
+def test_state_bits_equal_serialized_length(tag):
+    for stream in contract_streams():
+        if tag == "spanning-forest":
+            stream = reduce_to_sssp(stream)[0]
+        alg = make_algorithm(tag)
+        measured = []
+
+        def checked_state_bits(alg=alg, arithmetic=alg.state_bits):
+            bits = arithmetic()
+            assert bits == len(alg.serialize())
+            measured.append(bits)
+            return bits
+
+        alg.state_bits = checked_state_bits
+        run = run_stream(alg, stream, passes=alg.passes_needed, per_edge=True)
+        assert [bits for _, bits in run.checkpoints] == measured
+        assert len(measured) == alg.passes_needed * (stream.edge_count() + len(stream.segments) + 1)
+
+
 def big_st_stream():
     from streamlb.behrend import construct_ap_free, trim_to_multiple
     from streamlb.rsgraph import build_rs_digraph
@@ -163,7 +209,7 @@ def big_st_stream():
 )
 def test_space_ordering_as_specified():
     stream = big_st_stream()
-    forest = run_stream(SpanningForest(), undirect(stream), passes=1).max_state_bits
+    forest = run_stream(SpanningForest(), reduce_to_sssp(stream)[0], passes=1).max_state_bits
     frontier = run_stream(BfsFrontier(2), stream, passes=2).max_state_bits
     store = run_stream(StoreAll(), stream, passes=1).max_state_bits
     assert forest < frontier < store
@@ -172,7 +218,7 @@ def test_space_ordering_as_specified():
 def test_space_ordering_observed():
     # what actually holds at N=300: both structured states beat storing all
     stream = big_st_stream()
-    forest = run_stream(SpanningForest(), undirect(stream), passes=1).max_state_bits
+    forest = run_stream(SpanningForest(), reduce_to_sssp(stream)[0], passes=1).max_state_bits
     frontier = run_stream(BfsFrontier(2), stream, passes=2).max_state_bits
     store = run_stream(StoreAll(), stream, passes=1).max_state_bits
     assert frontier < store
