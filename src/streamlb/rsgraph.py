@@ -11,11 +11,15 @@ disjoint namespaces: an edge (u, v) always means u in L, v in R.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .behrend import BehrendSet, verify_no_3ap
 from .common import Report, fail_report, ok_report
 
 Edge = tuple[int, int]
+_CHUNK_PAIRS = 2**16  # cross pairs tested per searchsorted call
 
 
 @dataclass(frozen=True)
@@ -94,14 +98,29 @@ def verify_induced(g: RSDigraph) -> Report:
                 )
             edge_owner[(u, v)] = i
     # induced-ness: no global edge may join matching i's left side to its
-    # right side except the matching's own edges
-    for i, matching in enumerate(g.matchings, start=1):
-        for j, (u, _) in enumerate(matching):
-            for jp, (_, vp) in enumerate(matching):
-                if j != jp and (u, vp) in edge_owner:
-                    return fail_report(
-                        "induced-ness violated", matching=i, cross_edge=(u, vp)
-                    )
+    # right side except the matching's own edges. Every row (i, j) pairs u_j
+    # with each v_jp of matching i; its keys are looked up among the sorted
+    # edge keys, and the first hit in (i, j, jp) order is reported.
+    if g.t >= 1 and g.r >= 2:
+        # ids become ranks first, so no key outgrows int64 whatever N claims
+        ids = chain.from_iterable(chain.from_iterable(g.matchings))
+        dtype = np.int64 if g.n_side < 2**63 else object
+        pairs = np.fromiter(ids, dtype, count=2 * g.t * g.r).reshape(g.t, g.r, 2)
+        left_rank = np.unique(pairs[:, :, 0], return_inverse=True)[1].reshape(-1)
+        right_rank = np.unique(pairs[:, :, 1], return_inverse=True)[1].reshape(g.t, g.r)
+        row_keys = left_rank * (int(right_rank.max()) + 1)
+        keys = np.sort(row_keys + right_rank.reshape(-1))
+        step = max(1, _CHUNK_PAIRS // g.r)
+        for start in range(0, g.t * g.r, step):
+            rows = np.arange(start, min(start + step, g.t * g.r))
+            block = row_keys[rows, None] + right_rank[rows // g.r]
+            hit = keys[np.searchsorted(keys, block).clip(max=keys.size - 1)] == block
+            hit[np.arange(rows.size), rows % g.r] = False
+            if hit.any():
+                row, jp = divmod(start * g.r + int(hit.argmax()), g.r)
+                i, j = divmod(row, g.r)
+                return fail_report("induced-ness violated", matching=i + 1,
+                                   cross_edge=(g.matchings[i][j][0], g.matchings[i][jp][1]))
     return ok_report(matchings_checked=g.t, edges=len(edge_owner))
 
 

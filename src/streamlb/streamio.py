@@ -41,6 +41,16 @@ _SEG_LINE = re.compile(r"^[ \t]*SEG(?:[ \t].*)?$", re.MULTILINE)
 _EDGE_LINES = re.compile(r"(?:\s*\n[ \t]*-?\d+[ \t]+-?\d+)*\s*", re.ASCII)
 
 
+def _edge_ids(body: str, where: str) -> list[int]:
+    """The ids of a block of `u v` edge lines, flat; any other line raises."""
+    valid = _EDGE_LINES.match(body).end()
+    if valid != len(body):
+        stop = body.find("\n", valid)
+        bad = body[body.rfind("\n", 0, valid) + 1 : stop if stop >= 0 else len(body)].strip()
+        raise ValueError(f"malformed edge line {bad[:80]!r} in {where}: expected 'u v'")
+    return list(map(int, body.split()))
+
+
 def parse_stream(text: str, layers: LayerMap | None = None) -> EdgeStream:
     """Read the text form strictly; every defect raises a one-line ValueError.
 
@@ -69,13 +79,7 @@ def parse_stream(text: str, layers: LayerMap | None = None) -> EdgeStream:
         tag = seg_head[1].strip()
         if any(tag == seen for seen, _ in segments):
             raise ValueError(f"segment tag {tag!r} repeats")
-        body = text[mark.end() : nxt.start() if nxt else len(text)]
-        valid = _EDGE_LINES.match(body).end()
-        if valid != len(body):
-            stop = body.find("\n", valid)
-            bad = body[body.rfind("\n", 0, valid) + 1 : stop if stop >= 0 else len(body)].strip()
-            raise ValueError(f"malformed edge line {bad[:80]!r} in segment {tag!r}: expected 'u v'")
-        ids = list(map(int, body.split()))
+        ids = _edge_ids(text[mark.end() : nxt.start() if nxt else len(text)], f"segment {tag!r}")
         if ids and (min(ids) < 0 or max(ids) >= n):
             bad_id = min(ids) if min(ids) < 0 else max(ids)
             raise ValueError(f"vertex id {bad_id} in segment {tag!r} is outside [0, {n})")
@@ -197,24 +201,41 @@ def write_rs(path, g: RSDigraph):
     Path(path).write_text(render_rs(g))
 
 
+_RS_HEADER = re.compile(r"RS[ \t]+(\d+)[ \t]+(\d+)[ \t]+(\d+)", re.ASCII)
+_M_LINE = re.compile(r"^[ \t]*M(?:[ \t].*)?$", re.MULTILINE)
+_M_INDEX = re.compile(r"M[ \t]+(\d+)", re.ASCII)
+
+
 def parse_rs(text: str) -> RSDigraph:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "RS":
-        raise ValueError("malformed RS header")
+    """Read the text form strictly; every defect raises a one-line ValueError.
+
+    The file opens with `RS <N> <t> <r>`, then blocks `M 1`, `M 2`, ... in
+    order, each followed by its edge lines `u v` (two integers); a block is
+    empty only when r = 0. Blank lines and whitespace around lines are
+    ignored. Counts that disagree with the header and ids outside [1, N] are
+    left to `verify_induced`.
+    """
+    marks = list(_M_LINE.finditer(text))
+    rows = [ln.strip() for ln in text[: marks[0].start() if marks else len(text)].splitlines()]
+    rows = [ln for ln in rows if ln]
+    if not rows:
+        raise ValueError("missing RS header 'RS <N> <t> <r>'" if marks else "empty RS file")
+    head = _RS_HEADER.fullmatch(rows[0])
+    if head is None:
+        raise ValueError(f"malformed RS header {rows[0][:80]!r}: expected 'RS <N> <t> <r>'")
+    if len(rows) > 1:
+        raise ValueError(f"line {rows[1][:80]!r} comes before the first 'M 1' line")
     n_side, t, r = int(head[1]), int(head[2]), int(head[3])
     matchings = []
-    current: list = []
-    for ln in lines[1:]:
-        if ln.startswith("M "):
-            if current:
-                matchings.append(tuple(current))
-            current = []
-        else:
-            u, v = ln.split()
-            current.append((int(u), int(v)))
-    if current:
-        matchings.append(tuple(current))
+    for mark, nxt in zip(marks, marks[1:] + [None]):
+        i = len(matchings) + 1
+        index = _M_INDEX.fullmatch(mark[0].strip())
+        if index is None or int(index[1]) != i:
+            raise ValueError(f"matching header {mark[0].strip()[:80]!r} out of order: expected 'M {i}'")
+        ids = _edge_ids(text[mark.end() : nxt.start() if nxt else len(text)], f"matching {i}")
+        if not ids and r:
+            raise ValueError(f"matching {i} has no edges")
+        matchings.append(tuple(zip(ids[::2], ids[1::2])))
     return RSDigraph(n_side=n_side, r=r, t=t, matchings=tuple(matchings), source={"file": True})
 
 
@@ -238,20 +259,42 @@ def write_bipartite(path, g: BipartiteGraph):
     Path(path).write_text(render_bipartite(g))
 
 
+_BIPARTITE_HEADER = re.compile(r"BIPARTITE[ \t]+(\d+)[ \t]+(\d+)", re.ASCII)
+_LABEL_LINE = re.compile(r"#[ \t]*([LR])(\d+)[ \t]+\S.*", re.ASCII)
+_INDEX_PAIR = re.compile(r"(\d+)[ \t]+(\d+)", re.ASCII)
+
+
 def parse_bipartite(text: str) -> BipartiteGraph:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "BIPARTITE":
-        raise ValueError("malformed bipartite header")
+    """Read the text form strictly; every defect raises a one-line ValueError.
+
+    The file opens with `BIPARTITE <nL> <nR>`. Every later line is a label
+    `# L<i> <id>` / `# R<i> <id>` or an edge `i j` with i in [1, nL] and j in
+    [1, nR]. Labels are not read back: sides are 1..nL and -1..-nR.
+    """
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln]
+    if not lines:
+        raise ValueError("empty bipartite file")
+    head = _BIPARTITE_HEADER.fullmatch(lines[0])
+    if head is None:
+        raise ValueError(f"malformed bipartite header {lines[0][:80]!r}: expected 'BIPARTITE <nL> <nR>'")
     n_l, n_r = int(head[1]), int(head[2])
-    left = tuple(range(1, n_l + 1))
-    right = tuple(-(i + 1) for i in range(n_r))  # distinct namespaces
     edges = []
     for ln in lines[1:]:
         if ln.startswith("#"):
+            label = _LABEL_LINE.fullmatch(ln)
+            if label is None or not 1 <= int(label[2]) <= (n_l if label[1] == "L" else n_r):
+                raise ValueError(f"malformed label line {ln[:80]!r}: expected '# L<i> <id>' or '# R<i> <id>'")
             continue
-        i, j = ln.split()
-        edges.append((int(i), -int(j)))
+        pair = _INDEX_PAIR.fullmatch(ln)
+        if pair is None:
+            raise ValueError(f"malformed edge line {ln[:80]!r}: expected 'i j'")
+        i, j = int(pair[1]), int(pair[2])
+        if not (1 <= i <= n_l and 1 <= j <= n_r):
+            raise ValueError(f"edge {ln[:80]!r} is outside [1, {n_l}] x [1, {n_r}]")
+        edges.append((i, -j))
+    left = tuple(range(1, n_l + 1))
+    right = tuple(-(i + 1) for i in range(n_r))  # distinct namespaces
     return BipartiteGraph(left, right, tuple(edges))
 
 

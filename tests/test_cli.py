@@ -4,11 +4,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from streamlb import cli
 from streamlb.cli import OK, USAGE, VERIFY_FAILED, dispatch
 from streamlb.experiments import small_rs
 from streamlb.instances import sample_st, to_stream
 from streamlb.reductions import BipartiteGraph
+from streamlb.rsgraph import RSDigraph, verify_induced
 from streamlb import streamio
+
+
+@pytest.fixture(autouse=True)
+def one_parser_per_test(monkeypatch):
+    # building the parser is most of a dispatch call, and the fuzz tests
+    # dispatch hundreds of times; a parser keeps no state between parses
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
 
 
 @pytest.fixture
@@ -208,29 +218,40 @@ def test_stream_run_accepts_the_wellformed_neighbour(tmp_path):
 
 FUZZ_BASE = streamio.render_stream(to_stream(sample_st(small_rs(), seed=3), shuffle_seed=1))
 FUZZ_N = int(FUZZ_BASE.split()[1])
-JUNK = st.sampled_from(["x", "1.5", "SEG", "STREAM", "--", "0x1", "+3", "1_0", "\u0663", "directed=1", "\t"])
+JUNK = st.sampled_from(["x", "1.5", "SEG", "STREAM", "--", "0x1", "+3", "1_0", "\u0663", "directed=1", "\t",
+                        "M", "M 1", "RS", "#", "# L1", "BIPARTITE"])
 
 
 @st.composite
-def mutated_stream_texts(draw):
-    lines = FUZZ_BASE.splitlines()
+def mutated_texts(draw, base, heads, top):
+    """`base` with 1-4 lines dropped, duplicated, swapped, given ids beyond `top`,
+    negative or huge ids, junk tokens or junk lines, then maybe truncated.
+    Lines starting with one of `heads` (the header and block lines) are drawn
+    half the time for the structural mutations."""
+    lines = base.splitlines()
     for _ in range(draw(st.integers(1, 4))):
         if not lines:
             break
-        kind = draw(st.sampled_from(["drop", "duplicate", "big id", "negative id", "junk token", "junk line"]))
-        structural = [i for i, ln in enumerate(lines) if ln.startswith(("STREAM", "SEG"))]
-        if structural and kind in ("drop", "duplicate") and draw(st.booleans()):
-            i = draw(st.sampled_from(structural))  # the header and SEG lines
+        kind = draw(st.sampled_from(["drop", "duplicate", "swap", "big id", "huge id", "negative id",
+                                     "junk token", "junk line"]))
+        structural = [i for i, ln in enumerate(lines) if ln.startswith(heads)]
+        if structural and kind in ("drop", "duplicate", "swap") and draw(st.booleans()):
+            i = draw(st.sampled_from(structural))
         else:
             i = draw(st.integers(0, len(lines) - 1))
         if kind == "drop":
             del lines[i]
         elif kind == "duplicate":
             lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif kind == "swap":
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[k] = lines[k], lines[i]
         elif kind == "big id":
-            lines[i] = f"{draw(st.integers(0, FUZZ_N - 1))} {FUZZ_N + draw(st.integers(0, 10**6))}"
+            lines[i] = f"{draw(st.integers(0, top - 1))} {top + draw(st.integers(0, 10**6))}"
+        elif kind == "huge id":
+            lines[i] = f"{10 ** draw(st.integers(12, 40))} {draw(st.integers(0, top - 1))}"
         elif kind == "negative id":
-            lines[i] = f"-{draw(st.integers(1, 10**6))} {draw(st.integers(0, FUZZ_N - 1))}"
+            lines[i] = f"-{draw(st.integers(1, 10**6))} {draw(st.integers(0, top - 1))}"
         elif kind == "junk token":
             tokens = lines[i].split()
             tokens.insert(draw(st.integers(0, len(tokens))), draw(JUNK))
@@ -242,7 +263,7 @@ def mutated_stream_texts(draw):
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=mutated_stream_texts(),
+@given(text=mutated_texts(FUZZ_BASE, ("STREAM", "SEG"), FUZZ_N),
        alg=st.sampled_from(["store-all", "bfs-frontier:2", "edge-count", "spanning-forest", "xor-sketch:1"]))
 def test_stream_reader_fuzz(tmp_path, text, alg):
     path = tmp_path / "fuzz.stream"
@@ -253,3 +274,148 @@ def test_stream_reader_fuzz(tmp_path, text, alg):
         streamio.parse_stream(text)
     except ValueError:
         assert code == USAGE
+
+
+# --- RS and bipartite readers -------------------------------------------------------
+
+GOOD_RS = "RS 9 3 2\nM 1\n2 3\n3 5\nM 2\n3 4\n4 6\nM 3\n4 5\n5 7\n"
+BAD_RS = {
+    "empty file": "",
+    "blank file": "\n \n",
+    "missing header": "M 1\n2 3\n3 5\n",
+    "header without r": "RS 9 3\nM 1\n2 3\n3 5\n",
+    "header with a word for N": "RS nine 3 2\nM 1\n2 3\n3 5\n",
+    "header with an extra token": "RS 9 3 2 1\nM 1\n2 3\n3 5\n",
+    "header with a wrong keyword": "RX 9 3 2\nM 1\n2 3\n3 5\n",
+    "edge before the first M": "RS 9 3 2\n1 1\nM 1\n2 3\n3 5\n",
+    "matchings out of order": GOOD_RS.replace("M 2", "M 9").replace("M 3", "M 2").replace("M 9", "M 3"),
+    "matching index repeated": GOOD_RS.replace("M 3", "M 2"),
+    "matching index skipped": GOOD_RS.replace("M 2", "M 3").replace("M 3\n4 5", "M 4\n4 5"),
+    "M line without an index": GOOD_RS.replace("M 2", "M"),
+    "empty matching": "RS 9 3 2\nM 1\nM 2\n3 4\n4 6\nM 3\n4 5\n5 7\n",
+    "empty last matching": "RS 9 3 2\nM 1\n2 3\n3 5\nM 2\n3 4\n4 6\nM 3\n",
+    "edge with three ids": GOOD_RS.replace("4 6", "4 6 1"),
+    "edge with one id": GOOD_RS.replace("4 6", "4"),
+    "edge with a junk token": GOOD_RS.replace("4 6", "4 x"),
+    "edge with a non-ASCII digit": GOOD_RS.replace("4 6", "4 \u0666"),
+    "edge with an underscore": GOOD_RS.replace("4 6", "4 1_0"),
+}
+TAMPERED_RS = {  # well formed, so verify_induced has the last word: exit 1
+    "fewer matchings than t": "RS 9 4 2\nM 1\n2 3\n3 5\nM 2\n3 4\n4 6\nM 3\n4 5\n5 7\n",
+    "matching smaller than r": GOOD_RS.replace("4 6\n", ""),
+    "id beyond N": GOOD_RS.replace("4 6", "4 10"),
+    "negative id": GOOD_RS.replace("4 6", "-4 6"),
+    "huge id": GOOD_RS.replace("4 6", f"4 {10**30}"),
+    "cross edge": GOOD_RS.replace("4 6", "2 5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RS))
+def test_rs_readers_reject_malformed_input(tmp_path, capsys, case):
+    path = tmp_path / "bad.txt"
+    path.write_text(BAD_RS[case])
+    with pytest.raises(ValueError):
+        streamio.parse_rs(BAD_RS[case])
+    assert run("verify", "rs", path) == USAGE
+    assert run("gen", "st", "--rs", path, "--seed", 1, "--count", 1, "--out", tmp_path / "st") == USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 2
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED_RS))
+def test_verify_rs_fails_a_wellformed_tampered_file(tmp_path, capsys, case):
+    path = tmp_path / "rs.txt"
+    path.write_text(TAMPERED_RS[case])
+    assert run("verify", "rs", path) == VERIFY_FAILED
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+def test_rs_reader_keeps_what_it_is_given(tmp_path):
+    assert streamio.parse_rs(GOOD_RS).matchings == (((2, 3), (3, 5)), ((3, 4), (4, 6)), ((4, 5), (5, 7)))
+    spaced = "\n  RS 9 3 2 \n\nM 1\n 2  3\n3\t5\n\nM 2\n3 4\n4 6\nM 3\n4 5\n5 7"
+    assert streamio.parse_rs(spaced) == streamio.parse_rs(GOOD_RS)
+    # r = 0: every matching is empty, and the file still reads back
+    empty = RSDigraph(9, 0, 3, ((), (), ()))
+    assert streamio.parse_rs(streamio.render_rs(empty)) == empty
+    path = tmp_path / "empty.txt"
+    streamio.write_rs(path, empty)
+    assert run("verify", "rs", path) == OK
+
+
+FUZZ_RS = streamio.render_rs(small_rs())
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mutated_texts(FUZZ_RS, ("RS", "M"), small_rs().n_side + 1))
+def test_rs_reader_fuzz(tmp_path, text):
+    path = tmp_path / "fuzz.txt"
+    path.write_text(text)
+    code = run("verify", "rs", path)
+    assert code in (OK, VERIFY_FAILED, USAGE)
+    try:
+        g = streamio.parse_rs(text)
+    except ValueError:
+        assert code == USAGE
+    else:
+        assert code == (OK if verify_induced(g).ok else VERIFY_FAILED)
+
+
+GOOD_BIPARTITE = "BIPARTITE 2 2\n# L1 a\n# L2 b\n# R1 ('R', 1)\n# R2 d\n1 2\n2 1\n"
+BAD_BIPARTITE = {
+    "empty file": "",
+    "blank file": " \n\n",
+    "truncated header": "BIPARTITE 2\n1 1\n",
+    "header with a word for nL": "BIPARTITE two 2\n1 1\n",
+    "header with an extra token": "BIPARTITE 2 2 2\n1 1\n",
+    "missing header": "1 2\n2 1\n",
+    "edge with three indices": GOOD_BIPARTITE.replace("2 1\n", "2 1 1\n"),
+    "edge with a junk token": GOOD_BIPARTITE.replace("2 1\n", "2 x\n"),
+    "edge with a non-ASCII digit": GOOD_BIPARTITE.replace("2 1\n", "2 \u0661\n"),
+    "left index beyond nL": GOOD_BIPARTITE.replace("2 1\n", "3 1\n"),
+    "right index beyond nR": GOOD_BIPARTITE.replace("2 1\n", "2 3\n"),
+    "index zero": GOOD_BIPARTITE.replace("2 1\n", "0 1\n"),
+    "negative index": GOOD_BIPARTITE.replace("2 1\n", "-2 1\n"),
+    "label of no side": GOOD_BIPARTITE.replace("# L2 b", "# X2 b"),
+    "label without an id": GOOD_BIPARTITE.replace("# L2 b", "# L2"),
+    "label beyond nR": GOOD_BIPARTITE.replace("# R2 d", "# R3 d"),
+    "bare comment": GOOD_BIPARTITE.replace("# L2 b", "# note"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BIPARTITE))
+def test_oracle_pm_rejects_malformed_input(tmp_path, capsys, case):
+    path = tmp_path / "bad.txt"
+    path.write_text(BAD_BIPARTITE[case])
+    with pytest.raises(ValueError):
+        streamio.parse_bipartite(BAD_BIPARTITE[case])
+    assert run("oracle", "pm", "--input", path) == USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_oracle_pm_accepts_the_wellformed_neighbour(tmp_path, capsys):
+    path = tmp_path / "good.txt"
+    path.write_text(GOOD_BIPARTITE)
+    assert run("oracle", "pm", "--input", path) == OK
+    assert json.loads(capsys.readouterr().out) == {"perfect_matching": True}
+    g = streamio.parse_bipartite(GOOD_BIPARTITE)
+    assert (g.left, g.right, g.edges) == ((1, 2), (-1, -2), ((1, -2), (2, -1)))
+
+
+FUZZ_BIPARTITE = streamio.render_bipartite(BipartiteGraph(
+    tuple(("L", i) for i in range(6)), tuple(("R", i) for i in range(6)),
+    tuple((("L", i), ("R", j)) for i in range(6) for j in range(6) if (j - i) % 6 in (0, 1, 3))))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mutated_texts(FUZZ_BIPARTITE, ("BIPARTITE", "#"), 7))
+def test_bipartite_reader_fuzz(tmp_path, text):
+    path = tmp_path / "fuzz.txt"
+    path.write_text(text)
+    code = run("oracle", "pm", "--input", path)
+    try:
+        streamio.parse_bipartite(text)
+    except ValueError:
+        assert code == USAGE
+    else:
+        assert code == OK
