@@ -33,7 +33,6 @@ from .protocols import (
     intersection_protocol,
     measure_internal_eps,
     mock_eps_solver,
-    run_protocol,
     simulate_two_pass,
 )
 from .reductions import (

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from . import __version__, rng as rngmod
@@ -408,10 +409,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: building it costs far more than a parse, and
+    `parse_args` starts each parse from a fresh namespace."""
+    return build_parser()
+
+
 def dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else OK
     try:

@@ -1,4 +1,5 @@
-"""Shared primitives: verification reports, budget errors, bit-string encoding."""
+"""Shared primitives: verification reports, budget errors, breadth-first
+search, bit-string encoding."""
 
 from __future__ import annotations
 
@@ -31,6 +32,32 @@ def ok_report(**detail) -> Report:
 
 def fail_report(reason: str, **detail) -> Report:
     return Report(False, reason, detail)
+
+
+def bfs(edges, start: int, directed: bool = True) -> dict[int, int]:
+    """Hop distance from `start` to every vertex it reaches, `start` included.
+
+    Reach is the result's keys; the distance to `goal` is `.get(goal)`.
+    Undirected, every edge is followed both ways.
+    """
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        if not directed:
+            adj.setdefault(v, []).append(u)
+    dist = {start: 0}
+    frontier = [start]
+    hops = 0
+    while frontier:
+        hops += 1
+        nxt = []
+        for u in frontier:
+            for v in adj.get(u, ()):
+                if v not in dist:
+                    dist[v] = hops
+                    nxt.append(v)
+        frontier = nxt
+    return dist
 
 
 # --- bit strings -----------------------------------------------------------

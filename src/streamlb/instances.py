@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from . import rng as rngmod
-from .common import Report, fail_report, ok_report
+from .common import Report, bfs, fail_report, ok_report
 from .rsgraph import RSDigraph, restrict_matching
 
 Edge = tuple[int, int]
@@ -170,43 +170,6 @@ def st_layer_map(n_side: int, r: int) -> LayerMap:
     ))
 
 
-def reachable_from(edges, start: int) -> set[int]:
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return seen
-
-
-def shortest_path_length(edges, start: int, goal: int):
-    """BFS distance in edges, or None when unreachable."""
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-    dist = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj.get(u, ()):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    if v == goal:
-                        return dist[v]
-                    nxt.append(v)
-        frontier = nxt
-    return dist.get(goal)
-
-
 # --- unique reach ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -297,33 +260,47 @@ def sample_ur(rs: RSDigraph, direction: str = FORWARD, seed: int = 0, path=("ur"
     return inst
 
 
-def verify_ur_promise(inst: URInstance) -> Report:
+def ur_witnesses(inst: URInstance) -> dict:
+    """The hidden witnesses, as an instance's `.meta.json` records them."""
+    return {
+        "i_star": inst.i_star,
+        "e_star": inst.e_star,
+        "witness": inst.witness,
+        "b_size": inst.b_size,
+        "live_t": sorted(inst.si_pairs[inst.i_star - 1].b),
+    }
+
+
+def check_ur(edges, layers: LayerMap, witnesses: dict) -> Report:
     """BFS oracle: exactly one layer-3 vertex on the source side of the promise.
 
-    Also confirms the witness's conditional support has size r/4 (the live
-    pair's second set indexes it).
+    An inverse layer map (`ur_layer_map` names its first layer "t") asks
+    which layer-3 vertices reach vertex 0. Also confirms that the witness is the
+    target-indexed layer-3 vertex and that its conditional support has size
+    r/4 (the live pair's second set indexes it).
     """
-    edges = inst.all_edges()
-    if inst.direction == INVERSE:
+    if layers.order[0] == "t":
         edges = [(v, u) for u, v in edges]  # reachability *to* vertex 0
-    reach = reachable_from(edges, 0)
-    layer3 = inst.layers.order[3]
-    lo, hi = inst.layers.span(layer3)
-    hit = sorted(v for v in reach if lo <= v <= hi)
-    if hit != [inst.witness]:
+    lo, hi = layers.span(layers.order[3])
+    witness = witnesses["witness"]
+    hit = sorted(v for v in bfs(edges, 0) if lo <= v <= hi)
+    if hit != [witness]:
         return fail_report(
             "promise broken: reachable layer-3 set is not exactly the witness",
             reachable=hit,
-            witness=inst.witness,
+            witness=witness,
         )
-    live = inst.si_pairs[inst.i_star - 1]
-    if len(live.b) != inst.b_size:
-        return fail_report(
-            "conditional support has wrong size", expected=inst.b_size, got=len(live.b)
-        )
-    if inst.witness != lo + inst.e_star - 1:
+    if witness != lo + witnesses["e_star"] - 1:
         return fail_report("witness is not the target-indexed layer-3 vertex")
-    return ok_report(witness=inst.witness, support=sorted(lo + j - 1 for j in sorted(live.b)))
+    quarter = (hi - lo + 1) // 4
+    if len(witnesses["live_t"]) != quarter or witnesses["b_size"] != quarter:
+        return fail_report("conditional support size is not r/4",
+                           live_t=witnesses["live_t"], b_size=witnesses["b_size"])
+    return ok_report(witness=witness)
+
+
+def verify_ur_promise(inst: URInstance) -> Report:
+    return check_ur(inst.all_edges(), inst.layers, ur_witnesses(inst))
 
 
 # --- st reachability ---------------------------------------------------------
@@ -443,28 +420,41 @@ def sample_st(
     return inst
 
 
-def verify_st_instance(inst: STInstance) -> Report:
-    """BFS oracle for the reach dichotomy: the flag, the middle edge, and the
-    7-edge witness path must all agree."""
-    edges = inst.all_edges()
-    reach = reachable_from(edges, inst.s)
-    bfs_says = inst.t in reach
-    edge_says = (inst.s_star, inst.t_star) in set(inst.e1)
+def st_witnesses(inst: STInstance) -> dict:
+    """The hidden witnesses, as an instance's `.meta.json` records them."""
+    return {
+        "s_star": inst.s_star,
+        "t_star": inst.t_star,
+        "reachable": inst.reachable,
+        "forward_i_star": inst.forward.i_star,
+        "forward_e_star": inst.forward.e_star,
+        "backward_i_star": inst.backward.i_star,
+        "backward_e_star": inst.backward.e_star,
+    }
+
+
+def check_st(edges, e1, layers: LayerMap, witnesses: dict) -> Report:
+    """BFS oracle for the reach dichotomy: the flag, the middle edge (s*, t*)
+    looked up in E1, and the 7-edge witness path must all agree."""
+    distance = bfs(edges, layers.span("s")[0]).get(layers.span("t")[0])
+    bfs_says = distance is not None
+    edge_says = (witnesses["s_star"], witnesses["t_star"]) in set(e1)
     if bfs_says != edge_says:
         return fail_report(
             "reachability differs from middle-edge membership",
             bfs=bfs_says,
             middle_edge=edge_says,
         )
-    if bfs_says != inst.reachable:
-        return fail_report(
-            "recorded flag contradicts BFS", recorded=inst.reachable, bfs=bfs_says
-        )
-    if bfs_says:
-        dist = shortest_path_length(edges, inst.s, inst.t)
-        if dist != 7:
-            return fail_report("witness path does not have 7 edges", distance=dist)
+    if bfs_says != witnesses["reachable"]:
+        return fail_report("recorded reachable flag contradicts BFS",
+                           recorded=witnesses["reachable"], bfs=bfs_says)
+    if bfs_says and distance != 7:
+        return fail_report("witness path does not have 7 edges", distance=distance)
     return ok_report(reachable=bfs_says)
+
+
+def verify_st_instance(inst: STInstance) -> Report:
+    return check_st(inst.all_edges(), inst.e1, inst.layers, st_witnesses(inst))
 
 
 # --- edge streams ------------------------------------------------------------

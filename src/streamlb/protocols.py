@@ -1,16 +1,15 @@
-"""Two-party protocols: execution harness, transcripts, and measurements.
+"""Two-party protocols: transcripts, posterior-shift measurement, amplification.
 
-Three layers live here. A generic runner executes next-message functions
-under a declared round structure and accounts every bit sent. On top of it
-sit the set-intersection oracles: tiny one-way protocols with an enumerable
+The set-intersection oracles are tiny one-way protocols with an enumerable
 randomness interface, so the posterior of the target element given a
 transcript is computed exactly, and the expected posterior shift (total
 variation, from either player's perspective) is measured by full enumeration
-of the input distribution. The amplification wrapper turns any oracle whose
-shift is at least eps into an exact solver: k re-randomized runs, top-half
-votes, a threshold, and a final intersection subprotocol on the surviving
-candidates. Finally, a two-pass streaming algorithm is simulated exactly by
-the three-message pattern: the serialized memory states are the messages.
+of the input distribution. A transcript accounts every bit sent. The
+amplification wrapper turns any oracle whose shift is at least eps into an
+exact solver: k re-randomized runs, top-half votes, a threshold, and a final
+intersection subprotocol on the surviving candidates. Finally, a two-pass
+streaming algorithm is simulated exactly by the three-message pattern: the
+serialized memory states are the messages.
 """
 
 from __future__ import annotations
@@ -32,11 +31,10 @@ B_REST_ENUM_CAP = 200_000
 
 @dataclass
 class Transcript:
-    """Messages (sender, bit string) plus the recorded public randomness."""
+    """Messages (sender, bit string) with one label each."""
 
     messages: list = field(default_factory=list)
     labels: list = field(default_factory=list)
-    public_randomness: list = field(default_factory=list)
 
     def send(self, sender: str, bits: str, label: str | None = None):
         if not isinstance(bits, str) or bits.count("0") + bits.count("1") != len(bits):
@@ -44,56 +42,9 @@ class Transcript:
         self.messages.append((sender, bits))
         self.labels.append(label or f"{sender}:{len(self.messages)}")
 
-    def record_randomness(self, label: str, value):
-        self.public_randomness.append((label, value))
-
     @property
     def total_bits(self) -> int:
         return sum(len(bits) for _, bits in self.messages)
-
-
-@dataclass(frozen=True)
-class ProtocolSpec:
-    """Next-message functions for both players under a declared round structure."""
-
-    name: str
-    round_structure: str  # "one-way" | "two-way"
-    alice: object  # (input, received: tuple[str], rng) -> bits | None
-    bob: object
-    output: object  # (bob_input, seen: tuple[str]) -> answer
-
-    def __post_init__(self):
-        if self.round_structure not in ("one-way", "two-way"):
-            raise ValueError(f"unknown round structure {self.round_structure!r}")
-
-
-def run_protocol(spec: ProtocolSpec, alice_input, bob_input, seed: int = 0,
-                 max_bits: int | None = None):
-    """Execute a protocol; deterministic in (inputs, seed). Returns (transcript, output)."""
-    gen = rngmod.substream(seed, "protocol", spec.name)
-    tr = Transcript()
-    to_bob: list[str] = []
-    to_alice: list[str] = []
-    turn = "alice"
-    while True:
-        if turn == "alice":
-            msg = spec.alice(alice_input, tuple(to_alice), gen)
-            if msg is None:
-                break
-            tr.send("alice", msg)
-            to_bob.append(msg)
-            if spec.round_structure == "one-way":
-                break
-        else:
-            msg = spec.bob(bob_input, tuple(to_bob), gen)
-            if msg is None:
-                break
-            tr.send("bob", msg)
-            to_alice.append(msg)
-        if max_bits is not None and tr.total_bits > max_bits:
-            raise BudgetError(f"protocol exceeded its {max_bits}-bit budget")
-        turn = "bob" if turn == "alice" else "alice"
-    return tr, spec.output(bob_input, tuple(to_bob))
 
 
 # --- set-intersection oracles -------------------------------------------------
@@ -667,26 +618,3 @@ def measure_internal_eps_ur(oracle: UROracle, rs, budget: int = 300_000) -> Inte
             posterior = from_weights(support, tuple(weight_by_e[e] for e in support))
             shift += mass * tvd(posterior, uniform(support))
     return InternalEpsReport(float("nan"), float(shift), float(shift), "exact")
-
-
-# --- tiny demo protocols ---------------------------------------------------------
-
-def echo_protocol(width: int = 16) -> ProtocolSpec:
-    """Alice sends her integer input verbatim; Bob repeats it back as the answer."""
-    return ProtocolSpec(
-        name="echo",
-        round_structure="one-way",
-        alice=lambda inp, received, gen: encode_int(inp, width),
-        bob=lambda inp, received, gen: None,
-        output=lambda inp, seen: int(seen[0], 2) if seen and seen[0] else None,
-    )
-
-
-def empty_protocol() -> ProtocolSpec:
-    return ProtocolSpec(
-        name="empty",
-        round_structure="one-way",
-        alice=lambda inp, received, gen: "",
-        bob=lambda inp, received, gen: None,
-        output=lambda inp, seen: None,
-    )

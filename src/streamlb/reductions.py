@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .common import bfs
 from .instances import EdgeStream
 
 
@@ -166,42 +167,11 @@ def reduce_to_reach_count(h: Digraph, s, t, n: int):
 # --- offline oracles ----------------------------------------------------------
 
 def bfs_reachable(h: Digraph, s, t) -> bool:
-    return t in reach_set(h, s)
-
-
-def reach_set(h: Digraph, s) -> set:
-    adj: dict = {}
-    for u, v in h.edges:
-        adj.setdefault(u, []).append(v)
-    seen = {s}
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return seen
+    return t in bfs(h.edges, s)
 
 
 def undirected_distance(edges, s, t):
-    adj: dict = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    dist = {s: 0}
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj.get(u, ()):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return dist.get(t)
+    return bfs(edges, s, directed=False).get(t)
 
 
 def topological_order(h: Digraph):

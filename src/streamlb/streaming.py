@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from itertools import chain
 
-from .common import decode_ints, encode_int, encode_ints, int_width
+from .common import bfs, decode_ints, encode_int, encode_ints, int_width
 from .instances import EdgeStream
 
 
@@ -108,22 +108,7 @@ class StoreAll(StreamAlgorithm):
         self._pass = pass_index
 
     def result(self):
-        adj: dict[int, list[int]] = {}
-        for u, v in self.edges:
-            adj.setdefault(u, []).append(v)
-            if not self.directed:
-                adj.setdefault(v, []).append(u)
-        seen = {self.s}
-        frontier = [self.s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj.get(u, ()):
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        return self.t in seen
+        return self.t in bfs(self.edges, self.s, self.directed)
 
 
 class BfsFrontier(StreamAlgorithm):

@@ -11,8 +11,17 @@ import json
 import re
 from pathlib import Path
 
-from .common import Report, fail_report, ok_report
-from .instances import EdgeStream, LayerMap, STInstance, URInstance, reachable_from, shortest_path_length
+from .common import Report
+from .instances import (
+    EdgeStream,
+    LayerMap,
+    STInstance,
+    URInstance,
+    check_st,
+    check_ur,
+    st_witnesses,
+    ur_witnesses,
+)
 from .reductions import BipartiteGraph
 from .rsgraph import RSDigraph
 
@@ -87,13 +96,17 @@ def parse_stream(text: str, layers: LayerMap | None = None) -> EdgeStream:
     return EdgeStream(n=n, directed=head[2] == "1", segments=tuple(segments), layers=layers)
 
 
+def meta_layers(meta: dict) -> LayerMap:
+    return LayerMap(tuple((nm, lo, hi) for nm, lo, hi in meta["layers"]))
+
+
 def read_stream(path, meta_path=None) -> EdgeStream:
     layers = None
     meta_path = Path(meta_path) if meta_path else default_meta_path(path)
     if meta_path.exists():
         meta = json.loads(meta_path.read_text())
         if "layers" in meta:
-            layers = LayerMap(tuple((nm, lo, hi) for nm, lo, hi in meta["layers"]))
+            layers = meta_layers(meta)
     return parse_stream(Path(path).read_text(), layers)
 
 
@@ -105,7 +118,6 @@ def default_meta_path(path) -> Path:
 # --- instance metadata -----------------------------------------------------------
 
 def ur_metadata(inst: URInstance) -> dict:
-    live = inst.si_pairs[inst.i_star - 1]
     return {
         "kind": "ur",
         "direction": inst.direction,
@@ -114,13 +126,7 @@ def ur_metadata(inst: URInstance) -> dict:
         "r": inst.rs.r,
         "t": inst.rs.t,
         "layers": [list(rr) for rr in inst.layers.ranges],
-        "witnesses": {
-            "i_star": inst.i_star,
-            "e_star": inst.e_star,
-            "witness": inst.witness,
-            "b_size": inst.b_size,
-            "live_t": sorted(live.b),
-        },
+        "witnesses": ur_witnesses(inst),
         "rng": inst.meta.get("rng", {}),
     }
 
@@ -133,15 +139,7 @@ def st_metadata(inst: STInstance) -> dict:
         "r": inst.rs.r,
         "layers": [list(rr) for rr in inst.layers.ranges],
         "e1_mode": inst.e1_mode,
-        "witnesses": {
-            "s_star": inst.s_star,
-            "t_star": inst.t_star,
-            "reachable": inst.reachable,
-            "forward_i_star": inst.forward.i_star,
-            "forward_e_star": inst.forward.e_star,
-            "backward_i_star": inst.backward.i_star,
-            "backward_e_star": inst.backward.e_star,
-        },
+        "witnesses": st_witnesses(inst),
         "rng": inst.meta.get("rng", {}),
     }
 
@@ -149,42 +147,12 @@ def st_metadata(inst: STInstance) -> dict:
 # --- file-level verification (tamper-evident: stream and meta must agree) --------
 
 def verify_ur_file(stream: EdgeStream, meta: dict) -> Report:
-    w = meta["witnesses"]
-    edges = list(stream.edges())
-    if meta["direction"] == "inverse":
-        edges = [(v, u) for u, v in edges]
-    reach = reachable_from(edges, 0)
-    layers = {nm: (lo, hi) for nm, lo, hi in meta["layers"]}
-    name3 = "V3" if meta["direction"] == "forward" else "U3"
-    lo, hi = layers[name3]
-    hit = sorted(v for v in reach if lo <= v <= hi)
-    if hit != [w["witness"]]:
-        return fail_report("reachable layer-3 set differs from the recorded witness",
-                           reachable=hit, witness=w["witness"])
-    if w["witness"] != lo + w["e_star"] - 1:
-        return fail_report("witness does not sit at the target index")
-    if len(w["live_t"]) != meta["r"] // 4 or w["b_size"] != meta["r"] // 4:
-        return fail_report("conditional support size is not r/4", live_t=w["live_t"])
-    return ok_report(witness=w["witness"])
+    return check_ur(stream.edges(), meta_layers(meta), meta["witnesses"])
 
 
 def verify_st_file(stream: EdgeStream, meta: dict) -> Report:
-    w = meta["witnesses"]
-    edges = list(stream.edges())
-    n = stream.n
-    reach = reachable_from(edges, 0)
-    bfs_says = (n - 1) in reach
     e1 = dict(stream.segments).get("E1", ())
-    edge_says = (w["s_star"], w["t_star"]) in set(e1)
-    if bfs_says != edge_says:
-        return fail_report("reachability differs from middle-edge membership",
-                           bfs=bfs_says, middle_edge=edge_says)
-    if bfs_says != w["reachable"]:
-        return fail_report("recorded reachable flag contradicts BFS",
-                           recorded=w["reachable"], bfs=bfs_says)
-    if bfs_says and shortest_path_length(edges, 0, n - 1) != 7:
-        return fail_report("witness path does not have 7 edges")
-    return ok_report(reachable=bfs_says)
+    return check_st(stream.edges(), e1, meta_layers(meta), meta["witnesses"])
 
 
 # --- RS digraphs ------------------------------------------------------------------

@@ -4,21 +4,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from streamlb import cli
 from streamlb.cli import OK, USAGE, VERIFY_FAILED, dispatch
 from streamlb.experiments import small_rs
 from streamlb.instances import sample_st, to_stream
 from streamlb.reductions import BipartiteGraph
 from streamlb.rsgraph import RSDigraph, verify_induced
 from streamlb import streamio
-
-
-@pytest.fixture(autouse=True)
-def one_parser_per_test(monkeypatch):
-    # building the parser is most of a dispatch call, and the fuzz tests
-    # dispatch hundreds of times; a parser keeps no state between parses
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
 
 
 @pytest.fixture
@@ -150,6 +141,55 @@ def test_experiment_cli(tmp_path):
     assert run("experiment", "rs-verify", "--param", "m=12", "--out", out) == OK
     payload = json.loads(out.read_text())
     assert payload["violations"] == 0
+
+
+def test_shared_parser_keeps_no_param_between_dispatches(capsys):
+    assert run("experiment", "rs-verify", "--param", "m=12") == OK
+    first = json.loads(capsys.readouterr().out)
+    assert run("experiment", "rs-verify") == OK
+    second = json.loads(capsys.readouterr().out)
+    assert first["m"] == 12 and second["m"] == 100  # 100 is rs_verify's default
+    assert second["n_side"] == 300
+
+
+# sha256 of the README tour's artifacts and the `verify` lines on them: `gen`
+# output bytes are a fixed contract, so these change only on purpose
+TOUR_HASHES = {
+    "rs.txt": "23ee0c02d3a6f7685f69dbc41932c94dfde88f48a966ca1e62d019d0ce3fbc5c",
+    "st/st-0000.stream": "41b656dffe23dc07c9d60d3930506e59b1c97f7f96b6aa0656eddfd8414249e1",
+    "st/st-0000.stream.meta.json": "6996f06eb7ef43a999721a8650bf8579665c1fc1fdcf2c2ef6bba936964bb788",
+    "st/st-0001.stream": "1504775a5cdf74620ed2817d52c79382df53d978fea7b723b2cb1ada8083e443",
+    "st/st-0001.stream.meta.json": "a52efbf5990f1e95c2b75919bf28755eaf97db51ec7e8b133e43cbdb67f44eae",
+    "st/st-0002.stream": "830bed24e2449deb75ac9181fde191db982d0a57e0e7fc6461c1558e02740522",
+    "st/st-0002.stream.meta.json": "e753946fb5240181a564c74ae0126329dd59b5526d773fbfcd37199cb92c8b34",
+    "ur/ur-0000.stream": "1b19bf8586e90df77f209d931faca49d24b74f4d9782cd5ccd226e39900ad7cf",
+    "ur/ur-0000.stream.meta.json": "36343634cfc49ebc3403ddcb4a6c9fb2f75d7f06147b7f70cbf16a9cb8c8dd04",
+    "ur/ur-0001.stream": "9af02246cb10de277f5a82da1401e126fa41153ab85156926a0f348d8a78fd9d",
+    "ur/ur-0001.stream.meta.json": "6e12ec386066b994cb51fdc5abfe62cd4b1c52e5d3c89165e215e6fe14ce8945",
+    "ur/ur-0002.stream": "f8c056399c9ce0d12285a10a64560e76505829bcb8f6829daaf8c67e1263dfee",
+    "ur/ur-0002.stream.meta.json": "b613fd0e3e3b45982703b6e0917745b9fec43e340ba357c379c82d801eff4b7e",
+}
+TOUR_VERIFY_LINES = {
+    "st": ['{"detail": {"reachable": false}, "ok": true, "reason": null}'] * 3,
+    "ur": ['{"detail": {"witness": %d}, "ok": true, "reason": null}' % w for w in (617, 603, 607)],
+}
+
+
+def test_tour_artifacts_and_verify_lines_are_unchanged(tmp_path, capsys):
+    assert run("gen", "rs", "--m", 100, "--trim", 4, "--out", tmp_path / "rs.txt") == OK
+    for kind in ("st", "ur"):
+        assert run("gen", kind, "--rs", tmp_path / "rs.txt", "--seed", 7, "--count", 3,
+                   "--out", tmp_path / kind) == OK
+    written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+               if p.is_file() and not p.name.endswith(".manifest.json")}
+    assert written == set(TOUR_HASHES)
+    for name, digest in TOUR_HASHES.items():
+        assert streamio.sha256_file(tmp_path / name) == digest, name
+    capsys.readouterr()
+    for kind, lines in TOUR_VERIFY_LINES.items():
+        for i, line in enumerate(lines):
+            assert run("verify", kind, tmp_path / kind / f"{kind}-{i:04d}.stream") == OK
+            assert capsys.readouterr().out == line + "\n"
 
 
 def test_stream_roundtrip(tmp_path):

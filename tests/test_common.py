@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from streamlb.common import decode_ints, encode_int, encode_ints
+from streamlb.common import bfs, decode_ints, encode_int, encode_ints
 from streamlb.protocols import Transcript
 
 
@@ -66,3 +68,40 @@ def test_transcript_accepts_only_bit_strings():
         with pytest.raises(ValueError):
             tr.send("alice", bits)
     assert len(tr.messages) == 2
+
+
+# --- breadth-first search ------------------------------------------------------
+
+def bfs_reference(edges, start, directed):
+    """The loop `StoreAll.result` ran before the shared kernel, with distances."""
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        if not directed:
+            adj.setdefault(v, []).append(u)
+    dist = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj.get(u, ()):
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+small_edges = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edges=small_edges, start=st.integers(0, 12), directed=st.booleans())
+@example(edges=[], start=0, directed=True)
+@example(edges=[], start=3, directed=False)
+@example(edges=[(1, 2), (2, 1)], start=11, directed=True)  # no edge touches the start
+@example(edges=[(0, 0), (0, 1), (0, 1), (1, 1), (2, 1)], start=0, directed=True)
+@example(edges=[(0, 0), (0, 1), (0, 1), (1, 1), (2, 1)], start=0, directed=False)
+def test_bfs_equals_the_loop_reference(edges, start, directed):
+    assert bfs(edges, start, directed) == bfs_reference(edges, start, directed)
+    assert bfs(iter(edges), start, directed) == bfs_reference(edges, start, directed)

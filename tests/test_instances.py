@@ -1,15 +1,19 @@
 import dataclasses
+import json
 from collections import Counter
+from functools import cache
 from itertools import permutations
 
 import pytest
 
 from streamlb import rng as rngmod
+from streamlb.behrend import construct_ap_free, trim_to_multiple
 from streamlb.experiments import small_rs
 from streamlb.instances import (
     FORWARD,
     INVERSE,
     SIInstance,
+    STInstance,
     apply_permutation,
     enumerate_si,
     sample_si,
@@ -20,8 +24,14 @@ from streamlb.instances import (
     verify_ur_promise,
 )
 from streamlb.reductions import reduce_to_sssp
-from streamlb.rsgraph import RSDigraph
-from streamlb.streamio import render_stream
+from streamlb.rsgraph import RSDigraph, build_rs_digraph
+from streamlb.streamio import (
+    render_stream,
+    st_metadata,
+    ur_metadata,
+    verify_st_file,
+    verify_ur_file,
+)
 
 
 def identity_matching_rs(r: int) -> RSDigraph:
@@ -226,3 +236,84 @@ def test_ur_stream_segments():
     stream = to_stream(inst)
     assert stream.segment_tags() == ("EA", "EB")
     assert reduce_to_sssp(stream)[0].directed is False
+
+
+# --- the instance and the file path give one verdict ------------------------------
+
+@cache
+def drift_rs(name: str) -> RSDigraph:
+    if name == "small":
+        return small_rs()
+    return build_rs_digraph(trim_to_multiple(construct_ap_free(100, "behrend-sphere"), 4))
+
+
+def second_layer3_path(inst):
+    """Two edges through an existing middle edge that let the source side
+    reach a second layer-3 vertex."""
+    forward = inst.direction == FORWARD
+    u, w = inst.edges_a[0] if forward else inst.edges_a[0][::-1]
+    other = 2 if inst.e_star == 1 else 1
+    extra = ((0, u), (w, 2 * inst.rs.n_side + other))
+    return extra if forward else tuple((b, a) for a, b in extra)
+
+
+def ur_tampers(inst):
+    """(label, instance, expected): expected is "ok" or a word of the failure reason."""
+    yield "none", inst, "ok"
+    yield "second path", dataclasses.replace(
+        inst, edges_b=inst.edges_b + second_layer3_path(inst)), "promise"
+    yield "witness moved", dataclasses.replace(inst, witness=inst.witness + 1), "promise"
+    yield "target moved", dataclasses.replace(inst, e_star=inst.e_star + 1), "target-indexed"
+    yield "support resized", dataclasses.replace(inst, b_size=inst.b_size + 1), "r/4"
+
+
+def st_tampers(inst):
+    """As `ur_tampers`; None marks a tamper that may or may not break the dichotomy."""
+    yield "none", inst, "ok"
+    yield "flag flipped", dataclasses.replace(inst, reachable=not inst.reachable), "flag"
+    yield "second path", dataclasses.replace(
+        inst, e3=inst.e3 + second_layer3_path(inst.forward)), None
+    yield "witness moved", dataclasses.replace(inst, s_star=inst.s_star + 1), None
+    middle = (inst.s_star, inst.t_star)
+    if middle in inst.e1:
+        yield "middle edge in E2", dataclasses.replace(
+            inst, e1=tuple(e for e in inst.e1 if e != middle), e2=inst.e2 + (middle,)), "middle-edge"
+
+
+def file_report(inst, seed):
+    stream = to_stream(inst, shuffle_seed=seed)
+    if isinstance(inst, STInstance):
+        return verify_st_file(stream, json.loads(json.dumps(st_metadata(inst))))
+    return verify_ur_file(stream, json.loads(json.dumps(ur_metadata(inst))))
+
+
+def assert_expected(report, expected, label):
+    if expected == "ok":
+        assert report.ok, (label, report.reason)
+    elif expected is not None:
+        assert not report.ok and expected in report.reason, (label, report.reason)
+
+
+@pytest.mark.parametrize("rs_name", ["small", "m100"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ur_file_and_instance_checks_agree(rs_name, seed):
+    for direction in (FORWARD, INVERSE):
+        inst = sample_ur(drift_rs(rs_name), direction, seed=seed)
+        for label, case, expected in ur_tampers(inst):
+            report = verify_ur_promise(case)
+            assert file_report(case, seed) == report, (direction, label)
+            assert_expected(report, expected, (direction, label))
+
+
+@pytest.mark.parametrize("rs_name", ["small", "m100"])
+@pytest.mark.parametrize("seed, e1_mode", [(0, "random"), (1, "random"), (2, "random"),
+                                           (3, "complete"), (4, "empty")])
+def test_st_file_and_instance_checks_agree(rs_name, seed, e1_mode):
+    inst = sample_st(drift_rs(rs_name), seed=seed, e1_mode=e1_mode)
+    labels = []
+    for label, case, expected in st_tampers(inst):
+        report = verify_st_instance(case)
+        assert file_report(case, seed) == report, label
+        assert_expected(report, expected, label)
+        labels.append(label)
+    assert ("middle edge in E2" in labels) == inst.reachable

@@ -19,57 +19,16 @@ from streamlb.protocols import (
     Transcript,
     amplification_parameters,
     boost_si,
-    echo_protocol,
-    empty_protocol,
     intersection_protocol,
     measure_internal_eps,
     measure_internal_eps_ur,
     mock_eps_solver,
-    run_protocol,
     simulate_two_pass,
 )
-from streamlb.protocols import ProtocolSpec
 from tests.test_instances import identity_matching_rs
 
 
-# --- harness -------------------------------------------------------------------
-
-def test_echo_protocol_bits_equal_encoding():
-    tr, out = run_protocol(echo_protocol(width=16), 1234, None)
-    assert out == 1234
-    assert tr.total_bits == 16
-    assert tr.messages[0][0] == "alice"
-
-
-def test_empty_protocol():
-    tr, out = run_protocol(empty_protocol(), None, None)
-    assert tr.total_bits == 0 and out is None
-
-
-def test_run_protocol_deterministic():
-    spec = ProtocolSpec(
-        name="coin",
-        round_structure="one-way",
-        alice=lambda inp, rcv, gen: format(int(gen.integers(0, 2**16)), "016b"),
-        bob=lambda inp, rcv, gen: None,
-        output=lambda inp, seen: seen[0],
-    )
-    a = run_protocol(spec, None, None, seed=5)
-    b = run_protocol(spec, None, None, seed=5)
-    assert a[0].messages == b[0].messages and a[1] == b[1]
-
-
-def test_run_protocol_budget():
-    spec = ProtocolSpec(
-        name="chatter",
-        round_structure="two-way",
-        alice=lambda inp, rcv, gen: "0" * 64,
-        bob=lambda inp, rcv, gen: "1" * 64,
-        output=lambda inp, seen: None,
-    )
-    with pytest.raises(BudgetError):
-        run_protocol(spec, None, None, max_bits=256)
-
+# --- transcripts ---------------------------------------------------------------
 
 def test_transcript_rejects_non_bits():
     tr = Transcript()

@@ -3,6 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamlb import rng as rngmod
+from streamlb.common import bfs
 from streamlb.experiments import small_rs
 from streamlb.instances import sample_st, to_stream
 from streamlb.reductions import (
@@ -12,7 +13,6 @@ from streamlb.reductions import (
     min_feedback_arcs_upper,
     perfect_matching_brute,
     perfect_matching_exists,
-    reach_set,
     reduce_to_acyclicity,
     reduce_to_matching,
     reduce_to_reach_count,
@@ -188,11 +188,11 @@ def test_reach_count_examples():
     h = digraph((S, T), vertices=(S, T))
     out, fresh = reduce_to_reach_count(h, S, T, 2)
     assert len(fresh) == 4
-    assert len(reach_set(out, S)) - 1 == 5  # t plus four fresh
+    assert len(bfs(out.edges, S)) - 1 == 5  # t plus four fresh
 
     h2 = digraph(vertices=(S, A, B, T))
     out2, _ = reduce_to_reach_count(h2, S, T, 3)
-    assert len(reach_set(out2, S)) - 1 <= 3
+    assert len(bfs(out2.edges, S)) - 1 <= 3
 
 
 def test_reach_count_threshold_batch():
@@ -201,7 +201,7 @@ def test_reach_count_threshold_batch():
         inst = sample_st(rs, seed=seed)
         h = Digraph(frozenset(range(inst.n)), tuple(inst.all_edges()))
         out, _ = reduce_to_reach_count(h, 0, inst.n - 1, inst.n)
-        others = len(reach_set(out, 0)) - 1
+        others = len(bfs(out.edges, 0)) - 1
         if inst.reachable:
             assert others >= 2 * inst.n
         else:
