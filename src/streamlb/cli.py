@@ -141,11 +141,7 @@ def _cmd_verify(args) -> int:
         report = verify_induced(streamio.read_rs(args.path))
     else:
         stream = streamio.read_stream(args.path)
-        meta = streamio.read_json(streamio.default_meta_path(args.path))
-        if meta.get("kind") != args.kind:
-            print(f"metadata kind {meta.get('kind')!r} does not match {args.kind!r}",
-                  file=sys.stderr)
-            return USAGE
+        meta = streamio.read_meta(streamio.default_meta_path(args.path), args.kind)
         report = (streamio.verify_ur_file if args.kind == "ur" else streamio.verify_st_file)(
             stream, meta
         )

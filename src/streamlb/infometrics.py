@@ -109,6 +109,28 @@ def tvd(mu: DiscreteDistribution, nu: DiscreteDistribution):
     return value
 
 
+def uniform_shift_l1(weights):
+    """The L1 numerator of a weight row's distance from uniform: sum_e |k*w_e - W|.
+
+    For k nonnegative weights of mass W > 0, W * tvd(from_weights(.., weights),
+    uniform(..)) equals this divided by 2k, so rows of one size can be summed
+    in integers (or exact rationals) and divided once. As in `tvd`, rows of
+    size <= 12 also evaluate the subset form on the same differences, which
+    sum to zero, so twice the largest subset sum must equal the L1 sum exactly.
+    """
+    weights = tuple(weights)
+    k, mass = len(weights), sum(weights)
+    if mass == 0:
+        raise ValueError("all weights are zero")
+    diffs = [k * w - mass for w in weights]
+    l1 = sum(abs(d) for d in diffs)
+    if k <= 12:
+        best = max(_subset_sums(diffs))
+        if 2 * best != l1:
+            raise AssertionError(f"subset form {best} disagrees with L1 form {l1}/2")
+    return l1
+
+
 def kl(mu: DiscreteDistribution, nu: DiscreteDistribution, base: str = "2") -> float:
     """KL divergence sum mu(x) log(mu(x)/nu(x)); inf on absolute-continuity failure."""
     _check_same_support(mu, nu)

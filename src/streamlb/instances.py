@@ -103,13 +103,15 @@ def iter_si(m: int):
     q = m // 4 - 1
     universe = range(1, m + 1)
     for a_rest in combinations(universe, q):
-        rest1 = [x for x in universe if x not in a_rest]
+        a_set = frozenset(a_rest)
+        rest1 = [x for x in universe if x not in a_set]
         for b_rest in combinations(rest1, q):
-            taken = set(a_rest) | set(b_rest)
+            b_set = frozenset(b_rest)
+            taken = a_set | b_set
             for e in universe:
                 if e in taken:
                     continue
-                yield SIInstance(m, frozenset(a_rest) | {e}, frozenset(b_rest) | {e}, e), p
+                yield SIInstance(m, a_set | {e}, b_set | {e}, e), p
 
 
 def enumerate_si(m: int):

@@ -22,7 +22,7 @@ from itertools import combinations
 
 from . import rng as rngmod
 from .common import BudgetError, encode_int, encode_ints, int_width
-from .infometrics import from_weights, tvd, uniform
+from .infometrics import from_weights, tvd, uniform, uniform_shift_l1
 from .instances import SIInstance, enumerate_si, iter_si, si_support_size
 
 EXACT_FULL_M_CAP = 12
@@ -172,16 +172,18 @@ class InternalEpsReport:
 def _posterior_shift(groups):
     """Sum over (own set, transcript) rows of row mass * TVD(posterior of target, uniform prior).
 
-    With the rows' masses as probabilities this is the expected shift.
+    With the rows' masses as probabilities this is the expected shift. Each
+    row's term is its `uniform_shift_l1` numerator over 2k, k the row's size;
+    the numerators are summed per size in integers (or exact rationals) and
+    divided once, and every row of size <= 12 is cross-checked by the subset
+    form inside `uniform_shift_l1`.
     """
-    total_shift = Fraction(0)
-    for _, by_pi in groups.items():
-        for _, weight_by_e in by_pi.items():
-            support = tuple(sorted(weight_by_e))
-            mass = sum(weight_by_e.values())
-            posterior = from_weights(support, tuple(weight_by_e[e] for e in support))
-            total_shift += mass * tvd(posterior, uniform(support))
-    return total_shift
+    l1_by_size: dict = {}
+    for by_pi in groups.values():
+        for weight_by_e in by_pi.values():
+            k = len(weight_by_e)
+            l1_by_size[k] = l1_by_size.get(k, 0) + uniform_shift_l1(weight_by_e.values())
+    return sum((Fraction(l1, 2 * k) for k, l1 in l1_by_size.items()), Fraction(0))
 
 
 def _accumulate(groups, own_set, pi, e_star, weight):
@@ -210,8 +212,11 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
 
     The full enumeration streams the instances from `iter_si` and accumulates
     integer multiplicities over the common denominator of the (uniform)
-    instance and randomness probabilities, dividing by it once at the end; the
-    shifts are the same exact rationals as accumulating `Fraction` weights.
+    instance and randomness probabilities, dividing by it once at the end. The
+    posterior shift of each (own set, transcript) row is summed in integers
+    too, without forming the posterior (see `_posterior_shift`), and every row
+    is cross-checked by the subset form of total variation. The shifts are the
+    same exact rationals as accumulating `Fraction` weights and calling `tvd`.
     """
     if m < 4 or m % 4:
         raise ValueError(f"universe size must be a positive multiple of 4, got {m}")
@@ -610,11 +615,5 @@ def measure_internal_eps_ur(oracle: UROracle, rs, budget: int = 300_000) -> Inte
             rec(i + 1, chosen + (inst,), weight * p)
 
     rec(0, (), Fraction(1))
-    shift = Fraction(0)
-    for (_, t_set), by_pi in groups.items():
-        support = tuple(sorted(t_set))
-        for weight_by_e in by_pi.values():
-            mass = sum(weight_by_e.values())
-            posterior = from_weights(support, tuple(weight_by_e[e] for e in support))
-            shift += mass * tvd(posterior, uniform(support))
+    shift = _posterior_shift(groups)
     return InternalEpsReport(float("nan"), float(shift), float(shift), "exact")

@@ -13,13 +13,17 @@ from pathlib import Path
 
 from .common import Report
 from .instances import (
+    FORWARD,
+    INVERSE,
     EdgeStream,
     LayerMap,
     STInstance,
     URInstance,
     check_st,
     check_ur,
+    st_layer_map,
     st_witnesses,
+    ur_layer_map,
     ur_witnesses,
 )
 from .reductions import BipartiteGraph
@@ -104,9 +108,9 @@ def read_stream(path, meta_path=None) -> EdgeStream:
     layers = None
     meta_path = Path(meta_path) if meta_path else default_meta_path(path)
     if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
+        meta = _load_meta(meta_path)
         if "layers" in meta:
-            layers = meta_layers(meta)
+            layers = _checked_layers(meta, meta_path)
     return parse_stream(Path(path).read_text(), layers)
 
 
@@ -142,6 +146,74 @@ def st_metadata(inst: STInstance) -> dict:
         "witnesses": st_witnesses(inst),
         "rng": inst.meta.get("rng", {}),
     }
+
+
+# the witness fields each kind's metadata records, with their JSON types
+_WITNESS_TYPES = {
+    "ur": {"i_star": int, "e_star": int, "witness": int, "b_size": int, "live_t": list},
+    "st": {"s_star": int, "t_star": int, "reachable": bool, "forward_i_star": int,
+           "forward_e_star": int, "backward_i_star": int, "backward_e_star": int},
+}
+_TYPE_NAMES = {int: "an integer", bool: "true or false", list: "a list of integers"}
+
+
+def _json_type_ok(value, typ) -> bool:
+    if typ is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if typ is list:
+        return isinstance(value, list) and all(_json_type_ok(v, int) for v in value)
+    return isinstance(value, typ)
+
+
+def _load_meta(path: Path) -> dict:
+    try:
+        meta = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a JSON metadata file: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return meta
+
+
+def _checked_layers(meta: dict, path: Path) -> LayerMap:
+    rows = meta.get("layers")
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: field 'layers' is missing or not a list")
+    for i, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == 3 and isinstance(row[0], str)
+                and _json_type_ok(row[1], int) and _json_type_ok(row[2], int)):
+            raise ValueError(f"{path}: field 'layers[{i}]' is {repr(row)[:80]}, not [name, lo, hi]")
+    return meta_layers(meta)
+
+
+def read_meta(path, kind: str) -> dict:
+    """Read an instance's `.meta.json` strictly; every defect raises a one-line ValueError.
+
+    The message names the file and the field. `kind` must equal the kind
+    asked for, `layers` must be [name, lo, hi] entries naming that kind's
+    layers in order, and `witnesses` must hold every witness field of the
+    kind with its JSON type. The other fields describe the instance and are
+    not read.
+    """
+    path = Path(path)
+    meta = _load_meta(path)
+    if meta.get("kind") != kind:
+        raise ValueError(f"{path}: metadata kind {meta.get('kind')!r} does not match {kind!r}")
+    orders = ((st_layer_map(1, 1).order,) if kind == "st" else
+              (ur_layer_map(1, 1, FORWARD).order, ur_layer_map(1, 1, INVERSE).order))
+    order = _checked_layers(meta, path).order
+    if order not in orders:
+        raise ValueError(f"{path}: field 'layers' names {list(order)}, not the {kind} layers")
+    witnesses = meta.get("witnesses")
+    if not isinstance(witnesses, dict):
+        raise ValueError(f"{path}: field 'witnesses' is missing or not an object")
+    for name, typ in _WITNESS_TYPES[kind].items():
+        if name not in witnesses:
+            raise ValueError(f"{path}: field 'witnesses.{name}' is missing")
+        if not _json_type_ok(witnesses[name], typ):
+            raise ValueError(f"{path}: field 'witnesses.{name}' is {repr(witnesses[name])[:80]}, "
+                             f"not {_TYPE_NAMES[typ]}")
+    return meta
 
 
 # --- file-level verification (tamper-evident: stream and meta must agree) --------
@@ -227,6 +299,10 @@ def write_bipartite(path, g: BipartiteGraph):
     Path(path).write_text(render_bipartite(g))
 
 
+# The header's side counts size the graph before any edge is read, so they are
+# capped: 2^18 is over twice the side of `reduce matching` on an st instance
+# built from the m = 10^4 RS digraph (n = 121,018).
+MAX_BIPARTITE_SIDE = 1 << 18
 _BIPARTITE_HEADER = re.compile(r"BIPARTITE[ \t]+(\d+)[ \t]+(\d+)", re.ASCII)
 _LABEL_LINE = re.compile(r"#[ \t]*([LR])(\d+)[ \t]+\S.*", re.ASCII)
 _INDEX_PAIR = re.compile(r"(\d+)[ \t]+(\d+)", re.ASCII)
@@ -237,7 +313,8 @@ def parse_bipartite(text: str) -> BipartiteGraph:
 
     The file opens with `BIPARTITE <nL> <nR>`. Every later line is a label
     `# L<i> <id>` / `# R<i> <id>` or an edge `i j` with i in [1, nL] and j in
-    [1, nR]. Labels are not read back: sides are 1..nL and -1..-nR.
+    [1, nR]. Labels are not read back: sides are 1..nL and -1..-nR. Neither
+    side may exceed MAX_BIPARTITE_SIDE vertices.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
@@ -247,6 +324,9 @@ def parse_bipartite(text: str) -> BipartiteGraph:
     if head is None:
         raise ValueError(f"malformed bipartite header {lines[0][:80]!r}: expected 'BIPARTITE <nL> <nR>'")
     n_l, n_r = int(head[1]), int(head[2])
+    if max(n_l, n_r) > MAX_BIPARTITE_SIDE:
+        raise ValueError(f"bipartite header {lines[0][:80]!r} declares more than "
+                         f"{MAX_BIPARTITE_SIDE} vertices on a side")
     edges = []
     for ln in lines[1:]:
         if ln.startswith("#"):
@@ -272,7 +352,3 @@ def read_bipartite(path) -> BipartiteGraph:
 
 def write_json(path, payload: dict):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def read_json(path) -> dict:
-    return json.loads(Path(path).read_text())

@@ -1,4 +1,11 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,6 +16,7 @@ from streamlb.experiments import small_rs
 from streamlb.instances import sample_st, to_stream
 from streamlb.reductions import BipartiteGraph
 from streamlb.rsgraph import RSDigraph, verify_induced
+import streamlb
 from streamlb import streamio
 
 
@@ -71,6 +79,98 @@ def test_verify_st_ok_and_tampered(tmp_path, rs_file):
     meta["witnesses"]["reachable"] = not meta["witnesses"]["reachable"]
     meta_path.write_text(json.dumps(meta))
     assert run("verify", "st", stream_path) == VERIFY_FAILED
+
+
+META_DEFECTS = {  # (kind, field the message names, keys down to the edited entry, new value or None to delete)
+    "st witnesses deleted": ("st", "'witnesses'", ("witnesses",), None),
+    "ur witnesses deleted": ("ur", "'witnesses'", ("witnesses",), None),
+    "two-number layers entry": ("st", "'layers[2]'", ("layers", 2, 2), None),
+    "ur two-number layers entry": ("ur", "'layers[0]'", ("layers", 0, 2), None),
+    "layers deleted": ("st", "'layers'", ("layers",), None),
+    "layer renamed": ("st", "'layers'", ("layers", 0, 0), "source"),
+    "witness field deleted": ("st", "'witnesses.s_star'", ("witnesses", "s_star"), None),
+    "flag not a boolean": ("st", "'witnesses.reachable'", ("witnesses", "reachable"), "yes"),
+    "live_t not a list": ("ur", "'witnesses.live_t'", ("witnesses", "live_t"), 3),
+    "wrong kind": ("ur", "metadata kind", ("kind",), "st"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(META_DEFECTS))
+def test_verify_names_the_file_and_field_of_a_malformed_meta(tmp_path, capsys, rs_file, case):
+    kind, field, (*keys, last), value = META_DEFECTS[case]
+    assert run("gen", kind, "--rs", rs_file, "--seed", 2, "--count", 1, "--out", tmp_path) == OK
+    stream_path = tmp_path / f"{kind}-0000.stream"
+    meta_path = streamio.default_meta_path(stream_path)
+    meta = json.loads(meta_path.read_text())
+    box = meta
+    for key in keys:
+        box = box[key]
+    if value is None:
+        del box[last]
+    else:
+        box[last] = value
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run("verify", kind, stream_path) == USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {meta_path}: ") and err.count("\n") == 1
+    assert field in err
+
+
+def test_verify_names_a_meta_file_that_is_not_json(tmp_path, capsys, rs_file):
+    assert run("gen", "st", "--rs", rs_file, "--seed", 2, "--count", 1, "--out", tmp_path) == OK
+    stream_path = tmp_path / "st-0000.stream"
+    meta_path = streamio.default_meta_path(stream_path)
+    meta_path.write_text(meta_path.read_text()[:-10])
+    capsys.readouterr()
+    assert run("verify", "st", stream_path) == USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {meta_path}: not a JSON metadata file") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def generated_metas(tmp_path_factory):
+    out = tmp_path_factory.mktemp("gen")
+    rs = out / "rs.txt"
+    streamio.write_rs(rs, small_rs())
+    for kind in ("st", "ur"):
+        assert run("gen", kind, "--rs", rs, "--seed", 3, "--count", 1, "--out", out) == OK
+    return out
+
+
+JUNK_JSON = st.one_of(st.none(), st.booleans(), st.integers(-10**30, 10**30), st.floats(allow_nan=False),
+                      st.text(max_size=4), st.lists(st.integers(-3, 300), max_size=4), st.just({}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["st", "ur"]), data=st.data())
+def test_verify_meta_fuzz(generated_metas, kind, data):
+    """Deleting or replacing 1-3 fields anywhere in a meta file gives exit 0, 1 or 2,
+    and every exit 2 names the file."""
+    stream_path = generated_metas / f"{kind}-0000.stream"
+    meta_path = streamio.default_meta_path(stream_path)
+    meta = json.loads(meta_path.read_text())
+    mutated = copy.deepcopy(meta)
+    for _ in range(data.draw(st.integers(1, 3))):
+        boxes = [mutated] + [v for v in mutated.values() if isinstance(v, (dict, list)) and v]
+        layers = mutated.get("layers")
+        boxes += [row for row in layers if isinstance(row, list) and row] if isinstance(layers, list) else []
+        box = data.draw(st.sampled_from(boxes))
+        key = data.draw(st.sampled_from(list(box) if isinstance(box, dict) else range(len(box))))
+        if data.draw(st.booleans()):
+            del box[key]
+        else:
+            box[key] = data.draw(JUNK_JSON)
+    err = io.StringIO()
+    try:
+        meta_path.write_text(json.dumps(mutated))
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run("verify", kind, stream_path)
+    finally:
+        meta_path.write_text(json.dumps(meta))
+    assert code in (OK, VERIFY_FAILED, USAGE)
+    if code == USAGE:
+        assert err.getvalue().startswith(f"error: {meta_path}: ") and err.getvalue().count("\n") == 1
 
 
 def test_verify_ur(tmp_path, rs_file):
@@ -440,6 +540,26 @@ def test_oracle_pm_accepts_the_wellformed_neighbour(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"perfect_matching": True}
     g = streamio.parse_bipartite(GOOD_BIPARTITE)
     assert (g.left, g.right, g.edges) == ((1, 2), (-1, -2), ((1, -2), (2, -1)))
+
+
+def test_bipartite_reader_caps_the_header_sides():
+    cap = streamio.MAX_BIPARTITE_SIDE
+    assert len(streamio.parse_bipartite(f"BIPARTITE {cap} 1\n").left) == cap
+    for header in (f"BIPARTITE {cap + 1} 1", f"BIPARTITE 1 {cap + 1}"):
+        with pytest.raises(ValueError, match="more than"):
+            streamio.parse_bipartite(header + "\n1 1\n")
+
+
+def test_oracle_pm_refuses_a_huge_header_before_sizing_the_graph(tmp_path):
+    # a 26-byte file once cost `oracle pm` seconds and hundreds of MiB; run it
+    # in a child so that such a regression is bounded by the timeout
+    path = tmp_path / "huge.txt"
+    path.write_text(f"BIPARTITE {10**6} {10**6}\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(streamlb.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "streamlb.cli", "oracle", "pm", "--input", str(path)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == USAGE and proc.stdout == ""
+    assert proc.stderr.startswith("error: bipartite header") and proc.stderr.count("\n") == 1
 
 
 FUZZ_BIPARTITE = streamio.render_bipartite(BipartiteGraph(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamlb import rng as rngmod
+from streamlb import infometrics, rng as rngmod
 from streamlb.infometrics import (
     DiscreteDistribution,
     JointDistribution,
@@ -23,6 +23,7 @@ from streamlb.infometrics import (
     tvd,
     _subset_sums,
     uniform,
+    uniform_shift_l1,
 )
 
 
@@ -92,6 +93,37 @@ def test_tvd_metric_properties(size, seed):
     assert float(tvd(a, b)) == pytest.approx(float(tvd(b, a)), abs=1e-12)
     assert float(tvd(a, c)) <= float(tvd(a, b)) + float(tvd(b, c)) + 1e-9
     assert 0.0 <= float(tvd(a, b)) <= 1.0
+
+
+# sizes 1..16 put rows on both sides of the size-12 subset-form cross-check
+shift_rows = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=16),
+    st.lists(st.fractions(min_value=0, max_value=50, max_denominator=97), min_size=1, max_size=16),
+).filter(lambda row: sum(row) > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shift_rows)
+def test_uniform_shift_l1_equals_mass_times_tvd(row):
+    support = tuple(range(len(row)))
+    mass = sum(row)
+    expected = mass * tvd(from_weights(support, row), uniform(support))
+    assert Fraction(uniform_shift_l1(row), 2 * len(row)) == expected
+    if all(isinstance(w, int) for w in row):
+        assert isinstance(uniform_shift_l1(row), int)
+
+
+def test_uniform_shift_l1_rejects_a_zero_mass_row():
+    with pytest.raises(ValueError, match="all weights are zero"):
+        uniform_shift_l1([0, 0, 0])
+
+
+def test_uniform_shift_l1_subset_check_catches_a_tampered_subset_path(monkeypatch):
+    monkeypatch.setattr(infometrics, "_subset_sums", lambda values: [0] + list(values))
+    with pytest.raises(AssertionError, match="subset form"):
+        uniform_shift_l1([3, 1, 0, 2])
+    # rows above size 12 skip the subset form, as in tvd
+    assert uniform_shift_l1([2] + [1] * 12) == 24
 
 
 # --- kl / entropy / mi ---------------------------------------------------------------

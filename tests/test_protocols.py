@@ -115,7 +115,7 @@ REFERENCE_ORACLES = {
 
 
 @pytest.mark.parametrize("m, name", [(m, name) for m in (4, 8) for name in REFERENCE_ORACLES]
-                         + [(12, "parity-hint-1/3")])
+                         + [(12, "parity-hint-1/3"), (12, "min-announcer")])
 def test_exact_mode_equals_fraction_reference(m, name):
     oracle = REFERENCE_ORACLES[name]
     assert measure_internal_eps(oracle, m, mode="exact") == _reference_exact_report(oracle, m)
