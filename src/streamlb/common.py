@@ -100,16 +100,20 @@ def encode_ints(values, width: int) -> str:
 
 
 def decode_ints(bits: str, width: int) -> list[int]:
+    """Split a concatenation of `width`-bit fields back into its integers."""
+    # a non-ASCII character becomes '?', which fails the digit check too
+    digits = np.frombuffer(bits.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+    if (digits > 1).any():
+        raise ValueError("bit strings hold only '0' and '1'")
     if width == 0:
+        if bits:
+            raise ValueError("0-bit fields concatenate only to the empty string")
         return []
     if len(bits) % width:
         raise ValueError("bit string length is not a multiple of the field width")
     if width > 64:
         return [int(bits[i : i + width], 2) for i in range(0, len(bits), width)]
-    digits = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
-    if (digits > 1).any():
-        raise ValueError("bit strings hold only '0' and '1'")
-    values = np.zeros(len(bits) // width, dtype=np.uint64)
-    for column in digits.reshape(-1, width).T:  # most significant bit first
-        values = (values << 1) | column
-    return values.tolist()
+    # right-align each field in 64 bits and read the rows as big-endian words
+    padded = np.zeros((len(bits) // width, 64), dtype=np.uint8)
+    padded[:, 64 - width :] = digits.reshape(-1, width)
+    return np.packbits(padded, axis=1).view(">u8").ravel().tolist()

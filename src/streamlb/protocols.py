@@ -246,9 +246,12 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
         p_inst = Fraction(1, n_inst)
         alice_groups: dict = {}
         bob_groups: dict = {}
+        checked_p = None  # iter_si shares one Fraction; compare each new object once
         for inst, p in iter_si(m):
-            if p != p_inst:
-                raise AssertionError(f"instance probability {p} is not 1/{n_inst}")
+            if p is not checked_p:
+                if p != p_inst:
+                    raise AssertionError(f"instance probability {p} is not 1/{n_inst}")
+                checked_p = p
             a, b, e_star = inst.a, inst.b, inst.e_star
             for rand, mult in mults:
                 pi = oracle.transcript(a, b, e_star, rand)

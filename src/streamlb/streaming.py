@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
+
+import numpy as np
 
 from .common import bfs, decode_ints, encode_int, encode_ints, int_width
 from .instances import EdgeStream
@@ -55,6 +56,45 @@ class StreamAlgorithm:
         raise NotImplementedError
 
 
+def _check_state(name: str, bits: str, length: int | None = None):
+    """Reject a state no `serialize()` could have written: a non-bit, or the wrong length."""
+    if bits.count("0") + bits.count("1") != len(bits):
+        raise ValueError(f"{name}: a serialized state holds only '0' and '1'")
+    if length is not None and len(bits) != length:
+        raise ValueError(f"{name}: a serialized state is {length} bits, not {len(bits)}")
+
+
+# --- edge lists as packed keys -------------------------------------------------
+#
+# An edge (u, v) between w-bit vertex ids is the 2w-bit key u << w | v. The
+# 2w-bit form of the key is the w-bit form of u followed by that of v, and keys
+# sort as their pairs do lexicographically, so a sorted key list encodes to the
+# same bits as the sorted pair list.
+
+def _unfit_endpoint(u: int, v: int, width: int) -> ValueError:
+    """The error for an edge whose key would alias: called once `(u | v) >> width`
+    is nonzero, which also holds when either endpoint is negative."""
+    bad = u if u < 0 or u >> width else v
+    return ValueError(f"{bad} does not fit in {width} bits")
+
+
+def _key_array(keys, width: int) -> np.ndarray:
+    """Keys as one array: uint64 while 2w <= 64, exact Python ints beyond."""
+    return np.fromiter(keys, dtype=np.uint64 if 2 * width <= 64 else object, count=len(keys))
+
+
+def _encode_keys(keys, width: int) -> str:
+    array = _key_array(keys, width)
+    array.sort()
+    return encode_ints(array.tolist(), 2 * width)
+
+
+def _split_keys(keys, width: int):
+    """(u, v) pairs of the keys, split on one array rather than per key."""
+    array = _key_array(keys, width)
+    return zip((array >> width).tolist(), (array & ((1 << width) - 1)).tolist())
+
+
 class EdgeCounter(StreamAlgorithm):
     """Counts the stream's edges during the first pass; state is one integer."""
 
@@ -72,6 +112,9 @@ class EdgeCounter(StreamAlgorithm):
         return format(self.count, "b") if self.count else ""
 
     def restore(self, bits, pass_index):
+        _check_state(self.name, bits)
+        if bits.startswith("0"):
+            raise ValueError(f"{self.name}: a serialized count has no leading zero")
         self.count = int(bits, 2) if bits else 0
         self._pass = pass_index
 
@@ -80,7 +123,12 @@ class EdgeCounter(StreamAlgorithm):
 
 
 class StoreAll(StreamAlgorithm):
-    """Stores every edge, then answers s-t reachability offline: the trivial upper bound."""
+    """Stores every edge, then answers s-t reachability offline: the trivial upper bound.
+
+    The state is the set of distinct edges as packed keys `u << w | v`, with
+    w = int_width(n - 1). Serialized, it is the sorted keys in 2w bits each,
+    which is bit for bit the sorted (u, v) pairs with each endpoint in w bits.
+    """
 
     name = "store-all"
 
@@ -89,26 +137,29 @@ class StoreAll(StreamAlgorithm):
         self.directed = directed
         self.s = s
         self.t = n - 1 if t is None else t
-        self.edges = set()
+        self.width = int_width(n - 1)
+        self.keys: set[int] = set()
         self._pass = 1
 
     def process(self, u, v):
         if self._pass == 1:
-            self.edges.add((u, v))
+            w = self.width
+            if (u | v) >> w:
+                raise _unfit_endpoint(u, v, w)
+            self.keys.add(u << w | v)
 
     def serialize(self) -> str:
-        return encode_ints(chain.from_iterable(sorted(self.edges)), int_width(self.n - 1))
+        return _encode_keys(self.keys, self.width)
 
     def state_bits(self) -> int:
-        return 2 * int_width(self.n - 1) * len(self.edges)
+        return 2 * self.width * len(self.keys)
 
     def restore(self, bits, pass_index):
-        vals = decode_ints(bits, int_width(self.n - 1))
-        self.edges = set(zip(vals[::2], vals[1::2]))
+        self.keys = set(decode_ints(bits, 2 * self.width))
         self._pass = pass_index
 
     def result(self):
-        return self.t in bfs(self.edges, self.s, self.directed)
+        return self.t in bfs(_split_keys(self.keys, self.width), self.s, self.directed)
 
 
 class BfsFrontier(StreamAlgorithm):
@@ -166,6 +217,7 @@ class BfsFrontier(StreamAlgorithm):
         return 17 + 2 * self.n
 
     def restore(self, bits, pass_index):
+        _check_state(self.name, bits, 17 + 2 * self.n)
         self.hops = int(bits[:16], 2)
         self.exhausted = bits[16] == "1"
         body = bits[17:]
@@ -182,7 +234,12 @@ class BfsFrontier(StreamAlgorithm):
 
 
 class SpanningForest(StreamAlgorithm):
-    """Union-find over an undirected stream; state is the forest's edge list."""
+    """Union-find over an undirected stream; state is the forest's edge list.
+
+    Forest edges are packed keys `u << w | v`, as in `StoreAll`, and serialize
+    the same way: sorted keys in 2w bits each, the bits of the sorted pairs.
+    `restore` replays union-find over the decoded edges.
+    """
 
     name = "spanning-forest"
 
@@ -192,8 +249,9 @@ class SpanningForest(StreamAlgorithm):
         self.n = n
         self.s = s
         self.t = n - 1 if t is None else t
+        self.width = int_width(n - 1)
         self.parent = list(range(n))
-        self.forest: list[tuple[int, int]] = []
+        self.forest: list[int] = []
         self._pass = 1
 
     def _find(self, x):
@@ -203,23 +261,26 @@ class SpanningForest(StreamAlgorithm):
         return x
 
     def process(self, u, v):
+        w = self.width
+        if (u | v) >> w:
+            raise _unfit_endpoint(u, v, w)
         ru, rv = self._find(u), self._find(v)
         if ru != rv:
             self.parent[ru] = rv
-            self.forest.append((u, v))
+            self.forest.append(u << w | v)
 
     def serialize(self) -> str:
-        return encode_ints(chain.from_iterable(sorted(self.forest)), int_width(self.n - 1))
+        return _encode_keys(self.forest, self.width)
 
     def state_bits(self) -> int:
-        return 2 * int_width(self.n - 1) * len(self.forest)
+        return 2 * self.width * len(self.forest)
 
     def restore(self, bits, pass_index):
-        vals = decode_ints(bits, int_width(self.n - 1))
+        keys = decode_ints(bits, 2 * self.width)
         self.parent = list(range(self.n))
         self.forest = []
-        for i in range(0, len(vals), 2):
-            self.process(vals[i], vals[i + 1])
+        for u, v in _split_keys(keys, self.width):
+            self.process(u, v)
         self._pass = pass_index
 
     def result(self):
@@ -254,6 +315,7 @@ class XorSketch(StreamAlgorithm):
         return encode_int(self.acc, 64) + encode_int(self.count, 32)
 
     def restore(self, bits, pass_index):
+        _check_state(self.name, bits, 96)
         self.acc = int(bits[:64], 2)
         self.count = int(bits[64:96], 2)
         self._pass = pass_index

@@ -105,3 +105,18 @@ small_edges = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size
 def test_bfs_equals_the_loop_reference(edges, start, directed):
     assert bfs(edges, start, directed) == bfs_reference(edges, start, directed)
     assert bfs(iter(edges), start, directed) == bfs_reference(edges, start, directed)
+
+
+def test_decode_at_width_zero_takes_only_the_empty_string():
+    assert decode_ints("", 0) == []
+    for bits in ("101", "0", "1111"):
+        with pytest.raises(ValueError, match="0-bit fields"):
+            decode_ints(bits, 0)
+
+
+@pytest.mark.parametrize("width", [0, 3, 70])
+def test_decode_rejects_non_bits_at_every_width(width):
+    # int(..., 2) alone would read "1_0", " 10" and "0b1" on the exact-int path
+    for bits in ("1_0", " 10", "0b1", "1é0"):
+        with pytest.raises(ValueError, match="only '0' and '1'"):
+            decode_ints(bits * max(width, 1), width)  # a multiple of the width

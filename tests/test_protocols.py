@@ -138,6 +138,19 @@ def test_exact_mode_rejects_non_uniform_support(monkeypatch):
         measure_internal_eps(RevealOracle(1), 4, mode="exact")
 
 
+@pytest.mark.parametrize("skewed_index", [1, si_support_size(4) // 2, si_support_size(4) - 1])
+def test_exact_mode_rejects_a_skew_after_the_first_instance(monkeypatch, skewed_index):
+    # the probability is compared once per distinct object, so a skew later in
+    # the stream of one shared Fraction must still be caught
+    def skewed(m):
+        for i, (inst, p) in enumerate(iter_si(m)):
+            yield inst, (2 * p if i == skewed_index else p)
+
+    monkeypatch.setattr(protocols, "iter_si", skewed)
+    with pytest.raises(AssertionError, match="is not 1/"):
+        measure_internal_eps(RevealOracle(1), 4, mode="exact")
+
+
 @pytest.mark.parametrize("p", [Fraction(1), Fraction(1, 2), Fraction(2, 7)])
 @pytest.mark.parametrize("m", [8, 12])
 def test_symmetric_path_agrees_with_full_enumeration(p, m):

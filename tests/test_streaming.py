@@ -1,8 +1,15 @@
+import hashlib
 import math
+from itertools import chain
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from streamlb import rng as rngmod
+from streamlb import streamio
+from streamlb.cli import OK, dispatch
+from streamlb.common import encode_ints, int_width
 from streamlb.experiments import small_rs
 from streamlb.instances import FORWARD, INVERSE, EdgeStream, sample_st, sample_ur, to_stream
 from streamlb.reductions import reduce_to_sssp
@@ -223,3 +230,168 @@ def test_space_ordering_observed():
     store = run_stream(StoreAll(), stream, passes=1).max_state_bits
     assert frontier < store
     assert forest < store
+
+
+# --- serialize / restore ---------------------------------------------------------
+
+ALGORITHM_TAGS = ["edge-count", "store-all", "bfs-frontier:1", "bfs-frontier:3", "spanning-forest", "xor-sketch:5"]
+
+
+def _finish(alg, stream, from_pass, from_segment):
+    """Run `alg` on from segment index `from_segment` of pass `from_pass` to the end."""
+    for p in range(from_pass, alg.passes_needed + 1):
+        if p > from_pass:
+            alg.begin_pass(p)
+        for _, seg in stream.segments[from_segment if p == from_pass else 0 :]:
+            for u, v in seg:
+                alg.process(u, v)
+        alg.end_pass(p)
+    return alg.result()
+
+
+@pytest.mark.parametrize("tag", ALGORITHM_TAGS)
+def test_restore_of_serialize_round_trips_at_every_segment_checkpoint(tag):
+    for stream in contract_streams():
+        if tag == "spanning-forest":
+            stream = reduce_to_sssp(stream)[0]
+        direct = make_algorithm(tag)
+        expected = run_stream(direct, stream, passes=direct.passes_needed).output
+        alg = make_algorithm(tag)
+        alg.start(stream.n, stream.directed, 0, stream.n - 1)
+        checked = 0
+        for p in range(1, alg.passes_needed + 1):
+            alg.begin_pass(p)
+            for i, (_, seg) in enumerate(stream.segments):
+                for u, v in seg:
+                    alg.process(u, v)
+                bits = alg.serialize()
+                copy = make_algorithm(tag)
+                copy.start(stream.n, stream.directed, 0, stream.n - 1)
+                copy.restore(bits, p)
+                assert copy.serialize() == bits
+                assert _finish(copy, stream, p, i + 1) == expected
+                checked += 1
+            alg.end_pass(p)
+        assert alg.result() == expected
+        assert checked == alg.passes_needed * len(stream.segments)
+
+
+def _started(alg, n, directed=True):
+    alg.start(n, directed, 0, n - 1)
+    return alg
+
+
+@pytest.mark.parametrize(
+    "alg, n, bits",
+    [
+        (StoreAll(), 1, "1111"),  # 0-bit vertex ids: only "" is a state
+        (StoreAll(), 4, "101"),  # not a whole number of 4-bit edges
+        (StoreAll(), 4, "01a1"),
+        (SpanningForest(), 4, "10110"),
+        (BfsFrontier(2), 4, "0" * 16 + "1" + "10"),  # truncated: 17 + 2n = 25 bits
+        (BfsFrontier(2), 4, "0" * 16 + "0" + "2x00" + "0000"),  # right length, not bits
+        (BfsFrontier(2), 4, "0" * 26),
+        (XorSketch(), 4, "0" * 97),  # bits beyond the 96 it writes
+        (XorSketch(), 4, "0" * 95),
+        (XorSketch(), 4, "0" * 95 + "2"),
+        (EdgeCounter(), 4, "1_0"),
+        (EdgeCounter(), 4, "011"),  # serialize writes no leading zero
+    ],
+    ids=lambda x: x.name if hasattr(x, "name") else str(x)[:8],
+)
+def test_restore_rejects_what_serialize_cannot_write(alg, n, bits):
+    directed = not isinstance(alg, SpanningForest)
+    with pytest.raises(ValueError):
+        _started(alg, n, directed).restore(bits, 1)
+
+
+def tuple_layout_bits(pairs, n):
+    """How store-all and the spanning forest serialized when they kept (u, v) tuples."""
+    return encode_ints(chain.from_iterable(sorted(pairs)), int_width(n - 1))
+
+
+def forest_pairs_reference(edges, n):
+    """The union-find forest as (u, v) tuples, in the order the old layout appended them."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    forest = []
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            forest.append((u, v))
+    return forest
+
+
+@st.composite
+def sized_edge_lists(draw):
+    k = draw(st.integers(1, 14))
+    n = draw(st.sampled_from([1, 2, 1 << k, (1 << k) + 1]))
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sized_edge_lists())
+@example(case=(1, [(0, 0)]))
+@example(case=(2, [(1, 1), (0, 1), (1, 0), (0, 1)]))
+@example(case=(1 << 14, [((1 << 14) - 1, (1 << 14) - 1), (0, (1 << 14) - 1)]))
+@example(case=((1 << 14) + 1, [(1 << 14, 1 << 14), (1 << 14, 0)]))
+def test_packed_keys_serialize_as_the_tuple_layout(case):
+    n, edges = case
+    store = _started(StoreAll(), n)
+    forest = _started(SpanningForest(), n, directed=False)
+    for u, v in edges:
+        store.process(u, v)
+        forest.process(u, v)
+    assert store.serialize() == tuple_layout_bits(set(edges), n)
+    assert forest.serialize() == tuple_layout_bits(forest_pairs_reference(edges, n), n)
+    assert store.state_bits() == len(store.serialize())
+    assert forest.state_bits() == len(forest.serialize())
+
+
+@pytest.mark.parametrize("n", [1, 5, 8, 9])
+@pytest.mark.parametrize("make", [StoreAll, SpanningForest])
+def test_an_endpoint_outside_the_key_width_raises(make, n):
+    w = int_width(n - 1)
+    for u, v in ((0, 1 << w), (1 << w, 0), ((1 << w) + 3, 1 << (w + 5)), (-1, 0), (0, -1), (-5, -7)):
+        alg = _started(make(), n, directed=make is StoreAll)
+        with pytest.raises(ValueError, match=f"does not fit in {w} bits"):
+            alg.process(u, v)
+        assert alg.state_bits() == 0
+
+
+# sha256 of what the tuple layout serialized on the README tour's st-0000
+# (`gen rs --m 100 --trim 4`, `gen st --seed 7`): the three simulate_two_pass
+# messages of store-all, and the spanning forest after one pass over the
+# stream's reduce_to_sssp form
+TOUR_STORE_ALL_MESSAGES = {
+    "A1": (4488, "94b475dfaee9232b677a13b1c4c841fd60543bae2d1a4f747803f315c04375d7"),
+    "B1": (26488, "d2836ed0308b42511e73b2ee50fffffc9896daf3a0f7cb98ce6af9946c1f7adc"),
+    "A2": (26928, "396e182fd32a264a8e0d509656a8faa016d1cf0b48d9b3425d540ee20aab0ce2"),
+}
+TOUR_FOREST = (16808, "4f11c965ad817d91941507470fd0bb9e267ad1fe0b559ee9fb05cac0840fc9f7")
+
+
+def test_tour_serializations_are_unchanged(tmp_path):
+    from streamlb.protocols import simulate_two_pass
+
+    assert dispatch(["gen", "rs", "--m", "100", "--trim", "4", "--out", str(tmp_path / "rs.txt")]) == OK
+    assert dispatch(["gen", "st", "--rs", str(tmp_path / "rs.txt"), "--seed", "7", "--count", "1",
+                     "--out", str(tmp_path / "st")]) == OK
+    stream = streamio.read_stream(tmp_path / "st" / "st-0000.stream")
+
+    def digest(bits):
+        return len(bits), hashlib.sha256(bits.encode("ascii")).hexdigest()
+
+    transcript, _ = simulate_two_pass(StoreAll, stream)
+    assert {label: digest(bits) for label, (_, bits) in zip(transcript.labels, transcript.messages)} \
+        == TOUR_STORE_ALL_MESSAGES
+    forest = SpanningForest()
+    run_stream(forest, reduce_to_sssp(stream)[0], passes=1)
+    assert digest(forest.serialize()) == TOUR_FOREST
