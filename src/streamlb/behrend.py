@@ -41,9 +41,6 @@ class BehrendSet:
     def size(self) -> int:
         return len(self.elements)
 
-    def as_set(self) -> frozenset[int]:
-        return frozenset(self.elements)
-
 
 def verify_no_3ap(s: BehrendSet | tuple | list) -> Report:
     """Midpoint scan over all pairs; first violating triple is reported.

@@ -283,17 +283,21 @@ def _cmd_info(args) -> int:
 
 def _cmd_experiment(args, argv) -> int:
     t0 = time.perf_counter()
+    import inspect
+
+    params = inspect.signature(EXPERIMENTS[args.name]).parameters
     kwargs = {}
     for item in args.param or []:
         key, _, raw = item.partition("=")
         try:
-            kwargs[key] = json.loads(raw)
+            value = json.loads(raw)
         except json.JSONDecodeError:
-            kwargs[key] = raw
-    import inspect
-
-    accepts_workers = "workers" in inspect.signature(EXPERIMENTS[args.name]).parameters
-    if args.workers > 1 and accepts_workers:
+            value = raw
+        # a string parameter takes its text unless that is a quoted JSON string
+        if key in params and isinstance(params[key].default, str) and not isinstance(value, str):
+            value = raw
+        kwargs[key] = value
+    if args.workers > 1 and "workers" in params:
         kwargs.setdefault("workers", args.workers)
     report = run_experiment(args.name, **kwargs)
     _emit(report, args.out)

@@ -79,10 +79,6 @@ def encode_int(value: int, width: int) -> str:
     return format(value, f"0{width}b") if width > 0 else ""
 
 
-def decode_int(bits: str) -> int:
-    return int(bits, 2) if bits else 0
-
-
 def encode_ints(values, width: int) -> str:
     """Concatenate the `width`-bit forms of nonnegative integers (any iterable)."""
     values = list(values)

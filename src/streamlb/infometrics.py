@@ -179,10 +179,6 @@ class JointDistribution:
     def marginal_x(self) -> DiscreteDistribution:
         return from_weights(self.row_labels, tuple(sum(row) for row in self.probs))
 
-    def marginal_y(self) -> DiscreteDistribution:
-        cols = tuple(sum(row[j] for row in self.probs) for j in range(len(self.col_labels)))
-        return from_weights(self.col_labels, cols)
-
 
 def mutual_information(j: JointDistribution) -> float:
     """I(X;Y) = H(X) - H(X|Y), in bits."""

@@ -18,12 +18,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from . import rng as rngmod
 from .common import BudgetError, encode_int, encode_ints, int_width
-from .infometrics import from_weights, tvd, uniform, uniform_shift_l1
-from .instances import SIInstance, enumerate_si, iter_si, si_support_size
+from .infometrics import uniform_shift_l1
+from .instances import SIInstance, iter_si, sample_si, si_support_size
 
 EXACT_FULL_M_CAP = 12
 B_REST_ENUM_CAP = 200_000
@@ -169,21 +169,41 @@ class InternalEpsReport:
         }
 
 
-def _posterior_shift(groups):
+def _integer_support(support):
+    """A randomness support as (denom, [(rand, mult)]): each probability is mult / denom,
+    denom the least common denominator, so weights are integer multiplicities."""
+    denom = math.lcm(*(p.denominator for _, p in support))
+    return denom, [(rand, int(p * denom)) for rand, p in support]
+
+
+def _uniform_si(m: int):
+    """The instances of `iter_si(m)`, each checked to have probability 1/|support|;
+    `iter_si` shares one probability object, so each new object is compared once."""
+    n_inst = si_support_size(m)
+    p_inst = Fraction(1, n_inst)
+    checked_p = None
+    for inst, p in iter_si(m):
+        if p is not checked_p:
+            if p != p_inst:
+                raise AssertionError(f"instance probability {p} is not 1/{n_inst}")
+            checked_p = p
+        yield inst
+
+
+def _posterior_shift(groups, total: int) -> Fraction:
     """Sum over (own set, transcript) rows of row mass * TVD(posterior of target, uniform prior).
 
-    With the rows' masses as probabilities this is the expected shift. Each
-    row's term is its `uniform_shift_l1` numerator over 2k, k the row's size;
-    the numerators are summed per size in integers (or exact rationals) and
-    divided once, and every row of size <= 12 is cross-checked by the subset
-    form inside `uniform_shift_l1`.
+    With integer multiplicities summing to `total` over all rows, this is the
+    expected shift. A row's term is its `uniform_shift_l1` numerator over 2k,
+    k the row's size; numerators are summed per size and divided once, and
+    every row of size <= 12 is cross-checked by the subset form.
     """
     l1_by_size: dict = {}
     for by_pi in groups.values():
         for weight_by_e in by_pi.values():
             k = len(weight_by_e)
             l1_by_size[k] = l1_by_size.get(k, 0) + uniform_shift_l1(weight_by_e.values())
-    return sum((Fraction(l1, 2 * k) for k, l1 in l1_by_size.items()), Fraction(0))
+    return sum((Fraction(l1, 2 * k) for k, l1 in l1_by_size.items()), Fraction(0)) / total
 
 
 def _accumulate(groups, own_set, pi, e_star, weight):
@@ -210,13 +230,11 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
     declare relabeling symmetry; Monte Carlo (with standard error) behind an
     explicit flag otherwise.
 
-    The full enumeration streams the instances from `iter_si` and accumulates
-    integer multiplicities over the common denominator of the (uniform)
-    instance and randomness probabilities, dividing by it once at the end. The
-    posterior shift of each (own set, transcript) row is summed in integers
-    too, without forming the posterior (see `_posterior_shift`), and every row
-    is cross-checked by the subset form of total variation. The shifts are the
-    same exact rationals as accumulating `Fraction` weights and calling `tvd`.
+    Every mode weighs (instance, rand) by an integer multiplicity over the
+    randomness support's common denominator; the full enumeration streams
+    `iter_si`. Row shifts are summed in integers too, without forming the
+    posterior, and divided once (`_posterior_shift`): the same exact
+    rationals as `Fraction` weights through `tvd`.
     """
     if m < 4 or m % 4:
         raise ValueError(f"universe size must be a positive multiple of 4, got {m}")
@@ -233,33 +251,22 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
                 f"oracle {oracle.name!r} is not declared symmetric; "
                 "pass mode='monte-carlo' to fall back to sampling"
             )
+    denom, mults = _integer_support(oracle.randomness_support(m))
 
     if mode == "exact":
         if m > EXACT_FULL_M_CAP:
             raise BudgetError(f"exact mode enumerates the full joint only for m <= {EXACT_FULL_M_CAP}")
-        # the weight of (instance, rand) is mult / (n_inst * denom) with an
-        # integer mult; posteriors do not depend on that common scale
-        support = oracle.randomness_support(m)
-        denom = math.lcm(*(p.denominator for _, p in support))
-        mults = [(rand, int(p_rand * denom)) for rand, p_rand in support]
-        n_inst = si_support_size(m)
-        p_inst = Fraction(1, n_inst)
         alice_groups: dict = {}
         bob_groups: dict = {}
-        checked_p = None  # iter_si shares one Fraction; compare each new object once
-        for inst, p in iter_si(m):
-            if p is not checked_p:
-                if p != p_inst:
-                    raise AssertionError(f"instance probability {p} is not 1/{n_inst}")
-                checked_p = p
+        for inst in _uniform_si(m):
             a, b, e_star = inst.a, inst.b, inst.e_star
             for rand, mult in mults:
                 pi = oracle.transcript(a, b, e_star, rand)
                 _accumulate(alice_groups, a, pi, e_star, mult)
                 _accumulate(bob_groups, b, pi, e_star, mult)
-        scale = Fraction(1, n_inst * denom)
-        alice = _posterior_shift(alice_groups) * scale
-        bob = _posterior_shift(bob_groups) * scale
+        total = si_support_size(m) * denom
+        alice = _posterior_shift(alice_groups, total)
+        bob = _posterior_shift(bob_groups, total)
         return InternalEpsReport(float(alice), float(bob), float(max(alice, bob)), "exact")
 
     if mode == "exact-symmetric":
@@ -268,26 +275,22 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
         a0 = frozenset(range(1, m // 4 + 1))
         groups: dict = {}
         for e in sorted(a0):
-            for rand, p_rand in oracle.randomness_support(m):
-                pi = oracle.transcript(a0, None, e, rand)
-                _accumulate(groups, a0, pi, e, Fraction(1, len(a0)) * p_rand)
-        shift = _posterior_shift(groups)
+            for rand, mult in mults:
+                _accumulate(groups, a0, oracle.transcript(a0, None, e, rand), e, mult)
+        shift = _posterior_shift(groups, len(a0) * denom)
         return InternalEpsReport(float(shift), float(shift), float(shift), "exact-symmetric")
 
     # Monte Carlo over instances; posterior per sample is still exact
     gen = rngmod.substream(seed, "measure-eps", oracle.name)
-    from .instances import sample_si
-
-    rand_values, rand_probs = _rand_arrays(oracle, m)
     sides = {"alice": [], "bob": []}
     for _ in range(mc_samples):
         inst = sample_si(m, gen)
-        rand = rand_values[_pick(gen, rand_probs)]
+        rand = _draw(gen, denom, mults)
         pi = oracle.transcript(inst.a, inst.b, inst.e_star, rand)
         for side, own in (("alice", inst.a), ("bob", inst.b)):
-            like = _likelihoods(oracle, own, side, pi, m)
-            posterior = from_weights(tuple(sorted(own)), tuple(like[e] for e in sorted(own)))
-            sides[side].append(float(tvd(posterior, uniform(tuple(sorted(own))))))
+            like = _likelihoods(oracle, mults, own, side, pi, m).values()
+            # int / int is the correctly rounded float of the exact shift
+            sides[side].append(uniform_shift_l1(like) / (2 * len(like) * sum(like)))
     means = {k: sum(v) / len(v) for k, v in sides.items()}
     spread = max(
         (sum((x - means[k]) ** 2 for x in v) / max(len(v) - 1, 1)) ** 0.5 / len(v) ** 0.5
@@ -298,60 +301,52 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
     )
 
 
-def _rand_arrays(oracle, m):
-    support = oracle.randomness_support(m)
-    values = [v for v, _ in support]
-    probs = [float(p) for _, p in support]
-    return values, probs
-
-
-def _pick(gen, probs):
+def _draw(gen, denom, mults):
     x = gen.random()
     acc = 0.0
-    for i, p in enumerate(probs):
-        acc += p
+    for rand, mult in mults:
+        acc += mult / denom
         if x < acc:
-            return i
-    return len(probs) - 1
+            return rand
+    return mults[-1][0]
 
 
-def _likelihoods(oracle: SIOracle, own_set, side: str, pi: str, m: int):
-    """P(transcript = pi | own set, target = e) for each candidate e, exactly.
+def _likelihoods(oracle: SIOracle, mults, own_set, side: str, pi: str, m: int):
+    """P(transcript = pi | own set, target = e) for each candidate e, up to one
+    positive factor shared by every candidate, as an integer.
 
-    For oracles whose transcript ignores the rest of the other player's set
-    this is a sum over the randomness support alone; otherwise the other
-    player's remainder is enumerated (budget-checked).
+    `mults` is the randomness support from `_integer_support`. For oracles
+    whose transcript ignores the rest of the other player's set this is a sum
+    of multiplicities over the support alone; otherwise the other player's
+    remainder is enumerated too (budget-checked), and the sum is not divided
+    by the number of remainders.
     """
     candidates = sorted(own_set)
-    support = oracle.randomness_support(m)
     like = {}
     if not oracle.uses_b_rest and not (side == "bob" and oracle.uses_a):
+        a_arg = own_set if side == "alice" else None
+        b_arg = None if side == "alice" else own_set
         for e in candidates:
-            a_arg = own_set if side == "alice" else None
-            b_arg = None if side == "alice" else own_set
-            like[e] = sum(
-                (p for rand, p in support
-                 if oracle.transcript(a_arg, b_arg, e, rand) == pi),
-                Fraction(0),
-            )
+            like[e] = sum(mult for rand, mult in mults
+                          if oracle.transcript(a_arg, b_arg, e, rand) == pi)
         return like
     rest = [x for x in range(1, m + 1) if x not in own_set]
     q = m // 4 - 1
     n_rest = math.comb(len(rest), q)
-    if n_rest * len(support) > B_REST_ENUM_CAP:
+    if n_rest * len(mults) > B_REST_ENUM_CAP:
         raise BudgetError(
-            f"likelihood enumeration needs {n_rest * len(support)} evaluations; "
+            f"likelihood enumeration needs {n_rest * len(mults)} evaluations; "
             "use a Monte Carlo posterior mode"
         )
     for e in candidates:
-        acc = Fraction(0)
+        acc = 0
         for other_rest in combinations(rest, q):
             other = frozenset(other_rest) | {e}
-            for rand, p in support:
-                a_arg, b_arg = (own_set, other) if side == "alice" else (other, own_set)
+            a_arg, b_arg = (own_set, other) if side == "alice" else (other, own_set)
+            for rand, mult in mults:
                 if oracle.transcript(a_arg, b_arg, e, rand) == pi:
-                    acc += p
-        like[e] = acc / n_rest
+                    acc += mult
+        like[e] = acc
     return like
 
 
@@ -441,7 +436,7 @@ def boost_si(oracle: SIOracle, inst: SIInstance, eps: float,
         raise ValueError("boost needs m divisible by 8 so Alice's set halves evenly")
     k, k_formula, t_budget, tau = amplification_parameters(eps, gamma1, gamma2, m)
     gen = rngmod.substream(seed, "boost")
-    rand_values, rand_probs = _rand_arrays(oracle, m)
+    denom, mults = _integer_support(oracle.randomness_support(m))
     counts = {e: 0 for e in sorted(inst.a)}
     half = len(inst.a) // 2
     a_elems = sorted(inst.a)
@@ -453,10 +448,10 @@ def boost_si(oracle: SIOracle, inst: SIInstance, eps: float,
         a_img = frozenset(int(sigma[e - 1]) + 1 for e in a_elems)
         b_img = frozenset(int(sigma[e - 1]) + 1 for e in b_elems)
         e_img = int(sigma[inst.e_star - 1]) + 1
-        rand = rand_values[_pick(gen, rand_probs)]
+        rand = _draw(gen, denom, mults)
         pi = oracle.transcript(a_img, b_img, e_img, rand)
         total_bits += len(pi)
-        like = _likelihoods(oracle, a_img, "alice", pi, m)
+        like = _likelihoods(oracle, mults, a_img, "alice", pi, m)
         ranked = sorted(like, key=lambda e: (-like[e], e))
         top = set(ranked[:half])
         for e in counts:
@@ -587,36 +582,24 @@ def measure_internal_eps_ur(oracle: UROracle, rs, budget: int = 300_000) -> Inte
     """Expected posterior shift of the reachable layer-3 vertex seen by Bob.
 
     Full enumeration of the planted distribution: every joint choice of the
-    per-matching pairs, the live index, and the oracle's randomness.
+    per-matching pairs, the live index, and the oracle's randomness, each
+    weighed by an integer multiplicity as in `measure_internal_eps`.
     """
     r, t = rs.r, rs.t
-    rand_support = oracle.randomness_support(rs)
-    n_joint = si_support_size(r) ** t * t * len(rand_support)
+    denom, mults = _integer_support(oracle.randomness_support(rs))
+    n_inst = si_support_size(r)
+    n_joint = n_inst ** t * t * len(mults)
     if n_joint > budget:
         raise BudgetError(f"full enumeration needs {n_joint} items (budget {budget})")
-    si_support = enumerate_si(r)
 
-    # group by (Bob's input, transcript) = ((i_star, T), pi); the witness's
-    # prior given Bob's input alone is uniform over T
+    # rows are keyed by Bob's input (i_star, T) and the transcript; the
+    # witness's prior given Bob's input alone is uniform over T
     groups: dict = {}
-
-    def rec(i, chosen, weight):
-        if i == t:
-            s_sets = tuple(inst.a for inst in chosen)
-            for i_star in range(1, t + 1):
-                live = chosen[i_star - 1]
-                w_istar = weight * Fraction(1, t)
-                for rand, p_rand in rand_support:
-                    pi = oracle.transcript(s_sets, rand)
-                    key = (i_star, frozenset(live.b))
-                    weight_by_e = groups.setdefault(key, {}).setdefault(pi, {})
-                    for e in sorted(live.b):
-                        weight_by_e.setdefault(e, Fraction(0))
-                    weight_by_e[live.e_star] += w_istar * p_rand
-            return
-        for inst, p in si_support:
-            rec(i + 1, chosen + (inst,), weight * p)
-
-    rec(0, (), Fraction(1))
-    shift = _posterior_shift(groups)
+    for chosen in product(_uniform_si(r), repeat=t):
+        s_sets = tuple(inst.a for inst in chosen)
+        for rand, mult in mults:
+            pi = oracle.transcript(s_sets, rand)
+            for i_star, live in enumerate(chosen, 1):
+                _accumulate(groups, live.b, (i_star, pi), live.e_star, mult)
+    shift = _posterior_shift(groups, n_inst ** t * t * denom)
     return InternalEpsReport(float("nan"), float(shift), float(shift), "exact")

@@ -71,11 +71,12 @@ def _check_state(name: str, bits: str, length: int | None = None):
 # sort as their pairs do lexicographically, so a sorted key list encodes to the
 # same bits as the sorted pair list.
 
-def _unfit_endpoint(u: int, v: int, width: int) -> ValueError:
-    """The error for an edge whose key would alias: called once `(u | v) >> width`
-    is nonzero, which also holds when either endpoint is negative."""
-    bad = u if u < 0 or u >> width else v
-    return ValueError(f"{bad} does not fit in {width} bits")
+def _bad_endpoint(u: int, v: int, n: int, width: int) -> ValueError:
+    """The error for an edge with an endpoint outside [0, n); n <= 2^width."""
+    bad = v if 0 <= u < n else u
+    if bad < 0 or bad >> width:
+        return ValueError(f"{bad} does not fit in {width} bits")
+    return ValueError(f"{bad} is not a vertex of [0, {n})")
 
 
 def _key_array(keys, width: int) -> np.ndarray:
@@ -93,6 +94,18 @@ def _split_keys(keys, width: int):
     """(u, v) pairs of the keys, split on one array rather than per key."""
     array = _key_array(keys, width)
     return zip((array >> width).tolist(), (array & ((1 << width) - 1)).tolist())
+
+
+def _decode_keys(name: str, bits: str, n: int, width: int) -> list[int]:
+    """The keys of a serialized edge list, refusing any `serialize()` cannot
+    write: keys not strictly increasing, or an endpoint outside [0, n)."""
+    keys = decode_ints(bits, 2 * width)
+    array = _key_array(keys, width)
+    if (array[1:] <= array[:-1]).any():
+        raise ValueError(f"{name}: serialized edge keys are not strictly increasing")
+    if len(keys) and max((array >> width).max(), (array & ((1 << width) - 1)).max()) >= n:
+        raise ValueError(f"{name}: a serialized edge has an endpoint outside [0, {n})")
+    return keys
 
 
 class EdgeCounter(StreamAlgorithm):
@@ -127,7 +140,9 @@ class StoreAll(StreamAlgorithm):
 
     The state is the set of distinct edges as packed keys `u << w | v`, with
     w = int_width(n - 1). Serialized, it is the sorted keys in 2w bits each,
-    which is bit for bit the sorted (u, v) pairs with each endpoint in w bits.
+    which is bit for bit the sorted (u, v) pairs with each endpoint in w bits;
+    `restore` refuses keys that are not strictly increasing or name a vertex
+    outside [0, n).
     """
 
     name = "store-all"
@@ -143,10 +158,10 @@ class StoreAll(StreamAlgorithm):
 
     def process(self, u, v):
         if self._pass == 1:
-            w = self.width
-            if (u | v) >> w:
-                raise _unfit_endpoint(u, v, w)
-            self.keys.add(u << w | v)
+            n = self.n
+            if not (0 <= u < n and 0 <= v < n):
+                raise _bad_endpoint(u, v, n, self.width)
+            self.keys.add(u << self.width | v)
 
     def serialize(self) -> str:
         return _encode_keys(self.keys, self.width)
@@ -155,7 +170,7 @@ class StoreAll(StreamAlgorithm):
         return 2 * self.width * len(self.keys)
 
     def restore(self, bits, pass_index):
-        self.keys = set(decode_ints(bits, 2 * self.width))
+        self.keys = set(_decode_keys(self.name, bits, self.n, self.width))
         self._pass = pass_index
 
     def result(self):
@@ -238,7 +253,8 @@ class SpanningForest(StreamAlgorithm):
 
     Forest edges are packed keys `u << w | v`, as in `StoreAll`, and serialize
     the same way: sorted keys in 2w bits each, the bits of the sorted pairs.
-    `restore` replays union-find over the decoded edges.
+    `restore` replays union-find over the decoded edges and refuses, besides
+    what store-all refuses, an edge that joins no two components.
     """
 
     name = "spanning-forest"
@@ -261,13 +277,13 @@ class SpanningForest(StreamAlgorithm):
         return x
 
     def process(self, u, v):
-        w = self.width
-        if (u | v) >> w:
-            raise _unfit_endpoint(u, v, w)
+        n = self.n
+        if not (0 <= u < n and 0 <= v < n):
+            raise _bad_endpoint(u, v, n, self.width)
         ru, rv = self._find(u), self._find(v)
         if ru != rv:
             self.parent[ru] = rv
-            self.forest.append(u << w | v)
+            self.forest.append(u << self.width | v)
 
     def serialize(self) -> str:
         return _encode_keys(self.forest, self.width)
@@ -276,11 +292,13 @@ class SpanningForest(StreamAlgorithm):
         return 2 * self.width * len(self.forest)
 
     def restore(self, bits, pass_index):
-        keys = decode_ints(bits, 2 * self.width)
+        keys = _decode_keys(self.name, bits, self.n, self.width)
         self.parent = list(range(self.n))
         self.forest = []
         for u, v in _split_keys(keys, self.width):
             self.process(u, v)
+        if len(self.forest) != len(keys):
+            raise ValueError(f"{self.name}: a serialized edge joins no two components")
         self._pass = pass_index
 
     def result(self):

@@ -243,6 +243,17 @@ def test_experiment_cli(tmp_path):
     assert payload["violations"] == 0
 
 
+def test_experiment_string_param_keeps_its_text(capsys):
+    # "null" is JSON for None; oracle_tag's default is a str, so the text is kept
+    assert run("experiment", "boost-trials", "--param", "oracle_tag=null",
+               "--param", "trials=2") == OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["oracle"] == "null" and report["trials"] == 2
+    assert run("experiment", "boost-trials", "--param", 'oracle_tag="null"',
+               "--param", "trials=2") == OK
+    assert json.loads(capsys.readouterr().out) == report
+
+
 def test_shared_parser_keeps_no_param_between_dispatches(capsys):
     assert run("experiment", "rs-verify", "--param", "m=12") == OK
     first = json.loads(capsys.readouterr().out)

@@ -1,11 +1,13 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
 from streamlb import rng as rngmod
-from streamlb import instances, protocols
-from streamlb.common import BudgetError
+from streamlb import experiments, instances, protocols
+from streamlb.common import BudgetError, encode_int
 from streamlb.infometrics import from_weights, tvd, uniform
 from streamlb.instances import enumerate_si, iter_si, sample_si, si_support_size
 from streamlb.protocols import (
@@ -25,6 +27,7 @@ from streamlb.protocols import (
     mock_eps_solver,
     simulate_two_pass,
 )
+from streamlb.rsgraph import RSDigraph
 from tests.test_instances import identity_matching_rs
 
 
@@ -74,6 +77,17 @@ def test_measure_min_announcer_positive_bob_only():
     assert report.value == report.bob_side  # the definition takes the max
 
 
+def _fraction_posterior_shift(groups):
+    """Sum of row mass * TVD(posterior, uniform) over rows of Fraction weights."""
+    total = Fraction(0)
+    for by_pi in groups.values():
+        for weight_by_e in by_pi.values():
+            support = tuple(sorted(weight_by_e))
+            posterior = from_weights(support, tuple(weight_by_e[e] for e in support))
+            total += sum(weight_by_e.values()) * tvd(posterior, uniform(support))
+    return total
+
+
 def _reference_exact_report(oracle, m):
     """Exact mode as it first stood: every weight a Fraction, over the listed support."""
     def accumulate(groups, own_set, pi, e_star, weight):
@@ -82,22 +96,13 @@ def _reference_exact_report(oracle, m):
             weight_by_e.setdefault(e, Fraction(0))
         weight_by_e[e_star] += weight
 
-    def posterior_shift(groups):
-        total = Fraction(0)
-        for by_pi in groups.values():
-            for weight_by_e in by_pi.values():
-                support = tuple(sorted(weight_by_e))
-                posterior = from_weights(support, tuple(weight_by_e[e] for e in support))
-                total += sum(weight_by_e.values()) * tvd(posterior, uniform(support))
-        return total
-
     alice_groups, bob_groups = {}, {}
     for inst, p_inst in enumerate_si(m):
         for rand, p_rand in oracle.randomness_support(m):
             pi = oracle.transcript(inst.a, inst.b, inst.e_star, rand)
             accumulate(alice_groups, inst.a, pi, inst.e_star, p_inst * p_rand)
             accumulate(bob_groups, inst.b, pi, inst.e_star, p_inst * p_rand)
-    alice, bob = posterior_shift(alice_groups), posterior_shift(bob_groups)
+    alice, bob = _fraction_posterior_shift(alice_groups), _fraction_posterior_shift(bob_groups)
     return InternalEpsReport(float(alice), float(bob), float(max(alice, bob)), "exact")
 
 
@@ -156,7 +161,7 @@ def test_exact_mode_rejects_a_skew_after_the_first_instance(monkeypatch, skewed_
 def test_symmetric_path_agrees_with_full_enumeration(p, m):
     full = measure_internal_eps(RevealOracle(p), m, mode="exact")
     fast = measure_internal_eps(RevealOracle(p), m, mode="exact-symmetric")
-    assert fast.value == pytest.approx(full.value, abs=1e-12)
+    assert fast.value == full.value
 
 
 def test_measure_budget_error_without_symmetry():
@@ -172,6 +177,17 @@ def test_measure_monte_carlo_close_to_exact():
                               mc_samples=4000, seed=9)
     assert mc.stderr is not None
     assert abs(mc.value - exact.value) < max(5 * mc.stderr, 0.02)
+
+
+def test_monte_carlo_enumerates_bob_side_likelihoods():
+    # Bob's side of an oracle that reads Alice's set sums over every remainder
+    # of Alice's set; exact: Alice's posterior never moves, Bob's by 1/3 at m=8
+    exact = measure_internal_eps(MinAnnouncerOracle(), 8, mode="exact")
+    mc = measure_internal_eps(MinAnnouncerOracle(), 8, mode="monte-carlo",
+                              mc_samples=2000, seed=3)
+    assert exact.alice_side == mc.alice_side == 0.0
+    assert exact.bob_side == pytest.approx(1 / 3, abs=1e-12)
+    assert abs(mc.bob_side - exact.bob_side) < 5 * mc.stderr
 
 
 def test_measure_value_in_unit_interval():
@@ -250,6 +266,33 @@ def test_boost_counts_bits():
     assert res.total_bits >= res.k  # every round sends at least one bit here
 
 
+# sha256 of the BoostResult fields answer, counts, candidate_set and total_bits
+# of the first four boost_trials trials of each criterion-9 configuration
+# (m=32, eps=0.5, gamma1=0.5, gamma2=2): the vote counts move with any change
+# to the ranking or to an RNG draw, which a success rate can hide
+BOOST_VOTE_HASHES = {
+    ("mock-reveal", 9): "a43f833c725622c5706e461921aee387e8c07a1d0de655c1d0b3d448a53e828c",
+    ("perfect", 10): "826b2f95858642403549a27ad67c1381ff777a831dfaa633e8926406fefdc765",
+    ("null", 11): "88c3e94fd3274ad6fdbdd0fe6f4f220add7fb664358c7330e0e2a4c9ee99e0d1",
+}
+
+
+@pytest.mark.parametrize("tag, seed", list(BOOST_VOTE_HASHES))
+def test_boost_votes_are_pinned(monkeypatch, tag, seed):
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(boost_si(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(experiments, "boost_si", recording)
+    experiments.boost_trials(tag, m=32, eps=0.5, gamma1=0.5, gamma2=2.0, trials=4, seed=seed)
+    fields = [[r.answer, sorted(r.counts.items()), sorted(r.candidate_set), r.total_bits]
+              for r in results]
+    digest = hashlib.sha256(json.dumps(fields).encode()).hexdigest()
+    assert digest == BOOST_VOTE_HASHES[tag, seed]
+
+
 # --- unique-reach measurement -------------------------------------------------------
 
 def test_ur_measure_null_zero():
@@ -265,6 +308,16 @@ def test_ur_measure_full_reveal():
     assert report.value == pytest.approx(0.5, abs=1e-12)
 
 
+def test_ur_measure_full_reveal_keys_rows_by_the_live_index():
+    # with two matchings the same (T, transcript) arises for either live
+    # index, with different witnesses; rows keyed by the live index keep the
+    # witness pinned, so the shift is still 1 - 1/|T| = 1/2
+    rs = RSDigraph(n_side=16, r=8, t=2, matchings=(tuple((i, i) for i in range(1, 9)),
+                                                    tuple((i, i) for i in range(9, 17))))
+    report = measure_internal_eps_ur(FullRevealUROracle(), rs)
+    assert report.value == 0.5
+
+
 def test_ur_measure_budget():
     rs = identity_matching_rs(16)
     with pytest.raises(BudgetError):
@@ -275,11 +328,66 @@ def test_ur_measure_budget_checked_before_enumeration(monkeypatch):
     def refuse(m):
         raise AssertionError("the budget must be checked before enumerating")
 
-    for name in ("enumerate_si", "iter_si"):
-        monkeypatch.setattr(instances, name, refuse)
-        monkeypatch.setattr(protocols, name, refuse)
+    monkeypatch.setattr(instances, "enumerate_si", refuse)
+    monkeypatch.setattr(instances, "iter_si", refuse)
+    monkeypatch.setattr(protocols, "iter_si", refuse)
     with pytest.raises(BudgetError):
         measure_internal_eps_ur(FullRevealUROracle(), identity_matching_rs(16), budget=10)
+
+
+def _reference_ur_report(oracle, rs):
+    """The unique-reach measurement as it first stood: every weight a Fraction,
+    one recursive step per matching."""
+    r, t = rs.r, rs.t
+    rand_support = oracle.randomness_support(rs)
+    si_support = enumerate_si(r)
+    groups = {}
+
+    def rec(i, chosen, weight):
+        if i == t:
+            s_sets = tuple(inst.a for inst in chosen)
+            for i_star in range(1, t + 1):
+                live = chosen[i_star - 1]
+                w_istar = weight * Fraction(1, t)
+                for rand, p_rand in rand_support:
+                    pi = oracle.transcript(s_sets, rand)
+                    key = (i_star, frozenset(live.b))
+                    weight_by_e = groups.setdefault(key, {}).setdefault(pi, {})
+                    for e in sorted(live.b):
+                        weight_by_e.setdefault(e, Fraction(0))
+                    weight_by_e[live.e_star] += w_istar * p_rand
+            return
+        for inst, p in si_support:
+            rec(i + 1, chosen + (inst,), weight * p)
+
+    rec(0, (), Fraction(1))
+    shift = _fraction_posterior_shift(groups)
+    return InternalEpsReport(float("nan"), float(shift), float(shift), "exact")
+
+
+class SometimesRevealUROracle(FullRevealUROracle):
+    """Ships Alice's input with probability 1/3, her first set's minimum with
+    probability 1/6, and nothing otherwise."""
+
+    name = "ur-sometimes-reveal"
+
+    def randomness_support(self, rs):
+        return (("all", Fraction(1, 3)), ("min", Fraction(1, 6)), ("silent", Fraction(1, 2)))
+
+    def transcript(self, s_sets, rand):
+        if rand == "all":
+            return super().transcript(s_sets, rand)
+        return encode_int(min(s_sets[0]), 8) if rand == "min" else ""
+
+
+@pytest.mark.parametrize("oracle", [NullUROracle(), FullRevealUROracle(), SometimesRevealUROracle()],
+                         ids=lambda o: o.name)
+def test_ur_measure_equals_fraction_reference(oracle):
+    rs = identity_matching_rs(8)
+    report = measure_internal_eps_ur(oracle, rs)
+    assert report.bob_side == _reference_ur_report(oracle, rs).bob_side
+    assert (report.value, report.mode) == (report.bob_side, "exact")
+    assert math.isnan(report.alice_side)
 
 
 # --- simulation guard rails ------------------------------------------------------------

@@ -288,6 +288,10 @@ def _started(alg, n, directed=True):
         (StoreAll(), 4, "101"),  # not a whole number of 4-bit edges
         (StoreAll(), 4, "01a1"),
         (SpanningForest(), 4, "10110"),
+        (StoreAll(), 5, encode_ints([63], 6)),  # the edge (7, 7): no such vertices
+        (StoreAll(), 5, encode_ints([9, 9, 1], 6)),  # serialize writes distinct sorted keys
+        (SpanningForest(), 5, encode_ints([63], 6)),
+        (SpanningForest(), 5, encode_ints([1, 2, 10], 6)),  # (1, 2) closes the cycle 0-1-2
         (BfsFrontier(2), 4, "0" * 16 + "1" + "10"),  # truncated: 17 + 2n = 25 bits
         (BfsFrontier(2), 4, "0" * 16 + "0" + "2x00" + "0000"),  # right length, not bits
         (BfsFrontier(2), 4, "0" * 26),
@@ -362,6 +366,18 @@ def test_an_endpoint_outside_the_key_width_raises(make, n):
     for u, v in ((0, 1 << w), (1 << w, 0), ((1 << w) + 3, 1 << (w + 5)), (-1, 0), (0, -1), (-5, -7)):
         alg = _started(make(), n, directed=make is StoreAll)
         with pytest.raises(ValueError, match=f"does not fit in {w} bits"):
+            alg.process(u, v)
+        assert alg.state_bits() == 0
+
+
+@pytest.mark.parametrize("n", [5, 9])
+@pytest.mark.parametrize("make", [StoreAll, SpanningForest])
+def test_an_endpoint_that_fits_the_width_but_is_no_vertex_raises(make, n):
+    # what process accepts, serialize writes and restore must read back
+    top = (1 << int_width(n - 1)) - 1
+    for u, v in ((n, 0), (0, n), (top, top)):
+        alg = _started(make(), n, directed=make is StoreAll)
+        with pytest.raises(ValueError, match=rf"is not a vertex of \[0, {n}\)"):
             alg.process(u, v)
         assert alg.state_bits() == 0
 
