@@ -281,6 +281,11 @@ def _cmd_info(args) -> int:
     return OK
 
 
+# JSON value types a parameter takes, by the type of its default
+_PARAM_TYPES = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
+                float: ((int, float), "a number")}
+
+
 def _cmd_experiment(args, argv) -> int:
     t0 = time.perf_counter()
     import inspect
@@ -293,9 +298,13 @@ def _cmd_experiment(args, argv) -> int:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        default = params[key].default if key in params else None
         # a string parameter takes its text unless that is a quoted JSON string
-        if key in params and isinstance(params[key].default, str) and not isinstance(value, str):
+        if isinstance(default, str) and not isinstance(value, str):
             value = raw
+        expected = _PARAM_TYPES.get(type(default))
+        if expected and type(value) not in expected[0]:
+            raise ValueError(f"--param {key} expects {expected[1]}, got {raw!r}")
         kwargs[key] = value
     if args.workers > 1 and "workers" in params:
         kwargs.setdefault("workers", args.workers)

@@ -65,6 +65,12 @@ def bfs(edges, start: int, directed: bool = True) -> dict[int, int]:
 # Messages and serialized algorithm states are strings over {0,1}; space and
 # communication are measured as their length.
 
+def is_bit_string(bits) -> bool:
+    """Whether `bits` is a str over {'0', '1'}, read in one pass."""
+    # a non-ASCII character becomes '?', which the deletion keeps
+    return isinstance(bits, str) and not bits.encode("ascii", "replace").translate(None, b"01")
+
+
 def int_width(max_value: int) -> int:
     """Bits needed to write any integer in [0, max_value]."""
     if max_value < 0:
@@ -97,9 +103,7 @@ def encode_ints(values, width: int) -> str:
 
 def decode_ints(bits: str, width: int) -> list[int]:
     """Split a concatenation of `width`-bit fields back into its integers."""
-    # a non-ASCII character becomes '?', which fails the digit check too
-    digits = np.frombuffer(bits.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
-    if (digits > 1).any():
+    if not is_bit_string(bits):
         raise ValueError("bit strings hold only '0' and '1'")
     if width == 0:
         if bits:
@@ -111,5 +115,6 @@ def decode_ints(bits: str, width: int) -> list[int]:
         return [int(bits[i : i + width], 2) for i in range(0, len(bits), width)]
     # right-align each field in 64 bits and read the rows as big-endian words
     padded = np.zeros((len(bits) // width, 64), dtype=np.uint8)
+    digits = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
     padded[:, 64 - width :] = digits.reshape(-1, width)
     return np.packbits(padded, axis=1).view(">u8").ravel().tolist()

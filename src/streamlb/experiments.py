@@ -88,6 +88,9 @@ def rs_verify(m: int = 100, strategy: str = "behrend-sphere") -> dict:
         "n_side": g.n_side,
         "t": g.t,
         "r": g.r,
+        "edges": g.t * g.r,
+        "cross_pairs": g.t * g.r * (g.r - 1),
+        "exponent": round(math.log(g.t * g.r) / math.log(g.n_side), 4),
         "matchings_checked": g.t,
         "violations": 0 if report.ok else 1,
         "violation_reason": report.reason,

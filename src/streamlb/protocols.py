@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from . import rng as rngmod
-from .common import BudgetError, encode_int, encode_ints, int_width
+from .common import BudgetError, encode_int, encode_ints, int_width, is_bit_string
 from .infometrics import uniform_shift_l1
 from .instances import SIInstance, iter_si, sample_si, si_support_size
 
@@ -37,7 +37,7 @@ class Transcript:
     labels: list = field(default_factory=list)
 
     def send(self, sender: str, bits: str, label: str | None = None):
-        if not isinstance(bits, str) or bits.count("0") + bits.count("1") != len(bits):
+        if not is_bit_string(bits):
             raise ValueError("messages must be bit strings")
         self.messages.append((sender, bits))
         self.labels.append(label or f"{sender}:{len(self.messages)}")
@@ -86,11 +86,10 @@ class NullOracle(SIOracle):
         return ""
 
 
-class RevealOracle(SIOracle):
-    """Announces the target element with probability p, else stays silent."""
+class CoinOracle(SIOracle):
+    """Speaks with probability p (the outcome named `speaks`), else stays silent."""
 
-    name = "reveal"
-    symmetric = True
+    speaks: str
 
     def __init__(self, p):
         self.p = Fraction(p).limit_denominator(1 << 48)
@@ -98,10 +97,18 @@ class RevealOracle(SIOracle):
     def randomness_support(self, m):
         out = []
         if self.p > 0:
-            out.append(("reveal", self.p))
+            out.append((self.speaks, self.p))
         if self.p < 1:
             out.append(("silent", 1 - self.p))
         return tuple(out)
+
+
+class RevealOracle(CoinOracle):
+    """Announces the target element with probability p, else stays silent."""
+
+    name = "reveal"
+    speaks = "reveal"
+    symmetric = True
 
     def transcript(self, a, b, e_star, rand) -> str:
         if rand == "reveal":
@@ -109,21 +116,11 @@ class RevealOracle(SIOracle):
         return "0"
 
 
-class ParityHintOracle(SIOracle):
+class ParityHintOracle(CoinOracle):
     """Announces the parity of the target with probability p (the bias mode)."""
 
     name = "parity-hint"
-
-    def __init__(self, p):
-        self.p = Fraction(p).limit_denominator(1 << 48)
-
-    def randomness_support(self, m):
-        out = []
-        if self.p > 0:
-            out.append(("hint", self.p))
-        if self.p < 1:
-            out.append(("silent", 1 - self.p))
-        return tuple(out)
+    speaks = "hint"
 
     def transcript(self, a, b, e_star, rand) -> str:
         if rand == "hint":

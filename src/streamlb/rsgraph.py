@@ -19,7 +19,8 @@ from .behrend import BehrendSet, verify_no_3ap
 from .common import Report, fail_report, ok_report
 
 Edge = tuple[int, int]
-_CHUNK_PAIRS = 2**16  # cross pairs tested per searchsorted call
+_CHUNK_PAIRS = 2**16  # cross pairs looked up per gather
+_SLICE_BITS = 2**20  # bitmap cells per slice of left ranks, unless one left needs more
 
 
 @dataclass(frozen=True)
@@ -75,53 +76,116 @@ def restrict_matching(g: RSDigraph, i: int, s) -> tuple[Edge, ...]:
     return tuple(matching[j - 1] for j in indices)
 
 
+def _packed_pairs(matchings, count: int) -> np.ndarray:
+    """The (count, 2) array of the edges' (u, v) ids in (i, j) order; object
+    dtype once an id outgrows int64."""
+    def ids():
+        return chain.from_iterable(chain.from_iterable(matchings))
+    try:
+        return np.fromiter(ids(), np.int64, count=2 * count).reshape(count, 2)
+    except OverflowError:
+        return np.fromiter(ids(), object, count=2 * count).reshape(count, 2)
+
+
+def _seen_before(keys: np.ndarray) -> np.ndarray:
+    """True at each position whose key already occurs at an earlier position."""
+    seen = np.ones(keys.size, dtype=bool)
+    seen[np.unique(keys, return_index=True)[1]] = False
+    return seen
+
+
+def _first_cross_pair(left: np.ndarray, right: np.ndarray, r: int) -> int | None:
+    """Smallest flat index (i*r + j)*r + jp with (u_ij, v_ijp) an edge, j != jp.
+
+    `left` and `right` are the edges' endpoint ranks in (i, j) order. Rows
+    (i, j) are grouped by the rank of u_ij into slices of left ranks whose
+    slice x n_right bitmap fits `_SLICE_BITS` cells. A slice's bitmap holds
+    every edge out of its lefts, so each cross pair of its rows is one gather.
+    """
+    n_right = int(right.max()) + 1
+    per = max(1, _SLICE_BITS // n_right)
+    bitmap = np.zeros(per * n_right, dtype=bool)
+    right_rows = right.reshape(-1, r)
+    order = np.argsort(left, kind="stable")
+    bounds = np.searchsorted(left[order], np.arange(0, int(left.max()) + per + 1, per))
+    step = max(1, _CHUNK_PAIRS // r)
+    best = None
+    for s in range(bounds.size - 1):
+        rows = order[bounds[s] : bounds[s + 1]]
+        cells = (left[rows] - s * per) * n_right
+        own = cells + right[rows]
+        bitmap[own] = True
+        for c in range(0, rows.size, step):
+            block = rows[c : c + step]
+            hit = bitmap[cells[c : c + step, None] + right_rows[block // r]]
+            hit[np.arange(block.size), block % r] = False
+            if hit.any():
+                k, jp = np.nonzero(hit)
+                first = int((block[k] * r + jp).min())
+                best = first if best is None else min(best, first)
+        bitmap[own] = False
+    return best
+
+
+def _first_structural_flaw(g: RSDigraph, pairs: np.ndarray, left: np.ndarray,
+                           right: np.ndarray) -> Report | None:
+    """The first edge in (i, j) order outside [1, N], with an endpoint repeated
+    inside its matching, or equal to an edge of an earlier matching; reasons
+    in that priority, as one loop over the edges would report them."""
+    r = g.r
+    n_left, n_right = int(left.max()) + 1, int(right.max()) + 1
+    row = np.arange(left.size) // r
+    outside = ((pairs < 1) | (pairs > g.n_side)).any(axis=1)
+    repeated = _seen_before(row * n_left + left) | _seen_before(row * n_right + right)
+    keys = left * n_right + right
+    shared = _seen_before(keys)
+    bad = outside | repeated | shared
+    if not bad.any():
+        return None
+    e = int(bad.argmax())
+    i, j = divmod(e, r)
+    u, v = g.matchings[i][j]
+    if outside[e]:
+        return fail_report("vertex outside [1, N]", matching=i + 1, edge=(u, v))
+    if repeated[e]:
+        return fail_report("repeated endpoint inside a matching", matching=i + 1, edge=(u, v))
+    owner = int(np.flatnonzero(keys == keys[e])[0]) // r
+    return fail_report("edge shared between matchings", edge=(u, v), matchings=(owner + 1, i + 1))
+
+
 def verify_induced(g: RSDigraph) -> Report:
-    """Exhaustive check of all structural invariants; reports first violation."""
+    """Exhaustive check of all structural invariants; reports first violation.
+
+    The checks run on the packed (u, v) array in (i, j) order, and the report
+    is the first violating edge under the order and the reason priority of
+    one loop over the edges: size of its matching, range, repeated endpoint,
+    shared edge; then induced-ness, first in (i, j, jp) order.
+    """
     if len(g.matchings) != g.t:
         return fail_report("matching count differs from t", expected=g.t, got=len(g.matchings))
-    edge_owner: dict[Edge, int] = {}
-    for i, matching in enumerate(g.matchings, start=1):
-        if len(matching) != g.r:
-            return fail_report("matching has wrong size", matching=i, size=len(matching))
-        lefts = set()
-        rights = set()
-        for u, v in matching:
-            if not (1 <= u <= g.n_side and 1 <= v <= g.n_side):
-                return fail_report("vertex outside [1, N]", matching=i, edge=(u, v))
-            if u in lefts or v in rights:
-                return fail_report("repeated endpoint inside a matching", matching=i, edge=(u, v))
-            lefts.add(u)
-            rights.add(v)
-            if (u, v) in edge_owner:
-                return fail_report(
-                    "edge shared between matchings", edge=(u, v), matchings=(edge_owner[(u, v)], i)
-                )
-            edge_owner[(u, v)] = i
-    # induced-ness: no global edge may join matching i's left side to its
-    # right side except the matching's own edges. Every row (i, j) pairs u_j
-    # with each v_jp of matching i; its keys are looked up among the sorted
-    # edge keys, and the first hit in (i, j, jp) order is reported.
-    if g.t >= 1 and g.r >= 2:
+    sized = next((i for i, matching in enumerate(g.matchings) if len(matching) != g.r), g.t)
+    count = sized * g.r
+    if count:
+        pairs = _packed_pairs(g.matchings[:sized], count)
         # ids become ranks first, so no key outgrows int64 whatever N claims
-        ids = chain.from_iterable(chain.from_iterable(g.matchings))
-        dtype = np.int64 if g.n_side < 2**63 else object
-        pairs = np.fromiter(ids, dtype, count=2 * g.t * g.r).reshape(g.t, g.r, 2)
-        left_rank = np.unique(pairs[:, :, 0], return_inverse=True)[1].reshape(-1)
-        right_rank = np.unique(pairs[:, :, 1], return_inverse=True)[1].reshape(g.t, g.r)
-        row_keys = left_rank * (int(right_rank.max()) + 1)
-        keys = np.sort(row_keys + right_rank.reshape(-1))
-        step = max(1, _CHUNK_PAIRS // g.r)
-        for start in range(0, g.t * g.r, step):
-            rows = np.arange(start, min(start + step, g.t * g.r))
-            block = row_keys[rows, None] + right_rank[rows // g.r]
-            hit = keys[np.searchsorted(keys, block).clip(max=keys.size - 1)] == block
-            hit[np.arange(rows.size), rows % g.r] = False
-            if hit.any():
-                row, jp = divmod(start * g.r + int(hit.argmax()), g.r)
-                i, j = divmod(row, g.r)
-                return fail_report("induced-ness violated", matching=i + 1,
-                                   cross_edge=(g.matchings[i][j][0], g.matchings[i][jp][1]))
-    return ok_report(matchings_checked=g.t, edges=len(edge_owner))
+        left = np.unique(pairs[:, 0], return_inverse=True)[1].reshape(-1)
+        right = np.unique(pairs[:, 1], return_inverse=True)[1].reshape(-1)
+        flaw = _first_structural_flaw(g, pairs, left, right)
+        if flaw is not None:
+            return flaw
+        del pairs  # only the ranks go on to the cross-pair pass
+    if sized < g.t:
+        return fail_report("matching has wrong size", matching=sized + 1, size=len(g.matchings[sized]))
+    # induced-ness: no edge may join matching i's left side to its right side
+    # except the matching's own edges
+    if count and g.r >= 2:
+        first = _first_cross_pair(left, right, g.r)
+        if first is not None:
+            row, jp = divmod(first, g.r)
+            i, j = divmod(row, g.r)
+            return fail_report("induced-ness violated", matching=i + 1,
+                               cross_edge=(g.matchings[i][j][0], g.matchings[i][jp][1]))
+    return ok_report(matchings_checked=g.t, edges=count)
 
 
 def owning_matching(g: RSDigraph, edge: Edge) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import bfs, decode_ints, encode_int, encode_ints, int_width
+from .common import bfs, decode_ints, encode_int, encode_ints, int_width, is_bit_string
 from .instances import EdgeStream
 
 
@@ -58,7 +58,7 @@ class StreamAlgorithm:
 
 def _check_state(name: str, bits: str, length: int | None = None):
     """Reject a state no `serialize()` could have written: a non-bit, or the wrong length."""
-    if bits.count("0") + bits.count("1") != len(bits):
+    if not is_bit_string(bits):
         raise ValueError(f"{name}: a serialized state holds only '0' and '1'")
     if length is not None and len(bits) != length:
         raise ValueError(f"{name}: a serialized state is {length} bits, not {len(bits)}")

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -252,6 +253,26 @@ def test_experiment_string_param_keeps_its_text(capsys):
     assert run("experiment", "boost-trials", "--param", 'oracle_tag="null"',
                "--param", "trials=2") == OK
     assert json.loads(capsys.readouterr().out) == report
+
+
+@pytest.mark.parametrize("param, message", [
+    ("trials=abc", "--param trials expects an integer, got 'abc'"),
+    ("trials=2.5", "--param trials expects an integer, got '2.5'"),
+    ("trials=true", "--param trials expects an integer, got 'true'"),
+    ("eps=half", "--param eps expects a number, got 'half'"),
+])
+def test_experiment_param_of_the_wrong_type_is_a_usage_error(capsys, param, message):
+    assert run("experiment", "boost-trials", "--param", param) == USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_rs_verify_reports_edges_cross_pairs_and_exponent(capsys):
+    assert run("experiment", "rs-verify", "--param", "m=100") == OK
+    report = json.loads(capsys.readouterr().out)
+    assert (report["n_side"], report["t"], report["r"]) == (300, 100, 23)
+    assert report["edges"] == 2300 and report["cross_pairs"] == 2300 * 22
+    assert report["exponent"] == round(math.log(2300) / math.log(300), 4) == 1.3571
+    assert report["violations"] == 0
 
 
 def test_shared_parser_keeps_no_param_between_dispatches(capsys):

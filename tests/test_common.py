@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from streamlb.common import bfs, decode_ints, encode_int, encode_ints
+from streamlb.common import bfs, decode_ints, encode_int, encode_ints, is_bit_string
 from streamlb.protocols import Transcript
 
 
@@ -57,6 +57,17 @@ def test_decode_rejects_non_bits():
     for bits in ("0120", "01a1", "0 11"):
         with pytest.raises(ValueError):
             decode_ints(bits, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from("01?2 \x00é"), max_size=12) | st.binary(max_size=4)
+       | st.none() | st.integers())
+@example("")
+@example("0?1")
+@example("1é")
+@example(b"01")
+def test_is_bit_string_equals_the_set_reference(bits):
+    assert is_bit_string(bits) == (isinstance(bits, str) and set(bits) <= {"0", "1"})
 
 
 def test_transcript_accepts_only_bit_strings():

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -190,7 +191,10 @@ def rs_graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(rs_graphs())
 def test_verify_induced_equals_the_loop_reference(g):
-    assert verify_induced(g) == reference_verify_induced(g)
+    expected = reference_verify_induced(g)
+    assert verify_induced(g) == expected
+    with mock.patch.object(rsgraph, "_SLICE_BITS", 64):  # many slices, some of one left
+        assert verify_induced(g) == expected
 
 
 def test_verify_induced_empty_and_single_edge_matchings():
@@ -199,7 +203,8 @@ def test_verify_induced_empty_and_single_edge_matchings():
     singles = build_rs_digraph(BehrendSet(4, (3,), "explicit"))
     one = RSDigraph(9, 3, 1, (((1, 4), (2, 5), (3, 6)),))
     shared = RSDigraph(singles.n_side, 1, singles.t, (singles.matchings[0],) * singles.t)
-    for g in (empty, singles, one, shared, relabel(one, 2**70, 3)):
+    wide = RSDigraph(2**64, one.r, one.t, one.matchings)  # N beyond int64, ids within
+    for g in (empty, singles, one, shared, relabel(one, 2**70, 3), wide):
         assert verify_induced(g) == reference_verify_induced(g)
     assert verify_induced(empty).ok and verify_induced(singles).ok and verify_induced(one).ok
 
@@ -219,3 +224,39 @@ def test_verify_induced_reports_a_cross_edge_in_the_last_chunk(n_side):
     assert report == reference_verify_induced(g)
     assert report.detail == {"matching": t, "cross_edge": g.matchings[0][0]}
     assert (t - 1) * r >= 2 * (rsgraph._CHUNK_PAIRS // r)  # past the first two chunks
+
+
+@pytest.mark.parametrize("slice_bits", [1, 2**8])
+def test_verify_induced_reports_a_cross_edge_in_the_last_slice(monkeypatch, slice_bits):
+    # disjoint matchings with ids past 2^63; matching 1's first edge becomes
+    # (u_tr, v_t1), so the only cross pair is row (t, r) of the largest left
+    r, t, offset = 5, 12, 2**63
+    matchings = [[(offset + k * r + j, offset + k * r + j) for j in range(1, r + 1)] for k in range(t)]
+    matchings[0][0] = (matchings[-1][-1][0], matchings[-1][0][1])
+    g = RSDigraph(offset + t * r, r, t, tuple(map(tuple, matchings)))
+    monkeypatch.setattr(rsgraph, "_SLICE_BITS", slice_bits)
+    report = verify_induced(g)
+    assert report == reference_verify_induced(g)
+    assert report.detail == {"matching": t, "cross_edge": matchings[0][0]}
+    n_lefts = n_rights = t * r - 1
+    assert n_lefts > max(1, slice_bits // n_rights)  # more than one slice
+
+
+STRUCTURAL_CASES = {  # the first violating edge wins, then the reason priority
+    "outside before a later wrong size": [[(2, 3), (3, 10)], [(3, 4)], [(4, 5), (5, 7)]],
+    "wrong size before a later shared edge": [[(2, 3)], [(2, 3), (4, 6)], [(4, 5), (5, 7)]],
+    "outside over repeated": [[(2, 3), (2, 0)], [(3, 4), (4, 6)], [(4, 5), (5, 7)]],
+    "repeated over shared": [[(2, 3), (3, 5)], [(3, 4), (3, 5)], [(4, 5), (5, 7)]],
+    "repeated right endpoint": [[(2, 3), (3, 5)], [(3, 4), (4, 4)], [(4, 5), (5, 7)]],
+    "shared after a cross edge": [[(2, 3), (3, 5)], [(3, 4), (2, 5)], [(3, 5), (5, 7)]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURAL_CASES))
+def test_verify_induced_structural_order_equals_the_reference(case):
+    g = RSDigraph(9, 2, 3, tuple(map(tuple, STRUCTURAL_CASES[case])))
+    report = verify_induced(g)
+    assert not report.ok
+    assert report == reference_verify_induced(g)
+    big = relabel(g, 2**70, 5)
+    assert verify_induced(big) == reference_verify_induced(big)
