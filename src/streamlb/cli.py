@@ -75,6 +75,8 @@ def _emit(payload: dict, out: str | None = None):
 
 def _cmd_gen(args, argv) -> int:
     t0 = time.perf_counter()
+    if "count" in args and args.count < 1:
+        raise ValueError("--count must be at least 1")
     outputs = []
     inputs = []
     substreams = []
@@ -155,8 +157,8 @@ def _cmd_verify(args) -> int:
 def _cmd_stream_run(args) -> int:
     stream = streamio.read_stream(args.input)
     alg = make_algorithm(args.alg)
-    run = run_stream(alg, stream, passes=args.passes, s=args.s,
-                     t=args.t if args.t >= 0 else None, per_edge=args.per_edge)
+    run = run_stream(alg, stream, passes=args.passes, s=args.s, t=args.t,
+                     per_edge=args.per_edge)
     payload = {
         "algorithm": run.algorithm,
         "passes_used": run.passes_used,
@@ -210,8 +212,7 @@ def _graph_from_stream_file(path) -> tuple[Digraph, EdgeStream]:
 def _cmd_reduce(args, argv) -> int:
     t0 = time.perf_counter()
     h, stream = _graph_from_stream_file(args.input)
-    s = args.s
-    t = args.t if args.t >= 0 else stream.n - 1
+    s, t = stream.endpoints(args.s, args.t)
     outputs = [args.out]
     if args.kind == "matching":
         g, dropped = reduce_to_matching(h, s, t)
@@ -243,8 +244,7 @@ def _cmd_oracle(args) -> int:
         return OK
     h, stream = _graph_from_stream_file(args.input)
     if args.kind == "bfs":
-        t = args.t if args.t >= 0 else stream.n - 1
-        _emit({"reachable": bfs_reachable(h, args.s, t)})
+        _emit({"reachable": bfs_reachable(h, *stream.endpoints(args.s, args.t))})
         return OK
     order = topological_order(h)
     _emit({"acyclic": order is not None,
@@ -318,6 +318,12 @@ def _cmd_experiment(args, argv) -> int:
 
 # --- parser -----------------------------------------------------------------------
 
+def _endpoint_options(p):
+    """`--s` and `--t`, resolved by `EdgeStream.endpoints`."""
+    p.add_argument("--s", type=int, default=0)
+    p.add_argument("--t", type=int, default=None, help="default: the last vertex")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="streamlb", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -364,8 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     sr.add_argument("--alg", required=True)
     sr.add_argument("--input", required=True)
     sr.add_argument("--passes", type=int, default=1)
-    sr.add_argument("--s", type=int, default=0)
-    sr.add_argument("--t", type=int, default=-1)
+    _endpoint_options(sr)
     sr.add_argument("--per-edge", action="store_true")
     sr.add_argument("--report")
 
@@ -395,14 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("kind", choices=("matching", "sssp", "acyclic", "reachcount"))
     r.add_argument("--input", required=True)
     r.add_argument("--out", required=True)
-    r.add_argument("--s", type=int, default=0)
-    r.add_argument("--t", type=int, default=-1)
+    _endpoint_options(r)
 
     o = sub.add_parser("oracle", help="offline oracles")
     o.add_argument("kind", choices=("pm", "bfs", "toposort"))
     o.add_argument("--input", required=True)
-    o.add_argument("--s", type=int, default=0)
-    o.add_argument("--t", type=int, default=-1)
+    _endpoint_options(o)
 
     i = sub.add_parser("info", help="information-theory computations")
     i.add_argument("kind", choices=("tvd", "kl", "entropy", "mi", "tophalf"))

@@ -480,6 +480,14 @@ class EdgeStream:
     def segment_tags(self) -> tuple:
         return tuple(tag for tag, _ in self.segments)
 
+    def endpoints(self, s: int = 0, t: int | None = None) -> tuple[int, int]:
+        """(s, t), t defaulting to the last vertex; both must be vertices of the stream."""
+        if t is None:
+            t = self.n - 1
+        if not (0 <= s < self.n and 0 <= t < self.n):
+            raise ValueError(f"s={s} and t={t} must be vertices of the {self.n}-vertex stream")
+        return s, t
+
 
 def to_stream(inst, shuffle_seed: int | None = None) -> EdgeStream:
     """Emit segments in fixed order; order inside a segment is a seeded shuffle."""

@@ -23,10 +23,11 @@ from itertools import combinations, product
 from . import rng as rngmod
 from .common import BudgetError, encode_int, encode_ints, int_width, is_bit_string
 from .infometrics import uniform_shift_l1
-from .instances import SIInstance, iter_si, sample_si, si_support_size
+from .instances import EdgeStream, SIInstance, iter_si, sample_si, si_support_size
+from .streaming import start_on
 
 EXACT_FULL_M_CAP = 12
-B_REST_ENUM_CAP = 200_000
+A_REST_ENUM_CAP = 200_000
 
 
 @dataclass
@@ -56,17 +57,17 @@ class SIOracle:
     probabilities, and `transcript` must be a deterministic function of the
     declared dependencies:
 
-      uses_a       -- reads Alice's set beyond the target element
-      uses_b_rest  -- reads Bob's set beyond the target element (when False,
-                      likelihood evaluation may pass b=None)
-      symmetric    -- per-player conditional statistics are invariant under
-                      relabeling of the universe, enabling exact measurement
-                      at any m from one fixed input
+      uses_a     -- reads Alice's set beyond the target element
+      symmetric  -- per-player conditional statistics are invariant under
+                    relabeling of the universe, enabling exact measurement
+                    at any m from one fixed input
+
+    A transcript never reads Bob's set beyond the target element: Alice's
+    likelihoods are evaluated with b=None.
     """
 
     name = "oracle"
     uses_a = False
-    uses_b_rest = False
     symmetric = False
 
     def randomness_support(self, m: int):
@@ -240,7 +241,7 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
     if mode == "auto":
         if m <= EXACT_FULL_M_CAP:
             mode = "exact"
-        elif oracle.symmetric and not oracle.uses_a and not oracle.uses_b_rest:
+        elif oracle.symmetric and not oracle.uses_a:
             mode = "exact-symmetric"
         else:
             raise BudgetError(
@@ -267,7 +268,7 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
         return InternalEpsReport(float(alice), float(bob), float(max(alice, bob)), "exact")
 
     if mode == "exact-symmetric":
-        if not (oracle.symmetric and not oracle.uses_a and not oracle.uses_b_rest):
+        if not oracle.symmetric or oracle.uses_a:
             raise ValueError("oracle does not declare the symmetry this mode requires")
         a0 = frozenset(range(1, m // 4 + 1))
         groups: dict = {}
@@ -312,17 +313,16 @@ def _likelihoods(oracle: SIOracle, mults, own_set, side: str, pi: str, m: int):
     """P(transcript = pi | own set, target = e) for each candidate e, up to one
     positive factor shared by every candidate, as an integer.
 
-    `mults` is the randomness support from `_integer_support`. For oracles
-    whose transcript ignores the rest of the other player's set this is a sum
-    of multiplicities over the support alone; otherwise the other player's
-    remainder is enumerated too (budget-checked), and the sum is not divided
-    by the number of remainders.
+    `mults` is the randomness support from `_integer_support`. Where the
+    transcript reads nothing of the other player's set this is a sum of
+    multiplicities over the support alone. On Bob's side of an oracle that
+    reads Alice's set, Alice's remainder is enumerated too (budget-checked),
+    and the sum is not divided by the number of remainders.
     """
     candidates = sorted(own_set)
     like = {}
-    if not oracle.uses_b_rest and not (side == "bob" and oracle.uses_a):
-        a_arg = own_set if side == "alice" else None
-        b_arg = None if side == "alice" else own_set
+    if side == "alice" or not oracle.uses_a:
+        a_arg, b_arg = (own_set, None) if side == "alice" else (None, own_set)
         for e in candidates:
             like[e] = sum(mult for rand, mult in mults
                           if oracle.transcript(a_arg, b_arg, e, rand) == pi)
@@ -330,18 +330,17 @@ def _likelihoods(oracle: SIOracle, mults, own_set, side: str, pi: str, m: int):
     rest = [x for x in range(1, m + 1) if x not in own_set]
     q = m // 4 - 1
     n_rest = math.comb(len(rest), q)
-    if n_rest * len(mults) > B_REST_ENUM_CAP:
+    if n_rest * len(mults) > A_REST_ENUM_CAP:
         raise BudgetError(
             f"likelihood enumeration needs {n_rest * len(mults)} evaluations; "
             "use a Monte Carlo posterior mode"
         )
     for e in candidates:
         acc = 0
-        for other_rest in combinations(rest, q):
-            other = frozenset(other_rest) | {e}
-            a_arg, b_arg = (own_set, other) if side == "alice" else (other, own_set)
+        for a_rest in combinations(rest, q):
+            a = frozenset(a_rest) | {e}
             for rand, mult in mults:
-                if oracle.transcript(a_arg, b_arg, e, rand) == pi:
+                if oracle.transcript(a, own_set, e, rand) == pi:
                     acc += mult
         like[e] = acc
     return like
@@ -480,7 +479,7 @@ def intersection_protocol(a, b, m: int):
 
 # --- streaming simulation -------------------------------------------------------
 
-def simulate_two_pass(alg_factory, stream_or_inst):
+def simulate_two_pass(alg_factory, stream: EdgeStream):
     """Run a two-pass streaming algorithm through the three-message pattern.
 
     Alice holds the first segment, Bob the second, and the third is revealed
@@ -488,19 +487,12 @@ def simulate_two_pass(alg_factory, stream_or_inst):
     states at the hand-off points; the final output must match a direct
     two-pass run bit for bit.
     """
-    from .instances import STInstance, to_stream
-
-    stream = to_stream(stream_or_inst) if isinstance(stream_or_inst, STInstance) else stream_or_inst
     if len(stream.segments) != 3:
         raise ValueError("the simulation needs a three-segment stream")
     (t1, e1), (t2, e2), (t3, e3) = stream.segments
 
     def fresh():
-        alg = alg_factory()
-        if alg.passes_needed > 2:
-            raise ValueError(f"{alg.name} needs {alg.passes_needed} passes; only two are simulated")
-        alg.start(stream.n, stream.directed, 0, stream.n - 1)
-        return alg
+        return start_on(alg_factory(), stream, passes=2)
 
     tr = Transcript()
 

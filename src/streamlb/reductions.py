@@ -145,7 +145,7 @@ def perfect_matching_brute(g: BipartiteGraph) -> bool:
 def reduce_to_sssp(stream: EdgeStream):
     """Forget directions; the s-t distance separates 7 from at least 9."""
     undirected = EdgeStream(stream.n, False, stream.segments, stream.layers)
-    return undirected, 0, stream.n - 1
+    return (undirected, *stream.endpoints())
 
 
 def reduce_to_acyclicity(h: Digraph, s, t) -> Digraph:

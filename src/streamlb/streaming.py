@@ -22,16 +22,23 @@ from .instances import EdgeStream
 class StreamAlgorithm:
     """Contract for streaming algorithms run by this harness.
 
-    `start` binds the instance context and resets state; `restore(bits, p)`
-    overwrites the dynamic state with a previously serialized checkpoint taken
-    during pass p. Pass bookkeeping calls arrive only at true pass boundaries.
-    `state_bits()` must equal `len(serialize())` in every state.
+    `start` binds the instance context (n, directed, s, t), enters pass 1 and
+    calls `reset`, which each algorithm writes to clear its own state;
+    `restore(bits, p)` overwrites the dynamic state with a previously
+    serialized checkpoint taken during pass p. Pass bookkeeping calls arrive
+    only at true pass boundaries. `state_bits()` must equal
+    `len(serialize())` in every state.
     """
 
     name = "algorithm"
     passes_needed = 1
 
-    def start(self, n: int, directed: bool, s: int = 0, t: int | None = None):
+    def start(self, n: int, directed: bool, s: int, t: int):
+        self.n, self.directed, self.s, self.t = n, directed, s, t
+        self._pass = 1
+        self.reset()
+
+    def reset(self):
         raise NotImplementedError
 
     def begin_pass(self, p: int):
@@ -113,9 +120,8 @@ class EdgeCounter(StreamAlgorithm):
 
     name = "edge-count"
 
-    def start(self, n, directed, s=0, t=None):
+    def reset(self):
         self.count = 0
-        self._pass = 1
 
     def process(self, u, v):
         if self._pass == 1:
@@ -147,14 +153,9 @@ class StoreAll(StreamAlgorithm):
 
     name = "store-all"
 
-    def start(self, n, directed, s=0, t=None):
-        self.n = n
-        self.directed = directed
-        self.s = s
-        self.t = n - 1 if t is None else t
-        self.width = int_width(n - 1)
+    def reset(self):
+        self.width = int_width(self.n - 1)
         self.keys: set[int] = set()
-        self._pass = 1
 
     def process(self, u, v):
         if self._pass == 1:
@@ -185,20 +186,17 @@ class BfsFrontier(StreamAlgorithm):
     name = "bfs-frontier"
 
     def __init__(self, passes: int = 2):
+        if passes < 1:
+            raise ValueError("bfs-frontier needs at least one pass")
         if passes >= 1 << 16:
             raise ValueError("the hop counter is serialized in 16 bits")
         self.passes_needed = passes
 
-    def start(self, n, directed, s=0, t=None):
-        self.n = n
-        self.directed = directed
-        self.s = s
-        self.t = n - 1 if t is None else t
-        self.reached = {s}
+    def reset(self):
+        self.reached = {self.s}
         self.additions: set[int] = set()
         self.exhausted = False
         self.hops = 0
-        self._pass = 1
 
     def begin_pass(self, p):
         self._pass = p
@@ -259,16 +257,12 @@ class SpanningForest(StreamAlgorithm):
 
     name = "spanning-forest"
 
-    def start(self, n, directed, s=0, t=None):
-        if directed:
+    def reset(self):
+        if self.directed:
             raise ValueError("spanning forest needs an undirected stream")
-        self.n = n
-        self.s = s
-        self.t = n - 1 if t is None else t
-        self.width = int_width(n - 1)
-        self.parent = list(range(n))
+        self.width = int_width(self.n - 1)
+        self.parent = list(range(self.n))
         self.forest: list[int] = []
-        self._pass = 1
 
     def _find(self, x):
         while self.parent[x] != x:
@@ -319,10 +313,9 @@ class XorSketch(StreamAlgorithm):
     def __init__(self, seed: int = 0):
         self.seed = seed
 
-    def start(self, n, directed, s=0, t=None):
+    def reset(self):
         self.acc = 0
         self.count = 0
-        self._pass = 1
 
     def process(self, u, v):
         if self._pass == 1:
@@ -352,19 +345,24 @@ class StreamRun:
     wall_time_s: float
 
 
-def run_stream(alg: StreamAlgorithm, stream: EdgeStream, passes: int,
-               s: int = 0, t: int | None = None, per_edge: bool = False) -> StreamRun:
-    """Feed the stream to the algorithm once per pass, measuring state at
-    segment boundaries and pass ends (and after every edge, opt in)."""
+def start_on(alg: StreamAlgorithm, stream: EdgeStream, passes: int,
+             s: int = 0, t: int | None = None) -> StreamAlgorithm:
+    """Start the algorithm on the stream within a budget of `passes`, with the
+    endpoints `stream.endpoints(s, t)` resolves; returns the algorithm."""
     if alg.passes_needed > passes:
         raise ValueError(
             f"{alg.name} declares {alg.passes_needed} passes but the budget is {passes}"
         )
-    t = stream.n - 1 if t is None else t
-    if not (0 <= s < stream.n and 0 <= t < stream.n):
-        raise ValueError(f"s={s} and t={t} must be vertices of the {stream.n}-vertex stream")
+    alg.start(stream.n, stream.directed, *stream.endpoints(s, t))
+    return alg
+
+
+def run_stream(alg: StreamAlgorithm, stream: EdgeStream, passes: int,
+               s: int = 0, t: int | None = None, per_edge: bool = False) -> StreamRun:
+    """Feed the stream to the algorithm once per pass, measuring state at
+    segment boundaries and pass ends (and after every edge, opt in)."""
     t0 = time.perf_counter()
-    alg.start(stream.n, stream.directed, s, t)
+    start_on(alg, stream, passes, s, t)
     checkpoints = []
     for p in range(1, alg.passes_needed + 1):
         alg.begin_pass(p)
@@ -388,15 +386,11 @@ def run_stream(alg: StreamAlgorithm, stream: EdgeStream, passes: int,
 
 def spanning_forest_connectivity(stream: EdgeStream, s: int, t: int) -> bool:
     """One-pass undirected s-t connectivity via a spanning forest."""
-    if stream.directed:
-        raise ValueError("spanning forest connectivity is defined on undirected streams")
     return run_stream(SpanningForest(), stream, passes=1, s=s, t=t).output
 
 
 def bfs_reachability(stream: EdgeStream, s: int, t: int, p: int):
     """p-hop reachability in p passes; True, False, or "unknown"."""
-    if p < 1:
-        raise ValueError("at least one pass is needed")
     return run_stream(BfsFrontier(p), stream, passes=p, s=s, t=t).output
 
 

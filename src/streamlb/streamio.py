@@ -1,7 +1,8 @@
 """Plain-text artifact formats: streams, RS digraphs, bipartite graphs, metadata.
 
-Streams are grep-able text; witnesses live in a sibling JSON metadata file so
-an algorithm under test never sees them. Every format round-trips exactly.
+Streams are grep-able text; witnesses live in a sibling JSON metadata file
+that only `read_meta` opens, so an algorithm under test never sees them.
+Every format round-trips exactly.
 """
 
 from __future__ import annotations
@@ -104,14 +105,9 @@ def meta_layers(meta: dict) -> LayerMap:
     return LayerMap(tuple((nm, lo, hi) for nm, lo, hi in meta["layers"]))
 
 
-def read_stream(path, meta_path=None) -> EdgeStream:
-    layers = None
-    meta_path = Path(meta_path) if meta_path else default_meta_path(path)
-    if meta_path.exists():
-        meta = _load_meta(meta_path)
-        if "layers" in meta:
-            layers = _checked_layers(meta, meta_path)
-    return parse_stream(Path(path).read_text(), layers)
+def read_stream(path) -> EdgeStream:
+    """The stream file alone; its `.meta.json` witness file is never opened."""
+    return parse_stream(Path(path).read_text())
 
 
 def default_meta_path(path) -> Path:
@@ -165,27 +161,6 @@ def _json_type_ok(value, typ) -> bool:
     return isinstance(value, typ)
 
 
-def _load_meta(path: Path) -> dict:
-    try:
-        meta = json.loads(path.read_text())
-    except ValueError as exc:
-        raise ValueError(f"{path}: not a JSON metadata file: {exc}") from None
-    if not isinstance(meta, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    return meta
-
-
-def _checked_layers(meta: dict, path: Path) -> LayerMap:
-    rows = meta.get("layers")
-    if not isinstance(rows, list):
-        raise ValueError(f"{path}: field 'layers' is missing or not a list")
-    for i, row in enumerate(rows):
-        if not (isinstance(row, list) and len(row) == 3 and isinstance(row[0], str)
-                and _json_type_ok(row[1], int) and _json_type_ok(row[2], int)):
-            raise ValueError(f"{path}: field 'layers[{i}]' is {repr(row)[:80]}, not [name, lo, hi]")
-    return meta_layers(meta)
-
-
 def read_meta(path, kind: str) -> dict:
     """Read an instance's `.meta.json` strictly; every defect raises a one-line ValueError.
 
@@ -196,12 +171,24 @@ def read_meta(path, kind: str) -> dict:
     not read.
     """
     path = Path(path)
-    meta = _load_meta(path)
+    try:
+        meta = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a JSON metadata file: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: expected a JSON object")
     if meta.get("kind") != kind:
         raise ValueError(f"{path}: metadata kind {meta.get('kind')!r} does not match {kind!r}")
+    rows = meta.get("layers")
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: field 'layers' is missing or not a list")
+    for i, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == 3 and isinstance(row[0], str)
+                and _json_type_ok(row[1], int) and _json_type_ok(row[2], int)):
+            raise ValueError(f"{path}: field 'layers[{i}]' is {repr(row)[:80]}, not [name, lo, hi]")
     orders = ((st_layer_map(1, 1).order,) if kind == "st" else
               (ur_layer_map(1, 1, FORWARD).order, ur_layer_map(1, 1, INVERSE).order))
-    order = _checked_layers(meta, path).order
+    order = tuple(name for name, _, _ in rows)
     if order not in orders:
         raise ValueError(f"{path}: field 'layers' names {list(order)}, not the {kind} layers")
     witnesses = meta.get("witnesses")

@@ -324,6 +324,110 @@ def test_tour_artifacts_and_verify_lines_are_unchanged(tmp_path, capsys):
             assert capsys.readouterr().out == line + "\n"
 
 
+@pytest.fixture(scope="module")
+def tour_stream(tmp_path_factory):
+    """The README tour's st-0000.stream, with its .meta.json beside it."""
+    out = tmp_path_factory.mktemp("tour")
+    assert run("gen", "rs", "--m", 100, "--trim", 4, "--out", out / "rs.txt") == OK
+    assert run("gen", "st", "--rs", out / "rs.txt", "--seed", 7, "--count", 1, "--out", out) == OK
+    return out / "st-0000.stream"
+
+
+# every command that takes --s/--t and resolves them on a stream
+ENDPOINT_COMMANDS = ["stream run", "reduce matching", "reduce sssp", "reduce acyclic",
+                     "reduce reachcount", "oracle bfs"]
+
+
+def _stream_argv(command, stream_path, out):
+    """argv of `command` on the stream, writing its report or output to `out`."""
+    argv = [*command.split(), "--input", stream_path]
+    if command == "stream run":
+        return argv + ["--alg", "store-all", "--report", out]
+    if command.startswith("reduce"):
+        return argv + ["--out", out]
+    return argv
+
+
+def _without_wall_time(text):
+    return "\n".join(ln for ln in text.splitlines() if '"wall_time_s"' not in ln)
+
+
+@pytest.mark.parametrize("value", [-1, -5, "n", 10**8])
+@pytest.mark.parametrize("option", ["--s", "--t"])
+@pytest.mark.parametrize("command", ENDPOINT_COMMANDS)
+def test_an_endpoint_outside_the_stream_exits_2_and_writes_nothing(tmp_path, capsys, tour_stream,
+                                                                    command, option, value):
+    n = streamio.read_stream(tour_stream).n
+    value = n if value == "n" else value
+    capsys.readouterr()
+    assert run(*_stream_argv(command, tour_stream, tmp_path / "out"), option, value) == USAGE
+    captured = capsys.readouterr()
+    s, t = (value, n - 1) if option == "--s" else (0, value)
+    assert captured.err == f"error: s={s} and t={t} must be vertices of the {n}-vertex stream\n"
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ENDPOINT_COMMANDS)
+def test_default_t_is_the_last_vertex(tmp_path, capsys, tour_stream, command):
+    n = streamio.read_stream(tour_stream).n
+    results = []
+    for name, extra in (("default", ()), ("explicit", ("--t", n - 1))):
+        out = tmp_path / name
+        capsys.readouterr()
+        assert run(*_stream_argv(command, tour_stream, out), *extra) == OK
+        written = out.read_text() if out.exists() else ""
+        results.append((_without_wall_time(capsys.readouterr().out), _without_wall_time(written)))
+    assert results[0] == results[1] and any(results[0])
+
+
+def _stream_command_outputs(tmp_path, capsys, stream_path):
+    """stdout of every command that reads a stream, then the files they wrote, wall time aside."""
+    commands = [_stream_argv(c, stream_path, tmp_path / c.replace(" ", "-")) for c in ENDPOINT_COMMANDS]
+    commands += [["protocol", "simulate", "--alg", alg, "--instance", stream_path]
+                 for alg in ("store-all", "bfs-frontier:2")]
+    commands += [["oracle", "toposort", "--input", stream_path]]
+    outputs = []
+    for argv in commands:
+        capsys.readouterr()
+        assert run(*argv) == OK, argv
+        outputs.append(_without_wall_time(capsys.readouterr().out))
+    written = sorted(p for p in tmp_path.iterdir() if not p.name.endswith(".manifest.json"))
+    return outputs + [_without_wall_time(p.read_text()) for p in written]
+
+
+def test_stream_commands_never_open_the_meta_file(tmp_path, capsys, tour_stream):
+    stream_path = tmp_path / tour_stream.name
+    meta_path = streamio.default_meta_path(stream_path)
+    stream_path.write_bytes(tour_stream.read_bytes())
+    meta_path.write_bytes(streamio.default_meta_path(tour_stream).read_bytes())
+    (tmp_path / "intact").mkdir()
+    intact = _stream_command_outputs(tmp_path / "intact", capsys, stream_path)
+    meta_path.write_text("not json")
+    (tmp_path / "broken").mkdir()
+    assert _stream_command_outputs(tmp_path / "broken", capsys, stream_path) == intact
+    capsys.readouterr()
+    assert run("verify", "st", stream_path) == USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {meta_path}: not a JSON metadata file") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("kind", ["si", "ur", "st"])
+def test_gen_count_below_one_exits_2_and_makes_nothing(tmp_path, capsys, rs_file, kind, count):
+    source = ("--m", 8) if kind == "si" else ("--rs", rs_file)
+    assert run("gen", kind, *source, "--count", count, "--out", tmp_path / "out") == USAGE
+    assert capsys.readouterr().err == "error: --count must be at least 1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_bfs_frontier_of_no_pass_exits_2(tmp_path, capsys, tour_stream):
+    report = tmp_path / "run.json"
+    assert run("stream", "run", "--alg", "bfs-frontier:0", "--passes", 2, "--input", tour_stream,
+               "--report", report) == USAGE
+    assert capsys.readouterr().err == "error: bfs-frontier needs at least one pass\n"
+    assert not report.exists()
+
+
 def test_stream_roundtrip(tmp_path):
     stream = to_stream(sample_st(small_rs(), seed=3), shuffle_seed=1)
     path = tmp_path / "x.stream"

@@ -12,6 +12,7 @@ from streamlb.experiments import small_rs
 from streamlb.instances import (
     FORWARD,
     INVERSE,
+    EdgeStream,
     SIInstance,
     STInstance,
     apply_permutation,
@@ -317,3 +318,16 @@ def test_st_file_and_instance_checks_agree(rs_name, seed, e1_mode):
         assert_expected(report, expected, label)
         labels.append(label)
     assert ("middle edge in E2" in labels) == inst.reachable
+
+
+def test_edge_stream_endpoints_default_t_to_the_last_vertex():
+    stream = EdgeStream(n=5, directed=True, segments=(("E", ((0, 1),)),))
+    assert stream.endpoints() == (0, 4)
+    assert stream.endpoints(2) == (2, 4)
+    assert stream.endpoints(3, 1) == (3, 1)
+    assert stream.endpoints(t=0) == (0, 0)
+    assert EdgeStream(n=1, directed=False, segments=()).endpoints() == (0, 0)
+    for s, t in ((-1, None), (5, None), (10**8, 2), (0, -1), (0, -5), (0, 5), (0, 10**8)):
+        shown = 4 if t is None else t
+        with pytest.raises(ValueError, match=rf"^s={s} and t={shown} must be vertices of the 5-vertex stream$"):
+            stream.endpoints(s, t)

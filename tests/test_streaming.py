@@ -160,6 +160,24 @@ def test_bfs_frontier_hop_counter_width():
     assert make_algorithm("bfs-frontier:65535").passes_needed == 65535
 
 
+def test_bfs_frontier_needs_a_pass():
+    for passes in (0, -1):
+        with pytest.raises(ValueError, match="^bfs-frontier needs at least one pass$"):
+            make_algorithm(f"bfs-frontier:{passes}")
+        with pytest.raises(ValueError, match="^bfs-frontier needs at least one pass$"):
+            bfs_reachability(tiny_stream([(0, 1)], 2), 0, 1, passes)
+    assert make_algorithm("bfs-frontier:1").passes_needed == 1
+
+
+def test_start_binds_the_context_and_enters_pass_one():
+    for tag in ALGORITHM_TAGS:
+        alg = make_algorithm(tag)
+        alg.start(4, tag != "spanning-forest", 1, 2)
+        assert (alg.n, alg.directed, alg.s, alg.t, alg._pass) == (4, tag != "spanning-forest", 1, 2, 1)
+    with pytest.raises(ValueError, match="undirected"):
+        SpanningForest().start(4, True, 0, 3)
+
+
 def test_run_stream_rejects_endpoints_outside_the_stream():
     stream = tiny_stream([(0, 1)], 3)
     for s, t in ((3, 2), (0, 3), (-1, 2)):
