@@ -3,19 +3,20 @@
 Every generating command writes a manifest next to its outputs (argv, seed,
 substream names, input/output hashes), and re-running the manifest's argv
 reproduces the artifacts byte for byte. Exit codes: 0 success, 1 a
-verification failed, 2 usage or input errors.
+verification failed, 2 usage or input errors, reported as one `error:` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
 from functools import cache
 from pathlib import Path
 
-from . import __version__, rng as rngmod
+from . import __version__, rng as rngmod, streamio
 from .behrend import STRATEGIES, construct_ap_free, trim_to_multiple
 from .common import BudgetError
 from .experiments import EXPERIMENTS, make_si_oracle, run_experiment
@@ -28,8 +29,8 @@ from .infometrics import (
     top_half_check,
     tvd,
 )
-from .instances import FORWARD, INVERSE, sample_si, sample_st, sample_ur, to_stream
-from .protocols import measure_internal_eps, simulate_two_pass
+from .instances import FORWARD, INVERSE, EdgeStream, sample_si, sample_st, sample_ur, to_stream
+from .protocols import MEASURE_MODES, measure_internal_eps, simulate_two_pass
 from .reductions import (
     Digraph,
     bfs_reachable,
@@ -42,8 +43,6 @@ from .reductions import (
 )
 from .rsgraph import build_rs_digraph, verify_induced
 from .streaming import make_algorithm, run_stream
-from . import streamio
-from .instances import EdgeStream
 
 OK, VERIFY_FAILED, USAGE = 0, 1, 2
 
@@ -75,8 +74,6 @@ def _emit(payload: dict, out: str | None = None):
 
 def _cmd_gen(args, argv) -> int:
     t0 = time.perf_counter()
-    if "count" in args and args.count < 1:
-        raise ValueError("--count must be at least 1")
     outputs = []
     inputs = []
     substreams = []
@@ -97,12 +94,11 @@ def _cmd_gen(args, argv) -> int:
         streamio.write_rs(args.out, g)
         outputs.append(args.out)
     elif args.kind == "si":
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         for i in range(args.count):
             inst = sample_si(args.m, rngmod.substream(args.seed, "gen-si", i))
             substreams.append(f"gen-si/{i}")
-            path = outdir / f"si-{i:04d}.json"
+            Path(args.out).mkdir(parents=True, exist_ok=True)  # after sampling: refusals make none
+            path = Path(args.out) / f"si-{i:04d}.json"
             streamio.write_json(path, {
                 "m": inst.m, "a": sorted(inst.a), "b": sorted(inst.b),
                 "e_star": inst.e_star, "rng": rngmod.describe(args.seed, "gen-si", i),
@@ -111,8 +107,6 @@ def _cmd_gen(args, argv) -> int:
     elif args.kind in ("ur", "st"):
         rs = streamio.read_rs(args.rs)
         inputs.append(args.rs)
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         for i in range(args.count):
             inst_seed = int(rngmod.substream(args.seed, "gen", args.kind, i).integers(0, 2**63))
             substreams.append(f"gen/{args.kind}/{i}")
@@ -127,7 +121,8 @@ def _cmd_gen(args, argv) -> int:
                 )
                 meta = streamio.st_metadata(inst)
             stream = to_stream(inst, shuffle_seed=inst_seed)
-            path = outdir / f"{args.kind}-{i:04d}.stream"
+            Path(args.out).mkdir(parents=True, exist_ok=True)  # after sampling: refusals make none
+            path = Path(args.out) / f"{args.kind}-{i:04d}.stream"
             streamio.write_stream(path, stream)
             streamio.write_json(streamio.default_meta_path(path), meta)
             outputs += [path, streamio.default_meta_path(path)]
@@ -138,7 +133,7 @@ def _cmd_gen(args, argv) -> int:
 
 # --- verify ---------------------------------------------------------------------
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, argv) -> int:
     if args.kind == "rs":
         report = verify_induced(streamio.read_rs(args.path))
     else:
@@ -154,7 +149,7 @@ def _cmd_verify(args) -> int:
 
 # --- stream / protocol ------------------------------------------------------------
 
-def _cmd_stream_run(args) -> int:
+def _cmd_stream_run(args, argv) -> int:
     stream = streamio.read_stream(args.input)
     alg = make_algorithm(args.alg)
     run = run_stream(alg, stream, passes=args.passes, s=args.s, t=args.t,
@@ -171,7 +166,7 @@ def _cmd_stream_run(args) -> int:
     return OK
 
 
-def _cmd_protocol(args) -> int:
+def _cmd_protocol(args, argv) -> int:
     if args.action == "boost":
         report = run_experiment(
             "boost-trials", oracle_tag=args.oracle, m=args.m, eps=args.eps,
@@ -204,51 +199,47 @@ def _cmd_protocol(args) -> int:
 
 # --- reduce / oracle ----------------------------------------------------------------
 
-def _graph_from_stream_file(path) -> tuple[Digraph, EdgeStream]:
-    stream = streamio.read_stream(path)
-    return Digraph.from_stream(stream), stream
-
-
 def _cmd_reduce(args, argv) -> int:
     t0 = time.perf_counter()
-    h, stream = _graph_from_stream_file(args.input)
-    s, t = stream.endpoints(args.s, args.t)
-    outputs = [args.out]
-    if args.kind == "matching":
-        g, dropped = reduce_to_matching(h, s, t)
-        streamio.write_bipartite(args.out, g)
-        print(json.dumps({"dropped_edges": dropped, "left": len(g.left),
-                          "right": len(g.right)}))
-    elif args.kind == "sssp":
+    stream = streamio.read_stream(args.input)
+    if args.kind == "sssp":
         undirected, _, _ = reduce_to_sssp(stream)
         streamio.write_stream(args.out, undirected)
-    elif args.kind == "acyclic":
-        out = reduce_to_acyclicity(h, s, t)
-        streamio.write_stream(args.out, EdgeStream(
-            n=stream.n, directed=True,
-            segments=(("E", out.edges),), layers=None))
-    else:  # reachcount
-        out, fresh = reduce_to_reach_count(h, s, t, stream.n)
-        streamio.write_stream(args.out, EdgeStream(
-            n=max(out.vertices) + 1, directed=True,
-            segments=(("E", out.edges),), layers=None))
-        print(json.dumps({"fresh_vertices": len(fresh)}))
-    _write_manifest(argv, None, [], [args.input], outputs, time.perf_counter() - t0)
+    else:
+        h = Digraph.from_stream(stream)
+        s, t = stream.endpoints(args.s, args.t)
+        if args.kind == "matching":
+            g, dropped = reduce_to_matching(h, s, t)
+            streamio.write_bipartite(args.out, g)
+            print(json.dumps({"dropped_edges": dropped, "left": len(g.left),
+                              "right": len(g.right)}))
+        elif args.kind == "acyclic":
+            out = reduce_to_acyclicity(h, s, t)
+            streamio.write_stream(args.out, EdgeStream(
+                n=stream.n, directed=True,
+                segments=(("E", out.edges),), layers=None))
+        else:  # reachcount
+            out, fresh = reduce_to_reach_count(h, s, t, stream.n)
+            streamio.write_stream(args.out, EdgeStream(
+                n=max(out.vertices) + 1, directed=True,
+                segments=(("E", out.edges),), layers=None))
+            print(json.dumps({"fresh_vertices": len(fresh)}))
+    _write_manifest(argv, None, [], [args.input], [args.out], time.perf_counter() - t0)
     return OK
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args, argv) -> int:
     if args.kind == "pm":
         g = streamio.read_bipartite(args.input)
         _emit({"perfect_matching": perfect_matching_exists(g)})
         return OK
-    h, stream = _graph_from_stream_file(args.input)
+    stream = streamio.read_stream(args.input)
+    h = Digraph.from_stream(stream)
     if args.kind == "bfs":
         _emit({"reachable": bfs_reachable(h, *stream.endpoints(args.s, args.t))})
         return OK
     order = topological_order(h)
-    _emit({"acyclic": order is not None,
-           "order": order if order is not None else None})
+    _emit({"acyclic": order is not None, "order": order})
     return OK
 
 
@@ -258,9 +249,15 @@ def _load_distribution(obj) -> DiscreteDistribution:
     return DiscreteDistribution(tuple(obj["support"]), tuple(obj["probs"]))
 
 
-def _cmd_info(args) -> int:
-    payload = json.loads(Path(args.input).read_text()) if Path(args.input).exists() \
-        else json.loads(args.input)
+def _cmd_info(args, argv) -> int:
+    try:
+        text = Path(args.input).read_text()
+    except OSError:  # not a readable file: the value is the JSON itself
+        text = args.input
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--input {args.input!r} is neither a JSON file nor JSON: {exc}") from None
     if args.kind == "tvd":
         value = float(tvd(_load_distribution(payload["mu"]), _load_distribution(payload["nu"])))
     elif args.kind == "kl":
@@ -288,8 +285,6 @@ _PARAM_TYPES = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
 
 def _cmd_experiment(args, argv) -> int:
     t0 = time.perf_counter()
-    import inspect
-
     params = inspect.signature(EXPERIMENTS[args.name]).parameters
     kwargs = {}
     for item in args.param or []:
@@ -306,7 +301,7 @@ def _cmd_experiment(args, argv) -> int:
         if expected and type(value) not in expected[0]:
             raise ValueError(f"--param {key} expects {expected[1]}, got {raw!r}")
         kwargs[key] = value
-    if args.workers > 1 and "workers" in params:
+    if args.workers > 1:  # an experiment without a `workers` parameter refuses it
         kwargs.setdefault("workers", args.workers)
     report = run_experiment(args.name, **kwargs)
     _emit(report, args.out)
@@ -318,63 +313,83 @@ def _cmd_experiment(args, argv) -> int:
 
 # --- parser -----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Every parse failure is one `error:` line: a `ValueError` naming the
+    command, in place of argparse's usage block and exit."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _int_at_least(low: int):
+    """argparse type: an int, refused below `low`."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's "invalid int value" names the type by it
+    return parse
+
+
+_NATURAL, _POSITIVE = _int_at_least(0), _int_at_least(1)
+
+
 def _endpoint_options(p):
     """`--s` and `--t`, resolved by `EdgeStream.endpoints`."""
     p.add_argument("--s", type=int, default=0)
     p.add_argument("--t", type=int, default=None, help="default: the last vertex")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="streamlb", description=__doc__)
+    """The one place that decides what each command accepts, built once per
+    process (`parse_args` starts each parse from a fresh namespace). An option
+    is declared only on the commands that read it; the parser bounds what only
+    the CLI knows and leaves every other value to the library's own check."""
+    p = _Parser(prog="streamlb", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate artifacts")
+    g.set_defaults(run=_cmd_gen)
     gsub = g.add_subparsers(dest="kind", required=True)
-    gb = gsub.add_parser("behrend")
-    gb.add_argument("--m", type=int, required=True)
-    gb.add_argument("--strategy", choices=STRATEGIES, default="behrend-sphere")
-    gb.add_argument("--out")
-    gr = gsub.add_parser("rs")
-    gr.add_argument("--m", type=int, required=True)
-    gr.add_argument("--strategy", choices=STRATEGIES, default="behrend-sphere")
-    gr.add_argument("--trim", type=int, default=0,
-                    help="drop largest elements until the set size divides this")
-    gr.add_argument("--out", required=True)
-    gi = gsub.add_parser("si")
-    gi.add_argument("--m", type=int, required=True)
-    gi.add_argument("--seed", type=int, default=0)
-    gi.add_argument("--count", type=int, default=1)
-    gi.add_argument("--out", required=True)
+    gen = {kind: gsub.add_parser(kind) for kind in ("behrend", "rs", "si", "ur", "st")}
+    for kind in ("behrend", "rs", "si"):
+        gen[kind].add_argument("--m", type=int, required=True)
+    for kind in ("behrend", "rs"):
+        gen[kind].add_argument("--strategy", choices=STRATEGIES, default="behrend-sphere")
+    gen["rs"].add_argument("--trim", type=_NATURAL, default=0,
+                           help="drop largest elements until the set size divides this")
     for kind in ("ur", "st"):
-        gx = gsub.add_parser(kind)
-        gx.add_argument("--rs", required=True)
-        gx.add_argument("--seed", type=int, default=0)
-        gx.add_argument("--count", type=int, default=1)
-        gx.add_argument("--out", required=True)
-        if kind == "ur":
-            gx.add_argument("--direction", choices=(FORWARD, INVERSE), default=FORWARD)
-        else:
-            gx.add_argument("--e1-mode", choices=("random", "complete", "empty"),
-                            default="random")
-            gx.add_argument("--e1-seed", type=int, default=None)
-            gx.add_argument("--forward-seed", type=int, default=None)
-            gx.add_argument("--backward-seed", type=int, default=None)
+        gen[kind].add_argument("--rs", required=True)
+    for kind in ("si", "ur", "st"):
+        gen[kind].add_argument("--seed", type=_NATURAL, default=0)
+        gen[kind].add_argument("--count", type=_POSITIVE, default=1)
+    for kind, gx in gen.items():
+        gx.add_argument("--out", required=kind != "behrend")
+    gen["ur"].add_argument("--direction", choices=(FORWARD, INVERSE), default=FORWARD)
+    gen["st"].add_argument("--e1-mode", choices=("random", "complete", "empty"), default="random")
+    for flag in ("--e1-seed", "--forward-seed", "--backward-seed"):
+        gen["st"].add_argument(flag, type=_NATURAL, default=None)
 
     v = sub.add_parser("verify", help="verify artifacts")
+    v.set_defaults(run=_cmd_verify)
     v.add_argument("kind", choices=("rs", "ur", "st"))
     v.add_argument("path")
 
     s = sub.add_parser("stream", help="streaming runs")
+    s.set_defaults(run=_cmd_stream_run)
     ssub = s.add_subparsers(dest="action", required=True)
     sr = ssub.add_parser("run")
     sr.add_argument("--alg", required=True)
     sr.add_argument("--input", required=True)
-    sr.add_argument("--passes", type=int, default=1)
+    sr.add_argument("--passes", type=_POSITIVE, default=1)
     _endpoint_options(sr)
     sr.add_argument("--per-edge", action="store_true")
     sr.add_argument("--report")
 
     pr = sub.add_parser("protocol", help="protocol experiments")
+    pr.set_defaults(run=_cmd_protocol)
     psub = pr.add_subparsers(dest="action", required=True)
     pb = psub.add_parser("boost")
     pb.add_argument("--m", type=int, default=32)
@@ -383,75 +398,58 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--gamma2", type=float, default=2.0)
     pb.add_argument("--oracle", default="mock-reveal")
     pb.add_argument("--trials", type=int, default=300)
-    pb.add_argument("--seed", type=int, default=0)
-    pb.add_argument("--out")
+    pb.add_argument("--seed", type=_NATURAL, default=0)
     pm = psub.add_parser("measure-eps")
     pm.add_argument("--oracle", required=True)
     pm.add_argument("--m", type=int, required=True)
     pm.add_argument("--eps", type=float, default=0.5)
-    pm.add_argument("--mode", default="auto")
-    pm.add_argument("--out")
+    pm.add_argument("--mode", choices=MEASURE_MODES, default="auto")
     ps = psub.add_parser("simulate")
     ps.add_argument("--alg", required=True)
     ps.add_argument("--instance", required=True)
-    ps.add_argument("--out")
+    for px in (pb, pm, ps):
+        px.add_argument("--out")
 
     r = sub.add_parser("reduce", help="reductions")
-    r.add_argument("kind", choices=("matching", "sssp", "acyclic", "reachcount"))
-    r.add_argument("--input", required=True)
-    r.add_argument("--out", required=True)
-    _endpoint_options(r)
+    r.set_defaults(run=_cmd_reduce)
+    rsub = r.add_subparsers(dest="kind", required=True)
+    for kind in ("matching", "sssp", "acyclic", "reachcount"):
+        rx = rsub.add_parser(kind)
+        rx.add_argument("--input", required=True)
+        rx.add_argument("--out", required=True)
+        if kind != "sssp":  # the distance gap is between the stream's own s = 0 and t = n - 1
+            _endpoint_options(rx)
 
     o = sub.add_parser("oracle", help="offline oracles")
-    o.add_argument("kind", choices=("pm", "bfs", "toposort"))
-    o.add_argument("--input", required=True)
-    _endpoint_options(o)
+    o.set_defaults(run=_cmd_oracle)
+    osub = o.add_subparsers(dest="kind", required=True)
+    for kind in ("pm", "bfs", "toposort"):
+        ox = osub.add_parser(kind)
+        ox.add_argument("--input", required=True)
+        if kind == "bfs":
+            _endpoint_options(ox)
 
     i = sub.add_parser("info", help="information-theory computations")
+    i.set_defaults(run=_cmd_info)
     i.add_argument("kind", choices=("tvd", "kl", "entropy", "mi", "tophalf"))
     i.add_argument("--input", required=True)
 
     e = sub.add_parser("experiment", help="registered batch experiments")
+    e.set_defaults(run=_cmd_experiment)
     e.add_argument("name", choices=sorted(EXPERIMENTS))
     e.add_argument("--param", action="append", metavar="KEY=VALUE")
-    e.add_argument("--workers", type=int, default=1,
+    e.add_argument("--workers", type=_POSITIVE, default=1,
                    help="process-pool size for batch experiments")
     e.add_argument("--out")
 
     return p
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """One parser per process: building it costs far more than a parse, and
-    `parse_args` starts each parse from a fresh namespace."""
-    return build_parser()
-
-
 def dispatch(argv) -> int:
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return USAGE if exc.code not in (0, None) else OK
-    try:
-        if args.command == "gen":
-            return _cmd_gen(args, argv)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "stream":
-            return _cmd_stream_run(args)
-        if args.command == "protocol":
-            return _cmd_protocol(args)
-        if args.command == "reduce":
-            return _cmd_reduce(args, argv)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "info":
-            return _cmd_info(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args, argv)
-        return USAGE
-    except (ValueError, TypeError, KeyError, FileNotFoundError, BudgetError) as exc:
+        args = build_parser().parse_args(argv)
+        return args.run(args, argv)
+    except (ValueError, TypeError, KeyError, OSError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

@@ -7,6 +7,7 @@ substreams of one master seed, so reports are reproducible byte for byte.
 from __future__ import annotations
 
 import math
+import os
 import time
 from fractions import Fraction
 
@@ -54,9 +55,11 @@ def _fan_out(worker, jobs, workers: int):
     """Run independent jobs, optionally across a process pool.
 
     Each job owns its RNG substream, so results and their aggregation do not
-    depend on the pool size or completion order.
+    depend on the pool size or completion order; the pool is never larger
+    than the jobs or the CPUs.
     """
-    if workers <= 1 or len(jobs) <= 1:
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(j) for j in jobs]
     from concurrent.futures import ProcessPoolExecutor
 
@@ -119,6 +122,8 @@ def _st_sample_record(args) -> dict:
 
 def st_batch(count: int = 1000, seed: int = 0, rs=None, with_distances: bool = False,
              workers: int = 1) -> dict:
+    if count < 1:
+        raise ValueError("count must be at least 1")
     rs = rs or small_rs()
     jobs = [(rs, seed, i, with_distances) for i in range(count)]
     records = _fan_out(_st_sample_record, jobs, workers)
@@ -170,6 +175,8 @@ def _boost_trial_record(args) -> dict:
 def boost_trials(oracle_tag: str = "mock-reveal", m: int = 32, eps: float = 0.5,
                  gamma1: float = 0.5, gamma2: float = 2.0, trials: int = 300,
                  seed: int = 0, workers: int = 1) -> dict:
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     oracle = make_si_oracle(oracle_tag, eps, m)
     jobs = [(oracle_tag, m, eps, gamma1, gamma2, seed, i) for i in range(trials)]
     records = _fan_out(_boost_trial_record, jobs, workers)

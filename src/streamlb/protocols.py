@@ -27,6 +27,7 @@ from .instances import EdgeStream, SIInstance, iter_si, sample_si, si_support_si
 from .streaming import start_on
 
 EXACT_FULL_M_CAP = 12
+MEASURE_MODES = ("auto", "exact", "exact-symmetric", "monte-carlo")
 A_REST_ENUM_CAP = 200_000
 
 
@@ -236,7 +237,7 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
     """
     if m < 4 or m % 4:
         raise ValueError(f"universe size must be a positive multiple of 4, got {m}")
-    if mode not in ("auto", "exact", "exact-symmetric", "monte-carlo"):
+    if mode not in MEASURE_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
         if m <= EXACT_FULL_M_CAP:

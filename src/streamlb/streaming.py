@@ -407,9 +407,19 @@ def make_algorithm(tag: str) -> StreamAlgorithm:
     if name == "store-all":
         return StoreAll()
     if name == "bfs-frontier":
-        return BfsFrontier(int(arg) if arg else 2)
+        return BfsFrontier(_tag_int(tag, arg, 2))
     if name == "spanning-forest":
         return SpanningForest()
     if name == "xor-sketch":
-        return XorSketch(int(arg) if arg else 0)
+        return XorSketch(_tag_int(tag, arg, 0))
     raise ValueError(f"unknown algorithm tag {tag!r}")
+
+
+def _tag_int(tag: str, arg: str, default: int) -> int:
+    """The integer after `:` in a parametrized tag, or `default` without one."""
+    if not arg:
+        return default
+    try:
+        return int(arg)
+    except ValueError:
+        raise ValueError(f"algorithm tag {tag!r} expects an integer after ':'") from None

@@ -1,9 +1,12 @@
+import argparse
 import contextlib
 import copy
+import inspect
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,13 +15,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from streamlb.cli import OK, USAGE, VERIFY_FAILED, dispatch
-from streamlb.experiments import small_rs
+from streamlb.cli import OK, USAGE, VERIFY_FAILED, build_parser, dispatch
+from streamlb.experiments import EXPERIMENTS, small_rs
 from streamlb.instances import sample_st, to_stream
 from streamlb.reductions import BipartiteGraph
 from streamlb.rsgraph import RSDigraph, verify_induced
 import streamlb
-from streamlb import streamio
+from streamlb import experiments, streamio
 
 
 @pytest.fixture
@@ -333,9 +336,10 @@ def tour_stream(tmp_path_factory):
     return out / "st-0000.stream"
 
 
-# every command that takes --s/--t and resolves them on a stream
-ENDPOINT_COMMANDS = ["stream run", "reduce matching", "reduce sssp", "reduce acyclic",
-                     "reduce reachcount", "oracle bfs"]
+# every command that takes --s/--t and resolves them on a stream; `reduce sssp`
+# keeps the stream's own s = 0 and t = n - 1 and refuses both options
+ENDPOINT_COMMANDS = ["stream run", "reduce matching", "reduce acyclic", "reduce reachcount",
+                     "oracle bfs"]
 
 
 def _stream_argv(command, stream_path, out):
@@ -354,7 +358,7 @@ def _without_wall_time(text):
 
 @pytest.mark.parametrize("value", [-1, -5, "n", 10**8])
 @pytest.mark.parametrize("option", ["--s", "--t"])
-@pytest.mark.parametrize("command", ENDPOINT_COMMANDS)
+@pytest.mark.parametrize("command", ENDPOINT_COMMANDS + ["reduce sssp"])
 def test_an_endpoint_outside_the_stream_exits_2_and_writes_nothing(tmp_path, capsys, tour_stream,
                                                                     command, option, value):
     n = streamio.read_stream(tour_stream).n
@@ -363,7 +367,10 @@ def test_an_endpoint_outside_the_stream_exits_2_and_writes_nothing(tmp_path, cap
     assert run(*_stream_argv(command, tour_stream, tmp_path / "out"), option, value) == USAGE
     captured = capsys.readouterr()
     s, t = (value, n - 1) if option == "--s" else (0, value)
-    assert captured.err == f"error: s={s} and t={t} must be vertices of the {n}-vertex stream\n"
+    if command in ENDPOINT_COMMANDS:
+        assert captured.err == f"error: s={s} and t={t} must be vertices of the {n}-vertex stream\n"
+    else:
+        assert captured.err == f"error: streamlb: unrecognized arguments: {option} {value}\n"
     assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
@@ -382,7 +389,8 @@ def test_default_t_is_the_last_vertex(tmp_path, capsys, tour_stream, command):
 
 def _stream_command_outputs(tmp_path, capsys, stream_path):
     """stdout of every command that reads a stream, then the files they wrote, wall time aside."""
-    commands = [_stream_argv(c, stream_path, tmp_path / c.replace(" ", "-")) for c in ENDPOINT_COMMANDS]
+    commands = [_stream_argv(c, stream_path, tmp_path / c.replace(" ", "-"))
+                for c in ENDPOINT_COMMANDS + ["reduce sssp"]]
     commands += [["protocol", "simulate", "--alg", alg, "--instance", stream_path]
                  for alg in ("store-all", "bfs-frontier:2")]
     commands += [["oracle", "toposort", "--input", stream_path]]
@@ -416,7 +424,8 @@ def test_stream_commands_never_open_the_meta_file(tmp_path, capsys, tour_stream)
 def test_gen_count_below_one_exits_2_and_makes_nothing(tmp_path, capsys, rs_file, kind, count):
     source = ("--m", 8) if kind == "si" else ("--rs", rs_file)
     assert run("gen", kind, *source, "--count", count, "--out", tmp_path / "out") == USAGE
-    assert capsys.readouterr().err == "error: --count must be at least 1\n"
+    assert capsys.readouterr().err == \
+        f"error: streamlb gen {kind}: argument --count: must be at least 1, got {count}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -452,6 +461,224 @@ def test_experiment_worker_pool_parity():
     serial = st_batch(count=40, seed=3, with_distances=True)
     pooled = st_batch(count=40, seed=3, with_distances=True, workers=3)
     assert serial == pooled
+
+
+def test_fan_out_never_asks_for_more_processes_than_jobs_or_cpus(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:  # records the size asked for and starts no process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    for cpus, jobs, workers, size in [(8, 3, 10**6, 3), (2, 5, 10**6, 2), (8, 5, 4, 4), (None, 5, 4, None),
+                                      (8, 1, 4, None), (8, 5, 1, None)]:
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        assert experiments._fan_out(abs, list(range(-jobs, 0)), workers) == list(range(jobs, 0, -1))
+        assert sizes == ([] if size is None else [size])
+
+
+# --- the whole CLI, one option at a time ---------------------------------------------
+
+# small valid values for every leaf command; {name} is a file of `walk_files`
+WALK_BASE = {
+    "gen behrend": "--m 8",
+    "gen rs": "--m 8 --out rs.txt",
+    "gen si": "--m 8 --out si",
+    "gen ur": "--rs {rs} --out ur",
+    "gen st": "--rs {rs} --out st",
+    "verify rs": "{rs}",
+    "verify ur": "{ur}",
+    "verify st": "{st}",
+    "stream run": "--alg store-all --input {st}",
+    "protocol boost": "--m 8 --trials 1",
+    "protocol measure-eps": "--oracle mock-reveal --m 8",
+    "protocol simulate": "--alg store-all --instance {st}",
+    "reduce matching": "--input {st} --out out",
+    "reduce sssp": "--input {st} --out out",
+    "reduce acyclic": "--input {st} --out out",
+    "reduce reachcount": "--input {st} --out out",
+    "oracle pm": "--input {bip}",
+    "oracle bfs": "--input {st}",
+    "oracle toposort": "--input {st}",
+    "info tvd": "--input {pair}",
+    "info kl": "--input {pair}",
+    "info entropy": "--input {dist}",
+    "info mi": "--input {joint}",
+    "info tophalf": "--input {dist}",
+    "experiment boost-trials": "--param m=8 --param trials=1",
+    "experiment info-props": "--param cases=1",
+    "experiment random-apfree-rs": "--param count=1",
+    "experiment reduction-equiv": "--param pm_trials=1",
+    "experiment rs-verify": "--param m=12",
+    "experiment si-uniformity": "--param m=4 --param samples=10",
+    "experiment st-batch": "--param count=1",
+}
+PATH_OPTIONS = {"out", "report", "input", "rs", "instance", "path"}
+# the options the commands without endpoints once accepted and ignored
+REMOVED_OPTIONS = {"oracle pm": ["--s", "--t"], "oracle toposort": ["--s", "--t"],
+                   "reduce sssp": ["--s", "--t"]}
+
+
+def _leaf_commands(parser, words=()):
+    """(command words, parser) of every leaf command; a positional with choices
+    (`verify KIND`, `info KIND`, `experiment NAME`) makes one leaf per choice."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _leaf_commands(child, (*words, name))
+            return
+    kinds = next((a.choices for a in parser._actions if not a.option_strings and a.choices), [None])
+    for kind in kinds:
+        yield (*words, kind) if kind else words, parser
+
+
+def _walk_values(action):
+    """The values the walk gives one option, or None for an option it leaves alone."""
+    if action.dest in PATH_OPTIONS:
+        return ["missing/file", "dir"]
+    if action.dest in ("alg", "oracle"):
+        return ["bogus", "bfs-frontier:x"]
+    if action.choices:
+        return ["bogus"]
+    if action.type is not None:
+        big = "seed" in action.dest or action.dest in ("s", "t", "passes")
+        return ["-1", "0", "x"] + [str(10**8)] * big
+    assert action.nargs == 0 or action.dest == "param", action  # flags; --param values are the experiment's
+    return None
+
+
+def _walk_cases(words, parser, files):
+    """argv of the leaf with its base values, then with one option varied at a time."""
+    base = [*words, *WALK_BASE[" ".join(words)].format(**files).split()]
+    yield None, None, base
+    positional = len(words)
+    for action in parser._actions:
+        if action.dest == "help" or action.choices and not action.option_strings:
+            continue  # a positional with choices is one of the leaf's words
+        for value in _walk_values(action) or []:
+            if action.option_strings:
+                yield action.option_strings[0], value, base + [action.option_strings[0], value]
+            else:
+                yield action.dest, value, base[:positional] + [value] + base[positional + 1:]
+        positional += not action.option_strings
+    for option in REMOVED_OPTIONS.get(" ".join(words), []):
+        yield option, "0", base + [option, "0"]
+
+
+def _named(line, option, value):
+    """Whether the line names the option (as a flag or a word) or echoes the value."""
+    names = {option, option.lstrip("-"), option.lstrip("-").replace("-", "_"), value}
+    return any(re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", line) for name in names)
+
+
+@pytest.fixture(scope="module")
+def walk_files(tour_stream):
+    """The README tour's RS digraph and st/ur streams, a bipartite graph and info inputs."""
+    out = tour_stream.parent
+    assert run("gen", "ur", "--rs", out / "rs.txt", "--seed", 7, "--count", 1, "--out", out) == OK
+    assert run("reduce", "matching", "--input", tour_stream, "--out", out / "bip.txt") == OK
+    inputs = {"dist": {"support": [1, 2, 3, 4], "probs": [0.5, 0.3, 0.1, 0.1]},
+              "pair": {"mu": {"support": [1, 2], "probs": [0.5, 0.5]},
+                       "nu": {"support": [1, 2], "probs": [1.0, 0.0]}},
+              "joint": {"rows": [0, 1], "cols": [0, 1], "probs": [[0.25, 0.25], [0.25, 0.25]]}}
+    for name, payload in inputs.items():
+        (out / f"{name}.json").write_text(json.dumps(payload))
+    return {"rs": out / "rs.txt", "st": tour_stream, "ur": out / "ur-0000.stream",
+            "bip": out / "bip.txt", **{name: out / f"{name}.json" for name in inputs}}
+
+
+def test_walk_covers_every_leaf_command():
+    assert {" ".join(words) for words, _ in _leaf_commands(build_parser())} == set(WALK_BASE)
+
+
+@pytest.mark.parametrize("command", sorted(WALK_BASE))
+def test_walk_one_bad_option_at_a_time(tmp_path, monkeypatch, capsys, walk_files, command):
+    """Each case exits 0, 1 from `verify`, or 2 with one `error:` line that names
+    the option or echoes its value; no case prints a traceback, and no refusal
+    leaves a file or directory behind."""
+    words, parser = next((w, p) for w, p in _leaf_commands(build_parser()) if " ".join(w) == command)
+    failures = []
+    for i, (option, value, argv) in enumerate(_walk_cases(words, parser, walk_files)):
+        cwd = tmp_path / str(i)
+        (cwd / "dir").mkdir(parents=True)
+        monkeypatch.chdir(cwd)
+        before = sorted(cwd.rglob("*"))
+        capsys.readouterr()
+        code = dispatch([str(a) for a in argv])
+        err = capsys.readouterr().err
+        if option is None:
+            assert code == OK, (argv, err)
+        elif code == USAGE:
+            lines = err.splitlines()
+            if not (len(lines) == 1 and err.endswith("\n") and lines[0].startswith("error: ")
+                    and _named(lines[0], option, value)):
+                failures.append((argv, err))
+            elif sorted(cwd.rglob("*")) != before:
+                failures.append((argv, "left files"))
+        elif not (code == OK or code == VERIFY_FAILED and words[0] == "verify"):
+            failures.append((argv, code, err))
+    assert failures == []
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_workers_reach_only_an_experiment_that_takes_them(capsys, walk_files, name):
+    takes_workers = "workers" in inspect.signature(EXPERIMENTS[name]).parameters
+    argv = ["experiment", name, *WALK_BASE[f"experiment {name}"].split(), "--workers", "2"]
+    capsys.readouterr()
+    assert run(*argv) == (OK if takes_workers else USAGE)
+    err = capsys.readouterr().err
+    assert err == ("" if takes_workers else
+                   f"error: {EXPERIMENTS[name].__name__}() got an unexpected keyword argument 'workers'\n")
+
+
+# each refusal the CLI once let through, or gave as a traceback, exit 1 or a nameless message
+REFUSALS = {
+    "stream run --alg store-all --input dir": "[Errno 21] Is a directory: 'dir'",
+    "verify rs dir": "[Errno 21] Is a directory: 'dir'",
+    "oracle pm --input dir": "[Errno 21] Is a directory: 'dir'",
+    "info tvd --input dir": "--input 'dir' is neither a JSON file nor JSON: "
+                            "Expecting value: line 1 column 1 (char 0)",
+    "gen st --rs dir --out out": "[Errno 21] Is a directory: 'dir'",
+    "gen rs --m 8 --out dir": "[Errno 21] Is a directory: 'dir'",
+    "protocol boost --m 8 --trials 0": "trials must be at least 1",
+    "experiment boost-trials --param trials=0": "trials must be at least 1",
+    "experiment st-batch --param count=-3": "count must be at least 1",
+    "gen si --m 6 --out out": "universe size must be a positive multiple of 4, got 6",
+    "gen st --rs {rs} --e1-seed -1 --out out": "streamlb gen st: argument --e1-seed: must be at least 0, got -1",
+    "gen rs --m 8 --trim -2 --out rs.txt": "streamlb gen rs: argument --trim: must be at least 0, got -2",
+    "stream run --alg store-all --passes 0 --input {st}":
+        "streamlb stream run: argument --passes: must be at least 1, got 0",
+    "stream run --alg bfs-frontier:x --input {st}": "algorithm tag 'bfs-frontier:x' expects an integer after ':'",
+    "info entropy --input nothing": "--input 'nothing' is neither a JSON file nor JSON: "
+                                    "Expecting value: line 1 column 1 (char 0)",
+    "oracle toposort --input {st} --s 99999999": "streamlb: unrecognized arguments: --s 99999999",
+    "experiment rs-verify --workers 0": "streamlb experiment: argument --workers: must be at least 1, got 0",
+    "protocol measure-eps --oracle null --m 8 --mode bogus":
+        "streamlb protocol measure-eps: argument --mode: invalid choice: 'bogus' "
+        "(choose from 'auto', 'exact', 'exact-symmetric', 'monte-carlo')",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(REFUSALS))
+def test_a_refusal_is_one_error_line_and_leaves_nothing(tmp_path, monkeypatch, capsys, walk_files, argv):
+    (tmp_path / "dir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv.format(**walk_files).split()) == USAGE
+    assert capsys.readouterr() == ("", f"error: {REFUSALS[argv]}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"] and not any((tmp_path / "dir").iterdir())
 
 
 GOOD_STREAM = "STREAM 4 directed=1\nSEG E1\n0 1\nSEG E2\n1 2\n2 3\n"

@@ -152,6 +152,10 @@ def test_make_algorithm_registry():
     assert make_algorithm("edge-count").name == "edge-count"
     with pytest.raises(ValueError):
         make_algorithm("quantum")
+    for tag in ("bfs-frontier:x", "xor-sketch:x", "bfs-frontier:1.5"):
+        with pytest.raises(ValueError) as exc:
+            make_algorithm(tag)
+        assert str(exc.value) == f"algorithm tag {tag!r} expects an integer after ':'"
 
 
 def test_bfs_frontier_hop_counter_width():
