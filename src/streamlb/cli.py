@@ -234,11 +234,10 @@ def _cmd_oracle(args, argv) -> int:
         _emit({"perfect_matching": perfect_matching_exists(g)})
         return OK
     stream = streamio.read_stream(args.input)
-    h = Digraph.from_stream(stream)
     if args.kind == "bfs":
-        _emit({"reachable": bfs_reachable(h, *stream.endpoints(args.s, args.t))})
+        _emit({"reachable": bfs_reachable(stream.edge_block(), *stream.endpoints(args.s, args.t))})
         return OK
-    order = topological_order(h)
+    order = topological_order(Digraph.from_stream(stream))
     _emit({"acyclic": order is not None, "order": order})
     return OK
 

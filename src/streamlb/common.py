@@ -1,11 +1,12 @@
-"""Shared primitives: verification reports, budget errors, breadth-first
-search, bit-string encoding."""
+"""Shared primitives: verification reports, budget errors, edge blocks,
+breadth-first search, bit-string encoding."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -34,30 +35,86 @@ def fail_report(reason: str, **detail) -> Report:
     return Report(False, reason, detail)
 
 
-def bfs(edges, start: int, directed: bool = True) -> dict[int, int]:
-    """Hop distance from `start` to every vertex it reaches, `start` included.
+def id_array(ids) -> np.ndarray:
+    """Integer ids as one array: int64, or object (exact Python ints) once an id outgrows int64."""
+    ids = ids if isinstance(ids, list) else list(ids)
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        return np.array(ids, dtype=object)
 
-    Reach is the result's keys; the distance to `goal` is `.get(goal)`.
-    Undirected, every edge is followed both ways.
+
+class EdgeBlock:
+    """A run of edges (us[i], vs[i]) as two id arrays, typed as `id_array` types
+    them. It iterates as (u, v) pairs of ints; `==` holds against a block or
+    any sequence of pairs with the same edges in the same order."""
+
+    __slots__ = ("us", "vs", "_pairs")  # _pairs: the tuples, built on first iteration
+
+    def __init__(self, us, vs):
+        us, vs = (a if a.dtype == object else a.astype(np.int64) for a in map(np.asarray, (us, vs)))
+        if us.ndim != 1 or us.shape != vs.shape:
+            raise ValueError("an edge block is two id arrays of one length")
+        self.us, self.vs, self._pairs = us, vs, None
+
+    @classmethod
+    def of(cls, edges) -> EdgeBlock:
+        """`edges` itself if it is a block, else its (u, v) pairs as one."""
+        if isinstance(edges, EdgeBlock):
+            return edges
+        ids = id_array(chain.from_iterable(edges))
+        return cls(ids[0::2], ids[1::2])
+
+    def __len__(self) -> int:
+        return len(self.us)
+
+    def __iter__(self):
+        if self._pairs is None:
+            self._pairs = tuple(zip(self.us.tolist(), self.vs.tolist()))
+        return iter(self._pairs)
+
+    def __eq__(self, other):
+        if isinstance(other, EdgeBlock):
+            return np.array_equal(self.us, other.us) and np.array_equal(self.vs, other.vs)
+        try:
+            return list(self) == [tuple(e) for e in other]
+        except TypeError:
+            return NotImplemented
+
+
+def bfs(edges, start: int, directed: bool = True) -> dict[int, int]:
+    """Hop distance from `start` to every vertex it reaches, `start` included,
+    over `edges` (an `EdgeBlock` or any (u, v) pairs), both ways if undirected.
+
+    One CSR build, then a queue over Python lists: linear in the edges at any
+    depth. Ids index the CSR when they lie in [0, 2·|edges|], else their ranks do.
     """
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        if not directed:
-            adj.setdefault(v, []).append(u)
+    block = EdgeBlock.of(edges)
+    us, vs = block.us, block.vs
+    if not directed:
+        us, vs = np.concatenate((us, vs)), np.concatenate((vs, us))
+    k = len(us)
+    if not k:
+        return {start: 0}
+    ids = None
+    if us.dtype == object or vs.dtype == object or not (
+            0 <= min(us.min(), vs.min(), start) and max(us.max(), vs.max(), start) <= 2 * k):
+        ids, ranks = np.unique(np.concatenate((us, vs, id_array([start]))), return_inverse=True)
+        us, vs, start = ranks[:k], ranks[k : 2 * k], int(ranks[-1])
+    n = max(int(us.max()), int(vs.max()), start) + 1
+    dst = vs[np.argsort(us)].tolist()
+    ptr = [0] + np.cumsum(np.bincount(us, minlength=n)).tolist()
     dist = {start: 0}
-    frontier = [start]
-    hops = 0
-    while frontier:
-        hops += 1
-        nxt = []
-        for u in frontier:
-            for v in adj.get(u, ()):
-                if v not in dist:
-                    dist[v] = hops
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+    queue = [start]
+    for u in queue:  # the queue grows while it is read
+        hops = dist[u] + 1
+        for v in dst[ptr[u] : ptr[u + 1]]:
+            if v not in dist:
+                dist[v] = hops
+                queue.append(v)
+    if ids is None:
+        return dist
+    return dict(zip(ids[list(dist)].tolist(), dist.values()))
 
 
 # --- bit strings -----------------------------------------------------------

@@ -68,6 +68,8 @@ def _fan_out(worker, jobs, workers: int):
 
 
 def make_si_oracle(tag: str, eps: float, m: int) -> SIOracle:
+    if not 0 <= eps <= 1:
+        raise ValueError("eps must lie in [0, 1]")
     if tag == "perfect":
         return perfect_oracle()
     if tag == "null":
@@ -242,7 +244,7 @@ def reduction_equiv(pm_trials: int = 500, seed: int = 0) -> dict:
         edges = tuple(p for i, p in enumerate(pairs) if mask >> i & 1)
         h = Digraph(frozenset(range(4)), edges)
         g, _ = reduce_to_matching(h, s, t)
-        if bfs_reachable(h, s, t) != perfect_matching_exists(g):
+        if bfs_reachable(edges, s, t) != perfect_matching_exists(g):
             mismatches += 1
     gen = rngmod.substream(seed, "pm-cross")
     cross_mismatches = 0

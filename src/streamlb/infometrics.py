@@ -56,13 +56,6 @@ def uniform(support) -> DiscreteDistribution:
     return DiscreteDistribution(support, (p,) * len(support))
 
 
-def point_mass(support, at) -> DiscreteDistribution:
-    support = tuple(support)
-    return DiscreteDistribution(
-        support, tuple(Fraction(1) if x == at else Fraction(0) for x in support)
-    )
-
-
 def from_weights(support, weights) -> DiscreteDistribution:
     """Normalize nonnegative weights (Fractions stay exact)."""
     support = tuple(support)

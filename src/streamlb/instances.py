@@ -23,10 +23,8 @@ from itertools import combinations
 import numpy as np
 
 from . import rng as rngmod
-from .common import Report, bfs, fail_report, ok_report
+from .common import EdgeBlock, Report, bfs, fail_report, ok_report
 from .rsgraph import RSDigraph, restrict_matching
-
-Edge = tuple[int, int]
 
 FORWARD = "forward"
 INVERSE = "inverse"
@@ -126,12 +124,6 @@ class LayerMap:
     """Contiguous global-id ranges, one per layer, in path order."""
 
     ranges: tuple  # ((name, lo, hi), ...), inclusive bounds
-
-    def layer_of(self, v: int) -> str:
-        for name, lo, hi in self.ranges:
-            if lo <= v <= hi:
-                return name
-        raise KeyError(f"vertex {v} has no layer")
 
     def span(self, name: str) -> tuple[int, int]:
         for nm, lo, hi in self.ranges:
@@ -281,8 +273,9 @@ def check_ur(edges, layers: LayerMap, witnesses: dict) -> Report:
     target-indexed layer-3 vertex and that its conditional support has size
     r/4 (the live pair's second set indexes it).
     """
+    edges = EdgeBlock.of(edges)
     if layers.order[0] == "t":
-        edges = [(v, u) for u, v in edges]  # reachability *to* vertex 0
+        edges = EdgeBlock(edges.vs, edges.us)  # reachability *to* vertex 0
     lo, hi = layers.span(layers.order[3])
     witness = witnesses["witness"]
     hit = sorted(v for v in bfs(edges, 0) if lo <= v <= hi)
@@ -372,17 +365,14 @@ def sample_st(
     fwd = sample_ur(rs, FORWARD, fwd_seed, path=("st", "fwd"))
     bwd = sample_ur(rs, INVERSE, bwd_seed, path=("st", "bwd"))
 
-    e1 = []
     if e1_mode == "complete":
         coins = np.ones((r, r), dtype=bool)
     elif e1_mode == "empty":
         coins = np.zeros((r, r), dtype=bool)
     else:
         coins = rngmod.substream(mid_seed, "st", "e1").random((r, r)) < 0.5
-    for j in range(1, r + 1):
-        for jp in range(1, r + 1):
-            if coins[j - 1][jp - 1]:
-                e1.append((2 * N + j, 2 * N + r + jp))
+    js, jps = np.nonzero(coins)  # row-major: j, then jp, ascending
+    e1 = list(zip((2 * N + 1 + js).tolist(), (2 * N + r + 1 + jps).tolist()))
 
     e2 = [(u, v) for u, v in fwd.edges_a]
     e2 += [(_embed_backward(u, N, r), _embed_backward(v, N, r)) for u, v in bwd.edges_a]
@@ -467,18 +457,23 @@ class EdgeStream:
 
     n: int
     directed: bool
-    segments: tuple  # ((tag, (edges...)), ...)
+    segments: tuple  # ((tag, EdgeBlock), ...), made from any (u, v) pairs
     layers: LayerMap | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "segments", tuple((tag, EdgeBlock.of(seg)) for tag, seg in self.segments))
 
     def edges(self):
         for _, seg in self.segments:
             yield from seg
 
+    def edge_block(self) -> EdgeBlock:
+        """Every segment's edges, in stream order, as one block."""
+        blocks = [seg for _, seg in self.segments] or [EdgeBlock.of(())]
+        return EdgeBlock(np.concatenate([b.us for b in blocks]), np.concatenate([b.vs for b in blocks]))
+
     def edge_count(self) -> int:
         return sum(len(seg) for _, seg in self.segments)
-
-    def segment_tags(self) -> tuple:
-        return tuple(tag for tag, _ in self.segments)
 
     def endpoints(self, s: int = 0, t: int | None = None) -> tuple[int, int]:
         """(s, t), t defaulting to the last vertex; both must be vertices of the stream."""
@@ -499,9 +494,9 @@ def to_stream(inst, shuffle_seed: int | None = None) -> EdgeStream:
         raise TypeError(f"cannot stream {type(inst).__name__}")
     segments = []
     for tag, seg in raw:
-        seg = list(seg)
-        if shuffle_seed is not None and seg:
+        seg = EdgeBlock.of(seg)
+        if shuffle_seed is not None and len(seg):
             order = rngmod.substream(shuffle_seed, "stream", tag).permutation(len(seg))
-            seg = [seg[int(i)] for i in order]
-        segments.append((tag, tuple(seg)))
+            seg = EdgeBlock(seg.us[order], seg.vs[order])
+        segments.append((tag, seg))
     return EdgeStream(n=inst.n, directed=True, segments=tuple(segments), layers=inst.layers)

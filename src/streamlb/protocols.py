@@ -353,9 +353,8 @@ def mock_eps_solver(eps: float, mode: str = "reveal", m: int = 32) -> SIOracle:
 
     Calibration bisects the announce probability against measure_internal_eps;
     targets above the family's maximum shift saturate at probability one.
+    `eps` lies in [0, 1], which `experiments.make_si_oracle` checks.
     """
-    if not 0 <= eps <= 1:
-        raise ValueError("eps must lie in [0, 1]")
     if mode not in ("reveal", "bias"):
         raise ValueError(f"unknown mock mode {mode!r}")
     family = RevealOracle if mode == "reveal" else ParityHintOracle
@@ -484,9 +483,9 @@ def simulate_two_pass(alg_factory, stream: EdgeStream):
     """Run a two-pass streaming algorithm through the three-message pattern.
 
     Alice holds the first segment, Bob the second, and the third is revealed
-    to both after one round. The messages are exactly the serialized memory
-    states at the hand-off points; the final output must match a direct
-    two-pass run bit for bit.
+    to both after one round; each takes a segment whole (`process_block`).
+    The messages are exactly the serialized memory states at the hand-off
+    points; the final output must match a direct two-pass run bit for bit.
     """
     if len(stream.segments) != 3:
         raise ValueError("the simulation needs a three-segment stream")
@@ -499,35 +498,29 @@ def simulate_two_pass(alg_factory, stream: EdgeStream):
 
     alice = fresh()
     alice.begin_pass(1)
-    for u, v in e1:
-        alice.process(u, v)
+    alice.process_block(e1.us, e1.vs)
     m11 = alice.serialize()
     tr.send("alice", m11, label="A1")
 
     bob = fresh()
     bob.restore(m11, 1)
-    for u, v in e2:
-        bob.process(u, v)
+    bob.process_block(e2.us, e2.vs)
     m12 = bob.serialize()
     tr.send("bob", m12, label="B1")
 
     alice2 = fresh()
     alice2.restore(m12, 1)
-    for u, v in e3:
-        alice2.process(u, v)
+    alice2.process_block(e3.us, e3.vs)
     alice2.end_pass(1)
     alice2.begin_pass(2)
-    for u, v in e1:
-        alice2.process(u, v)
+    alice2.process_block(e1.us, e1.vs)
     m21 = alice2.serialize()
     tr.send("alice", m21, label="A2")
 
     bob2 = fresh()
     bob2.restore(m21, 2)
-    for u, v in e2:
-        bob2.process(u, v)
-    for u, v in e3:
-        bob2.process(u, v)
+    bob2.process_block(e2.us, e2.vs)
+    bob2.process_block(e3.us, e3.vs)
     bob2.end_pass(2)
     return tr, bob2.result()
 

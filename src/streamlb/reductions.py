@@ -166,8 +166,9 @@ def reduce_to_reach_count(h: Digraph, s, t, n: int):
 
 # --- offline oracles ----------------------------------------------------------
 
-def bfs_reachable(h: Digraph, s, t) -> bool:
-    return t in bfs(h.edges, s)
+def bfs_reachable(edges, s, t) -> bool:
+    """Whether s reaches t over `edges`, an `EdgeBlock` or (u, v) pairs."""
+    return t in bfs(edges, s)
 
 
 def undirected_distance(edges, s, t):
@@ -191,15 +192,3 @@ def topological_order(h: Digraph):
             if indeg[w] == 0:
                 ready.append(w)
     return order if len(order) == len(h.vertices) else None
-
-
-def min_feedback_arcs_upper(h: Digraph, cap: int = 1):
-    """0 if acyclic, 1 if one deletion acyclifies, else '>cap' (tiny-scale check)."""
-    if topological_order(h) is not None:
-        return 0
-    if cap >= 1:
-        for i in range(len(h.edges)):
-            pruned = Digraph(h.vertices, h.edges[:i] + h.edges[i + 1 :])
-            if topological_order(pruned) is not None:
-                return 1
-    return f">{cap}"

@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from .behrend import BehrendSet, verify_no_3ap
-from .common import Report, fail_report, ok_report
+from .common import Report, fail_report, id_array, ok_report
 
 Edge = tuple[int, int]
 _CHUNK_PAIRS = 2**16  # cross pairs looked up per gather
@@ -74,17 +74,6 @@ def restrict_matching(g: RSDigraph, i: int, s) -> tuple[Edge, ...]:
     if indices and (indices[0] < 1 or indices[-1] > g.r):
         raise IndexError(f"edge index outside [1, {g.r}]: {indices}")
     return tuple(matching[j - 1] for j in indices)
-
-
-def _packed_pairs(matchings, count: int) -> np.ndarray:
-    """The (count, 2) array of the edges' (u, v) ids in (i, j) order; object
-    dtype once an id outgrows int64."""
-    def ids():
-        return chain.from_iterable(chain.from_iterable(matchings))
-    try:
-        return np.fromiter(ids(), np.int64, count=2 * count).reshape(count, 2)
-    except OverflowError:
-        return np.fromiter(ids(), object, count=2 * count).reshape(count, 2)
 
 
 def _seen_before(keys: np.ndarray) -> np.ndarray:
@@ -166,7 +155,7 @@ def verify_induced(g: RSDigraph) -> Report:
     sized = next((i for i, matching in enumerate(g.matchings) if len(matching) != g.r), g.t)
     count = sized * g.r
     if count:
-        pairs = _packed_pairs(g.matchings[:sized], count)
+        pairs = id_array(chain.from_iterable(chain.from_iterable(g.matchings[:sized]))).reshape(count, 2)
         # ids become ranks first, so no key outgrows int64 whatever N claims
         left = np.unique(pairs[:, 0], return_inverse=True)[1].reshape(-1)
         right = np.unique(pairs[:, 1], return_inverse=True)[1].reshape(-1)
@@ -186,8 +175,3 @@ def verify_induced(g: RSDigraph) -> Report:
             return fail_report("induced-ness violated", matching=i + 1,
                                cross_edge=(g.matchings[i][j][0], g.matchings[i][jp][1]))
     return ok_report(matchings_checked=g.t, edges=count)
-
-
-def owning_matching(g: RSDigraph, edge: Edge) -> int:
-    """Partition identity of the midpoint construction: edge (u, v) lies in M_x, x = 2u - v."""
-    return 2 * edge[0] - edge[1]

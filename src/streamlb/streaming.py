@@ -1,8 +1,8 @@
 """Multi-pass streaming execution with bit-level space accounting.
 
-Algorithms see edges strictly in stream order, once per pass, and are
-checkpointed at segment boundaries and pass ends by the length of their
-serialized dynamic state; the longest checkpoint is the run's space figure.
+Algorithms see edges strictly in stream order, once per pass, a segment at a time
+(`process_block`), and are checkpointed at segment boundaries and pass ends by the
+length of their serialized dynamic state; the longest checkpoint is the run's space figure.
 `state_bits` gives that length without building the bit string.
 Serialization must round-trip through `restore`, which is what lets the
 communication simulation hand a computation across players mid-pass.
@@ -10,12 +10,13 @@ communication simulation hand a computation across players mid-pass.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .common import bfs, decode_ints, encode_int, encode_ints, int_width, is_bit_string
+from .common import EdgeBlock, bfs, decode_ints, encode_int, encode_ints, id_array, int_width, is_bit_string
 from .instances import EdgeStream
 
 
@@ -46,6 +47,12 @@ class StreamAlgorithm:
 
     def process(self, u: int, v: int):
         raise NotImplementedError
+
+    def process_block(self, us, vs):
+        """The edges (us[i], vs[i]) in order, one `process` call each; an
+        override must leave the same state, and raise the same error."""
+        for u, v in zip(us.tolist(), vs.tolist()):
+            self.process(u, v)
 
     def end_pass(self, p: int):
         pass
@@ -91,28 +98,21 @@ def _key_array(keys, width: int) -> np.ndarray:
     return np.fromiter(keys, dtype=np.uint64 if 2 * width <= 64 else object, count=len(keys))
 
 
-def _encode_keys(keys, width: int) -> str:
-    array = _key_array(keys, width)
-    array.sort()
-    return encode_ints(array.tolist(), 2 * width)
+def _key_block(array: np.ndarray, width: int) -> EdgeBlock:
+    """The (u, v) pairs of a key array, split on the array rather than per key."""
+    return EdgeBlock(array >> width, array & ((1 << width) - 1))
 
 
-def _split_keys(keys, width: int):
-    """(u, v) pairs of the keys, split on one array rather than per key."""
-    array = _key_array(keys, width)
-    return zip((array >> width).tolist(), (array & ((1 << width) - 1)).tolist())
-
-
-def _decode_keys(name: str, bits: str, n: int, width: int) -> list[int]:
-    """The keys of a serialized edge list, refusing any `serialize()` cannot
-    write: keys not strictly increasing, or an endpoint outside [0, n)."""
+def _decode_keys(name: str, bits: str, n: int, width: int) -> np.ndarray:
+    """The key array of a serialized edge list, refusing any `serialize()`
+    cannot write: keys not strictly increasing, or an endpoint outside [0, n)."""
     keys = decode_ints(bits, 2 * width)
     array = _key_array(keys, width)
     if (array[1:] <= array[:-1]).any():
         raise ValueError(f"{name}: serialized edge keys are not strictly increasing")
     if len(keys) and max((array >> width).max(), (array & ((1 << width) - 1)).max()) >= n:
         raise ValueError(f"{name}: a serialized edge has an endpoint outside [0, {n})")
-    return keys
+    return array
 
 
 class EdgeCounter(StreamAlgorithm):
@@ -144,38 +144,55 @@ class EdgeCounter(StreamAlgorithm):
 class StoreAll(StreamAlgorithm):
     """Stores every edge, then answers s-t reachability offline: the trivial upper bound.
 
-    The state is the set of distinct edges as packed keys `u << w | v`, with
-    w = int_width(n - 1). Serialized, it is the sorted keys in 2w bits each,
-    which is bit for bit the sorted (u, v) pairs with each endpoint in w bits;
-    `restore` refuses keys that are not strictly increasing or name a vertex
-    outside [0, n).
+    The state is the distinct edges as packed keys `u << w | v`, w = int_width(n - 1):
+    a sorted array after blocks and restores, a set after `process`. Serialized, it is
+    the sorted keys in 2w bits each, bit for bit the sorted (u, v) pairs in w bits per
+    endpoint; `restore` refuses keys not strictly increasing or naming a vertex outside [0, n).
     """
 
     name = "store-all"
 
     def reset(self):
         self.width = int_width(self.n - 1)
-        self.keys: set[int] = set()
+        self.stored = _key_array((), self.width)
+        self.keys: set[int] = set()  # empty unless `stored` is
 
     def process(self, u, v):
         if self._pass == 1:
             n = self.n
             if not (0 <= u < n and 0 <= v < n):
                 raise _bad_endpoint(u, v, n, self.width)
+            if len(self.stored):  # an edge at a time, the set holds every key
+                self.keys, self.stored = set(self.stored.tolist()), self.stored[:0]
             self.keys.add(u << self.width | v)
 
+    def process_block(self, us, vs):
+        """Pass 1 keys the block at once while its ids are vertices and keys
+        fit int64; otherwise per edge, so an error names the same first edge."""
+        if self._pass != 1 or not len(us):
+            return
+        if us.dtype == object or vs.dtype == object or 2 * self.width > 63 \
+                or min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= self.n:
+            return super().process_block(us, vs)
+        self.stored, self.keys = self._all_keys((us << self.width | vs).astype(np.uint64)), set()
+
+    def _all_keys(self, *more) -> np.ndarray:
+        """Every distinct key, sorted, with the key arrays `more` merged in."""
+        keys = np.sort(np.concatenate((self.stored, _key_array(self.keys, self.width), *more)))
+        return np.delete(keys, np.flatnonzero(keys[1:] == keys[:-1]) + 1)  # np.unique hashes: slower
+
     def serialize(self) -> str:
-        return _encode_keys(self.keys, self.width)
+        return encode_ints(self._all_keys().tolist(), 2 * self.width)
 
     def state_bits(self) -> int:
-        return 2 * self.width * len(self.keys)
+        return 2 * self.width * (len(self.stored) + len(self.keys))
 
     def restore(self, bits, pass_index):
-        self.keys = set(_decode_keys(self.name, bits, self.n, self.width))
+        self.stored, self.keys = _decode_keys(self.name, bits, self.n, self.width), set()
         self._pass = pass_index
 
     def result(self):
-        return self.t in bfs(_split_keys(self.keys, self.width), self.s, self.directed)
+        return self.t in bfs(_key_block(self._all_keys(), self.width), self.s, self.directed)
 
 
 class BfsFrontier(StreamAlgorithm):
@@ -208,6 +225,13 @@ class BfsFrontier(StreamAlgorithm):
         if not self.directed and v in self.reached:
             self.additions.add(u)
 
+    def process_block(self, us, vs):
+        """One gather: the heads of the block's edges whose tail is reached."""
+        reached = id_array(self.reached)
+        self.additions.update(vs[np.isin(us, reached)].tolist())
+        if not self.directed:
+            self.additions.update(us[np.isin(vs, reached)].tolist())
+
     def end_pass(self, p):
         grew = bool(self.additions - self.reached)
         self.reached |= self.additions
@@ -217,6 +241,8 @@ class BfsFrontier(StreamAlgorithm):
             self.exhausted = True
 
     def serialize(self) -> str:
+        if 17 + 2 * self.n > sys.maxsize:
+            raise ValueError(f"{self.name}: a {17 + 2 * self.n}-bit state is longer than any string")
         bitmap = ["0"] * self.n
         for v in self.reached:
             bitmap[v] = "1"
@@ -280,7 +306,7 @@ class SpanningForest(StreamAlgorithm):
             self.forest.append(u << self.width | v)
 
     def serialize(self) -> str:
-        return _encode_keys(self.forest, self.width)
+        return encode_ints(np.sort(_key_array(self.forest, self.width)).tolist(), 2 * self.width)
 
     def state_bits(self) -> int:
         return 2 * self.width * len(self.forest)
@@ -289,7 +315,7 @@ class SpanningForest(StreamAlgorithm):
         keys = _decode_keys(self.name, bits, self.n, self.width)
         self.parent = list(range(self.n))
         self.forest = []
-        for u, v in _split_keys(keys, self.width):
+        for u, v in _key_block(keys, self.width):
             self.process(u, v)
         if len(self.forest) != len(keys):
             raise ValueError(f"{self.name}: a serialized edge joins no two components")
@@ -359,18 +385,21 @@ def start_on(alg: StreamAlgorithm, stream: EdgeStream, passes: int,
 
 def run_stream(alg: StreamAlgorithm, stream: EdgeStream, passes: int,
                s: int = 0, t: int | None = None, per_edge: bool = False) -> StreamRun:
-    """Feed the stream to the algorithm once per pass, measuring state at
-    segment boundaries and pass ends (and after every edge, opt in)."""
+    """Feed the stream to the algorithm once per pass, a segment at a time,
+    measuring state at segment boundaries and pass ends (opt in: an edge at a
+    time, measuring after every edge)."""
     t0 = time.perf_counter()
     start_on(alg, stream, passes, s, t)
     checkpoints = []
     for p in range(1, alg.passes_needed + 1):
         alg.begin_pass(p)
         for tag, seg in stream.segments:
-            for u, v in seg:
-                alg.process(u, v)
-                if per_edge:
+            if per_edge:
+                for u, v in seg:
+                    alg.process(u, v)
                     checkpoints.append((f"pass{p}:{tag}:{u}->{v}", alg.state_bits()))
+            else:
+                alg.process_block(seg.us, seg.vs)
             checkpoints.append((f"pass{p}:{tag}", alg.state_bits()))
         alg.end_pass(p)
         checkpoints.append((f"pass{p}:end", alg.state_bits()))
@@ -402,17 +431,16 @@ def store_all_reachability(stream: EdgeStream, s: int, t: int) -> bool:
 def make_algorithm(tag: str) -> StreamAlgorithm:
     """CLI algorithm registry; parametrized tags look like `bfs-frontier:2`."""
     name, _, arg = tag.partition(":")
-    if name == "edge-count":
-        return EdgeCounter()
-    if name == "store-all":
-        return StoreAll()
     if name == "bfs-frontier":
         return BfsFrontier(_tag_int(tag, arg, 2))
-    if name == "spanning-forest":
-        return SpanningForest()
     if name == "xor-sketch":
         return XorSketch(_tag_int(tag, arg, 0))
-    raise ValueError(f"unknown algorithm tag {tag!r}")
+    plain = {"edge-count": EdgeCounter, "store-all": StoreAll, "spanning-forest": SpanningForest}
+    if name not in plain:
+        raise ValueError(f"unknown algorithm tag {tag!r}")
+    if arg:
+        raise ValueError(f"algorithm tag {tag!r} takes nothing after ':'")
+    return plain[name]()
 
 
 def _tag_int(tag: str, arg: str, default: int) -> int:

@@ -12,7 +12,7 @@ import json
 import re
 from pathlib import Path
 
-from .common import Report
+from .common import EdgeBlock, Report, id_array
 from .instances import (
     FORWARD,
     INVERSE,
@@ -41,7 +41,7 @@ def render_stream(stream: EdgeStream) -> str:
     lines = [f"STREAM {stream.n} directed={1 if stream.directed else 0}"]
     for tag, seg in stream.segments:
         lines.append(f"SEG {tag}")
-        lines.extend(f"{u} {v}" for u, v in seg)
+        lines.extend(f"{u} {v}" for u, v in zip(seg.us.tolist(), seg.vs.tolist()))  # caches no pairs
     return "\n".join(lines) + "\n"
 
 
@@ -93,11 +93,11 @@ def parse_stream(text: str, layers: LayerMap | None = None) -> EdgeStream:
         tag = seg_head[1].strip()
         if any(tag == seen for seen, _ in segments):
             raise ValueError(f"segment tag {tag!r} repeats")
-        ids = _edge_ids(text[mark.end() : nxt.start() if nxt else len(text)], f"segment {tag!r}")
-        if ids and (min(ids) < 0 or max(ids) >= n):
-            bad_id = min(ids) if min(ids) < 0 else max(ids)
+        ids = id_array(_edge_ids(text[mark.end() : nxt.start() if nxt else len(text)], f"segment {tag!r}"))
+        if len(ids) and (ids.min() < 0 or ids.max() >= n):
+            bad_id = ids.min() if ids.min() < 0 else ids.max()
             raise ValueError(f"vertex id {bad_id} in segment {tag!r} is outside [0, {n})")
-        segments.append((tag, tuple(zip(ids[::2], ids[1::2]))))
+        segments.append((tag, EdgeBlock(ids[0::2], ids[1::2])))
     return EdgeStream(n=n, directed=head[2] == "1", segments=tuple(segments), layers=layers)
 
 
@@ -206,12 +206,12 @@ def read_meta(path, kind: str) -> dict:
 # --- file-level verification (tamper-evident: stream and meta must agree) --------
 
 def verify_ur_file(stream: EdgeStream, meta: dict) -> Report:
-    return check_ur(stream.edges(), meta_layers(meta), meta["witnesses"])
+    return check_ur(stream.edge_block(), meta_layers(meta), meta["witnesses"])
 
 
 def verify_st_file(stream: EdgeStream, meta: dict) -> Report:
     e1 = dict(stream.segments).get("E1", ())
-    return check_st(stream.edges(), e1, meta_layers(meta), meta["witnesses"])
+    return check_st(stream.edge_block(), e1, meta_layers(meta), meta["witnesses"])
 
 
 # --- RS digraphs ------------------------------------------------------------------

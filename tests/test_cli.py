@@ -550,7 +550,7 @@ def _walk_values(action):
     if action.dest in PATH_OPTIONS:
         return ["missing/file", "dir"]
     if action.dest in ("alg", "oracle"):
-        return ["bogus", "bfs-frontier:x"]
+        return ["bogus", "bfs-frontier:x", "store-all:7", "edge-count:x"]
     if action.choices:
         return ["bogus"]
     if action.type is not None:
@@ -662,6 +662,11 @@ REFUSALS = {
     "stream run --alg store-all --passes 0 --input {st}":
         "streamlb stream run: argument --passes: must be at least 1, got 0",
     "stream run --alg bfs-frontier:x --input {st}": "algorithm tag 'bfs-frontier:x' expects an integer after ':'",
+    "stream run --alg store-all:7 --input {st}": "algorithm tag 'store-all:7' takes nothing after ':'",
+    "protocol simulate --alg edge-count:x --instance {st}": "algorithm tag 'edge-count:x' takes nothing after ':'",
+    "protocol measure-eps --oracle null --m 8 --eps -7": "eps must lie in [0, 1]",
+    "protocol measure-eps --oracle perfect --m 8 --eps 1.5": "eps must lie in [0, 1]",
+    "protocol boost --oracle null --m 8 --trials 1 --eps -7": "eps must lie in [0, 1]",
     "info entropy --input nothing": "--input 'nothing' is neither a JSON file nor JSON: "
                                     "Expecting value: line 1 column 1 (char 0)",
     "oracle toposort --input {st} --s 99999999": "streamlb: unrecognized arguments: --s 99999999",
@@ -709,6 +714,29 @@ def test_stream_run_rejects_malformed_input(tmp_path, capsys, case, alg):
     assert run("stream", "run", "--alg", alg, "--input", path, "--passes", 2) == USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_ids_beyond_int64_run_under_every_command(tmp_path, capsys):
+    path = tmp_path / "huge.stream"
+    path.write_text(f"STREAM {10**20} directed=1\nSEG E1\n0 5\n5 {10**20 - 1}\nSEG E2\n{10**20 - 1} {2**63}\n"
+                    f"SEG E3\n{2**63} {10**20 - 1}\n0 0\n")
+    # the outputs of the per-edge harness, which read these ids as Python ints
+    for alg, output in {"edge-count": 5, "store-all": True, "bfs-frontier:2": True,
+                        "xor-sketch:3": [15194187978533636053, 5]}.items():
+        assert run("stream", "run", "--alg", alg, "--input", path, "--passes", 2) == OK
+        assert json.loads(capsys.readouterr().out)["output"] == output
+        if alg != "bfs-frontier:2":  # its 2·10^20-bit state is never serialized in a run
+            assert run("protocol", "simulate", "--alg", alg, "--instance", path) == OK
+            assert json.loads(capsys.readouterr().out)["match"] is True
+    assert run("oracle", "bfs", "--input", path, "--t", 2**63) == OK
+    assert json.loads(capsys.readouterr().out) == {"reachable": True}
+    refusals = {("stream", "run", "--alg", "spanning-forest", "--input", path):
+                "spanning forest needs an undirected stream",
+                ("protocol", "simulate", "--alg", "bfs-frontier:2", "--instance", path):
+                "bfs-frontier: a 200000000000000000017-bit state is longer than any string"}
+    for argv, message in refusals.items():
+        assert run(*argv) == USAGE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_stream_run_accepts_the_wellformed_neighbour(tmp_path):

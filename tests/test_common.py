@@ -1,10 +1,15 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from streamlb.common import bfs, decode_ints, encode_int, encode_ints, is_bit_string
+import streamlb
+from streamlb.common import EdgeBlock, bfs, decode_ints, encode_int, encode_ints, is_bit_string
 from streamlb.protocols import Transcript
 
 
@@ -114,8 +119,54 @@ small_edges = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size
 @example(edges=[(0, 0), (0, 1), (0, 1), (1, 1), (2, 1)], start=0, directed=True)
 @example(edges=[(0, 0), (0, 1), (0, 1), (1, 1), (2, 1)], start=0, directed=False)
 def test_bfs_equals_the_loop_reference(edges, start, directed):
-    assert bfs(edges, start, directed) == bfs_reference(edges, start, directed)
-    assert bfs(iter(edges), start, directed) == bfs_reference(edges, start, directed)
+    expected = bfs_reference(edges, start, directed)
+    assert bfs(edges, start, directed) == expected
+    assert bfs(iter(edges), start, directed) == expected
+    assert bfs(EdgeBlock.of(edges), start, directed) == expected  # the array entry point
+
+
+# ids the CSR cannot index directly: negative, sparse, and beyond int64 (object arrays)
+wide_ids = st.sampled_from([-7, -1, 0, 3, 2**40, 2**63 - 1, 2**63, 10**20])
+
+
+@settings(max_examples=300, deadline=None)
+@given(edges=st.lists(st.tuples(wide_ids, wide_ids), max_size=20), start=wide_ids, directed=st.booleans())
+@example(edges=[(0, 2**63), (2**63, 10**20), (10**20, 10**20)], start=0, directed=True)
+@example(edges=[(-7, -1), (-1, 3)], start=3, directed=False)
+@example(edges=[(3, 3)], start=2**40, directed=True)  # the start is no edge's endpoint
+def test_bfs_on_any_ids_equals_the_loop_reference(edges, start, directed):
+    expected = bfs_reference(edges, start, directed)
+    assert bfs(edges, start, directed) == expected
+    assert bfs(EdgeBlock.of(edges), start, directed) == expected
+
+
+def test_bfs_stays_iterative_on_a_deep_path():
+    n = 100_000
+    block = EdgeBlock(np.arange(n - 1), np.arange(1, n))
+    assert bfs(block, 0)[n - 1] == n - 1
+    assert bfs(block, n - 1, directed=False)[0] == n - 1
+
+
+def test_edge_block_is_its_pairs():
+    block = EdgeBlock.of([(0, 1), (2, 3)])
+    assert (block.us.dtype, block.vs.dtype) == (np.int64, np.int64)
+    assert list(block) == [(0, 1), (2, 3)] and all(type(u) is int for u, _ in block)
+    assert block == ((0, 1), (2, 3)) == block and block == [[0, 1], [2, 3]]
+    assert block == EdgeBlock(np.array([0, 2]), np.array([1, 3]))
+    assert block != ((0, 1),) and block != ((0, 1), (3, 2)) and block != EdgeBlock.of(((0, 1),))
+    assert block != "ab" and block != 5 and block != ((0, 1, 2),)
+    assert EdgeBlock.of(()) == () and len(EdgeBlock.of(())) == 0
+    huge = EdgeBlock.of([(0, 2**63), (10**20, 1)])
+    assert huge.us.dtype == object and list(huge) == [(0, 2**63), (10**20, 1)]
+    with pytest.raises(ValueError):
+        EdgeBlock(np.arange(3), np.arange(2))
+
+
+def test_importing_streamlb_loads_no_scipy():
+    code = f"import sys; sys.path.insert(0, {str(Path(streamlb.__file__).parents[1])!r}); import streamlb; " \
+           "sys.exit(2 if 'scipy' in sys.modules else 0)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_decode_at_width_zero_takes_only_the_empty_string():

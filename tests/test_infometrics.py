@@ -18,7 +18,6 @@ from streamlb.infometrics import (
     from_weights,
     kl,
     mutual_information,
-    point_mass,
     top_half_check,
     tvd,
     _subset_sums,
@@ -29,6 +28,12 @@ from streamlb.infometrics import (
 
 def dist(*probs):
     return DiscreteDistribution(tuple(range(len(probs))), tuple(probs))
+
+
+def point_mass(support, at) -> DiscreteDistribution:
+    """All the mass on `at`, exactly."""
+    support = tuple(support)
+    return DiscreteDistribution(support, tuple(Fraction(1 if x == at else 0) for x in support))
 
 
 # --- tvd -------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from streamlb.reductions import (
     BipartiteGraph,
     Digraph,
     bfs_reachable,
-    min_feedback_arcs_upper,
     perfect_matching_brute,
     perfect_matching_exists,
     reduce_to_acyclicity,
@@ -53,7 +52,7 @@ def test_matching_drops_backward_edges():
     h = digraph((A, S), (T, B), (S, T))
     g, dropped = reduce_to_matching(h, S, T)
     assert dropped == 2
-    assert perfect_matching_exists(g) == bfs_reachable(h, S, T) == True  # noqa: E712
+    assert perfect_matching_exists(g) == bfs_reachable(h.edges, S, T) == True  # noqa: E712
 
 
 def test_matching_equivalence_random():
@@ -63,7 +62,7 @@ def test_matching_equivalence_random():
         edges = tuple(p for p in pairs if gen.random() < 0.25)
         h = Digraph(frozenset(range(5)), edges)
         g, _ = reduce_to_matching(h, 0, 4)
-        assert bfs_reachable(h, 0, 4) == perfect_matching_exists(g)
+        assert bfs_reachable(edges, 0, 4) == perfect_matching_exists(g)
 
 
 # --- matching oracles ------------------------------------------------------------
@@ -180,6 +179,18 @@ def test_feedback_arc_separation():
         out = reduce_to_acyclicity(h, 0, inst.n - 1)
         fas = min_feedback_arcs_upper(out)
         assert fas == (1 if inst.reachable else 0)
+
+
+def min_feedback_arcs_upper(h: Digraph, cap: int = 1):
+    """0 if acyclic, 1 if one deletion acyclifies, else '>cap' (tiny-scale check)."""
+    if topological_order(h) is not None:
+        return 0
+    if cap >= 1:
+        for i in range(len(h.edges)):
+            pruned = Digraph(h.vertices, h.edges[:i] + h.edges[i + 1 :])
+            if topological_order(pruned) is not None:
+                return 1
+    return f">{cap}"
 
 
 # --- reach count --------------------------------------------------------------------

@@ -12,7 +12,6 @@ from streamlb.common import Report, fail_report, ok_report
 from streamlb.rsgraph import (
     RSDigraph,
     build_rs_digraph,
-    owning_matching,
     restrict_matching,
     verify_induced,
 )
@@ -118,7 +117,7 @@ def test_partition_identity(g3):
     # each global edge belongs to exactly one matching, recovered as 2u - v
     for i, matching in enumerate(g3.matchings, start=1):
         for edge in matching:
-            assert owning_matching(g3, edge) == i
+            assert 2 * edge[0] - edge[1] == i
 
 
 def test_rejects_progression_seed():
@@ -139,7 +138,7 @@ def test_random_ap_free_seeds_give_induced_graphs(m, seed):
     assert g.t == m and g.r == a.size and g.n_side == 3 * m
     assert verify_induced(g).ok
     for i, matching in enumerate(g.matchings, start=1):
-        assert all(owning_matching(g, e) == i for e in matching)
+        assert all(2 * u - v == i for u, v in matching)  # the partition identity x = 2u - v
 
 
 # --- the array-native induced-ness check against the loop it replaced ----------

@@ -156,6 +156,10 @@ def test_make_algorithm_registry():
         with pytest.raises(ValueError) as exc:
             make_algorithm(tag)
         assert str(exc.value) == f"algorithm tag {tag!r} expects an integer after ':'"
+    for tag in ("store-all:7", "edge-count:x", "spanning-forest:0"):
+        with pytest.raises(ValueError) as exc:
+            make_algorithm(tag)
+        assert str(exc.value) == f"algorithm tag {tag!r} takes nothing after ':'"
 
 
 def test_bfs_frontier_hop_counter_width():
@@ -257,6 +261,52 @@ def test_space_ordering_observed():
 # --- serialize / restore ---------------------------------------------------------
 
 ALGORITHM_TAGS = ["edge-count", "store-all", "bfs-frontier:1", "bfs-frontier:3", "spanning-forest", "xor-sketch:5"]
+
+# n = 10^20: ids beyond int64 make object-dtype blocks, and no n-sized state can be built
+HUGE_STREAM = EdgeStream(n=10**20, directed=True, segments=(
+    ("E1", ((0, 5), (5, 10**20 - 1))),
+    ("E2", ((10**20 - 1, 2**63),)),
+    ("E3", ((2**63, 10**20 - 1), (0, 0))),
+))
+
+
+def _run_outcome(tag, stream, per_edge):
+    """What a run shows: its segment and pass checkpoints, output and final
+    serialization, or the type and text of the error that stopped it."""
+    alg = make_algorithm(tag)
+    try:
+        run = run_stream(alg, stream, passes=alg.passes_needed, per_edge=per_edge)
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+    try:
+        final = alg.serialize()
+    except Exception as exc:
+        final = (type(exc), str(exc))
+    return tuple(c for c in run.checkpoints if "->" not in c[0]), run.output, final
+
+
+@pytest.mark.parametrize("tag", ALGORITHM_TAGS)
+def test_segment_blocks_equal_the_per_edge_run(tag):
+    """The default run hands `process_block` whole segments; `per_edge=True`
+    calls `process` once per edge. Both must show the same run."""
+    streams = [*contract_streams(), HUGE_STREAM,
+               tiny_stream([(0, 1), (1, 9), (2, 3)], 4),  # 9 is no vertex: the error names (1, 9)
+               tiny_stream([(0, 1), (1, 2), (-1, 2)], 3),
+               EdgeStream(4, True, (("A", ((0, 1), (1, 2))), ("B", ((2, 3), (3, 4)))))]  # a block, then per edge
+    for stream in streams:
+        if tag == "spanning-forest":
+            stream = reduce_to_sssp(stream)[0]
+        assert _run_outcome(tag, stream, False) == _run_outcome(tag, stream, True)
+
+
+def test_the_huge_stream_runs_as_it_did_per_edge():
+    # outputs of the per-edge harness, before segments were handed over as blocks
+    assert store_all_reachability(HUGE_STREAM, 0, 2**63) is True
+    assert bfs_reachability(HUGE_STREAM, 0, 10**20 - 1, 2) is True
+    run = run_stream(XorSketch(3), HUGE_STREAM, passes=1)
+    assert run.output == (15194187978533636053, 5)
+    with pytest.raises(ValueError, match="^bfs-frontier: a 200000000000000000017-bit state is longer"):
+        _started(BfsFrontier(2), 10**20).serialize()
 
 
 def _finish(alg, stream, from_pass, from_segment):
