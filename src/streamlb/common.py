@@ -52,7 +52,7 @@ class EdgeBlock:
     __slots__ = ("us", "vs", "_pairs")  # _pairs: the tuples, built on first iteration
 
     def __init__(self, us, vs):
-        us, vs = (a if a.dtype == object else a.astype(np.int64) for a in map(np.asarray, (us, vs)))
+        us, vs = (a if a.dtype == object else a.astype(np.int64, copy=False) for a in map(np.asarray, (us, vs)))
         if us.ndim != 1 or us.shape != vs.shape:
             raise ValueError("an edge block is two id arrays of one length")
         self.us, self.vs, self._pairs = us, vs, None
@@ -64,6 +64,12 @@ class EdgeBlock:
             return edges
         ids = id_array(chain.from_iterable(edges))
         return cls(ids[0::2], ids[1::2])
+
+    @classmethod
+    def join(cls, blocks) -> EdgeBlock:
+        """The blocks' edges, block after block, as one block."""
+        blocks = list(blocks) or [cls((), ())]
+        return cls(np.concatenate([b.us for b in blocks]), np.concatenate([b.vs for b in blocks]))
 
     def __len__(self) -> int:
         return len(self.us)

@@ -116,7 +116,7 @@ def _st_sample_record(args) -> dict:
     }
     if with_distances:
         undirected, s, t = reduce_to_sssp(to_stream(inst))
-        rec["distance"] = undirected_distance(list(undirected.edges()), s, t)
+        rec["distance"] = undirected_distance(undirected.edge_block(), s, t)
         if (rec["distance"] == 7) != inst.reachable:
             rec["dichotomy_fail"] = 1
     return rec

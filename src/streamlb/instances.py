@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .common import EdgeBlock, Report, bfs, fail_report, ok_report
-from .rsgraph import RSDigraph, restrict_matching
+from .rsgraph import RSDigraph
 
 FORWARD = "forward"
 INVERSE = "inverse"
@@ -60,7 +60,7 @@ def sample_si(m: int, rng) -> SIInstance:
         raise ValueError(f"universe size must be a positive multiple of 4, got {m}")
     rng = _as_generator(rng, "si")
     q = m // 4 - 1
-    picks = [int(x) + 1 for x in rng.choice(m, size=2 * q + 1, replace=False)]
+    picks = (rng.choice(m, size=2 * q + 1, replace=False) + 1).tolist()
     e_star = picks[-1]
     return SIInstance(
         m=m,
@@ -180,8 +180,8 @@ class URInstance:
     si_pairs: tuple  # one SIInstance over [1..r] per matching
     i_star: int
     e_star: int
-    edges_a: tuple
-    edges_b: tuple
+    edges_a: EdgeBlock
+    edges_b: EdgeBlock
     witness: int
     b_size: int
     layers: LayerMap
@@ -200,8 +200,8 @@ class URInstance:
             raise AttributeError("forward instances carry s_star")
         return self.witness
 
-    def all_edges(self) -> tuple:
-        return self.edges_a + self.edges_b
+    def all_edges(self) -> EdgeBlock:
+        return EdgeBlock.join((self.edges_a, self.edges_b))
 
 
 def sample_ur(rs: RSDigraph, direction: str = FORWARD, seed: int = 0, path=("ur",)) -> URInstance:
@@ -210,6 +210,8 @@ def sample_ur(rs: RSDigraph, direction: str = FORWARD, seed: int = 0, path=("ur"
         raise ValueError(f"direction must be {FORWARD!r} or {INVERSE!r}")
     if rs.r < 4 or rs.r % 4:
         raise ValueError(f"matching size must be a positive multiple of 4, got {rs.r}")
+    if 4 * rs.n_side + 2 * rs.r + 1 >= 2**63:
+        raise ValueError(f"N = {rs.n_side} is too large: instance vertex ids are int64")
     N, r, t = rs.n_side, rs.r, rs.t
     pairs = tuple(
         sample_si(r, rngmod.substream(seed, *path, "si", i)) for i in range(1, t + 1)
@@ -218,21 +220,20 @@ def sample_ur(rs: RSDigraph, direction: str = FORWARD, seed: int = 0, path=("ur"
     live = pairs[i_star - 1]
     e_star = live.e_star
 
-    edges_a = []
-    for i in range(1, t + 1):
-        for u, v in restrict_matching(rs, i, pairs[i - 1].a):
-            edges_a.append((u, N + v))
-    star_matching = rs.matching(i_star)
-    edges_b = []
-    for j in sorted(live.b):
-        u, v = star_matching[j - 1]
-        edges_b.append((0, u))
-        edges_b.append((N + v, 2 * N + j))
+    # row i - 1: the 0-based indices of Alice's edges in matching i, ascending
+    rows = np.sort([list(pair.a) for pair in pairs], axis=1) - 1
+    edges_a = EdgeBlock(np.concatenate([m.us[row] for m, row in zip(rs.matchings, rows, strict=True)]),
+                        N + np.concatenate([m.vs[row] for m, row in zip(rs.matchings, rows, strict=True)]))
+    # for each j of the live second set, ascending: (0, u_j), then (N + v_j, 2N + j)
+    js = np.array(sorted(live.b))
+    star = rs.matching(i_star)
+    edges_b = EdgeBlock(np.column_stack((np.zeros_like(js), N + star.vs[js - 1])).ravel(),
+                        np.column_stack((star.us[js - 1], 2 * N + js)).ravel())
 
     witness = 2 * N + e_star
     if direction == INVERSE:
-        edges_a = [(v, u) for u, v in edges_a]
-        edges_b = [(v, u) for u, v in edges_b]
+        edges_a = EdgeBlock(edges_a.vs, edges_a.us)
+        edges_b = EdgeBlock(edges_b.vs, edges_b.us)
 
     inst = URInstance(
         rs=rs,
@@ -240,8 +241,8 @@ def sample_ur(rs: RSDigraph, direction: str = FORWARD, seed: int = 0, path=("ur"
         si_pairs=pairs,
         i_star=i_star,
         e_star=e_star,
-        edges_a=tuple(edges_a),
-        edges_b=tuple(edges_b),
+        edges_a=edges_a,
+        edges_b=edges_b,
         witness=witness,
         b_size=r // 4,
         layers=ur_layer_map(N, r, direction),
@@ -265,7 +266,7 @@ def ur_witnesses(inst: URInstance) -> dict:
     }
 
 
-def check_ur(edges, layers: LayerMap, witnesses: dict) -> Report:
+def check_ur(edges: EdgeBlock, layers: LayerMap, witnesses: dict) -> Report:
     """BFS oracle: exactly one layer-3 vertex on the source side of the promise.
 
     An inverse layer map (`ur_layer_map` names its first layer "t") asks
@@ -273,7 +274,6 @@ def check_ur(edges, layers: LayerMap, witnesses: dict) -> Report:
     target-indexed layer-3 vertex and that its conditional support has size
     r/4 (the live pair's second set indexes it).
     """
-    edges = EdgeBlock.of(edges)
     if layers.order[0] == "t":
         edges = EdgeBlock(edges.vs, edges.us)  # reachability *to* vertex 0
     lo, hi = layers.span(layers.order[3])
@@ -307,9 +307,9 @@ class STInstance:
     rs: RSDigraph
     forward: URInstance
     backward: URInstance
-    e1: tuple
-    e2: tuple
-    e3: tuple
+    e1: EdgeBlock
+    e2: EdgeBlock
+    e3: EdgeBlock
     s_star: int
     t_star: int
     reachable: bool
@@ -326,20 +326,15 @@ class STInstance:
     def t(self) -> int:
         return self.n - 1
 
-    def all_edges(self) -> tuple:
-        return self.e1 + self.e2 + self.e3
+    def all_edges(self) -> EdgeBlock:
+        return EdgeBlock.join((self.e1, self.e2, self.e3))
 
 
-def _embed_backward(v: int, N: int, r: int) -> int:
-    # local inverse layout (0 | U1 1..N | U2 N+1..2N | U3 2N+1..2N+r) into the
-    # global st layout
-    if v == 0:
-        return 4 * N + 2 * r + 1
-    if v <= N:
-        return 3 * N + 2 * r + v
-    if v <= 2 * N:
-        return N + 2 * r + v
-    return r + v
+def _embed_backward(ids, N: int, r: int):
+    """Ids of the local inverse layout (0 | U1 1..N | U2 N+1..2N | U3 2N+1..2N+r)
+    in the global st layout: each layer moves by one offset."""
+    offsets = np.array([4 * N + 2 * r + 1, 3 * N + 2 * r, N + 2 * r, r])
+    return ids + offsets[np.searchsorted([1, N + 1, 2 * N + 1], ids, side="right")]
 
 
 def sample_st(
@@ -372,24 +367,24 @@ def sample_st(
     else:
         coins = rngmod.substream(mid_seed, "st", "e1").random((r, r)) < 0.5
     js, jps = np.nonzero(coins)  # row-major: j, then jp, ascending
-    e1 = list(zip((2 * N + 1 + js).tolist(), (2 * N + r + 1 + jps).tolist()))
+    e1 = EdgeBlock(2 * N + 1 + js, 2 * N + r + 1 + jps)
 
-    e2 = [(u, v) for u, v in fwd.edges_a]
-    e2 += [(_embed_backward(u, N, r), _embed_backward(v, N, r)) for u, v in bwd.edges_a]
-    e3 = [(u, v) for u, v in fwd.edges_b]
-    e3 += [(_embed_backward(u, N, r), _embed_backward(v, N, r)) for u, v in bwd.edges_b]
+    def backward(block):
+        return EdgeBlock(_embed_backward(block.us, N, r), _embed_backward(block.vs, N, r))
+    e2 = EdgeBlock.join((fwd.edges_a, backward(bwd.edges_a)))
+    e3 = EdgeBlock.join((fwd.edges_b, backward(bwd.edges_b)))
 
     s_star = fwd.witness
-    t_star = _embed_backward(bwd.witness, N, r)
-    reachable = (s_star, t_star) in set(e1)
+    t_star = int(_embed_backward(bwd.witness, N, r))
+    reachable = bool(coins[fwd.e_star - 1, bwd.e_star - 1])  # the middle edge (s*, t*)
 
     inst = STInstance(
         rs=rs,
         forward=fwd,
         backward=bwd,
-        e1=tuple(e1),
-        e2=tuple(e2),
-        e3=tuple(e3),
+        e1=e1,
+        e2=e2,
+        e3=e3,
         s_star=s_star,
         t_star=t_star,
         reachable=reachable,
@@ -425,12 +420,12 @@ def st_witnesses(inst: STInstance) -> dict:
     }
 
 
-def check_st(edges, e1, layers: LayerMap, witnesses: dict) -> Report:
+def check_st(edges: EdgeBlock, e1: EdgeBlock, layers: LayerMap, witnesses: dict) -> Report:
     """BFS oracle for the reach dichotomy: the flag, the middle edge (s*, t*)
     looked up in E1, and the 7-edge witness path must all agree."""
     distance = bfs(edges, layers.span("s")[0]).get(layers.span("t")[0])
     bfs_says = distance is not None
-    edge_says = (witnesses["s_star"], witnesses["t_star"]) in set(e1)
+    edge_says = bool(((e1.us == witnesses["s_star"]) & (e1.vs == witnesses["t_star"])).any())
     if bfs_says != edge_says:
         return fail_report(
             "reachability differs from middle-edge membership",
@@ -469,8 +464,7 @@ class EdgeStream:
 
     def edge_block(self) -> EdgeBlock:
         """Every segment's edges, in stream order, as one block."""
-        blocks = [seg for _, seg in self.segments] or [EdgeBlock.of(())]
-        return EdgeBlock(np.concatenate([b.us for b in blocks]), np.concatenate([b.vs for b in blocks]))
+        return EdgeBlock.join(seg for _, seg in self.segments)
 
     def edge_count(self) -> int:
         return sum(len(seg) for _, seg in self.segments)
@@ -494,7 +488,6 @@ def to_stream(inst, shuffle_seed: int | None = None) -> EdgeStream:
         raise TypeError(f"cannot stream {type(inst).__name__}")
     segments = []
     for tag, seg in raw:
-        seg = EdgeBlock.of(seg)
         if shuffle_seed is not None and len(seg):
             order = rngmod.substream(shuffle_seed, "stream", tag).permutation(len(seg))
             seg = EdgeBlock(seg.us[order], seg.vs[order])

@@ -15,6 +15,13 @@ from .common import bfs
 from .instances import EdgeStream
 
 
+# Graphs whose vertices are made before any edge is read (a stream's
+# `Digraph`, the sides of a bipartite file) are capped: 2^18 is over twice the
+# side of `reduce matching` on an st instance built from the m = 10^4 RS
+# digraph (n = 121,018).
+MAX_BIPARTITE_SIDE = 1 << 18
+
+
 @dataclass(frozen=True)
 class Digraph:
     vertices: frozenset
@@ -22,6 +29,11 @@ class Digraph:
 
     @staticmethod
     def from_stream(stream: EdgeStream) -> "Digraph":
+        """The stream's distinct edges over its n vertices; n is at most
+        MAX_BIPARTITE_SIDE, so `reduce matching`'s output reads back."""
+        if stream.n > MAX_BIPARTITE_SIDE:
+            raise ValueError(f"a graph is built on at most {MAX_BIPARTITE_SIDE} vertices, "
+                             f"not the stream's {stream.n}")
         edges = tuple(dict.fromkeys(stream.edges()))
         return Digraph(frozenset(range(stream.n)), edges)
 

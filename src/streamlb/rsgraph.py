@@ -11,14 +11,12 @@ disjoint namespaces: an edge (u, v) always means u in L, v in R.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
 from .behrend import BehrendSet, verify_no_3ap
-from .common import Report, fail_report, id_array, ok_report
+from .common import EdgeBlock, Report, fail_report, id_array, ok_report
 
-Edge = tuple[int, int]
 _CHUNK_PAIRS = 2**16  # cross pairs looked up per gather
 _SLICE_BITS = 2**20  # bitmap cells per slice of left ranks, unless one left needs more
 
@@ -30,13 +28,13 @@ class RSDigraph:
     n_side: int
     r: int
     t: int
-    matchings: tuple[tuple[Edge, ...], ...]
+    matchings: tuple  # (EdgeBlock, ...), one per matching, made from any (u, v) pairs
     source: dict = field(default_factory=dict, compare=False)
 
-    def all_edges(self) -> list[Edge]:
-        return [e for matching in self.matchings for e in matching]
+    def __post_init__(self):
+        object.__setattr__(self, "matchings", tuple(map(EdgeBlock.of, self.matchings)))
 
-    def matching(self, i: int) -> tuple[Edge, ...]:
+    def matching(self, i: int) -> EdgeBlock:
         """Matching i, 1-indexed as everywhere in this package."""
         if not 1 <= i <= self.t:
             raise IndexError(f"matching index {i} outside [1, {self.t}]")
@@ -54,26 +52,24 @@ def build_rs_digraph(a: BehrendSet, check: bool = True) -> RSDigraph:
         if not report:
             raise ValueError(f"input set failed 3-AP verification: {report.reason}")
     m = a.m
-    alphas = a.elements
-    matchings = tuple(
-        tuple((x + alpha, x + 2 * alpha) for alpha in alphas) for x in range(1, m + 1)
-    )
+    alphas = np.array(a.elements, dtype=np.int64)
+    x = np.arange(1, m + 1)[:, None]
     return RSDigraph(
         n_side=3 * m,
         r=len(alphas),
         t=m,
-        matchings=matchings,
+        matchings=tuple(map(EdgeBlock, x + alphas, x + 2 * alphas)),  # row x - 1: matching x
         source={"m": m, "construction": a.construction, "size": len(alphas)},
     )
 
 
-def restrict_matching(g: RSDigraph, i: int, s) -> tuple[Edge, ...]:
+def restrict_matching(g: RSDigraph, i: int, s) -> EdgeBlock:
     """Edges {e_ij : j in s} of matching i, in index order; s is a subset of [1..r]."""
     matching = g.matching(i)
-    indices = sorted(set(int(j) for j in s))
-    if indices and (indices[0] < 1 or indices[-1] > g.r):
-        raise IndexError(f"edge index outside [1, {g.r}]: {indices}")
-    return tuple(matching[j - 1] for j in indices)
+    indices = np.unique(id_array(s))
+    if indices.size and (indices[0] < 1 or indices[-1] > g.r):
+        raise IndexError(f"edge index outside [1, {g.r}]: {indices.tolist()}")
+    return EdgeBlock(matching.us[indices - 1], matching.vs[indices - 1])
 
 
 def _seen_before(keys: np.ndarray) -> np.ndarray:
@@ -116,7 +112,7 @@ def _first_cross_pair(left: np.ndarray, right: np.ndarray, r: int) -> int | None
     return best
 
 
-def _first_structural_flaw(g: RSDigraph, pairs: np.ndarray, left: np.ndarray,
+def _first_structural_flaw(g: RSDigraph, edges: EdgeBlock, left: np.ndarray,
                            right: np.ndarray) -> Report | None:
     """The first edge in (i, j) order outside [1, N], with an endpoint repeated
     inside its matching, or equal to an edge of an earlier matching; reasons
@@ -124,7 +120,8 @@ def _first_structural_flaw(g: RSDigraph, pairs: np.ndarray, left: np.ndarray,
     r = g.r
     n_left, n_right = int(left.max()) + 1, int(right.max()) + 1
     row = np.arange(left.size) // r
-    outside = ((pairs < 1) | (pairs > g.n_side)).any(axis=1)
+    us, vs = edges.us, edges.vs
+    outside = (us < 1) | (us > g.n_side) | (vs < 1) | (vs > g.n_side)
     repeated = _seen_before(row * n_left + left) | _seen_before(row * n_right + right)
     keys = left * n_right + right
     shared = _seen_before(keys)
@@ -132,37 +129,37 @@ def _first_structural_flaw(g: RSDigraph, pairs: np.ndarray, left: np.ndarray,
     if not bad.any():
         return None
     e = int(bad.argmax())
-    i, j = divmod(e, r)
-    u, v = g.matchings[i][j]
+    i = e // r
+    edge = (int(us[e]), int(vs[e]))
     if outside[e]:
-        return fail_report("vertex outside [1, N]", matching=i + 1, edge=(u, v))
+        return fail_report("vertex outside [1, N]", matching=i + 1, edge=edge)
     if repeated[e]:
-        return fail_report("repeated endpoint inside a matching", matching=i + 1, edge=(u, v))
+        return fail_report("repeated endpoint inside a matching", matching=i + 1, edge=edge)
     owner = int(np.flatnonzero(keys == keys[e])[0]) // r
-    return fail_report("edge shared between matchings", edge=(u, v), matchings=(owner + 1, i + 1))
+    return fail_report("edge shared between matchings", edge=edge, matchings=(owner + 1, i + 1))
 
 
 def verify_induced(g: RSDigraph) -> Report:
     """Exhaustive check of all structural invariants; reports first violation.
 
-    The checks run on the packed (u, v) array in (i, j) order, and the report
-    is the first violating edge under the order and the reason priority of
-    one loop over the edges: size of its matching, range, repeated endpoint,
-    shared edge; then induced-ness, first in (i, j, jp) order.
+    The checks run on the matchings' edges joined in (i, j) order, and the
+    report is the first violating edge under the order and the reason
+    priority of one loop over the edges: size of its matching, range,
+    repeated endpoint, shared edge; then induced-ness, first in (i, j, jp) order.
     """
     if len(g.matchings) != g.t:
         return fail_report("matching count differs from t", expected=g.t, got=len(g.matchings))
     sized = next((i for i, matching in enumerate(g.matchings) if len(matching) != g.r), g.t)
     count = sized * g.r
     if count:
-        pairs = id_array(chain.from_iterable(chain.from_iterable(g.matchings[:sized]))).reshape(count, 2)
+        edges = EdgeBlock.join(g.matchings[:sized])
         # ids become ranks first, so no key outgrows int64 whatever N claims
-        left = np.unique(pairs[:, 0], return_inverse=True)[1].reshape(-1)
-        right = np.unique(pairs[:, 1], return_inverse=True)[1].reshape(-1)
-        flaw = _first_structural_flaw(g, pairs, left, right)
+        left = np.unique(edges.us, return_inverse=True)[1].reshape(-1)
+        right = np.unique(edges.vs, return_inverse=True)[1].reshape(-1)
+        flaw = _first_structural_flaw(g, edges, left, right)
         if flaw is not None:
             return flaw
-        del pairs  # only the ranks go on to the cross-pair pass
+        del edges  # only the ranks go on to the cross-pair pass
     if sized < g.t:
         return fail_report("matching has wrong size", matching=sized + 1, size=len(g.matchings[sized]))
     # induced-ness: no edge may join matching i's left side to its right side
@@ -172,6 +169,7 @@ def verify_induced(g: RSDigraph) -> Report:
         if first is not None:
             row, jp = divmod(first, g.r)
             i, j = divmod(row, g.r)
+            matching = g.matchings[i]
             return fail_report("induced-ness violated", matching=i + 1,
-                               cross_edge=(g.matchings[i][j][0], g.matchings[i][jp][1]))
+                               cross_edge=(int(matching.us[j]), int(matching.vs[jp])))
     return ok_report(matchings_checked=g.t, edges=count)

@@ -93,6 +93,11 @@ def _bad_endpoint(u: int, v: int, n: int, width: int) -> ValueError:
     return ValueError(f"{bad} is not a vertex of [0, {n})")
 
 
+def _outside(us, vs, n: int) -> bool:
+    """Whether a block's id arrays hold an id outside [0, n)."""
+    return len(us) > 0 and bool(min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= n)
+
+
 def _key_array(keys, width: int) -> np.ndarray:
     """Keys as one array: uint64 while 2w <= 64, exact Python ints beyond."""
     return np.fromiter(keys, dtype=np.uint64 if 2 * width <= 64 else object, count=len(keys))
@@ -171,8 +176,7 @@ class StoreAll(StreamAlgorithm):
         fit int64; otherwise per edge, so an error names the same first edge."""
         if self._pass != 1 or not len(us):
             return
-        if us.dtype == object or vs.dtype == object or 2 * self.width > 63 \
-                or min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= self.n:
+        if us.dtype == object or vs.dtype == object or 2 * self.width > 63 or _outside(us, vs, self.n):
             return super().process_block(us, vs)
         self.stored, self.keys = self._all_keys((us << self.width | vs).astype(np.uint64)), set()
 
@@ -198,7 +202,7 @@ class StoreAll(StreamAlgorithm):
 class BfsFrontier(StreamAlgorithm):
     """One frontier expansion per pass: after pass j the set of vertices
     within j hops of s is known. Three-valued answer; `unknown` is exactly the
-    few-pass limitation made observable."""
+    few-pass limitation made observable. An edge with an endpoint outside [0, n) is refused."""
 
     name = "bfs-frontier"
 
@@ -220,13 +224,19 @@ class BfsFrontier(StreamAlgorithm):
         self.additions = set()
 
     def process(self, u, v):
+        n = self.n
+        if not (0 <= u < n and 0 <= v < n):
+            raise _bad_endpoint(u, v, n, int_width(n - 1))
         if u in self.reached:
             self.additions.add(v)
         if not self.directed and v in self.reached:
             self.additions.add(u)
 
     def process_block(self, us, vs):
-        """One gather: the heads of the block's edges whose tail is reached."""
+        """One gather: the heads of the block's edges whose tail is reached;
+        per edge when an id is outside [0, n), so an error names the same first edge."""
+        if _outside(us, vs, self.n):
+            return super().process_block(us, vs)
         reached = id_array(self.reached)
         self.additions.update(vs[np.isin(us, reached)].tolist())
         if not self.directed:

@@ -27,7 +27,7 @@ from .instances import (
     ur_layer_map,
     ur_witnesses,
 )
-from .reductions import BipartiteGraph
+from .reductions import MAX_BIPARTITE_SIDE, BipartiteGraph
 from .rsgraph import RSDigraph
 
 
@@ -210,18 +210,18 @@ def verify_ur_file(stream: EdgeStream, meta: dict) -> Report:
 
 
 def verify_st_file(stream: EdgeStream, meta: dict) -> Report:
-    e1 = dict(stream.segments).get("E1", ())
+    e1 = dict(stream.segments).get("E1", EdgeBlock((), ()))
     return check_st(stream.edge_block(), e1, meta_layers(meta), meta["witnesses"])
 
 
 # --- RS digraphs ------------------------------------------------------------------
 
 def render_rs(g: RSDigraph) -> str:
-    lines = [f"RS {g.n_side} {g.t} {g.r}"]
+    blocks = [f"RS {g.n_side} {g.t} {g.r}"]  # one string per matching: no list of every line
     for i, matching in enumerate(g.matchings, start=1):
-        lines.append(f"M {i}")
-        lines.extend(f"{u} {v}" for u, v in matching)
-    return "\n".join(lines) + "\n"
+        pairs = zip(matching.us.tolist(), matching.vs.tolist())
+        blocks.append("\n".join([f"M {i}", *(f"{u} {v}" for u, v in pairs)]))
+    return "\n".join(blocks) + "\n"
 
 
 def write_rs(path, g: RSDigraph):
@@ -259,10 +259,10 @@ def parse_rs(text: str) -> RSDigraph:
         index = _M_INDEX.fullmatch(mark[0].strip())
         if index is None or int(index[1]) != i:
             raise ValueError(f"matching header {mark[0].strip()[:80]!r} out of order: expected 'M {i}'")
-        ids = _edge_ids(text[mark.end() : nxt.start() if nxt else len(text)], f"matching {i}")
-        if not ids and r:
+        ids = id_array(_edge_ids(text[mark.end() : nxt.start() if nxt else len(text)], f"matching {i}"))
+        if not len(ids) and r:
             raise ValueError(f"matching {i} has no edges")
-        matchings.append(tuple(zip(ids[::2], ids[1::2])))
+        matchings.append(EdgeBlock(ids[0::2], ids[1::2]))
     return RSDigraph(n_side=n_side, r=r, t=t, matchings=tuple(matchings), source={"file": True})
 
 
@@ -286,10 +286,7 @@ def write_bipartite(path, g: BipartiteGraph):
     Path(path).write_text(render_bipartite(g))
 
 
-# The header's side counts size the graph before any edge is read, so they are
-# capped: 2^18 is over twice the side of `reduce matching` on an st instance
-# built from the m = 10^4 RS digraph (n = 121,018).
-MAX_BIPARTITE_SIDE = 1 << 18
+# the header's side counts size the graph before any edge is read, so they are capped
 _BIPARTITE_HEADER = re.compile(r"BIPARTITE[ \t]+(\d+)[ \t]+(\d+)", re.ASCII)
 _LABEL_LINE = re.compile(r"#[ \t]*([LR])(\d+)[ \t]+\S.*", re.ASCII)
 _INDEX_PAIR = re.compile(r"(\d+)[ \t]+(\d+)", re.ASCII)

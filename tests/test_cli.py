@@ -327,6 +327,47 @@ def test_tour_artifacts_and_verify_lines_are_unchanged(tmp_path, capsys):
             assert capsys.readouterr().out == line + "\n"
 
 
+# sha256 of `gen` outputs the tour does not make: the inverse direction, both
+# forced middle layers and pinned component seeds, on the tour's rs.txt with
+# --seed 7 --count 2
+GEN_VARIANTS = {
+    "ur-inverse": ("ur", "--direction", "inverse"),
+    "st-complete": ("st", "--e1-mode", "complete"),
+    "st-empty": ("st", "--e1-mode", "empty"),
+    "st-seeds": ("st", "--e1-seed", 3, "--forward-seed", 4, "--backward-seed", 5),
+}
+GEN_VARIANT_HASHES = {
+    "ur-inverse/ur-0000.stream": "4c106f65fa97759d4ba26c86a05deb05b4d37264e00ca5c00c6c8bd347e8d65e",
+    "ur-inverse/ur-0000.stream.meta.json": "706ab961626be1ebf318ba1bdd8bdc63a93a229fbde60f236ec00e38f91c6d44",
+    "ur-inverse/ur-0001.stream": "5829083c863789e8a019debe6fe31ec170a0b4357efc7ef68c5868f39f2457a8",
+    "ur-inverse/ur-0001.stream.meta.json": "65832a7371b7e8b12663017cb71cb447522efb9219e894dbfa0215d2f522807d",
+    "st-complete/st-0000.stream": "0ec16ffc19bd91e9e909dcfceafd62e4488c99be8654ce3ffa1453c948cf5984",
+    "st-complete/st-0000.stream.meta.json": "0b50a87172ef16c721747a47811c2c41f2004d3124b64d4921fefe4346ae3369",
+    "st-complete/st-0001.stream": "d567f49bd5702ca43e4cbd1968041fb069f5fb67f52329e71b269f61b3268f86",
+    "st-complete/st-0001.stream.meta.json": "a84e94e3c8a8445d95ff5be2584d445aba1d6b8cad6d2f4f653df77ae5a10586",
+    "st-empty/st-0000.stream": "a12a6ea6487f5d9c874f20456fb6eda2cd60f48763974e197041adb88563c122",
+    "st-empty/st-0000.stream.meta.json": "53f477c9b934c59957797020fd36f66796c08a5b94c30b47afe01a0b732e95e9",
+    "st-empty/st-0001.stream": "e50ca17d9e8279ebac65c4ed33624f5897b3c7e34cc796a210d806ad2946d4cc",
+    "st-empty/st-0001.stream.meta.json": "3d3bf90a5dec22a5601deb47d135c355f442650a6a2b239eb4a963174f479f9a",
+    "st-seeds/st-0000.stream": "3f5b3553415d8181faa5f32110578126261d95d2c45c8ce7379d8909d8a4bbd1",
+    "st-seeds/st-0000.stream.meta.json": "5dcffa9390fa9a19990912538763de1ba3003c7ccf54dc7b250f404f62d7bd02",
+    "st-seeds/st-0001.stream": "46a3c84cd52fe298140881b663b3283691409d9c76b5505a3397dfd50928a350",
+    "st-seeds/st-0001.stream.meta.json": "5dcffa9390fa9a19990912538763de1ba3003c7ccf54dc7b250f404f62d7bd02",
+}
+
+
+def test_gen_variant_bytes_are_unchanged(tmp_path):
+    assert run("gen", "rs", "--m", 100, "--trim", 4, "--out", tmp_path / "rs.txt") == OK
+    for name, (kind, *options) in GEN_VARIANTS.items():
+        assert run("gen", kind, *options, "--rs", tmp_path / "rs.txt", "--seed", 7, "--count", 2,
+                   "--out", tmp_path / name) == OK
+    written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+               if p.is_file() and p.name != "rs.txt" and not p.name.endswith(".manifest.json")}
+    assert written == set(GEN_VARIANT_HASHES)
+    for name, digest in GEN_VARIANT_HASHES.items():
+        assert streamio.sha256_file(tmp_path / name) == digest, name
+
+
 @pytest.fixture(scope="module")
 def tour_stream(tmp_path_factory):
     """The README tour's st-0000.stream, with its .meta.json beside it."""
@@ -461,6 +502,18 @@ def test_experiment_worker_pool_parity():
     serial = st_batch(count=40, seed=3, with_distances=True)
     pooled = st_batch(count=40, seed=3, with_distances=True, workers=3)
     assert serial == pooled
+
+
+def test_st_batch_report_is_the_same_on_two_workers(capsys):
+    # instances cross to the pool's processes pickled, edge blocks and all
+    argv = ("experiment", "st-batch", "--param", "count=24", "--param", "seed=5",
+            "--param", "with_distances=true")
+    outputs = []
+    for workers in (1, 2):
+        assert run(*argv, "--workers", workers) == OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["distances"] == {"eight": 0, "infinite": 6, "nine_plus": 8, "seven": 10}
 
 
 def test_fan_out_never_asks_for_more_processes_than_jobs_or_cpus(monkeypatch):
@@ -853,12 +906,32 @@ def test_rs_readers_reject_malformed_input(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 2
 
 
+# the whole `verify rs` line on each tampered file: a numpy scalar in a report
+# would print as a quoted string here
+TAMPERED_RS_LINES = {
+    "cross edge":
+        '{"detail": {"cross_edge": [2, 5], "matching": 1}, "ok": false, "reason": "induced-ness violated"}',
+    "fewer matchings than t":
+        '{"detail": {"expected": 4, "got": 3}, "ok": false, "reason": "matching count differs from t"}',
+    "huge id":
+        '{"detail": {"edge": [4, 1000000000000000000000000000000], "matching": 2}, "ok": false, "reason": "vertex outside [1, N]"}',
+    "id beyond N":
+        '{"detail": {"edge": [4, 10], "matching": 2}, "ok": false, "reason": "vertex outside [1, N]"}',
+    "matching smaller than r":
+        '{"detail": {"matching": 2, "size": 1}, "ok": false, "reason": "matching has wrong size"}',
+    "negative id":
+        '{"detail": {"edge": [-4, 6], "matching": 2}, "ok": false, "reason": "vertex outside [1, N]"}',
+}
+
+
 @pytest.mark.parametrize("case", sorted(TAMPERED_RS))
 def test_verify_rs_fails_a_wellformed_tampered_file(tmp_path, capsys, case):
     path = tmp_path / "rs.txt"
     path.write_text(TAMPERED_RS[case])
     assert run("verify", "rs", path) == VERIFY_FAILED
-    assert json.loads(capsys.readouterr().out)["ok"] is False
+    out = capsys.readouterr().out
+    assert json.loads(out)["ok"] is False
+    assert out == TAMPERED_RS_LINES[case] + "\n"
 
 
 def test_rs_reader_keeps_what_it_is_given(tmp_path):
@@ -951,6 +1024,29 @@ def test_oracle_pm_refuses_a_huge_header_before_sizing_the_graph(tmp_path):
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == USAGE and proc.stdout == ""
     assert proc.stderr.startswith("error: bipartite header") and proc.stderr.count("\n") == 1
+
+
+def test_graph_commands_refuse_a_huge_header_within_bounded_memory(tmp_path):
+    # `oracle toposort` and `reduce matching|acyclic|reachcount` build a graph
+    # over the stream's n vertices; they run in a child capped at 1 GiB of
+    # address space, so a build for n = 10^20 fails there instead of exhausting the host
+    path = tmp_path / "huge.stream"
+    path.write_text(f"STREAM {10**20} directed=1\nSEG E\n0 1\n1 2\n2 3\n")
+    commands = [["oracle", "toposort", "--input", str(path)]]
+    commands += [["reduce", kind, "--input", str(path), "--out", str(tmp_path / kind)]
+                 for kind in ("matching", "acyclic", "reachcount")]
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+             "from streamlb.cli import dispatch\n"
+             f"for argv in {commands!r}:\n"
+             "    print(dispatch(argv), flush=True)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(streamlb.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.stdout == f"{USAGE}\n" * len(commands), proc.stderr[-500:]
+    assert proc.stderr == (f"error: a graph is built on at most {streamio.MAX_BIPARTITE_SIDE} "
+                           f"vertices, not the stream's {10**20}\n") * len(commands)
+    assert [p.name for p in tmp_path.iterdir()] == ["huge.stream"]
 
 
 FUZZ_BIPARTITE = streamio.render_bipartite(BipartiteGraph(

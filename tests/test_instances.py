@@ -8,6 +8,7 @@ import pytest
 
 from streamlb import rng as rngmod
 from streamlb.behrend import construct_ap_free, trim_to_multiple
+from streamlb.common import EdgeBlock
 from streamlb.experiments import small_rs
 from streamlb.instances import (
     FORWARD,
@@ -153,13 +154,27 @@ def test_sample_ur_rejects_bad_r():
         sample_ur(identity_matching_rs(3), FORWARD, seed=0)
 
 
+def test_sample_ur_gathers_alice_edges_exactly_and_refuses_a_huge_n():
+    # matching 1 has ids beyond int64 (object arrays); edges_a must equal the
+    # loop over each matching's Alice indices, ascending
+    big, r = 2**70, 8
+    rs = RSDigraph(100, r, 2, (tuple((big + j, big + 50 + j) for j in range(r)),
+                               tuple((10 + j, 60 + j) for j in range(r))))
+    inst = sample_ur(rs, FORWARD, seed=3)
+    expected = [(u, 100 + v) for matching, pair in zip(rs.matchings, inst.si_pairs)
+                for j, (u, v) in enumerate(matching, start=1) if j in pair.a]
+    assert list(inst.edges_a) == expected
+    with pytest.raises(ValueError, match="too large"):
+        sample_ur(RSDigraph(2**62, 4, 1, (((1, 1), (2, 2), (3, 3), (4, 4)),)), FORWARD, seed=0)
+
+
 def test_ur_promise_detects_second_path():
     rs = identity_matching_rs(8)
     inst = sample_ur(rs, FORWARD, seed=3)
     live = inst.si_pairs[0]
     other = next(j for j in sorted(live.a) if j != inst.e_star)
     extra = ((0, other), (rs.n_side + other, 2 * rs.n_side + other))
-    tampered = dataclasses.replace(inst, edges_b=inst.edges_b + extra)
+    tampered = dataclasses.replace(inst, edges_b=EdgeBlock.of(tuple(inst.edges_b) + extra))
     report = verify_ur_promise(tampered)
     assert not report.ok
     assert "promise" in report.reason
@@ -257,7 +272,8 @@ def second_layer3_path(inst):
     """Two edges through an existing middle edge that let the source side
     reach a second layer-3 vertex."""
     forward = inst.direction == FORWARD
-    u, w = inst.edges_a[0] if forward else inst.edges_a[0][::-1]
+    first = next(iter(inst.edges_a))
+    u, w = first if forward else first[::-1]
     other = 2 if inst.e_star == 1 else 1
     extra = ((0, u), (w, 2 * inst.rs.n_side + other))
     return extra if forward else tuple((b, a) for a, b in extra)
@@ -267,7 +283,7 @@ def ur_tampers(inst):
     """(label, instance, expected): expected is "ok" or a word of the failure reason."""
     yield "none", inst, "ok"
     yield "second path", dataclasses.replace(
-        inst, edges_b=inst.edges_b + second_layer3_path(inst)), "promise"
+        inst, edges_b=EdgeBlock.of(tuple(inst.edges_b) + second_layer3_path(inst))), "promise"
     yield "witness moved", dataclasses.replace(inst, witness=inst.witness + 1), "promise"
     yield "target moved", dataclasses.replace(inst, e_star=inst.e_star + 1), "target-indexed"
     yield "support resized", dataclasses.replace(inst, b_size=inst.b_size + 1), "r/4"
@@ -278,12 +294,13 @@ def st_tampers(inst):
     yield "none", inst, "ok"
     yield "flag flipped", dataclasses.replace(inst, reachable=not inst.reachable), "flag"
     yield "second path", dataclasses.replace(
-        inst, e3=inst.e3 + second_layer3_path(inst.forward)), None
+        inst, e3=EdgeBlock.of(tuple(inst.e3) + second_layer3_path(inst.forward))), None
     yield "witness moved", dataclasses.replace(inst, s_star=inst.s_star + 1), None
     middle = (inst.s_star, inst.t_star)
     if middle in inst.e1:
         yield "middle edge in E2", dataclasses.replace(
-            inst, e1=tuple(e for e in inst.e1 if e != middle), e2=inst.e2 + (middle,)), "middle-edge"
+            inst, e1=EdgeBlock.of(e for e in inst.e1 if e != middle),
+            e2=EdgeBlock.of(tuple(inst.e2) + (middle,))), "middle-edge"
 
 
 def file_report(inst, seed):

@@ -285,18 +285,30 @@ def _run_outcome(tag, stream, per_edge):
     return tuple(c for c in run.checkpoints if "->" not in c[0]), run.output, final
 
 
+# streams with an id outside [0, n), each with the error that an algorithm
+# keeping vertices raises at its first such edge
+OUT_OF_RANGE = {
+    "9 does not fit in 2 bits": tiny_stream([(0, 1), (1, 9), (2, 3)], 4),  # the error names (1, 9)
+    "-1 does not fit in 2 bits": tiny_stream([(0, 1), (1, 2), (-1, 2)], 3),
+    "3 is not a vertex of [0, 3)": tiny_stream([(0, 1), (1, 3), (2, 0)], 3),  # 1 is reached in pass 2 only
+}
+KEEPS_VERTICES = ("store-all", "bfs-frontier:1", "bfs-frontier:3", "spanning-forest")
+
+
 @pytest.mark.parametrize("tag", ALGORITHM_TAGS)
 def test_segment_blocks_equal_the_per_edge_run(tag):
     """The default run hands `process_block` whole segments; `per_edge=True`
     calls `process` once per edge. Both must show the same run."""
-    streams = [*contract_streams(), HUGE_STREAM,
-               tiny_stream([(0, 1), (1, 9), (2, 3)], 4),  # 9 is no vertex: the error names (1, 9)
-               tiny_stream([(0, 1), (1, 2), (-1, 2)], 3),
+    streams = [*contract_streams(), HUGE_STREAM, *OUT_OF_RANGE.values(),
                EdgeStream(4, True, (("A", ((0, 1), (1, 2))), ("B", ((2, 3), (3, 4)))))]  # a block, then per edge
     for stream in streams:
         if tag == "spanning-forest":
             stream = reduce_to_sssp(stream)[0]
         assert _run_outcome(tag, stream, False) == _run_outcome(tag, stream, True)
+    for message, stream in OUT_OF_RANGE.items():
+        if tag in KEEPS_VERTICES:
+            stream = reduce_to_sssp(stream)[0] if tag == "spanning-forest" else stream
+            assert _run_outcome(tag, stream, False) == (ValueError, message)
 
 
 def test_the_huge_stream_runs_as_it_did_per_edge():
