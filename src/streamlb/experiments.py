@@ -250,12 +250,7 @@ def reduction_equiv(pm_trials: int = 500, seed: int = 0) -> dict:
     cross_mismatches = 0
     for _ in range(pm_trials):
         coins = gen.random((8, 8)) < 0.5
-        left = tuple(("L", i) for i in range(8))
-        right = tuple(("R", j) for j in range(8))
-        edges = tuple(
-            (left[i], right[j]) for i in range(8) for j in range(8) if coins[i][j]
-        )
-        g = BipartiteGraph(left, right, edges)
+        g = BipartiteGraph(tuple(range(8)), tuple(range(8)), np.argwhere(coins))
         if perfect_matching_exists(g) != perfect_matching_brute(g):
             cross_mismatches += 1
     return {

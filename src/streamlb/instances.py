@@ -131,10 +131,6 @@ class LayerMap:
                 return lo, hi
         raise KeyError(name)
 
-    def members(self, name: str) -> range:
-        lo, hi = self.span(name)
-        return range(lo, hi + 1)
-
     @property
     def order(self) -> tuple:
         return tuple(nm for nm, _, _ in self.ranges)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .common import bfs
+import numpy as np
+
+from .common import EdgeBlock, bfs, id_array
 from .instances import EdgeStream
 
 
@@ -24,8 +26,19 @@ MAX_BIPARTITE_SIDE = 1 << 18
 
 @dataclass(frozen=True)
 class Digraph:
+    """Distinct edges between its vertices, first occurrences in order, as one `EdgeBlock`."""
+
     vertices: frozenset
-    edges: tuple
+    edges: EdgeBlock
+
+    def __post_init__(self):
+        block = EdgeBlock.of(self.edges)
+        ids, ranks = np.unique(np.concatenate((block.us, block.vs)), return_inverse=True)
+        if not self.vertices.issuperset(ids.tolist()):
+            raise ValueError("an edge has an endpoint that is not a vertex")
+        # unique rows of ranks, not of ids: `axis=0` sorts no object (beyond int64) array
+        first = np.sort(np.unique(ranks.reshape(2, -1).T, axis=0, return_index=True)[1])
+        object.__setattr__(self, "edges", EdgeBlock(block.us[first], block.vs[first]))
 
     @staticmethod
     def from_stream(stream: EdgeStream) -> "Digraph":
@@ -34,45 +47,45 @@ class Digraph:
         if stream.n > MAX_BIPARTITE_SIDE:
             raise ValueError(f"a graph is built on at most {MAX_BIPARTITE_SIDE} vertices, "
                              f"not the stream's {stream.n}")
-        edges = tuple(dict.fromkeys(stream.edges()))
-        return Digraph(frozenset(range(stream.n)), edges)
+        return Digraph(frozenset(range(stream.n)), stream.edge_block())
 
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Undirected bipartite graph; edges pair a left label with a right label."""
+    """Undirected bipartite graph: `left` and `right` label the sides, and each
+    edge (i, j) of the block `edges` joins left[i] to right[j]."""
 
     left: tuple
     right: tuple
-    edges: tuple
+    edges: EdgeBlock
 
     def __post_init__(self):
-        left, right = set(self.left), set(self.right)
-        for u, v in self.edges:
-            if u not in left or v not in right:
-                raise ValueError(f"edge {(u, v)} does not go left-to-right")
+        block = EdgeBlock.of(self.edges)
+        object.__setattr__(self, "edges", block)
+        if len(block) and not (0 <= min(block.us.min(), block.vs.min())
+                               and block.us.max() < len(self.left) and block.vs.max() < len(self.right)):
+            raise ValueError(f"an edge lies outside [0, {len(self.left)}) x [0, {len(self.right)})")
 
 
 def reduce_to_matching(h: Digraph, s, t):
     """Split every inner vertex into a left/right pair; reachability becomes
-    perfect matching.
+    perfect matching. Left is s, right is t, then each side has the inner
+    vertices ascending; the labels are vertex ids.
 
-    Edges into s and out of t are dropped (they can never help an s-t path);
-    the count of dropped edges is reported alongside the graph.
+    Edges into s and out of t (they can never help an s-t path) and loops are
+    dropped; the count of dropped edges is reported alongside the graph.
     """
-    inner = sorted(v for v in h.vertices if v not in (s, t))
-    left = tuple([("L", s)] + [("L", v) for v in inner])
-    right = tuple([("R", t)] + [("R", v) for v in inner])
-    dropped = 0
-    edges = []
-    for u, v in dict.fromkeys(h.edges):
-        if v == s or u == t or u == v:
-            dropped += 1
-            continue
-        edges.append((("L", u), ("R", v)))
-    for v in inner:
-        edges.append((("L", v), ("R", v)))
-    return BipartiteGraph(left, right, tuple(dict.fromkeys(edges))), dropped
+    if s == t:
+        raise ValueError(f"s and t must differ, not both {s}")
+    inner = sorted(h.vertices - {s, t})
+    ids = id_array(inner)
+    us, vs = h.edges.us, h.edges.vs
+    keep = (vs != s) & (us != t) & (us != vs)
+    us, vs = us[keep], vs[keep]
+    identity = np.arange(1, len(inner) + 1)  # each inner vertex's left copy to its right copy
+    edges = EdgeBlock(np.concatenate((np.where(us == s, 0, np.searchsorted(ids, us) + 1), identity)),
+                      np.concatenate((np.where(vs == t, 0, np.searchsorted(ids, vs) + 1), identity)))
+    return BipartiteGraph((s, *inner), (t, *inner), edges), len(keep) - len(us)
 
 
 def perfect_matching_exists(g: BipartiteGraph) -> bool:
@@ -85,11 +98,9 @@ def perfect_matching_exists(g: BipartiteGraph) -> bool:
     """
     if len(g.left) != len(g.right):
         return False
-    left = {u: i for i, u in enumerate(g.left)}
-    right = {v: j for j, v in enumerate(g.right)}
-    adj: list[list[int]] = [[] for _ in g.left]
-    for u, v in g.edges:
-        adj[left[u]].append(right[v])
+    dst = g.edges.vs[np.argsort(g.edges.us, kind="stable")].tolist()  # neighbours in edge order
+    ptr = [0] + np.cumsum(np.bincount(g.edges.us, minlength=len(g.left))).tolist()
+    adj = [dst[ptr[u] : ptr[u + 1]] for u in range(len(g.left))]
     match_l = [-1] * len(g.left)
     match_r = [-1] * len(g.right)
     matched = 0
@@ -136,14 +147,13 @@ def perfect_matching_brute(g: BipartiteGraph) -> bool:
     """Naive backtracking over all assignments; the independent oracle."""
     if len(g.left) != len(g.right):
         return False
-    adj = {u: sorted(v for x, v in g.edges if x == u) for u in g.left}
-    lefts = list(g.left)
+    adj = [sorted(j for i, j in g.edges if i == u) for u in range(len(g.left))]
     used: set = set()
 
     def place(i):
-        if i == len(lefts):
+        if i == len(adj):
             return True
-        for v in adj[lefts[i]]:
+        for v in adj[i]:
             if v not in used:
                 used.add(v)
                 if place(i + 1):
@@ -164,7 +174,7 @@ def reduce_to_acyclicity(h: Digraph, s, t) -> Digraph:
     """Append the edge (t, s): the result stays acyclic iff s cannot reach t."""
     if topological_order(h) is None:
         raise ValueError("input graph must be acyclic")
-    return Digraph(h.vertices, h.edges + ((t, s),))
+    return Digraph(h.vertices, EdgeBlock.join([h.edges, EdgeBlock.of([(t, s)])]))
 
 
 def reduce_to_reach_count(h: Digraph, s, t, n: int):
@@ -172,7 +182,7 @@ def reduce_to_reach_count(h: Digraph, s, t, n: int):
     at-least-2n from at-most-n."""
     base = max(h.vertices, default=0) + 1
     fresh = tuple(range(base, base + 2 * n))
-    edges = h.edges + tuple((t, w) for w in fresh)
+    edges = EdgeBlock.join([h.edges, EdgeBlock(id_array([t] * len(fresh)), id_array(fresh))])
     return Digraph(h.vertices | set(fresh), edges), fresh
 
 
@@ -188,19 +198,19 @@ def undirected_distance(edges, s, t):
 
 
 def topological_order(h: Digraph):
-    """Kahn's algorithm; None when the graph has a cycle."""
-    indeg = {v: 0 for v in h.vertices}
-    adj: dict = {v: [] for v in h.vertices}
-    for u, v in h.edges:
-        adj[u].append(v)
-        indeg[v] += 1
-    ready = sorted(v for v, d in indeg.items() if d == 0)
+    """Kahn's algorithm, largest ready vertex first; None when the graph has a cycle."""
+    ids = id_array(sorted(h.vertices))
+    us, vs = np.searchsorted(ids, h.edges.us), np.searchsorted(ids, h.edges.vs)  # vertex ranks
+    indeg = np.bincount(vs, minlength=len(ids)).tolist()
+    dst = vs[np.argsort(us, kind="stable")].tolist()
+    ptr = [0] + np.cumsum(np.bincount(us, minlength=len(ids))).tolist()
+    ready = [v for v, d in enumerate(indeg) if d == 0]
     order = []
     while ready:
         v = ready.pop()
         order.append(v)
-        for w in adj[v]:
+        for w in dst[ptr[v] : ptr[v + 1]]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 ready.append(w)
-    return order if len(order) == len(h.vertices) else None
+    return ids[order].tolist() if len(order) == len(ids) else None

@@ -273,12 +273,10 @@ def read_rs(path) -> RSDigraph:
 # --- bipartite graphs --------------------------------------------------------------
 
 def render_bipartite(g: BipartiteGraph) -> str:
-    index_l = {u: i + 1 for i, u in enumerate(g.left)}
-    index_r = {v: i + 1 for i, v in enumerate(g.right)}
     lines = [f"BIPARTITE {len(g.left)} {len(g.right)}"]
-    lines += [f"# L{i + 1} {u}" for i, u in enumerate(g.left)]
-    lines += [f"# R{i + 1} {v}" for i, v in enumerate(g.right)]
-    lines += [f"{index_l[u]} {index_r[v]}" for u, v in g.edges]
+    lines += [f"# L{i} {u}" for i, u in enumerate(g.left, 1)]
+    lines += [f"# R{j} {v}" for j, v in enumerate(g.right, 1)]
+    lines += [f"{i} {j}" for i, j in zip((g.edges.us + 1).tolist(), (g.edges.vs + 1).tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -297,8 +295,8 @@ def parse_bipartite(text: str) -> BipartiteGraph:
 
     The file opens with `BIPARTITE <nL> <nR>`. Every later line is a label
     `# L<i> <id>` / `# R<i> <id>` or an edge `i j` with i in [1, nL] and j in
-    [1, nR]. Labels are not read back: sides are 1..nL and -1..-nR. Neither
-    side may exceed MAX_BIPARTITE_SIDE vertices.
+    [1, nR]. Labels are not read back: both sides are labelled from 1, and the
+    edges are 0-based. Neither side may exceed MAX_BIPARTITE_SIDE vertices.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
@@ -324,10 +322,8 @@ def parse_bipartite(text: str) -> BipartiteGraph:
         i, j = int(pair[1]), int(pair[2])
         if not (1 <= i <= n_l and 1 <= j <= n_r):
             raise ValueError(f"edge {ln[:80]!r} is outside [1, {n_l}] x [1, {n_r}]")
-        edges.append((i, -j))
-    left = tuple(range(1, n_l + 1))
-    right = tuple(-(i + 1) for i in range(n_r))  # distinct namespaces
-    return BipartiteGraph(left, right, tuple(edges))
+        edges.append((i - 1, j - 1))
+    return BipartiteGraph(tuple(range(1, n_l + 1)), tuple(range(1, n_r + 1)), edges)
 
 
 def read_bipartite(path) -> BipartiteGraph:

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import hashlib
 import inspect
 import io
 import json
@@ -428,6 +429,65 @@ def test_default_t_is_the_last_vertex(tmp_path, capsys, tour_stream, command):
     assert results[0] == results[1] and any(results[0])
 
 
+def test_reduce_matching_refuses_equal_endpoints(tmp_path, capsys, tour_stream):
+    # `oracle bfs` calls s = t reachable, which no perfect matching of the split graph says
+    capsys.readouterr()
+    assert run("reduce", "matching", "--input", tour_stream, "--out", tmp_path / "bip.txt",
+               "--s", 5, "--t", 5) == USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "error: s and t must differ, not both 5\n" and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["complete", "empty"])
+def test_reductions_answer_as_oracle_bfs(tmp_path, capsys, tour_stream, mode):
+    assert run("gen", "st", "--e1-mode", mode, "--rs", tour_stream.parent / "rs.txt", "--seed", 7,
+               "--count", 1, "--out", tmp_path) == OK
+    stream_path = tmp_path / "st-0000.stream"
+
+    def oracle(kind, path):
+        capsys.readouterr()
+        assert run("oracle", kind, "--input", path) == OK
+        return json.loads(capsys.readouterr().out)
+
+    reachable = oracle("bfs", stream_path)["reachable"]
+    assert reachable == (mode == "complete")
+    assert run("reduce", "matching", "--input", stream_path, "--out", tmp_path / "bip.txt") == OK
+    assert oracle("pm", tmp_path / "bip.txt")["perfect_matching"] == reachable
+    assert run("reduce", "acyclic", "--input", stream_path, "--out", tmp_path / "ac.stream") == OK
+    assert oracle("toposort", tmp_path / "ac.stream")["acyclic"] == (not reachable)
+
+
+# sha256 of what the reductions write for the README tour's st-0000.stream, and
+# of the oracles' JSON on it. `reduce matching` is pinned whole and also without
+# its `# L<i> <id>` / `# R<i> <id>` label lines, so its header and edge lines are
+# held apart from how the labels are written.
+REDUCTION_HASHES = {
+    "acyclic": "997ee50df824b0074658e18f14b319a21946c0bcb75a88caeeb2842a388f8e2f",
+    "reachcount": "1268ae4749e8c1b4b44d0b4fafdd336f67e515724fc1955081fed1e1732a0073",
+    "sssp": "1ee0db14b9bfc372d310bb5ebbc968b46a5f4aa18d0d9aeb9711cdb748d05a14",
+    "matching": "247be94bfc4c57273de89b37c5fa80bdd3aade82931d53d2d240a36282c9ee83",
+}
+MATCHING_WITHOUT_LABELS_HASH = "abda88485b5e211ca60036f285744cd13f8a20f49122d64314d6c410a98cef1b"
+ORACLE_HASHES = {
+    "toposort": "7361c2fbb95e3e28da0a944676520e21646e34d7b4e93024fc832b629d33ef95",
+    "bfs": "7e5d81f8753225f6f501cfd867b987d2d76861d3c1e700ea5e1d21f57829335d",
+}
+
+
+def test_reduction_and_oracle_outputs_are_unchanged(tmp_path, capsys, tour_stream):
+    for kind, digest in REDUCTION_HASHES.items():
+        assert run("reduce", kind, "--input", tour_stream, "--out", tmp_path / kind) == OK
+        assert streamio.sha256_file(tmp_path / kind) == digest, kind
+    lines = (tmp_path / "matching").read_text().splitlines(keepends=True)
+    unlabelled = "".join(ln for ln in lines if not ln.startswith("#"))
+    assert hashlib.sha256(unlabelled.encode()).hexdigest() == MATCHING_WITHOUT_LABELS_HASH
+    for kind, digest in ORACLE_HASHES.items():
+        capsys.readouterr()
+        assert run("oracle", kind, "--input", tour_stream) == OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, kind
+
+
 def _stream_command_outputs(tmp_path, capsys, stream_path):
     """stdout of every command that reads a stream, then the files they wrote, wall time aside."""
     commands = [_stream_argv(c, stream_path, tmp_path / c.replace(" ", "-"))
@@ -488,12 +548,12 @@ def test_stream_roundtrip(tmp_path):
 
 
 def test_bipartite_roundtrip(tmp_path):
-    g = BipartiteGraph((("L", 1), ("L", 2)), (("R", 1), ("R", 2)),
-                       (((("L", 1)), ("R", 2)),))
+    g = BipartiteGraph((1, 2), (1, 2), ((0, 1),))
     path = tmp_path / "b.txt"
     streamio.write_bipartite(path, g)
+    assert path.read_text() == "BIPARTITE 2 2\n# L1 1\n# L2 2\n# R1 1\n# R2 2\n1 2\n"
     back = streamio.read_bipartite(path)
-    assert len(back.left) == 2 and len(back.right) == 2 and len(back.edges) == 1
+    assert (back.left, back.right, back.edges) == (g.left, g.right, g.edges)
 
 
 def test_experiment_worker_pool_parity():
@@ -1003,7 +1063,7 @@ def test_oracle_pm_accepts_the_wellformed_neighbour(tmp_path, capsys):
     assert run("oracle", "pm", "--input", path) == OK
     assert json.loads(capsys.readouterr().out) == {"perfect_matching": True}
     g = streamio.parse_bipartite(GOOD_BIPARTITE)
-    assert (g.left, g.right, g.edges) == ((1, 2), (-1, -2), ((1, -2), (2, -1)))
+    assert (g.left, g.right, g.edges) == ((1, 2), (1, 2), ((0, 1), (1, 0)))
 
 
 def test_bipartite_reader_caps_the_header_sides():
@@ -1050,8 +1110,8 @@ def test_graph_commands_refuse_a_huge_header_within_bounded_memory(tmp_path):
 
 
 FUZZ_BIPARTITE = streamio.render_bipartite(BipartiteGraph(
-    tuple(("L", i) for i in range(6)), tuple(("R", i) for i in range(6)),
-    tuple((("L", i), ("R", j)) for i in range(6) for j in range(6) if (j - i) % 6 in (0, 1, 3))))
+    tuple(range(6)), tuple(range(6)),
+    tuple((i, j) for i in range(6) for j in range(6) if (j - i) % 6 in (0, 1, 3))))
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

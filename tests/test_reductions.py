@@ -31,20 +31,20 @@ def digraph(*edges, vertices=(S, A, B, T)):
 
 def test_matching_single_edge():
     g, dropped = reduce_to_matching(digraph((S, T), vertices=(S, T)), S, T)
-    assert g.edges == ((("L", S), ("R", T)),)
+    assert (g.left, g.right, g.edges) == ((S,), (T,), ((0, 0),))
     assert dropped == 0
     assert perfect_matching_exists(g)
 
 
 def test_matching_path_through_inner():
     g, _ = reduce_to_matching(digraph((S, A), (A, T), vertices=(S, A, T)), S, T)
-    assert set(g.edges) == {(("L", S), ("R", A)), (("L", A), ("R", T)), (("L", A), ("R", A))}
+    assert (g.left, g.right, set(g.edges)) == ((S, A), (T, A), {(0, 1), (1, 0), (1, 1)})
     assert perfect_matching_exists(g)
 
 
 def test_matching_isolated_endpoints():
     g, _ = reduce_to_matching(digraph(vertices=(S, A, T)), S, T)
-    assert set(g.edges) == {(("L", A), ("R", A))}
+    assert (g.left, g.right, set(g.edges)) == ((S, A), (T, A), {(1, 1)})
     assert not perfect_matching_exists(g)
 
 
@@ -53,6 +53,36 @@ def test_matching_drops_backward_edges():
     g, dropped = reduce_to_matching(h, S, T)
     assert dropped == 2
     assert perfect_matching_exists(g) == bfs_reachable(h.edges, S, T) == True  # noqa: E712
+
+
+def test_matching_refuses_equal_endpoints():
+    # s reaches itself, but the edges out of t = s are dropped, so s's left copy has no partner
+    with pytest.raises(ValueError, match="s and t must differ"):
+        reduce_to_matching(digraph((S, A), (A, T)), A, A)
+
+
+def test_digraph_keeps_first_occurrences_in_order():
+    h = digraph((A, B), (S, A), (A, B), (B, T), (S, A))
+    assert h.edges == ((A, B), (S, A), (B, T))
+    assert digraph().edges == ()
+    big = 2**64  # beyond int64, so the block holds Python ints
+    h = digraph((big, big + 1), (0, big), (big, big + 1), vertices=(0, big, big + 1))
+    assert h.edges == ((big, big + 1), (0, big))
+    g, dropped = reduce_to_matching(h, 0, big + 1)
+    assert (g.left, g.right, g.edges, dropped) == ((0, big), (big + 1, big), ((1, 0), (0, 1), (1, 1)), 0)
+    assert perfect_matching_exists(g) and topological_order(h) == [0, big, big + 1]
+
+
+def test_digraph_refuses_an_endpoint_outside_its_vertices():
+    for edge in ((S, 7), (-1, T)):
+        with pytest.raises(ValueError, match="not a vertex"):
+            digraph((S, A), edge)
+
+
+def test_bipartite_graph_refuses_an_edge_outside_its_sides():
+    for edge in ((2, 0), (0, 1), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="outside"):
+            BipartiteGraph((0, 1), (0,), ((0, 0), edge))
 
 
 def test_matching_equivalence_random():
@@ -68,15 +98,14 @@ def test_matching_equivalence_random():
 # --- matching oracles ------------------------------------------------------------
 
 def test_pm_oracle_examples():
-    left, right = (("L", 0), ("L", 1)), (("R", 0), ("R", 1))
-    complete = BipartiteGraph(left, right, tuple((u, v) for u in left for v in right))
+    complete = BipartiteGraph((0, 1), (0, 1), ((0, 0), (0, 1), (1, 0), (1, 1)))
     assert perfect_matching_exists(complete) and perfect_matching_brute(complete)
-    single = BipartiteGraph(left, right, ((left[0], right[0]),))
+    single = BipartiteGraph((0, 1), (0, 1), ((0, 0),))
     assert not perfect_matching_exists(single) and not perfect_matching_brute(single)
 
 
 def test_pm_unbalanced_is_false():
-    g = BipartiteGraph((("L", 0),), (("R", 0), ("R", 1)), ())
+    g = BipartiteGraph((0,), (0, 1), ())
     assert not perfect_matching_exists(g)
     assert not perfect_matching_brute(g)
 
@@ -85,10 +114,8 @@ def test_pm_oracles_agree_random():
     gen = rngmod.substream(1, "pm")
     for _ in range(60):
         n = int(gen.integers(1, 8))
-        left = tuple(("L", i) for i in range(n))
-        right = tuple(("R", i) for i in range(n))
-        edges = tuple((u, v) for u in left for v in right if gen.random() < 0.4)
-        g = BipartiteGraph(left, right, edges)
+        edges = tuple((i, j) for i in range(n) for j in range(n) if gen.random() < 0.4)
+        g = BipartiteGraph(tuple(range(n)), tuple(range(n)), edges)
         assert perfect_matching_exists(g) == perfect_matching_brute(g)
 
 
@@ -97,18 +124,16 @@ def bipartite_graphs(draw):
     """Up to 7 vertices a side, equal sides more often than not; edges may repeat."""
     n_left = draw(st.integers(0, 7))
     n_right = draw(st.one_of(st.just(n_left), st.integers(0, 7)))
-    left = tuple(("L", i) for i in range(n_left))
-    right = tuple(("R", j) for j in range(n_right))
-    pairs = [(u, v) for u in left for v in right]
+    pairs = [(i, j) for i in range(n_left) for j in range(n_right)]
     edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * len(pairs))) if pairs else []
-    return BipartiteGraph(left, right, tuple(edges))
+    return BipartiteGraph(tuple(range(n_left)), tuple(range(n_right)), tuple(edges))
 
 
 @settings(max_examples=400, deadline=None)
 @given(bipartite_graphs())
 @example(BipartiteGraph((), (), ()))
-@example(BipartiteGraph((("L", 0), ("L", 1)), (("R", 0), ("R", 1)), ()))
-@example(BipartiteGraph((("L", 0),), (("R", 0), ("R", 1)), ((("L", 0), ("R", 0)),)))
+@example(BipartiteGraph((0, 1), (0, 1), ()))
+@example(BipartiteGraph((0,), (0, 1), ((0, 0),)))
 def test_pm_oracle_equals_brute_force(g):
     assert perfect_matching_exists(g) == perfect_matching_brute(g)
 
@@ -157,6 +182,12 @@ def test_acyclicity_examples():
     assert topological_order(still_acyclic) is not None
 
 
+def test_acyclicity_appends_an_edge_already_there_once():
+    out = reduce_to_acyclicity(digraph((T, S), vertices=(S, T)), S, T)
+    assert out.edges == ((T, S),)
+    assert topological_order(out) == [T, S]
+
+
 def test_acyclicity_rejects_cyclic_input():
     with pytest.raises(ValueError):
         reduce_to_acyclicity(digraph((S, A), (A, S)), S, T)
@@ -186,8 +217,9 @@ def min_feedback_arcs_upper(h: Digraph, cap: int = 1):
     if topological_order(h) is not None:
         return 0
     if cap >= 1:
-        for i in range(len(h.edges)):
-            pruned = Digraph(h.vertices, h.edges[:i] + h.edges[i + 1 :])
+        edges = tuple(h.edges)
+        for i in range(len(edges)):
+            pruned = Digraph(h.vertices, edges[:i] + edges[i + 1 :])
             if topological_order(pruned) is not None:
                 return 1
     return f">{cap}"
