@@ -112,11 +112,6 @@ def iter_si(m: int):
                 yield SIInstance(m, a_set | {e}, b_set | {e}, e), p
 
 
-def enumerate_si(m: int):
-    """The full support of the intersection distribution with exact probabilities."""
-    return list(iter_si(m))
-
-
 # --- layered graphs ----------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -18,7 +18,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, count, product, repeat
+
+import numpy as np
 
 from . import rng as rngmod
 from .common import BudgetError, encode_int, encode_ints, int_width, is_bit_string
@@ -29,6 +31,9 @@ from .streaming import start_on
 EXACT_FULL_M_CAP = 12
 MEASURE_MODES = ("auto", "exact", "exact-symmetric", "monte-carlo")
 A_REST_ENUM_CAP = 200_000
+# row cells exact-symmetric mode may fill, (m/4)^2 per rand: just under the cap
+# (reveal with p = 1/3 at m = 8944) it took 1.2 s and 187 MiB peak RSS on Python 3.11
+SYMMETRIC_CELL_CAP = 10_000_000
 
 
 @dataclass
@@ -189,19 +194,42 @@ def _uniform_si(m: int):
         yield inst
 
 
-def _posterior_shift(groups, total: int) -> Fraction:
+@lru_cache(maxsize=EXACT_FULL_M_CAP // 4)
+def _si_support(m: int):
+    """The support of `iter_si(m)`, enumerated and checked (`_uniform_si`) once per m.
+
+    Returns the C(m, m/4) own sets as frozensets in `combinations` order, and
+    read-only int arrays with one entry per instance: Alice's set index, Bob's
+    set index, the target, and the target's rank in each player's sorted set.
+    """
+    sets = tuple(frozenset(c) for c in combinations(range(1, m + 1), m // 4))
+    index = {s: i for i, s in enumerate(sets)}
+    rank = np.zeros((len(sets), m + 1), np.int8)
+    for i, s in enumerate(sets):
+        rank[i, sorted(s)] = range(len(s))
+    # indices below C(12, 3) = 495 fit int16; `fromiter` raises on overflow
+    a_idx, b_idx, e_star = np.fromiter(((index[inst.a], index[inst.b], inst.e_star)
+                                        for inst in _uniform_si(m)),
+                                       np.dtype((np.int16, 3)), si_support_size(m)).T
+    arrays = (a_idx, b_idx, e_star, rank[a_idx, e_star], rank[b_idx, e_star])
+    for arr in arrays:
+        arr.flags.writeable = False
+    return (sets, *arrays)
+
+
+def _posterior_shift(rows, total: int) -> Fraction:
     """Sum over (own set, transcript) rows of row mass * TVD(posterior of target, uniform prior).
 
-    With integer multiplicities summing to `total` over all rows, this is the
-    expected shift. A row's term is its `uniform_shift_l1` numerator over 2k,
-    k the row's size; numerators are summed per size and divided once, and
-    every row of size <= 12 is cross-checked by the subset form.
+    Each row is a sized sequence of integer multiplicities, one per candidate
+    of the own set; with multiplicities summing to `total` over all rows, this
+    is the expected shift. A row's term is its `uniform_shift_l1` numerator
+    over 2k, k the row's size; numerators are summed per size and divided
+    once, and every row of size <= 12 is cross-checked by the subset form.
     """
     l1_by_size: dict = {}
-    for by_pi in groups.values():
-        for weight_by_e in by_pi.values():
-            k = len(weight_by_e)
-            l1_by_size[k] = l1_by_size.get(k, 0) + uniform_shift_l1(weight_by_e.values())
+    for row in rows:
+        k = len(row)
+        l1_by_size[k] = l1_by_size.get(k, 0) + uniform_shift_l1(row)
     return sum((Fraction(l1, 2 * k) for k, l1 in l1_by_size.items()), Fraction(0)) / total
 
 
@@ -220,6 +248,38 @@ def _accumulate(groups, own_set, pi, e_star, weight):
     weight_by_e[e_star] += weight
 
 
+def _rows(groups):
+    """The weight rows of `_accumulate`'s groups."""
+    return (weight_by_e.values() for by_pi in groups.values() for weight_by_e in by_pi.values())
+
+
+def _sorted_distinct(keys):
+    """The distinct keys, ascending: `np.unique` holds several times the keys'
+    memory, and its first call alone adds about 1 MiB to peak RSS (numpy 2.4)."""
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+
+
+def _side_rows(own, rank, tids, mults, k: int, dtype):
+    """The rows of one player's side of exact mode, as a (rows, k) array.
+
+    `own` and `rank` give each instance's own set index and the target's rank
+    in it, `tids[j]` the transcript id of each instance under the j-th rand.
+    A row is an (own set, transcript) pair that some (instance, rand) reaches,
+    and its cell for a candidate is the sum over rands of mult * the count of
+    that rand's instances with that target.
+    """
+    n_ids = max(int(t.max()) for t in tids) + 1
+    base = own.astype(np.int64) * n_ids
+    reached = _sorted_distinct(np.concatenate([_sorted_distinct(base + t) for t in tids]))
+    n_cells = len(reached) * k
+    cells = np.zeros(n_cells, dtype)
+    for (_, mult), t in zip(mults, tids):
+        row = np.searchsorted(reached, base + t) * k + rank
+        cells += mult * np.bincount(row, minlength=n_cells).astype(dtype)
+    return cells.reshape(-1, k)
+
+
 def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
                          mc_samples: int = 20_000, seed: int = 0) -> InternalEpsReport:
     """Expected posterior shift of the target element, per Alice and per Bob.
@@ -230,10 +290,13 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
     explicit flag otherwise.
 
     Every mode weighs (instance, rand) by an integer multiplicity over the
-    randomness support's common denominator; the full enumeration streams
-    `iter_si`. Row shifts are summed in integers too, without forming the
-    posterior, and divided once (`_posterior_shift`): the same exact
-    rationals as `Fraction` weights through `tvd`.
+    randomness support's common denominator. The full enumeration's support
+    is enumerated from `iter_si` and checked once per m per process
+    (`_si_support`); each call then computes one transcript per (instance,
+    rand) and counts the rows in arrays. Row shifts are summed in integers
+    too, without forming the posterior, and divided once (`_posterior_shift`):
+    the same exact rationals as `Fraction` weights through `tvd`.
+    Exact-symmetric mode refuses more than SYMMETRIC_CELL_CAP row cells.
     """
     if m < 4 or m % 4:
         raise ValueError(f"universe size must be a positive multiple of 4, got {m}")
@@ -255,28 +318,35 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
     if mode == "exact":
         if m > EXACT_FULL_M_CAP:
             raise BudgetError(f"exact mode enumerates the full joint only for m <= {EXACT_FULL_M_CAP}")
-        alice_groups: dict = {}
-        bob_groups: dict = {}
-        for inst in _uniform_si(m):
-            a, b, e_star = inst.a, inst.b, inst.e_star
-            for rand, mult in mults:
-                pi = oracle.transcript(a, b, e_star, rand)
-                _accumulate(alice_groups, a, pi, e_star, mult)
-                _accumulate(bob_groups, b, pi, e_star, mult)
-        total = si_support_size(m) * denom
-        alice = _posterior_shift(alice_groups, total)
-        bob = _posterior_shift(bob_groups, total)
+        sets, a_idx, b_idx, e_star, rank_a, rank_b = _si_support(m)
+        ids: dict = {}
+        fresh = count()  # transcript ids need only be distinct
+        tids = []
+        for rand, _ in mults:
+            pis = map(oracle.transcript, map(sets.__getitem__, a_idx.tolist()),
+                      map(sets.__getitem__, b_idx.tolist()), e_star.tolist(), repeat(rand))
+            tids.append(np.fromiter(map(ids.setdefault, pis, fresh), np.int32, len(e_star)))
+        total = len(e_star) * denom
+        dtype = np.int64 if total < 1 << 63 else object  # a cell is at most `total`
+        k = m // 4
+        alice, bob = (_posterior_shift(_side_rows(own, rank, tids, mults, k, dtype).tolist(), total)
+                      for own, rank in ((a_idx, rank_a), (b_idx, rank_b)))
         return InternalEpsReport(float(alice), float(bob), float(max(alice, bob)), "exact")
 
     if mode == "exact-symmetric":
         if not oracle.symmetric or oracle.uses_a:
             raise ValueError("oracle does not declare the symmetry this mode requires")
-        a0 = frozenset(range(1, m // 4 + 1))
+        k = m // 4
+        cells = k * len(mults) * k  # at most a row per (target, rand), k candidates each
+        if cells > SYMMETRIC_CELL_CAP:
+            raise BudgetError(f"exact-symmetric mode at m={m} fills up to {cells} row cells "
+                              f"(budget {SYMMETRIC_CELL_CAP})")
+        a0 = frozenset(range(1, k + 1))
         groups: dict = {}
         for e in sorted(a0):
             for rand, mult in mults:
                 _accumulate(groups, a0, oracle.transcript(a0, None, e, rand), e, mult)
-        shift = _posterior_shift(groups, len(a0) * denom)
+        shift = _posterior_shift(_rows(groups), len(a0) * denom)
         return InternalEpsReport(float(shift), float(shift), float(shift), "exact-symmetric")
 
     # Monte Carlo over instances; posterior per sample is still exact
@@ -584,5 +654,5 @@ def measure_internal_eps_ur(oracle: UROracle, rs, budget: int = 300_000) -> Inte
             pi = oracle.transcript(s_sets, rand)
             for i_star, live in enumerate(chosen, 1):
                 _accumulate(groups, live.b, (i_star, pi), live.e_star, mult)
-    shift = _posterior_shift(groups, n_inst ** t * t * denom)
+    shift = _posterior_shift(_rows(groups), n_inst ** t * t * denom)
     return InternalEpsReport(float("nan"), float(shift), float(shift), "exact")

@@ -36,8 +36,14 @@ class Digraph:
         ids, ranks = np.unique(np.concatenate((block.us, block.vs)), return_inverse=True)
         if not self.vertices.issuperset(ids.tolist()):
             raise ValueError("an edge has an endpoint that is not a vertex")
-        # unique rows of ranks, not of ids: `axis=0` sorts no object (beyond int64) array
-        first = np.sort(np.unique(ranks.reshape(2, -1).T, axis=0, return_index=True)[1])
+        # distinct rows of ranks, not of ids, so ids beyond int64 sort alike; the
+        # stable lexsort puts each row's first occurrence first among its copies
+        ru, rv = ranks.reshape(2, -1)
+        order = np.lexsort((rv, ru))
+        ru, rv = ru[order], rv[order]
+        new = np.ones(len(order), bool)
+        new[1:] = (ru[1:] != ru[:-1]) | (rv[1:] != rv[:-1])
+        first = np.sort(order[new])
         object.__setattr__(self, "edges", EdgeBlock(block.us[first], block.vs[first]))
 
     @staticmethod

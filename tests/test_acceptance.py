@@ -17,7 +17,7 @@ from streamlb.experiments import (
     small_rs,
     st_batch,
 )
-from streamlb.instances import enumerate_si, sample_st, sample_ur, to_stream, verify_ur_promise
+from streamlb.instances import iter_si, sample_st, sample_ur, to_stream, verify_ur_promise
 from streamlb.protocols import amplification_parameters, simulate_two_pass
 from streamlb.rsgraph import build_rs_digraph, verify_induced
 from streamlb.streaming import BfsFrontier, EdgeCounter, StoreAll, run_stream
@@ -61,7 +61,7 @@ def test_criterion_2_behrend_quality():
 
 def test_criterion_3_si_marginal_uniformity():
     by_a = {}
-    for inst, p in enumerate_si(4):
+    for inst, p in iter_si(4):
         by_a.setdefault(inst.a, Counter())[inst.e_star] += p
     exhaustive_ok = all(
         set(post) == set(a) and len(set(post.values())) == 1

@@ -1109,6 +1109,26 @@ def test_graph_commands_refuse_a_huge_header_within_bounded_memory(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["huge.stream"]
 
 
+def test_symmetric_measurement_refuses_a_huge_m_within_bounded_memory():
+    # mock-reveal is calibrated in exact-symmetric mode, whose rows hold
+    # (m/4)^2 cells per rand: the budget refuses them before any row is built
+    commands = [["protocol", "measure-eps", "--oracle", "mock-reveal", "--eps", "0.5", "--m", str(m)]
+                for m in (65540, 10**8)]
+    commands += [["protocol", "boost", "--oracle", "mock-reveal", "--eps", "0.5", "--m", str(10**8)]]
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+             "from streamlb.cli import dispatch\n"
+             f"for argv in {commands!r}:\n"
+             "    print(dispatch(argv), flush=True)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(streamlb.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.stdout == f"{USAGE}\n" * len(commands), proc.stderr[-500:]
+    lines = proc.stderr.splitlines()
+    assert len(lines) == len(commands)
+    assert all(line.startswith("error: exact-symmetric mode at m=") for line in lines), lines
+
+
 FUZZ_BIPARTITE = streamio.render_bipartite(BipartiteGraph(
     tuple(range(6)), tuple(range(6)),
     tuple((i, j) for i in range(6) for j in range(6) if (j - i) % 6 in (0, 1, 3))))

@@ -17,7 +17,7 @@ from streamlb.instances import (
     SIInstance,
     STInstance,
     apply_permutation,
-    enumerate_si,
+    iter_si,
     sample_si,
     sample_st,
     sample_ur,
@@ -83,14 +83,14 @@ def test_rerandomization_covers_support_uniformly():
     images = Counter(
         apply_permutation(inst, sigma) for sigma in permutations(range(1, 5))
     )
-    support = {si for si, _ in enumerate_si(4)}
+    support = {si for si, _ in iter_si(4)}
     assert set(images) == support
     assert set(images.values()) == {6}
 
 
 def test_enumerate_si_exact_conditional_uniformity():
     by_a = {}
-    for inst, p in enumerate_si(8):
+    for inst, p in iter_si(8):
         by_a.setdefault(inst.a, Counter())[inst.e_star] += p
     for a, posterior in by_a.items():
         masses = set(posterior.values())
@@ -110,7 +110,7 @@ def test_sample_ur_degenerate_single_matching():
 def test_ur_conditional_support_exhaustive_r4():
     # with r=4 the live pair's second set is a singleton, so the witness's
     # conditional support is that singleton in every draw of the distribution
-    for inst, _ in enumerate_si(4):
+    for inst, _ in iter_si(4):
         assert len(inst.b) == 1 and inst.e_star in inst.b
 
 

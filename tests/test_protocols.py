@@ -7,9 +7,9 @@ import pytest
 
 from streamlb import rng as rngmod
 from streamlb import experiments, instances, protocols
-from streamlb.common import BudgetError, encode_int
+from streamlb.common import BudgetError, encode_int, encode_ints
 from streamlb.infometrics import from_weights, tvd, uniform
-from streamlb.instances import enumerate_si, iter_si, sample_si, si_support_size
+from streamlb.instances import iter_si, sample_si, si_support_size
 from streamlb.protocols import (
     FullRevealUROracle,
     InternalEpsReport,
@@ -18,6 +18,7 @@ from streamlb.protocols import (
     NullUROracle,
     ParityHintOracle,
     RevealOracle,
+    SIOracle,
     Transcript,
     amplification_parameters,
     boost_si,
@@ -97,7 +98,7 @@ def _reference_exact_report(oracle, m):
         weight_by_e[e_star] += weight
 
     alice_groups, bob_groups = {}, {}
-    for inst, p_inst in enumerate_si(m):
+    for inst, p_inst in iter_si(m):
         for rand, p_rand in oracle.randomness_support(m):
             pi = oracle.transcript(inst.a, inst.b, inst.e_star, rand)
             accumulate(alice_groups, inst.a, pi, inst.e_star, p_inst * p_rand)
@@ -106,12 +107,36 @@ def _reference_exact_report(oracle, m):
     return InternalEpsReport(float(alice), float(bob), float(max(alice, bob)), "exact")
 
 
+class BothSetsOracle(SIOracle):
+    """Spells out both players' sets with probability 1/3, else Alice's alone: it
+    reads Bob's set, so only exact mode measures it, with a row per pair of sets."""
+
+    name = "both-sets"
+    uses_a = True
+
+    def randomness_support(self, m):
+        return (("both", Fraction(1, 3)), ("alice", Fraction(2, 3)))
+
+    def transcript(self, a, b, e_star, rand):
+        spelled = encode_ints(sorted(a), 8)
+        return spelled + encode_ints(sorted(b), 8) if rand == "both" else spelled
+
+
+class FineRevealOracle(RevealOracle):
+    """Reveals with probability 1/3^41: a denominator beyond int64, so exact
+    mode's cells are Python ints."""
+
+    def __init__(self):
+        self.p = Fraction(1, 3**41)
+
+
 REFERENCE_ORACLES = {
     "null": NullOracle(),
     "reveal-0": RevealOracle(0),
     "reveal-1": RevealOracle(1),
     "reveal-3/16": RevealOracle(Fraction(3, 16)),
     "reveal-1/3": RevealOracle(Fraction(1, 3)),
+    "reveal-1/3^41": FineRevealOracle(),
     "parity-hint-5/16": ParityHintOracle(Fraction(5, 16)),
     "parity-hint-1/3": ParityHintOracle(Fraction(1, 3)),
     "parity-hint-1": ParityHintOracle(1),
@@ -120,17 +145,42 @@ REFERENCE_ORACLES = {
 
 
 @pytest.mark.parametrize("m, name", [(m, name) for m in (4, 8) for name in REFERENCE_ORACLES]
-                         + [(12, "parity-hint-1/3"), (12, "min-announcer")])
+                         + [(12, name) for name in ("null", "reveal-3/16", "parity-hint-1/3",
+                                                    "min-announcer")])
 def test_exact_mode_equals_fraction_reference(m, name):
     oracle = REFERENCE_ORACLES[name]
     assert measure_internal_eps(oracle, m, mode="exact") == _reference_exact_report(oracle, m)
 
 
+def test_exact_mode_with_a_transcript_per_pair_of_sets_equals_the_reference():
+    oracle = BothSetsOracle()
+    report = measure_internal_eps(oracle, 8, mode="exact")
+    assert report == _reference_exact_report(oracle, 8)
+    assert report.alice_side < report.bob_side
+
+
+def test_exact_mode_enumerates_the_support_once_per_m(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return iter_si(m)
+
+    protocols._si_support.cache_clear()
+    monkeypatch.setattr(protocols, "iter_si", counted)
+    first = measure_internal_eps(RevealOracle(1), 8, mode="exact")
+    assert measure_internal_eps(RevealOracle(1), 8, mode="exact") == first
+    measure_internal_eps(MinAnnouncerOracle(), 8, mode="exact")
+    measure_internal_eps(NullOracle(), 4, mode="exact")
+    assert calls == [8, 4]
+
+
 @pytest.mark.parametrize("m", [4, 8])
 def test_iter_si_streams_the_listed_support(m):
-    support = enumerate_si(m)
-    assert list(iter_si(m)) == support
-    assert len(support) == si_support_size(m)
+    stream = iter_si(m)
+    assert iter(stream) is stream
+    support = list(stream)
+    assert len(support) == len({inst for inst, _ in support}) == si_support_size(m)
 
 
 def test_exact_mode_rejects_non_uniform_support(monkeypatch):
@@ -138,6 +188,7 @@ def test_exact_mode_rejects_non_uniform_support(monkeypatch):
         for i, (inst, p) in enumerate(iter_si(m)):
             yield inst, (2 * p if i == 0 else p)
 
+    protocols._si_support.cache_clear()
     monkeypatch.setattr(protocols, "iter_si", skewed)
     with pytest.raises(AssertionError, match="is not 1/"):
         measure_internal_eps(RevealOracle(1), 4, mode="exact")
@@ -151,6 +202,7 @@ def test_exact_mode_rejects_a_skew_after_the_first_instance(monkeypatch, skewed_
         for i, (inst, p) in enumerate(iter_si(m)):
             yield inst, (2 * p if i == skewed_index else p)
 
+    protocols._si_support.cache_clear()
     monkeypatch.setattr(protocols, "iter_si", skewed)
     with pytest.raises(AssertionError, match="is not 1/"):
         measure_internal_eps(RevealOracle(1), 4, mode="exact")
@@ -328,7 +380,6 @@ def test_ur_measure_budget_checked_before_enumeration(monkeypatch):
     def refuse(m):
         raise AssertionError("the budget must be checked before enumerating")
 
-    monkeypatch.setattr(instances, "enumerate_si", refuse)
     monkeypatch.setattr(instances, "iter_si", refuse)
     monkeypatch.setattr(protocols, "iter_si", refuse)
     with pytest.raises(BudgetError):
@@ -340,7 +391,7 @@ def _reference_ur_report(oracle, rs):
     one recursive step per matching."""
     r, t = rs.r, rs.t
     rand_support = oracle.randomness_support(rs)
-    si_support = enumerate_si(r)
+    si_support = list(iter_si(r))
     groups = {}
 
     def rec(i, chosen, weight):

@@ -73,6 +73,13 @@ def test_digraph_keeps_first_occurrences_in_order():
     assert perfect_matching_exists(g) and topological_order(h) == [0, big, big + 1]
 
 
+def test_digraph_keeps_the_first_occurrences_of_a_dict_reference():
+    gen = rngmod.substream(0, "digraph-dedup")
+    for size in (1, 2, 40, 3000):
+        edges = tuple(zip(gen.integers(0, 12, size).tolist(), gen.integers(0, 12, size).tolist()))
+        assert digraph(*edges, vertices=range(12)).edges == tuple(dict.fromkeys(edges))
+
+
 def test_digraph_refuses_an_endpoint_outside_its_vertices():
     for edge in ((S, 7), (-1, T)):
         with pytest.raises(ValueError, match="not a vertex"):
