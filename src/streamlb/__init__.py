@@ -7,7 +7,6 @@ from .behrend import BehrendSet, construct_ap_free, random_ap_free, verify_no_3a
 from .infometrics import (
     DiscreteDistribution,
     JointDistribution,
-    chernoff_bound,
     entropy,
     kl,
     mutual_information,
@@ -19,7 +18,6 @@ from .instances import (
     SIInstance,
     STInstance,
     URInstance,
-    apply_permutation,
     sample_si,
     sample_st,
     sample_ur,
@@ -43,10 +41,5 @@ from .reductions import (
     reduce_to_reach_count,
     reduce_to_sssp,
 )
-from .rsgraph import RSDigraph, build_rs_digraph, restrict_matching, verify_induced
-from .streaming import (
-    bfs_reachability,
-    run_stream,
-    spanning_forest_connectivity,
-    store_all_reachability,
-)
+from .rsgraph import RSDigraph, build_rs_digraph, verify_induced
+from .streaming import run_stream

@@ -243,15 +243,6 @@ def top_half_check(mu: DiscreteDistribution) -> TopHalfReport:
     )
 
 
-def chernoff_bound(n: int, b: float) -> float:
-    """Two-sided deviation bound 2*exp(-b^2 / 2n) for sums of n [0,1]-variables."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if b <= 0:
-        raise ValueError("b must be > 0")
-    return float(min(2.0 * math.exp(-(b * b) / (2.0 * n)), 2.0))
-
-
 def expectation_transfer_bound(mu: DiscreteDistribution, nu: DiscreteDistribution, f) -> bool:
     """E_mu[f] <= E_nu[f] + tvd(mu,nu) * max|f|, checked exactly when possible.
 

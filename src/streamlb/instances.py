@@ -70,19 +70,6 @@ def sample_si(m: int, rng) -> SIInstance:
     )
 
 
-def apply_permutation(inst: SIInstance, sigma) -> SIInstance:
-    """Relabel an instance through a permutation of [1..m] (sigma[i-1] = image of i)."""
-    sigma = tuple(int(x) for x in sigma)
-    if sorted(sigma) != list(range(1, inst.m + 1)):
-        raise ValueError("sigma is not a permutation of [1..m]")
-    return SIInstance(
-        m=inst.m,
-        a=frozenset(sigma[x - 1] for x in inst.a),
-        b=frozenset(sigma[x - 1] for x in inst.b),
-        e_star=sigma[inst.e_star - 1],
-    )
-
-
 def si_support_size(m: int) -> int:
     """Number of instances in the support of the intersection distribution.
 

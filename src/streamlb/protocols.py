@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, count, product, repeat
+from itertools import combinations, count, repeat
 
 import numpy as np
 
@@ -32,7 +32,8 @@ EXACT_FULL_M_CAP = 12
 MEASURE_MODES = ("auto", "exact", "exact-symmetric", "monte-carlo")
 A_REST_ENUM_CAP = 200_000
 # row cells exact-symmetric mode may fill, (m/4)^2 per rand: just under the cap
-# (reveal with p = 1/3 at m = 8944) it took 1.2 s and 187 MiB peak RSS on Python 3.11
+# (reveal with p = 1/3 at m = 8944) it takes 0.5-0.7 s and 107 MiB peak RSS in a
+# fresh process (2 vCPUs, Python 3.11, numpy 2.4)
 SYMMETRIC_CELL_CAP = 10_000_000
 
 
@@ -180,37 +181,35 @@ def _integer_support(support):
     return denom, [(rand, int(p * denom)) for rand, p in support]
 
 
-def _uniform_si(m: int):
-    """The instances of `iter_si(m)`, each checked to have probability 1/|support|;
-    `iter_si` shares one probability object, so each new object is compared once."""
-    n_inst = si_support_size(m)
-    p_inst = Fraction(1, n_inst)
-    checked_p = None
-    for inst, p in iter_si(m):
-        if p is not checked_p:
-            if p != p_inst:
-                raise AssertionError(f"instance probability {p} is not 1/{n_inst}")
-            checked_p = p
-        yield inst
-
-
 @lru_cache(maxsize=EXACT_FULL_M_CAP // 4)
 def _si_support(m: int):
-    """The support of `iter_si(m)`, enumerated and checked (`_uniform_si`) once per m.
+    """The support of `iter_si(m)`, enumerated once per m, each instance checked
+    to have probability 1/|support|; `iter_si` shares one probability object,
+    so each new object is compared once.
 
     Returns the C(m, m/4) own sets as frozensets in `combinations` order, and
     read-only int arrays with one entry per instance: Alice's set index, Bob's
     set index, the target, and the target's rank in each player's sorted set.
     """
+    n_inst = si_support_size(m)
+    p_inst = Fraction(1, n_inst)
     sets = tuple(frozenset(c) for c in combinations(range(1, m + 1), m // 4))
     index = {s: i for i, s in enumerate(sets)}
     rank = np.zeros((len(sets), m + 1), np.int8)
     for i, s in enumerate(sets):
         rank[i, sorted(s)] = range(len(s))
+
+    def checked():
+        checked_p = None
+        for inst, p in iter_si(m):
+            if p is not checked_p:
+                if p != p_inst:
+                    raise AssertionError(f"instance probability {p} is not 1/{n_inst}")
+                checked_p = p
+            yield index[inst.a], index[inst.b], inst.e_star
+
     # indices below C(12, 3) = 495 fit int16; `fromiter` raises on overflow
-    a_idx, b_idx, e_star = np.fromiter(((index[inst.a], index[inst.b], inst.e_star)
-                                        for inst in _uniform_si(m)),
-                                       np.dtype((np.int16, 3)), si_support_size(m)).T
+    a_idx, b_idx, e_star = np.fromiter(checked(), np.dtype((np.int16, 3)), n_inst).T
     arrays = (a_idx, b_idx, e_star, rank[a_idx, e_star], rank[b_idx, e_star])
     for arr in arrays:
         arr.flags.writeable = False
@@ -233,26 +232,6 @@ def _posterior_shift(rows, total: int) -> Fraction:
     return sum((Fraction(l1, 2 * k) for k, l1 in l1_by_size.items()), Fraction(0)) / total
 
 
-def _accumulate(groups, own_set, pi, e_star, weight):
-    """Add weight to the target's entry of the (own set, transcript) row.
-
-    A row is created once, with a zero for every candidate in the own set, so
-    the posterior is formed over the whole set.
-    """
-    by_pi = groups.get(own_set)
-    if by_pi is None:
-        by_pi = groups[own_set] = {}
-    weight_by_e = by_pi.get(pi)
-    if weight_by_e is None:
-        weight_by_e = by_pi[pi] = dict.fromkeys(sorted(own_set), 0)
-    weight_by_e[e_star] += weight
-
-
-def _rows(groups):
-    """The weight rows of `_accumulate`'s groups."""
-    return (weight_by_e.values() for by_pi in groups.values() for weight_by_e in by_pi.values())
-
-
 def _sorted_distinct(keys):
     """The distinct keys, ascending: `np.unique` holds several times the keys'
     memory, and its first call alone adds about 1 MiB to peak RSS (numpy 2.4)."""
@@ -260,24 +239,38 @@ def _sorted_distinct(keys):
     return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
-def _side_rows(own, rank, tids, mults, k: int, dtype):
-    """The rows of one player's side of exact mode, as a (rows, k) array.
+def _row_shifts(sides, pis_by_rand, mults, denom: int, k: int) -> list:
+    """Each side's expected posterior shift over its (own set, transcript) rows.
 
-    `own` and `rank` give each instance's own set index and the target's rank
-    in it, `tids[j]` the transcript id of each instance under the j-th rand.
-    A row is an (own set, transcript) pair that some (instance, rand) reaches,
-    and its cell for a candidate is the sum over rands of mult * the count of
-    that rand's instances with that target.
+    Item i has transcript `pis_by_rand[j][i]` under the j-th rand of `mults`;
+    a side is a pair of arrays (own, rank), item i's own set index and the
+    target's rank in that set. Transcripts are interned once for all sides.
+    Items weigh alike, so each side's rows have mass n_items * denom. A row
+    is an (own set, transcript) pair that some (item, rand) reaches, and its
+    cell for a candidate is the sum over rands of mult * the count of that
+    rand's items with the target at that rank.
     """
+    n = len(sides[0][0])
+    total = n * denom
+    dtype = np.int64 if total < 1 << 63 else object  # a cell is at most `total`
+    ids: dict = {}
+    fresh = count()  # transcript ids are distinct, not dense
+    tids = [np.fromiter(map(ids.setdefault, pis, fresh), np.int64, n) for pis in pis_by_rand]
     n_ids = max(int(t.max()) for t in tids) + 1
-    base = own.astype(np.int64) * n_ids
-    reached = _sorted_distinct(np.concatenate([_sorted_distinct(base + t) for t in tids]))
-    n_cells = len(reached) * k
-    cells = np.zeros(n_cells, dtype)
-    for (_, mult), t in zip(mults, tids):
-        row = np.searchsorted(reached, base + t) * k + rank
-        cells += mult * np.bincount(row, minlength=n_cells).astype(dtype)
-    return cells.reshape(-1, k)
+    shifts = []
+    for own, rank in sides:
+        base = own.astype(np.int64) * n_ids
+        reached = _sorted_distinct(np.concatenate([_sorted_distinct(base + t) for t in tids]))
+        n_cells = len(reached) * k
+        cells = np.zeros(n_cells, dtype)
+        for (_, mult), t in zip(mults, tids):
+            row = np.searchsorted(reached, base + t) * k + rank
+            hits = np.bincount(row, minlength=n_cells).astype(dtype, copy=False)
+            hits *= mult
+            cells += hits
+        del hits  # one rand's counts at a time: peak memory is two cell arrays
+        shifts.append(_posterior_shift(cells.reshape(-1, k).tolist(), total))
+    return shifts
 
 
 def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
@@ -293,10 +286,12 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
     randomness support's common denominator. The full enumeration's support
     is enumerated from `iter_si` and checked once per m per process
     (`_si_support`); each call then computes one transcript per (instance,
-    rand) and counts the rows in arrays. Row shifts are summed in integers
-    too, without forming the posterior, and divided once (`_posterior_shift`):
-    the same exact rationals as `Fraction` weights through `tvd`.
-    Exact-symmetric mode refuses more than SYMMETRIC_CELL_CAP row cells.
+    rand). Every exact measurement, both modes here and the unique-reach
+    one, counts its (own set, transcript) rows the same way, in arrays
+    (`_row_shifts`). Row shifts are summed in integers too, without forming
+    the posterior, and divided once (`_posterior_shift`): the same exact
+    rationals as `Fraction` weights through `tvd`. Exact-symmetric mode
+    refuses more than SYMMETRIC_CELL_CAP row cells.
     """
     if m < 4 or m % 4:
         raise ValueError(f"universe size must be a positive multiple of 4, got {m}")
@@ -319,18 +314,11 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
         if m > EXACT_FULL_M_CAP:
             raise BudgetError(f"exact mode enumerates the full joint only for m <= {EXACT_FULL_M_CAP}")
         sets, a_idx, b_idx, e_star, rank_a, rank_b = _si_support(m)
-        ids: dict = {}
-        fresh = count()  # transcript ids need only be distinct
-        tids = []
-        for rand, _ in mults:
-            pis = map(oracle.transcript, map(sets.__getitem__, a_idx.tolist()),
-                      map(sets.__getitem__, b_idx.tolist()), e_star.tolist(), repeat(rand))
-            tids.append(np.fromiter(map(ids.setdefault, pis, fresh), np.int32, len(e_star)))
-        total = len(e_star) * denom
-        dtype = np.int64 if total < 1 << 63 else object  # a cell is at most `total`
-        k = m // 4
-        alice, bob = (_posterior_shift(_side_rows(own, rank, tids, mults, k, dtype).tolist(), total)
-                      for own, rank in ((a_idx, rank_a), (b_idx, rank_b)))
+        pis_by_rand = (map(oracle.transcript, map(sets.__getitem__, a_idx.tolist()),
+                           map(sets.__getitem__, b_idx.tolist()), e_star.tolist(), repeat(rand))
+                       for rand, _ in mults)
+        alice, bob = _row_shifts(((a_idx, rank_a), (b_idx, rank_b)), pis_by_rand, mults, denom,
+                                 m // 4)
         return InternalEpsReport(float(alice), float(bob), float(max(alice, bob)), "exact")
 
     if mode == "exact-symmetric":
@@ -341,12 +329,11 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
         if cells > SYMMETRIC_CELL_CAP:
             raise BudgetError(f"exact-symmetric mode at m={m} fills up to {cells} row cells "
                               f"(budget {SYMMETRIC_CELL_CAP})")
+        # k items, one per target e, all with own set a0, where e has rank e - 1
         a0 = frozenset(range(1, k + 1))
-        groups: dict = {}
-        for e in sorted(a0):
-            for rand, mult in mults:
-                _accumulate(groups, a0, oracle.transcript(a0, None, e, rand), e, mult)
-        shift = _posterior_shift(_rows(groups), len(a0) * denom)
+        pis_by_rand = ([oracle.transcript(a0, None, e, rand) for e in range(1, k + 1)]
+                       for rand, _ in mults)
+        shift, = _row_shifts([(np.zeros(k, np.int64), np.arange(k))], pis_by_rand, mults, denom, k)
         return InternalEpsReport(float(shift), float(shift), float(shift), "exact-symmetric")
 
     # Monte Carlo over instances; posterior per sample is still exact
@@ -634,9 +621,12 @@ class FullRevealUROracle(UROracle):
 def measure_internal_eps_ur(oracle: UROracle, rs, budget: int = 300_000) -> InternalEpsReport:
     """Expected posterior shift of the reachable layer-3 vertex seen by Bob.
 
-    Full enumeration of the planted distribution: every joint choice of the
-    per-matching pairs, the live index, and the oracle's randomness, each
-    weighed by an integer multiplicity as in `measure_internal_eps`.
+    Certifies Bob's side of the unique-reach step exactly: by full enumeration
+    of the planted distribution, every joint choice of one intersection
+    instance per matching (`_si_support(r)`), the live index, and the
+    oracle's randomness, each weighed by an integer multiplicity, with rows
+    counted as in `measure_internal_eps`. The tests hold it to a `Fraction`
+    reference (`_reference_ur_report`).
     """
     r, t = rs.r, rs.t
     denom, mults = _integer_support(oracle.randomness_support(rs))
@@ -645,14 +635,16 @@ def measure_internal_eps_ur(oracle: UROracle, rs, budget: int = 300_000) -> Inte
     if n_joint > budget:
         raise BudgetError(f"full enumeration needs {n_joint} items (budget {budget})")
 
-    # rows are keyed by Bob's input (i_star, T) and the transcript; the
-    # witness's prior given Bob's input alone is uniform over T
-    groups: dict = {}
-    for chosen in product(_uniform_si(r), repeat=t):
-        s_sets = tuple(inst.a for inst in chosen)
-        for rand, mult in mults:
-            pi = oracle.transcript(s_sets, rand)
-            for i_star, live in enumerate(chosen, 1):
-                _accumulate(groups, live.b, (i_star, pi), live.e_star, mult)
-    shift = _posterior_shift(_rows(groups), n_inst ** t * t * denom)
+    # an item is a choice of one instance per matching; Bob's rows are keyed by
+    # his input (i_star, T) and the transcript, the witness's prior given his
+    # input alone uniform over T. So each live index i_star is a side whose own
+    # set is the i_star-th instance's, and the shift is the sides' mean
+    sets, a_idx, b_idx, _, _, rank_b = _si_support(r)
+    choices = np.indices((n_inst,) * t).reshape(t, -1)
+    a_cols = a_idx[choices].tolist()
+    pis_by_rand = (map(oracle.transcript, zip(*(map(sets.__getitem__, col) for col in a_cols)),
+                       repeat(rand))
+                   for rand, _ in mults)
+    sides = [(b_idx[c], rank_b[c]) for c in choices]
+    shift = sum(_row_shifts(sides, pis_by_rand, mults, denom, r // 4)) / t
     return InternalEpsReport(float("nan"), float(shift), float(shift), "exact")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .behrend import BehrendSet, verify_no_3ap
-from .common import EdgeBlock, Report, fail_report, id_array, ok_report
+from .common import EdgeBlock, Report, fail_report, ok_report
 
 _CHUNK_PAIRS = 2**16  # cross pairs looked up per gather
 _SLICE_BITS = 2**20  # bitmap cells per slice of left ranks, unless one left needs more
@@ -61,15 +61,6 @@ def build_rs_digraph(a: BehrendSet, check: bool = True) -> RSDigraph:
         matchings=tuple(map(EdgeBlock, x + alphas, x + 2 * alphas)),  # row x - 1: matching x
         source={"m": m, "construction": a.construction, "size": len(alphas)},
     )
-
-
-def restrict_matching(g: RSDigraph, i: int, s) -> EdgeBlock:
-    """Edges {e_ij : j in s} of matching i, in index order; s is a subset of [1..r]."""
-    matching = g.matching(i)
-    indices = np.unique(id_array(s))
-    if indices.size and (indices[0] < 1 or indices[-1] > g.r):
-        raise IndexError(f"edge index outside [1, {g.r}]: {indices.tolist()}")
-    return EdgeBlock(matching.us[indices - 1], matching.vs[indices - 1])
 
 
 def _seen_before(keys: np.ndarray) -> np.ndarray:

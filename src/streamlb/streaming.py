@@ -423,21 +423,6 @@ def run_stream(alg: StreamAlgorithm, stream: EdgeStream, passes: int,
     )
 
 
-def spanning_forest_connectivity(stream: EdgeStream, s: int, t: int) -> bool:
-    """One-pass undirected s-t connectivity via a spanning forest."""
-    return run_stream(SpanningForest(), stream, passes=1, s=s, t=t).output
-
-
-def bfs_reachability(stream: EdgeStream, s: int, t: int, p: int):
-    """p-hop reachability in p passes; True, False, or "unknown"."""
-    return run_stream(BfsFrontier(p), stream, passes=p, s=s, t=t).output
-
-
-def store_all_reachability(stream: EdgeStream, s: int, t: int) -> bool:
-    """Store the whole stream, then answer offline."""
-    return run_stream(StoreAll(), stream, passes=1, s=s, t=t).output
-
-
 def make_algorithm(tag: str) -> StreamAlgorithm:
     """CLI algorithm registry; parametrized tags look like `bfs-frontier:2`."""
     name, _, arg = tag.partition(":")

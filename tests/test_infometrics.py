@@ -11,7 +11,6 @@ from streamlb import infometrics, rng as rngmod
 from streamlb.infometrics import (
     DiscreteDistribution,
     JointDistribution,
-    chernoff_bound,
     conditional_mutual_information,
     entropy,
     expectation_transfer_bound,
@@ -206,24 +205,6 @@ def test_top_half_tie_break_smallest_index():
 def test_top_half_rejects_odd_support():
     with pytest.raises(ValueError):
         top_half_check(uniform((1, 2, 3)))
-
-
-# --- chernoff -----------------------------------------------------------------------------
-
-def test_chernoff_examples():
-    assert chernoff_bound(2, 2.0) == pytest.approx(2 * math.exp(-1))
-    assert chernoff_bound(100, 1e-9) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        chernoff_bound(0, 1.0)
-    with pytest.raises(ValueError):
-        chernoff_bound(5, 0.0)
-
-
-def test_chernoff_dominates_empirical_tail():
-    gen = rngmod.substream(0, "chernoff")
-    n, b, trials = 100, 20.0, 20_000
-    hits = int((np.abs(gen.random((trials, n)).round().sum(axis=1) - n / 2) >= b).sum())
-    assert hits / trials <= chernoff_bound(n, b)
 
 
 # --- expectation transfer -----------------------------------------------------------------

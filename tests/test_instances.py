@@ -16,7 +16,6 @@ from streamlb.instances import (
     EdgeStream,
     SIInstance,
     STInstance,
-    apply_permutation,
     iter_si,
     sample_si,
     sample_st,
@@ -61,6 +60,20 @@ def test_sample_si_rejects_bad_m():
         sample_si(6, rngmod.substream(0, "c"))
     with pytest.raises(ValueError):
         sample_si(0, rngmod.substream(0, "c"))
+
+
+def apply_permutation(inst: SIInstance, sigma) -> SIInstance:
+    """Relabel an instance through a permutation of [1..m] (sigma[i-1] = image of i),
+    as `protocols.boost_si` relabels each round."""
+    sigma = tuple(int(x) for x in sigma)
+    if sorted(sigma) != list(range(1, inst.m + 1)):
+        raise ValueError("sigma is not a permutation of [1..m]")
+    return SIInstance(
+        m=inst.m,
+        a=frozenset(sigma[x - 1] for x in inst.a),
+        b=frozenset(sigma[x - 1] for x in inst.b),
+        e_star=sigma[inst.e_star - 1],
+    )
 
 
 def test_apply_permutation_identity_and_swap():

@@ -216,6 +216,33 @@ def test_symmetric_path_agrees_with_full_enumeration(p, m):
     assert fast.value == full.value
 
 
+@pytest.mark.parametrize("p", [Fraction(1), Fraction(1, 3), Fraction(2, 7)])
+@pytest.mark.parametrize("m", [32, 1000])
+def test_symmetric_path_equals_the_closed_form_above_the_exact_cap(p, m):
+    # reveal(p) collapses the posterior onto the target with probability p
+    report = measure_internal_eps(RevealOracle(p), m, mode="exact-symmetric")
+    assert report.value == float(p * (1 - Fraction(4, m)))
+
+
+class WideRevealOracle(RevealOracle):
+    """Reveals with probability 1/(2^61 + 1), with no limit on the denominator:
+    the rows' mass reaches 2^63 in exact mode at m = 8 and in exact-symmetric
+    mode at m = 32, so both count in Python-int cells."""
+
+    def __init__(self):
+        self.p = Fraction(1, 2**61 + 1)
+
+
+@pytest.mark.parametrize("m, mode", [(8, "exact"), (32, "exact-symmetric")])
+def test_wide_integer_cells_equal_the_closed_form(m, mode):
+    oracle = WideRevealOracle()
+    denom = oracle.p.denominator
+    assert denom < 1 << 63 <= denom * (si_support_size(m) if mode == "exact" else m // 4)
+    report = measure_internal_eps(oracle, m, mode=mode)
+    expected = float(oracle.p * (1 - Fraction(4, m)))
+    assert report.alice_side == report.bob_side == report.value == expected
+
+
 def test_measure_budget_error_without_symmetry():
     with pytest.raises(BudgetError):
         measure_internal_eps(MinAnnouncerOracle(), 16, mode="auto")

@@ -12,7 +12,6 @@ from streamlb.common import Report, fail_report, ok_report
 from streamlb.rsgraph import (
     RSDigraph,
     build_rs_digraph,
-    restrict_matching,
     verify_induced,
 )
 
@@ -75,14 +74,10 @@ def test_m6_all_matchings_induced():
     assert verify_induced(g).ok
 
 
-def test_restrict_matching(g3):
-    assert restrict_matching(g3, 1, set()) == ()
-    assert restrict_matching(g3, 1, {1, 2}) == g3.matching(1)
-    assert restrict_matching(g3, 1, {2}) == ((3, 5),)
-    with pytest.raises(IndexError):
-        restrict_matching(g3, 1, {3})
-    with pytest.raises(IndexError):
-        g3.matching(4)
+def test_matching_index_outside_t_raises(g3):
+    for i in (0, 4):
+        with pytest.raises(IndexError):
+            g3.matching(i)
 
 
 def test_injected_cross_edge_fails(g3):

@@ -19,11 +19,8 @@ from streamlb.streaming import (
     SpanningForest,
     StoreAll,
     XorSketch,
-    bfs_reachability,
     make_algorithm,
     run_stream,
-    spanning_forest_connectivity,
-    store_all_reachability,
 )
 
 
@@ -63,29 +60,29 @@ def test_store_all_state_bits_match_encoding():
 
 
 def test_bfs_direct_edge():
-    assert bfs_reachability(tiny_stream([(0, 3)], 4), 0, 3, 1) is True
+    assert run_stream(BfsFrontier(1), tiny_stream([(0, 3)], 4), passes=1, s=0, t=3).output is True
 
 
 def test_bfs_three_valued_on_st():
     rs = small_rs()
     inst = sample_st(rs, seed=2, e1_mode="complete")
     st = to_stream(inst)
-    assert bfs_reachability(st, 0, inst.n - 1, 2) == "unknown"
-    assert bfs_reachability(st, 0, inst.n - 1, 7) is True
+    assert run_stream(BfsFrontier(2), st, passes=2, s=0, t=inst.n - 1).output == "unknown"
+    assert run_stream(BfsFrontier(7), st, passes=7, s=0, t=inst.n - 1).output is True
 
 
 def test_bfs_false_on_exhaustion():
     stream = tiny_stream([(0, 1)], 4)
-    assert bfs_reachability(stream, 0, 3, 5) is False
+    assert run_stream(BfsFrontier(5), stream, passes=5, s=0, t=3).output is False
 
 
 def test_spanning_forest_examples():
     path = tiny_stream([(0, 1), (1, 2)], 3, directed=False)
-    assert spanning_forest_connectivity(path, 0, 2) is True
+    assert run_stream(SpanningForest(), path, passes=1, s=0, t=2).output is True
     isolated = tiny_stream([], 2, directed=False)
-    assert spanning_forest_connectivity(isolated, 0, 1) is False
+    assert run_stream(SpanningForest(), isolated, passes=1, s=0, t=1).output is False
     with pytest.raises(ValueError):
-        spanning_forest_connectivity(tiny_stream([(0, 1)], 2, directed=True), 0, 1)
+        run_stream(SpanningForest(), tiny_stream([(0, 1)], 2, directed=True), passes=1, s=0, t=1).output
 
 
 def test_spanning_forest_agrees_with_offline_bfs():
@@ -100,7 +97,7 @@ def test_spanning_forest_agrees_with_offline_bfs():
         seen, frontier = {0}, [0]
         while frontier:
             frontier = [w for u in frontier for w in adj.get(u, ()) if not (w in seen or seen.add(w))]
-        assert spanning_forest_connectivity(stream, 0, n - 1) == ((n - 1) in seen)
+        assert run_stream(SpanningForest(), stream, passes=1, s=0, t=n - 1).output == ((n - 1) in seen)
 
 
 def test_store_all_equals_full_bfs():
@@ -108,14 +105,14 @@ def test_store_all_equals_full_bfs():
     for _ in range(50):
         n = int(gen.integers(2, 16))
         stream = random_stream(gen, n, 0.2)
-        assert store_all_reachability(stream, 0, n - 1) == \
-            (bfs_reachability(stream, 0, n - 1, n) is True)
+        assert run_stream(StoreAll(), stream, passes=1, s=0, t=n - 1).output == \
+            (run_stream(BfsFrontier(n), stream, passes=n, s=0, t=n - 1).output is True)
 
 
 def test_store_all_matches_st_witness():
     for seed in range(20):
         inst = sample_st(small_rs(), seed=seed)
-        assert store_all_reachability(to_stream(inst), 0, inst.n - 1) == inst.reachable
+        assert run_stream(StoreAll(), to_stream(inst), passes=1, s=0, t=inst.n - 1).output == inst.reachable
 
 
 def test_run_stream_deterministic():
@@ -173,7 +170,7 @@ def test_bfs_frontier_needs_a_pass():
         with pytest.raises(ValueError, match="^bfs-frontier needs at least one pass$"):
             make_algorithm(f"bfs-frontier:{passes}")
         with pytest.raises(ValueError, match="^bfs-frontier needs at least one pass$"):
-            bfs_reachability(tiny_stream([(0, 1)], 2), 0, 1, passes)
+            run_stream(BfsFrontier(passes), tiny_stream([(0, 1)], 2), passes=passes, s=0, t=1).output
     assert make_algorithm("bfs-frontier:1").passes_needed == 1
 
 
@@ -313,8 +310,8 @@ def test_segment_blocks_equal_the_per_edge_run(tag):
 
 def test_the_huge_stream_runs_as_it_did_per_edge():
     # outputs of the per-edge harness, before segments were handed over as blocks
-    assert store_all_reachability(HUGE_STREAM, 0, 2**63) is True
-    assert bfs_reachability(HUGE_STREAM, 0, 10**20 - 1, 2) is True
+    assert run_stream(StoreAll(), HUGE_STREAM, passes=1, s=0, t=2**63).output is True
+    assert run_stream(BfsFrontier(2), HUGE_STREAM, passes=2, s=0, t=10**20 - 1).output is True
     run = run_stream(XorSketch(3), HUGE_STREAM, passes=1)
     assert run.output == (15194187978533636053, 5)
     with pytest.raises(ValueError, match="^bfs-frontier: a 200000000000000000017-bit state is longer"):
