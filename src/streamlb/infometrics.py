@@ -89,14 +89,23 @@ def tvd(mu: DiscreteDistribution, nu: DiscreteDistribution):
     """Total variation distance, (1/2) * sum |mu - nu|.
 
     On supports of size <= 12 the max-over-subsets form is evaluated too and
-    both must agree; this keeps the fast formula honest.
+    both must agree; this keeps the fast formula honest. `Fraction`
+    differences are put over their least common denominator first, so both
+    forms are summed in integer numerators and each becomes one `Fraction`:
+    the same rationals as summing the `Fraction`s.
     """
     _check_same_support(mu, nu)
     diffs = [p - q for p, q in zip(mu.probs, nu.probs)]
-    half = Fraction(1, 2) if _is_exact(diffs) else 0.5
-    value = half * sum(abs(d) for d in diffs)
+    exact = _is_exact(diffs)
+    if exact:  # integer numerators over the least common denominator
+        denom = math.lcm(*(d.denominator for d in diffs))
+        diffs = [d.numerator * (denom // d.denominator) for d in diffs]
+    l1 = sum(abs(d) for d in diffs)
+    value = Fraction(l1, 2 * denom) if exact else 0.5 * l1
     if len(mu) <= 12:
         best = max(_subset_sums(diffs))
+        if exact:
+            best = Fraction(best, denom)
         if abs(float(best) - float(value)) > 1e-9:
             raise AssertionError(f"subset form {best} disagrees with half-L1 form {value}")
     return value
@@ -116,7 +125,7 @@ def uniform_shift_l1(weights):
     if mass == 0:
         raise ValueError("all weights are zero")
     diffs = [k * w - mass for w in weights]
-    l1 = sum(abs(d) for d in diffs)
+    l1 = sum(map(abs, diffs))
     if k <= 12:
         best = max(_subset_sums(diffs))
         if 2 * best != l1:

@@ -15,6 +15,7 @@ serialized memory states are the messages.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -32,7 +33,7 @@ EXACT_FULL_M_CAP = 12
 MEASURE_MODES = ("auto", "exact", "exact-symmetric", "monte-carlo")
 A_REST_ENUM_CAP = 200_000
 # row cells exact-symmetric mode may fill, (m/4)^2 per rand: just under the cap
-# (reveal with p = 1/3 at m = 8944) it takes 0.5-0.7 s and 107 MiB peak RSS in a
+# (reveal with p = 1/3 at m = 8944) it takes 0.4-0.6 s and 106 MiB peak RSS in a
 # fresh process (2 vCPUs, Python 3.11, numpy 2.4)
 SYMMETRIC_CELL_CAP = 10_000_000
 
@@ -64,13 +65,17 @@ class SIOracle:
     probabilities, and `transcript` must be a deterministic function of the
     declared dependencies:
 
-      uses_a     -- reads Alice's set beyond the target element
+      uses_a     -- reads a player's set beyond the target element
       symmetric  -- per-player conditional statistics are invariant under
                     relabeling of the universe, enabling exact measurement
                     at any m from one fixed input
 
-    A transcript never reads Bob's set beyond the target element: Alice's
-    likelihoods are evaluated with b=None.
+    With `uses_a = False` the transcript is a function of (e*, rand) alone,
+    and every measurement and likelihood calls it with a = b = None, once per
+    (target, rand). An oracle that reads either set declares `uses_a = True`;
+    its likelihoods are evaluated with b = None, so only exact mode, which
+    calls it once per (instance, rand) with both sets, measures one that
+    reads Bob's set.
     """
 
     name = "oracle"
@@ -216,20 +221,23 @@ def _si_support(m: int):
     return (sets, *arrays)
 
 
-def _posterior_shift(rows, total: int) -> Fraction:
+def _posterior_shift(cells, total: int) -> Fraction:
     """Sum over (own set, transcript) rows of row mass * TVD(posterior of target, uniform prior).
 
-    Each row is a sized sequence of integer multiplicities, one per candidate
-    of the own set; with multiplicities summing to `total` over all rows, this
-    is the expected shift. A row's term is its `uniform_shift_l1` numerator
-    over 2k, k the row's size; numerators are summed per size and divided
-    once, and every row of size <= 12 is cross-checked by the subset form.
+    `cells` has one row per (own set, transcript) pair and one column per
+    candidate of the own set, integer multiplicities summing to `total` over
+    all rows, so the sum is the expected shift. Each distinct row goes through
+    `uniform_shift_l1` once, cross-checked by the subset form when k <= 12, and
+    its numerator counts once per row equal to it; the sum is divided once.
+    Rows are listed a slice at a time, so only the distinct rows are held.
     """
-    l1_by_size: dict = {}
-    for row in rows:
-        k = len(row)
-        l1_by_size[k] = l1_by_size.get(k, 0) + uniform_shift_l1(row)
-    return sum((Fraction(l1, 2 * k) for k, l1 in l1_by_size.items()), Fraction(0)) / total
+    n_rows, k = cells.shape
+    rows = Counter()
+    step = max(1, (1 << 16) // k)
+    for start in range(0, n_rows, step):
+        rows.update(map(tuple, cells[start:start + step].tolist()))
+    l1 = sum(n_equal * uniform_shift_l1(row) for row, n_equal in rows.items())
+    return Fraction(l1, 2 * k * total)
 
 
 def _sorted_distinct(keys):
@@ -239,37 +247,34 @@ def _sorted_distinct(keys):
     return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
-def _row_shifts(sides, pis_by_rand, mults, denom: int, k: int) -> list:
+def _row_shifts(sides, pis_by_rand, which, mults, denom: int, k: int) -> list:
     """Each side's expected posterior shift over its (own set, transcript) rows.
 
-    Item i has transcript `pis_by_rand[j][i]` under the j-th rand of `mults`;
-    a side is a pair of arrays (own, rank), item i's own set index and the
-    target's rank in that set. Transcripts are interned once for all sides.
-    Items weigh alike, so each side's rows have mass n_items * denom. A row
-    is an (own set, transcript) pair that some (item, rand) reaches, and its
-    cell for a candidate is the sum over rands of mult * the count of that
-    rand's items with the target at that rank.
+    Item i has transcript `pis[which[i]]` under the j-th rand of `mults`,
+    `pis` the j-th list of `pis_by_rand`; a side is a pair of arrays (own,
+    rank), item i's own set index and the target's rank in that set. Only the
+    listed transcripts are interned, once for all sides. Items weigh alike,
+    so each side's rows have mass n_items * denom. A row is an (own set,
+    transcript) pair that some (item, rand) reaches, and its cell for a
+    candidate is the sum over rands of mult * the count of that rand's items
+    with the target at that rank.
     """
-    n = len(sides[0][0])
+    n = len(which)
     total = n * denom
     dtype = np.int64 if total < 1 << 63 else object  # a cell is at most `total`
     ids: dict = {}
     fresh = count()  # transcript ids are distinct, not dense
-    tids = [np.fromiter(map(ids.setdefault, pis, fresh), np.int64, n) for pis in pis_by_rand]
+    tids = [np.fromiter(map(ids.setdefault, pis, fresh), np.int64)[which] for pis in pis_by_rand]
     n_ids = max(int(t.max()) for t in tids) + 1
     shifts = []
     for own, rank in sides:
         base = own.astype(np.int64) * n_ids
         reached = _sorted_distinct(np.concatenate([_sorted_distinct(base + t) for t in tids]))
-        n_cells = len(reached) * k
-        cells = np.zeros(n_cells, dtype)
+        cells = np.zeros(len(reached) * k, dtype)
         for (_, mult), t in zip(mults, tids):
-            row = np.searchsorted(reached, base + t) * k + rank
-            hits = np.bincount(row, minlength=n_cells).astype(dtype, copy=False)
-            hits *= mult
-            cells += hits
-        del hits  # one rand's counts at a time: peak memory is two cell arrays
-        shifts.append(_posterior_shift(cells.reshape(-1, k).tolist(), total))
+            # unbuffered: no second array of cells, each repeated cell counted
+            np.add.at(cells, np.searchsorted(reached, base + t) * k + rank, mult)
+        shifts.append(_posterior_shift(cells.reshape(-1, k), total))
     return shifts
 
 
@@ -285,13 +290,16 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
     Every mode weighs (instance, rand) by an integer multiplicity over the
     randomness support's common denominator. The full enumeration's support
     is enumerated from `iter_si` and checked once per m per process
-    (`_si_support`); each call then computes one transcript per (instance,
-    rand). Every exact measurement, both modes here and the unique-reach
+    (`_si_support`). Each call then computes one transcript per (target,
+    rand) with a = b = None when the oracle reads neither set (`uses_a` is
+    False), each instance taking its target's, and one per (instance, rand)
+    otherwise. Every exact measurement, both modes here and the unique-reach
     one, counts its (own set, transcript) rows the same way, in arrays
     (`_row_shifts`). Row shifts are summed in integers too, without forming
-    the posterior, and divided once (`_posterior_shift`): the same exact
-    rationals as `Fraction` weights through `tvd`. Exact-symmetric mode
-    refuses more than SYMMETRIC_CELL_CAP row cells.
+    the posterior, each distinct row once, weighted by its count, and
+    divided once (`_posterior_shift`): the same exact rationals as
+    `Fraction` weights through `tvd`. Exact-symmetric mode refuses more than
+    SYMMETRIC_CELL_CAP row cells.
     """
     if m < 4 or m % 4:
         raise ValueError(f"universe size must be a positive multiple of 4, got {m}")
@@ -314,11 +322,17 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
         if m > EXACT_FULL_M_CAP:
             raise BudgetError(f"exact mode enumerates the full joint only for m <= {EXACT_FULL_M_CAP}")
         sets, a_idx, b_idx, e_star, rank_a, rank_b = _si_support(m)
-        pis_by_rand = (map(oracle.transcript, map(sets.__getitem__, a_idx.tolist()),
-                           map(sets.__getitem__, b_idx.tolist()), e_star.tolist(), repeat(rand))
-                       for rand, _ in mults)
-        alice, bob = _row_shifts(((a_idx, rank_a), (b_idx, rank_b)), pis_by_rand, mults, denom,
-                                 m // 4)
+        if oracle.uses_a:  # one transcript per (instance, rand)
+            pis_by_rand = (map(oracle.transcript, map(sets.__getitem__, a_idx.tolist()),
+                               map(sets.__getitem__, b_idx.tolist()), e_star.tolist(), repeat(rand))
+                           for rand, _ in mults)
+            which = np.arange(len(e_star))
+        else:  # one per (target, rand), gathered by target
+            pis_by_rand = ([oracle.transcript(None, None, e, rand) for e in range(1, m + 1)]
+                           for rand, _ in mults)
+            which = e_star - 1
+        alice, bob = _row_shifts(((a_idx, rank_a), (b_idx, rank_b)), pis_by_rand, which, mults,
+                                 denom, m // 4)
         return InternalEpsReport(float(alice), float(bob), float(max(alice, bob)), "exact")
 
     if mode == "exact-symmetric":
@@ -329,11 +343,11 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
         if cells > SYMMETRIC_CELL_CAP:
             raise BudgetError(f"exact-symmetric mode at m={m} fills up to {cells} row cells "
                               f"(budget {SYMMETRIC_CELL_CAP})")
-        # k items, one per target e, all with own set a0, where e has rank e - 1
-        a0 = frozenset(range(1, k + 1))
-        pis_by_rand = ([oracle.transcript(a0, None, e, rand) for e in range(1, k + 1)]
+        # k items, one per target e, all with own set {1..k}, where e has rank e - 1
+        pis_by_rand = ([oracle.transcript(None, None, e, rand) for e in range(1, k + 1)]
                        for rand, _ in mults)
-        shift, = _row_shifts([(np.zeros(k, np.int64), np.arange(k))], pis_by_rand, mults, denom, k)
+        items = np.arange(k)
+        shift, = _row_shifts([(np.zeros(k, np.int64), items)], pis_by_rand, items, mults, denom, k)
         return InternalEpsReport(float(shift), float(shift), float(shift), "exact-symmetric")
 
     # Monte Carlo over instances; posterior per sample is still exact
@@ -380,10 +394,10 @@ def _likelihoods(oracle: SIOracle, mults, own_set, side: str, pi: str, m: int):
     candidates = sorted(own_set)
     like = {}
     if side == "alice" or not oracle.uses_a:
-        a_arg, b_arg = (own_set, None) if side == "alice" else (None, own_set)
+        a_arg = own_set if oracle.uses_a else None
         for e in candidates:
             like[e] = sum(mult for rand, mult in mults
-                          if oracle.transcript(a_arg, b_arg, e, rand) == pi)
+                          if oracle.transcript(a_arg, None, e, rand) == pi)
         return like
     rest = [x for x in range(1, m + 1) if x not in own_set]
     q = m // 4 - 1
@@ -646,5 +660,6 @@ def measure_internal_eps_ur(oracle: UROracle, rs, budget: int = 300_000) -> Inte
                        repeat(rand))
                    for rand, _ in mults)
     sides = [(b_idx[c], rank_b[c]) for c in choices]
-    shift = sum(_row_shifts(sides, pis_by_rand, mults, denom, r // 4)) / t
+    shift = sum(_row_shifts(sides, pis_by_rand, np.arange(choices.shape[1]), mults, denom,
+                            r // 4)) / t
     return InternalEpsReport(float("nan"), float(shift), float(shift), "exact")

@@ -55,6 +55,52 @@ def test_tvd_exact_fractions():
     assert isinstance(tvd(mu, nu), Fraction)
 
 
+def _seeded_pair(kind, size, seed):
+    gen = rngmod.substream(seed, "tvd-pair", kind, size)
+    if kind == "rational":
+        weights = [tuple(Fraction(int(w), int(d)) for w, d in
+                         zip(gen.integers(0, 50, size), gen.integers(1, 40, size))) for _ in range(2)]
+        weights = [w if sum(w) else (Fraction(1),) * size for w in weights]
+    else:
+        weights = [tuple(gen.random(size) + 1e-9) for _ in range(2)]
+    return [from_weights(tuple(range(size)), w) for w in weights]
+
+
+@pytest.mark.parametrize("size", range(1, 17))
+def test_tvd_on_rationals_is_the_exact_half_l1_sum(size):
+    for seed in range(4):
+        mu, nu = _seeded_pair("rational", size, seed)
+        d = tvd(mu, nu)
+        assert isinstance(d, Fraction)
+        assert d == Fraction(1, 2) * sum(abs(p - q) for p, q in zip(mu.probs, nu.probs))
+
+
+@pytest.mark.parametrize("size", range(1, 17))
+def test_tvd_on_floats_is_the_half_l1_sum_bit_for_bit(size):
+    for seed in range(4):
+        mu, nu = _seeded_pair("float", size, seed)
+        d = tvd(mu, nu)
+        assert type(d) is float
+        assert d == 0.5 * sum(abs(p - q) for p, q in zip(mu.probs, nu.probs))
+
+
+@pytest.mark.parametrize("half", [Fraction(1, 2), 0.5], ids=["rational", "float"])
+def test_tvd_subset_check_catches_a_tampered_subset_path(monkeypatch, half):
+    # the largest subset sum of these differences takes two members, which
+    # the tampered path, the empty set and the singletons, never reaches
+    monkeypatch.setattr(infometrics, "_subset_sums", lambda values: [0] + list(values))
+    quarter = half / 2
+    mu = dist(half, half, 0 * half, 0 * half)
+    nu = dist(0 * half, 0 * half, half, half)
+    with pytest.raises(AssertionError, match="subset form"):
+        tvd(mu, nu)
+    # supports above size 12 skip the subset form
+    support = tuple(range(13))
+    wide_mu = DiscreteDistribution(support, (half, half) + (0 * half,) * 11)
+    wide_nu = DiscreteDistribution(support, (0 * half,) * 2 + (quarter,) * 4 + (0 * half,) * 7)
+    assert tvd(wide_mu, wide_nu) == 1
+
+
 def _max_subset_sum_by_combinations(diffs):
     """The subset form as tvd's self-check first computed it: every subset summed anew."""
     return max(

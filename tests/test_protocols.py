@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from streamlb import rng as rngmod
-from streamlb import experiments, instances, protocols
+from streamlb import experiments, infometrics, instances, protocols
 from streamlb.common import BudgetError, encode_int, encode_ints
 from streamlb.infometrics import from_weights, tvd, uniform
 from streamlb.instances import iter_si, sample_si, si_support_size
@@ -145,7 +145,8 @@ REFERENCE_ORACLES = {
 
 
 @pytest.mark.parametrize("m, name", [(m, name) for m in (4, 8) for name in REFERENCE_ORACLES]
-                         + [(12, name) for name in ("null", "reveal-3/16", "parity-hint-1/3",
+                         + [(12, name) for name in ("null", "reveal-3/16", "reveal-1/3^41",
+                                                    "parity-hint-5/16", "parity-hint-1/3",
                                                     "min-announcer")])
 def test_exact_mode_equals_fraction_reference(m, name):
     oracle = REFERENCE_ORACLES[name]
@@ -157,6 +158,44 @@ def test_exact_mode_with_a_transcript_per_pair_of_sets_equals_the_reference():
     report = measure_internal_eps(oracle, 8, mode="exact")
     assert report == _reference_exact_report(oracle, 8)
     assert report.alice_side < report.bob_side
+
+
+@pytest.mark.parametrize("m", [8, 12])
+@pytest.mark.parametrize("oracle", [RevealOracle(Fraction(1, 3)), ParityHintOracle(Fraction(5, 16)),
+                                    MinAnnouncerOracle()], ids=lambda o: o.name)
+def test_exact_mode_computes_a_transcript_per_target_unless_a_set_is_read(monkeypatch, oracle, m):
+    calls = []
+    transcript = oracle.transcript
+
+    def counted(a, b, e_star, rand):
+        calls.append(a is b is None)
+        return transcript(a, b, e_star, rand)
+
+    monkeypatch.setattr(oracle, "transcript", counted)
+    measure_internal_eps(oracle, m, mode="exact")
+    per_rand = si_support_size(m) if oracle.uses_a else m
+    assert len(calls) == per_rand * len(oracle.randomness_support(m))
+    assert set(calls) == {not oracle.uses_a}  # a = b = None exactly when no set is read
+
+
+class UndeclaredMinOracle(MinAnnouncerOracle):
+    """Reads Alice's set without declaring it."""
+
+    name = "undeclared-min"
+    uses_a = False
+
+
+def test_exact_mode_refuses_an_oracle_that_reads_an_undeclared_set():
+    with pytest.raises(TypeError):
+        measure_internal_eps(UndeclaredMinOracle(), 8, mode="exact")
+
+
+def test_exact_mode_checks_every_distinct_row_by_the_subset_form(monkeypatch):
+    # rows at m = 8 have k = 2 cells, whose largest subset sum is a singleton,
+    # so the tampered subset path keeps only the empty set
+    monkeypatch.setattr(infometrics, "_subset_sums", lambda values: [0])
+    with pytest.raises(AssertionError, match="subset form"):
+        measure_internal_eps(RevealOracle(Fraction(1, 3)), 8, mode="exact")
 
 
 def test_exact_mode_enumerates_the_support_once_per_m(monkeypatch):
