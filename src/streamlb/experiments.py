@@ -27,11 +27,11 @@ from .infometrics import (
 )
 from .instances import sample_si, sample_st, to_stream, verify_st_instance, verify_ur_promise
 from .protocols import (
+    NullOracle,
+    RevealOracle,
     SIOracle,
     boost_si,
     mock_eps_solver,
-    null_oracle,
-    perfect_oracle,
 )
 from .reductions import (
     BipartiteGraph,
@@ -71,9 +71,9 @@ def make_si_oracle(tag: str, eps: float, m: int) -> SIOracle:
     if not 0 <= eps <= 1:
         raise ValueError("eps must lie in [0, 1]")
     if tag == "perfect":
-        return perfect_oracle()
+        return RevealOracle(1)
     if tag == "null":
-        return null_oracle()
+        return NullOracle()
     if tag == "mock-reveal":
         return mock_eps_solver(eps, "reveal", m)
     if tag == "mock-bias":

@@ -59,23 +59,18 @@ class Transcript:
 # --- set-intersection oracles -------------------------------------------------
 
 class SIOracle:
-    """A one-way protocol fragment over intersection instances.
+    """A one-way protocol fragment from Alice over intersection instances.
 
     `randomness_support(m)` enumerates the internal coin with exact
-    probabilities, and `transcript` must be a deterministic function of the
-    declared dependencies:
+    probabilities, and `transcript(a, e_star, rand)` must be a deterministic
+    function of what it declares it reads. Being one-way, it never reads
+    Bob's set; it is called with Alice's set `a` only if `uses_a`, and with
+    a = None otherwise:
 
-      uses_a     -- reads a player's set beyond the target element
+      uses_a     -- reads Alice's set beyond the target element
       symmetric  -- per-player conditional statistics are invariant under
                     relabeling of the universe, enabling exact measurement
                     at any m from one fixed input
-
-    With `uses_a = False` the transcript is a function of (e*, rand) alone,
-    and every measurement and likelihood calls it with a = b = None, once per
-    (target, rand). An oracle that reads either set declares `uses_a = True`;
-    its likelihoods are evaluated with b = None, so only exact mode, which
-    calls it once per (instance, rand) with both sets, measures one that
-    reads Bob's set.
     """
 
     name = "oracle"
@@ -85,7 +80,7 @@ class SIOracle:
     def randomness_support(self, m: int):
         return ((None, Fraction(1)),)
 
-    def transcript(self, a, b, e_star: int, rand) -> str:
+    def transcript(self, a, e_star: int, rand) -> str:
         raise NotImplementedError
 
 
@@ -95,7 +90,7 @@ class NullOracle(SIOracle):
     name = "null"
     symmetric = True
 
-    def transcript(self, a, b, e_star, rand) -> str:
+    def transcript(self, a, e_star, rand) -> str:
         return ""
 
 
@@ -123,7 +118,7 @@ class RevealOracle(CoinOracle):
     speaks = "reveal"
     symmetric = True
 
-    def transcript(self, a, b, e_star, rand) -> str:
+    def transcript(self, a, e_star, rand) -> str:
         if rand == "reveal":
             return "1" + encode_int(e_star - 1, 16)
         return "0"
@@ -135,7 +130,7 @@ class ParityHintOracle(CoinOracle):
     name = "parity-hint"
     speaks = "hint"
 
-    def transcript(self, a, b, e_star, rand) -> str:
+    def transcript(self, a, e_star, rand) -> str:
         if rand == "hint":
             return "1" + str(e_star % 2)
         return "0"
@@ -147,16 +142,8 @@ class MinAnnouncerOracle(SIOracle):
     name = "min-announcer"
     uses_a = True
 
-    def transcript(self, a, b, e_star, rand) -> str:
+    def transcript(self, a, e_star, rand) -> str:
         return encode_int(min(a) - 1, 16)
-
-
-def perfect_oracle() -> SIOracle:
-    return RevealOracle(1)
-
-
-def null_oracle() -> SIOracle:
-    return NullOracle()
 
 
 # --- exact measurement of the internal shift ----------------------------------
@@ -290,10 +277,11 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
     Every mode weighs (instance, rand) by an integer multiplicity over the
     randomness support's common denominator. The full enumeration's support
     is enumerated from `iter_si` and checked once per m per process
-    (`_si_support`). Each call then computes one transcript per (target,
-    rand) with a = b = None when the oracle reads neither set (`uses_a` is
-    False), each instance taking its target's, and one per (instance, rand)
-    otherwise. Every exact measurement, both modes here and the unique-reach
+    (`_si_support`). Each call then computes one transcript per distinct
+    argument and rand, and each instance takes its argument's by index. The
+    oracle being one-way, the argument is the target alone (m of them) when
+    `uses_a` is False, else the (Alice's set, target) pair (C(m, m/4) * m/4
+    of them). Every exact measurement, both modes here and the unique-reach
     one, counts its (own set, transcript) rows the same way, in arrays
     (`_row_shifts`). Row shifts are summed in integers too, without forming
     the posterior, each distinct row once, weighted by its count, and
@@ -322,15 +310,17 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
         if m > EXACT_FULL_M_CAP:
             raise BudgetError(f"exact mode enumerates the full joint only for m <= {EXACT_FULL_M_CAP}")
         sets, a_idx, b_idx, e_star, rank_a, rank_b = _si_support(m)
-        if oracle.uses_a:  # one transcript per (instance, rand)
-            pis_by_rand = (map(oracle.transcript, map(sets.__getitem__, a_idx.tolist()),
-                               map(sets.__getitem__, b_idx.tolist()), e_star.tolist(), repeat(rand))
-                           for rand, _ in mults)
-            which = np.arange(len(e_star))
-        else:  # one per (target, rand), gathered by target
-            pis_by_rand = ([oracle.transcript(None, None, e, rand) for e in range(1, m + 1)]
-                           for rand, _ in mults)
-            which = e_star - 1
+        # an item's argument key is a_idx * (m + 1) + e*, a_idx read as 0 unless
+        # the oracle reads Alice's set: keys below C(m, m/4) * (m + 1), so a
+        # mask and its running count number the distinct ones, in key order
+        keys = (a_idx.astype(np.int64) if oracle.uses_a else 0) * (m + 1) + e_star
+        seen = np.zeros(len(sets) * (m + 1), bool)
+        seen[keys] = True
+        which = np.cumsum(seen)[keys] - 1
+        a_of, e_of = np.divmod(np.flatnonzero(seen), m + 1)
+        args = list(zip(map(sets.__getitem__, a_of.tolist()) if oracle.uses_a else repeat(None),
+                        e_of.tolist()))
+        pis_by_rand = ([oracle.transcript(a, e, rand) for a, e in args] for rand, _ in mults)
         alice, bob = _row_shifts(((a_idx, rank_a), (b_idx, rank_b)), pis_by_rand, which, mults,
                                  denom, m // 4)
         return InternalEpsReport(float(alice), float(bob), float(max(alice, bob)), "exact")
@@ -344,7 +334,7 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
             raise BudgetError(f"exact-symmetric mode at m={m} fills up to {cells} row cells "
                               f"(budget {SYMMETRIC_CELL_CAP})")
         # k items, one per target e, all with own set {1..k}, where e has rank e - 1
-        pis_by_rand = ([oracle.transcript(None, None, e, rand) for e in range(1, k + 1)]
+        pis_by_rand = ([oracle.transcript(None, e, rand) for e in range(1, k + 1)]
                        for rand, _ in mults)
         items = np.arange(k)
         shift, = _row_shifts([(np.zeros(k, np.int64), items)], pis_by_rand, items, mults, denom, k)
@@ -356,7 +346,7 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
     for _ in range(mc_samples):
         inst = sample_si(m, gen)
         rand = _draw(gen, denom, mults)
-        pi = oracle.transcript(inst.a, inst.b, inst.e_star, rand)
+        pi = oracle.transcript(inst.a if oracle.uses_a else None, inst.e_star, rand)
         for side, own in (("alice", inst.a), ("bob", inst.b)):
             like = _likelihoods(oracle, mults, own, side, pi, m).values()
             # int / int is the correctly rounded float of the exact shift
@@ -385,8 +375,8 @@ def _likelihoods(oracle: SIOracle, mults, own_set, side: str, pi: str, m: int):
     """P(transcript = pi | own set, target = e) for each candidate e, up to one
     positive factor shared by every candidate, as an integer.
 
-    `mults` is the randomness support from `_integer_support`. Where the
-    transcript reads nothing of the other player's set this is a sum of
+    `mults` is the randomness support from `_integer_support`. On Alice's
+    side, or where the transcript does not read Alice's set, this is a sum of
     multiplicities over the support alone. On Bob's side of an oracle that
     reads Alice's set, Alice's remainder is enumerated too (budget-checked),
     and the sum is not divided by the number of remainders.
@@ -397,7 +387,7 @@ def _likelihoods(oracle: SIOracle, mults, own_set, side: str, pi: str, m: int):
         a_arg = own_set if oracle.uses_a else None
         for e in candidates:
             like[e] = sum(mult for rand, mult in mults
-                          if oracle.transcript(a_arg, None, e, rand) == pi)
+                          if oracle.transcript(a_arg, e, rand) == pi)
         return like
     rest = [x for x in range(1, m + 1) if x not in own_set]
     q = m // 4 - 1
@@ -412,7 +402,7 @@ def _likelihoods(oracle: SIOracle, mults, own_set, side: str, pi: str, m: int):
         for a_rest in combinations(rest, q):
             a = frozenset(a_rest) | {e}
             for rand, mult in mults:
-                if oracle.transcript(a, own_set, e, rand) == pi:
+                if oracle.transcript(a, e, rand) == pi:
                     acc += mult
         like[e] = acc
     return like
@@ -507,16 +497,14 @@ def boost_si(oracle: SIOracle, inst: SIInstance, eps: float,
     counts = {e: 0 for e in sorted(inst.a)}
     half = len(inst.a) // 2
     a_elems = sorted(inst.a)
-    b_elems = sorted(inst.b)
     total_bits = 0
     for _ in range(k):
         # public re-randomization: uniformly relabel the universe
         sigma = gen.permutation(m)
         a_img = frozenset(int(sigma[e - 1]) + 1 for e in a_elems)
-        b_img = frozenset(int(sigma[e - 1]) + 1 for e in b_elems)
         e_img = int(sigma[inst.e_star - 1]) + 1
         rand = _draw(gen, denom, mults)
-        pi = oracle.transcript(a_img, b_img, e_img, rand)
+        pi = oracle.transcript(a_img if oracle.uses_a else None, e_img, rand)
         total_bits += len(pi)
         like = _likelihoods(oracle, mults, a_img, "alice", pi, m)
         ranked = sorted(like, key=lambda e: (-like[e], e))

@@ -22,7 +22,7 @@ from streamlb.instances import sample_st, to_stream
 from streamlb.reductions import BipartiteGraph
 from streamlb.rsgraph import RSDigraph, verify_induced
 import streamlb
-from streamlb import experiments, streamio
+from streamlb import experiments, instances, streamio
 
 
 @pytest.fixture
@@ -1086,15 +1086,10 @@ def test_oracle_pm_refuses_a_huge_header_before_sizing_the_graph(tmp_path):
     assert proc.stderr.startswith("error: bipartite header") and proc.stderr.count("\n") == 1
 
 
-def test_graph_commands_refuse_a_huge_header_within_bounded_memory(tmp_path):
-    # `oracle toposort` and `reduce matching|acyclic|reachcount` build a graph
-    # over the stream's n vertices; they run in a child capped at 1 GiB of
-    # address space, so a build for n = 10^20 fails there instead of exhausting the host
-    path = tmp_path / "huge.stream"
-    path.write_text(f"STREAM {10**20} directed=1\nSEG E\n0 1\n1 2\n2 3\n")
-    commands = [["oracle", "toposort", "--input", str(path)]]
-    commands += [["reduce", kind, "--input", str(path), "--out", str(tmp_path / kind)]
-                 for kind in ("matching", "acyclic", "reachcount")]
+def _dispatch_in_bounded_child(commands, cwd=None, timeout=120):
+    """Run each argv through `dispatch` in one child capped at 1 GiB of address
+    space, so a size that is not refused fails there instead of exhausting the
+    host; the child prints one exit code a line."""
     child = ("import resource, sys\n"
              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
              "from streamlb.cli import dispatch\n"
@@ -1102,7 +1097,19 @@ def test_graph_commands_refuse_a_huge_header_within_bounded_memory(tmp_path):
              "    print(dispatch(argv), flush=True)\n")
     env = {**os.environ, "PYTHONPATH": str(Path(streamlb.__file__).parents[1]),
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=120, env=env)
+    return subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          timeout=timeout, env=env, cwd=cwd)
+
+
+def test_graph_commands_refuse_a_huge_header_within_bounded_memory(tmp_path):
+    # `oracle toposort` and `reduce matching|acyclic|reachcount` build a graph
+    # over the stream's n vertices, so a build for n = 10^20 must be refused
+    path = tmp_path / "huge.stream"
+    path.write_text(f"STREAM {10**20} directed=1\nSEG E\n0 1\n1 2\n2 3\n")
+    commands = [["oracle", "toposort", "--input", str(path)]]
+    commands += [["reduce", kind, "--input", str(path), "--out", str(tmp_path / kind)]
+                 for kind in ("matching", "acyclic", "reachcount")]
+    proc = _dispatch_in_bounded_child(commands)
     assert proc.stdout == f"{USAGE}\n" * len(commands), proc.stderr[-500:]
     assert proc.stderr == (f"error: a graph is built on at most {streamio.MAX_BIPARTITE_SIDE} "
                            f"vertices, not the stream's {10**20}\n") * len(commands)
@@ -1115,18 +1122,24 @@ def test_symmetric_measurement_refuses_a_huge_m_within_bounded_memory():
     commands = [["protocol", "measure-eps", "--oracle", "mock-reveal", "--eps", "0.5", "--m", str(m)]
                 for m in (65540, 10**8)]
     commands += [["protocol", "boost", "--oracle", "mock-reveal", "--eps", "0.5", "--m", str(10**8)]]
-    child = ("import resource, sys\n"
-             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-             "from streamlb.cli import dispatch\n"
-             f"for argv in {commands!r}:\n"
-             "    print(dispatch(argv), flush=True)\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(streamlb.__file__).parents[1]),
-           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=60, env=env)
+    proc = _dispatch_in_bounded_child(commands, timeout=60)
     assert proc.stdout == f"{USAGE}\n" * len(commands), proc.stderr[-500:]
     lines = proc.stderr.splitlines()
     assert len(lines) == len(commands)
     assert all(line.startswith("error: exact-symmetric mode at m=") for line in lines), lines
+
+
+def test_si_draws_refuse_a_huge_m_within_bounded_memory(tmp_path):
+    # one intersection draw at m = 10^8 would need gigabytes; `sample_si`
+    # refuses any m above its cap before drawing, and nothing is written
+    commands = [["gen", "si", "--m", str(10**8), "--out", "si"],
+                ["experiment", "si-uniformity", "--param", f"m={10**8}"],
+                ["protocol", "boost", "--m", str(10**8), "--oracle", "perfect", "--trials", "1"]]
+    proc = _dispatch_in_bounded_child(commands, cwd=tmp_path, timeout=60)
+    assert proc.stdout == f"{USAGE}\n" * len(commands), proc.stderr[-500:]
+    assert proc.stderr == (f"error: universe size m={10**8} is above the cap of "
+                           f"{instances.SI_M_CAP} for a drawn instance\n") * len(commands)
+    assert list(tmp_path.iterdir()) == []
 
 
 FUZZ_BIPARTITE = streamio.render_bipartite(BipartiteGraph(

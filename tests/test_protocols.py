@@ -7,7 +7,7 @@ import pytest
 
 from streamlb import rng as rngmod
 from streamlb import experiments, infometrics, instances, protocols
-from streamlb.common import BudgetError, encode_int, encode_ints
+from streamlb.common import BudgetError, encode_int
 from streamlb.infometrics import from_weights, tvd, uniform
 from streamlb.instances import iter_si, sample_si, si_support_size
 from streamlb.protocols import (
@@ -100,26 +100,27 @@ def _reference_exact_report(oracle, m):
     alice_groups, bob_groups = {}, {}
     for inst, p_inst in iter_si(m):
         for rand, p_rand in oracle.randomness_support(m):
-            pi = oracle.transcript(inst.a, inst.b, inst.e_star, rand)
+            pi = oracle.transcript(inst.a if oracle.uses_a else None, inst.e_star, rand)
             accumulate(alice_groups, inst.a, pi, inst.e_star, p_inst * p_rand)
             accumulate(bob_groups, inst.b, pi, inst.e_star, p_inst * p_rand)
     alice, bob = _fraction_posterior_shift(alice_groups), _fraction_posterior_shift(bob_groups)
     return InternalEpsReport(float(alice), float(bob), float(max(alice, bob)), "exact")
 
 
-class BothSetsOracle(SIOracle):
-    """Spells out both players' sets with probability 1/3, else Alice's alone: it
-    reads Bob's set, so only exact mode measures it, with a row per pair of sets."""
+class MinOrTargetOracle(SIOracle):
+    """Spells min(A) with probability 1/3, else says whether the target is
+    min(A): its transcript reads Alice's set and the target together."""
 
-    name = "both-sets"
+    name = "min-or-target"
     uses_a = True
 
     def randomness_support(self, m):
-        return (("both", Fraction(1, 3)), ("alice", Fraction(2, 3)))
+        return (("min", Fraction(1, 3)), ("is-min", Fraction(2, 3)))
 
-    def transcript(self, a, b, e_star, rand):
-        spelled = encode_ints(sorted(a), 8)
-        return spelled + encode_ints(sorted(b), 8) if rand == "both" else spelled
+    def transcript(self, a, e_star, rand):
+        if rand == "min":
+            return encode_int(min(a) - 1, 8)
+        return "1" if e_star == min(a) else "0"
 
 
 class FineRevealOracle(RevealOracle):
@@ -153,29 +154,46 @@ def test_exact_mode_equals_fraction_reference(m, name):
     assert measure_internal_eps(oracle, m, mode="exact") == _reference_exact_report(oracle, m)
 
 
-def test_exact_mode_with_a_transcript_per_pair_of_sets_equals_the_reference():
-    oracle = BothSetsOracle()
-    report = measure_internal_eps(oracle, 8, mode="exact")
-    assert report == _reference_exact_report(oracle, 8)
-    assert report.alice_side < report.bob_side
+@pytest.mark.parametrize("m", [4, 8, 12])
+def test_exact_mode_with_a_transcript_of_alice_set_and_target_equals_the_reference(m):
+    oracle = MinOrTargetOracle()
+    report = measure_internal_eps(oracle, m, mode="exact")
+    assert report == _reference_exact_report(oracle, m)
+    assert m == 4 or 0 < min(report.alice_side, report.bob_side)  # k = 1 at m = 4: nothing moves
+
+
+def test_monte_carlo_and_boost_take_alice_set_and_target_together():
+    exact = measure_internal_eps(MinOrTargetOracle(), 8, mode="exact")
+    mc = measure_internal_eps(MinOrTargetOracle(), 8, mode="monte-carlo", mc_samples=2000, seed=4)
+    assert abs(mc.alice_side - exact.alice_side) < 5 * mc.stderr
+    assert abs(mc.bob_side - exact.bob_side) < 5 * mc.stderr
+    inst = sample_si(16, rngmod.substream(8, "min-or-target"))
+    res = boost_si(MinOrTargetOracle(), inst, 0.5, seed=0)
+    assert sum(res.counts.values()) == res.k * len(inst.a) // 2  # each round votes for half of A
+    assert res.total_bits >= res.k and res.answer == inst.e_star
 
 
 @pytest.mark.parametrize("m", [8, 12])
 @pytest.mark.parametrize("oracle", [RevealOracle(Fraction(1, 3)), ParityHintOracle(Fraction(5, 16)),
-                                    MinAnnouncerOracle()], ids=lambda o: o.name)
+                                    MinAnnouncerOracle(), MinOrTargetOracle()], ids=lambda o: o.name)
 def test_exact_mode_computes_a_transcript_per_target_unless_a_set_is_read(monkeypatch, oracle, m):
     calls = []
     transcript = oracle.transcript
 
-    def counted(a, b, e_star, rand):
-        calls.append(a is b is None)
-        return transcript(a, b, e_star, rand)
+    def counted(a, e_star, rand):
+        calls.append((a, e_star, rand))
+        return transcript(a, e_star, rand)
 
     monkeypatch.setattr(oracle, "transcript", counted)
     measure_internal_eps(oracle, m, mode="exact")
-    per_rand = si_support_size(m) if oracle.uses_a else m
-    assert len(calls) == per_rand * len(oracle.randomness_support(m))
-    assert set(calls) == {not oracle.uses_a}  # a = b = None exactly when no set is read
+    # one call per distinct argument: (Alice's set, target) when a set is
+    # read, C(m, m/4) * m/4 of them, else the target alone
+    per_rand = math.comb(m, m // 4) * (m // 4) if oracle.uses_a else m
+    assert len(calls) == len(set(calls)) == per_rand * len(oracle.randomness_support(m))
+    if oracle.uses_a:
+        assert all(type(a) is frozenset and e in a for a, e, _ in calls)
+    else:
+        assert all(a is None for a, _, _ in calls)
 
 
 class UndeclaredMinOracle(MinAnnouncerOracle):
