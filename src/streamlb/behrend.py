@@ -155,7 +155,7 @@ def _enumerate_digit_points(m, d, q, dim, classes):
     rec(0, 0, 0)
 
 
-def random_ap_free(m: int, rng, target: int | None = None) -> BehrendSet:
+def random_ap_free(m: int, rng) -> BehrendSet:
     """Greedy 3-AP-free subset of [1..m] built over a shuffled element order."""
     order = list(rng.permutation(m) + 1)
     chosen: set[int] = set()
@@ -164,8 +164,6 @@ def random_ap_free(m: int, rng, target: int | None = None) -> BehrendSet:
         if any((2 * y - x) in chosen or (2 * x - y) in chosen for y in chosen):
             continue
         chosen.add(x)
-        if target is not None and len(chosen) >= target:
-            break
     return BehrendSet(m, tuple(sorted(chosen)), "explicit", {"sampler": "greedy-shuffle"})
 
 

@@ -49,13 +49,13 @@ class EdgeBlock:
     them. It iterates as (u, v) pairs of ints; `==` holds against a block or
     any sequence of pairs with the same edges in the same order."""
 
-    __slots__ = ("us", "vs", "_pairs")  # _pairs: the tuples, built on first iteration
+    __slots__ = ("us", "vs")
 
     def __init__(self, us, vs):
         us, vs = (a if a.dtype == object else a.astype(np.int64, copy=False) for a in map(np.asarray, (us, vs)))
         if us.ndim != 1 or us.shape != vs.shape:
             raise ValueError("an edge block is two id arrays of one length")
-        self.us, self.vs, self._pairs = us, vs, None
+        self.us, self.vs = us, vs
 
     @classmethod
     def of(cls, edges) -> EdgeBlock:
@@ -75,9 +75,7 @@ class EdgeBlock:
         return len(self.us)
 
     def __iter__(self):
-        if self._pairs is None:
-            self._pairs = tuple(zip(self.us.tolist(), self.vs.tolist()))
-        return iter(self._pairs)
+        return zip(self.us.tolist(), self.vs.tolist())
 
     def __eq__(self, other):
         if isinstance(other, EdgeBlock):

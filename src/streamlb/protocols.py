@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, count, repeat
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -200,7 +200,7 @@ def _si_support(m: int):
                 checked_p = p
             yield index[inst.a], index[inst.b], inst.e_star
 
-    # indices below C(12, 3) = 495 fit int16; `fromiter` raises on overflow
+    # indices below C(12, 3) = 220 fit int16; `fromiter` raises on overflow
     a_idx, b_idx, e_star = np.fromiter(checked(), np.dtype((np.int16, 3)), n_inst).T
     arrays = (a_idx, b_idx, e_star, rank[a_idx, e_star], rank[b_idx, e_star])
     for arr in arrays:
@@ -227,42 +227,52 @@ def _posterior_shift(cells, total: int) -> Fraction:
     return Fraction(l1, 2 * k * total)
 
 
-def _sorted_distinct(keys):
-    """The distinct keys, ascending: `np.unique` holds several times the keys'
-    memory, and its first call alone adds about 1 MiB to peak RSS (numpy 2.4)."""
-    keys = np.sort(keys)
-    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+def _numbered(key_arrays, n_keys: int):
+    """Number the distinct keys of `key_arrays`, all in range(n_keys), in key
+    order: a mask over the key range and its running count.
+
+    Returns the count less one, of the narrowest type holding n_keys, which a
+    listed key indexes for its number, and the distinct keys ascending. The
+    arrays are read one at a time, so a generator can build and drop each.
+    """
+    seen = np.zeros(n_keys, bool)
+    for keys in key_arrays:
+        seen[keys] = True
+    number = np.cumsum(seen, dtype=np.min_scalar_type(-n_keys))
+    number -= 1
+    return number, np.flatnonzero(seen)
 
 
 def _row_shifts(sides, pis_by_rand, which, mults, denom: int, k: int) -> list:
     """Each side's expected posterior shift over its (own set, transcript) rows.
 
-    Item i has transcript `pis[which[i]]` under the j-th rand of `mults`,
-    `pis` the j-th list of `pis_by_rand`; a side is a pair of arrays (own,
-    rank), item i's own set index and the target's rank in that set. Only the
-    listed transcripts are interned, once for all sides. Items weigh alike,
-    so each side's rows have mass n_items * denom. A row is an (own set,
-    transcript) pair that some (item, rand) reaches, and its cell for a
-    candidate is the sum over rands of mult * the count of that rand's items
-    with the target at that rank.
+    Item i has transcript `pis[which[i]]` under the j-th rand of `mults`, `pis`
+    the j-th list of `pis_by_rand`; a side is a pair of arrays (own, rank),
+    item i's own set index and the target's rank in that set. The listed
+    transcripts get dense ids, once for all sides, and `_numbered` numbers the
+    rows by key own * n_ids + id. A row is an (own set, transcript) pair that
+    some (item, rand) reaches; its cell for a candidate is the sum over rands
+    of mult * the count of that rand's items with the target at that rank, and
+    a side's rows have mass n_items * denom. Per-item arrays take the narrowest
+    types holding them (int64 ones cost ~1,200 page faults an exact-info op).
     """
-    n = len(which)
-    total = n * denom
+    total = len(which) * denom
     dtype = np.int64 if total < 1 << 63 else object  # a cell is at most `total`
     ids: dict = {}
-    fresh = count()  # transcript ids are distinct, not dense
-    tids = [np.fromiter(map(ids.setdefault, pis, fresh), np.int64)[which] for pis in pis_by_rand]
-    n_ids = max(int(t.max()) for t in tids) + 1
-    shifts = []
-    for own, rank in sides:
-        base = own.astype(np.int64) * n_ids
-        reached = _sorted_distinct(np.concatenate([_sorted_distinct(base + t) for t in tids]))
-        cells = np.zeros(len(reached) * k, dtype)
-        for (_, mult), t in zip(mults, tids):
-            # unbuffered: no second array of cells, each repeated cell counted
-            np.add.at(cells, np.searchsorted(reached, base + t) * k + rank, mult)
-        shifts.append(_posterior_shift(cells.reshape(-1, k), total))
-    return shifts
+    tids = [np.array([ids.setdefault(pi, len(ids)) for pi in pis]) for pis in pis_by_rand]
+    tids = [t.astype(np.min_scalar_type(-len(ids)))[which] for t in tids]
+
+    def cells(own, rank):  # its row numbering is dropped before the rows are counted
+        n_keys = (int(own.max()) + 1) * len(ids)
+        base = own.astype(np.min_scalar_type(-n_keys)) * len(ids)
+        row, reached = _numbered((base + t for t in tids), n_keys)
+        out = np.zeros(len(reached) * k, dtype)
+        first = np.multiply(row, k, dtype=np.min_scalar_type(-len(out)))  # a key's row's first cell
+        for (_, mult), t in zip(mults, tids):  # unbuffered: each repeated cell counted
+            np.add.at(out, first[base + t] + rank, mult)
+        return out.reshape(-1, k)
+
+    return [_posterior_shift(cells(own, rank), total) for own, rank in sides]
 
 
 def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
@@ -272,22 +282,24 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
     Exact by full enumeration of the instance distribution and the oracle's
     randomness for m <= 12; exact from a single fixed input for oracles that
     declare relabeling symmetry; Monte Carlo (with standard error) behind an
-    explicit flag otherwise.
+    explicit flag otherwise, which refuses before sampling an oracle that
+    reads Alice's set if a likelihood of Bob's sums over A_REST_ENUM_CAP terms.
 
     Every mode weighs (instance, rand) by an integer multiplicity over the
     randomness support's common denominator. The full enumeration's support
     is enumerated from `iter_si` and checked once per m per process
     (`_si_support`). Each call then computes one transcript per distinct
-    argument and rand, and each instance takes its argument's by index. The
+    argument and rand, the arguments numbered by a mask over their key range
+    (`_numbered`), and each instance takes its argument's by index. The
     oracle being one-way, the argument is the target alone (m of them) when
     `uses_a` is False, else the (Alice's set, target) pair (C(m, m/4) * m/4
     of them). Every exact measurement, both modes here and the unique-reach
-    one, counts its (own set, transcript) rows the same way, in arrays
-    (`_row_shifts`). Row shifts are summed in integers too, without forming
-    the posterior, each distinct row once, weighted by its count, and
-    divided once (`_posterior_shift`): the same exact rationals as
-    `Fraction` weights through `tvd`. Exact-symmetric mode refuses more than
-    SYMMETRIC_CELL_CAP row cells.
+    one, counts its (own set, transcript) rows the same way, in arrays,
+    numbered by the same helper (`_row_shifts`). Row shifts are summed in
+    integers too, without forming the posterior, each distinct row once,
+    weighted by its count, and divided once (`_posterior_shift`): the same
+    exact rationals as `Fraction` weights through `tvd`. Exact-symmetric
+    mode refuses more than SYMMETRIC_CELL_CAP row cells.
     """
     if m < 4 or m % 4:
         raise ValueError(f"universe size must be a positive multiple of 4, got {m}")
@@ -310,19 +322,16 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
         if m > EXACT_FULL_M_CAP:
             raise BudgetError(f"exact mode enumerates the full joint only for m <= {EXACT_FULL_M_CAP}")
         sets, a_idx, b_idx, e_star, rank_a, rank_b = _si_support(m)
-        # an item's argument key is a_idx * (m + 1) + e*, a_idx read as 0 unless
-        # the oracle reads Alice's set: keys below C(m, m/4) * (m + 1), so a
-        # mask and its running count number the distinct ones, in key order
-        keys = (a_idx.astype(np.int64) if oracle.uses_a else 0) * (m + 1) + e_star
-        seen = np.zeros(len(sets) * (m + 1), bool)
-        seen[keys] = True
-        which = np.cumsum(seen)[keys] - 1
-        a_of, e_of = np.divmod(np.flatnonzero(seen), m + 1)
+        # an item's argument key is a_idx * (m + 1) + e*, a_idx read as 0 unless the
+        # oracle reads Alice's set: keys below C(m, m/4) * (m + 1) <= 2860 fit int16
+        keys = (a_idx if oracle.uses_a else 0) * (m + 1) + e_star
+        number, arg_keys = _numbered([keys], len(sets) * (m + 1))
+        a_of, e_of = np.divmod(arg_keys, m + 1)
         args = list(zip(map(sets.__getitem__, a_of.tolist()) if oracle.uses_a else repeat(None),
                         e_of.tolist()))
         pis_by_rand = ([oracle.transcript(a, e, rand) for a, e in args] for rand, _ in mults)
-        alice, bob = _row_shifts(((a_idx, rank_a), (b_idx, rank_b)), pis_by_rand, which, mults,
-                                 denom, m // 4)
+        alice, bob = _row_shifts(((a_idx, rank_a), (b_idx, rank_b)), pis_by_rand, number[keys],
+                                 mults, denom, m // 4)
         return InternalEpsReport(float(alice), float(bob), float(max(alice, bob)), "exact")
 
     if mode == "exact-symmetric":
@@ -341,6 +350,12 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
         return InternalEpsReport(float(shift), float(shift), float(shift), "exact-symmetric")
 
     # Monte Carlo over instances; posterior per sample is still exact
+    if oracle.uses_a:  # Bob's likelihoods enumerate the rest of Alice's set
+        n_rest = math.comb(m - m // 4, m // 4 - 1) * len(mults)
+        if n_rest > A_REST_ENUM_CAP:
+            raise BudgetError(f"oracle {oracle.name!r} reads Alice's set, so at m={m} each of Bob's "
+                              f"likelihoods sums {n_rest} (rest of Alice's set, rand) pairs "
+                              f"(budget {A_REST_ENUM_CAP})")
     gen = rngmod.substream(seed, "measure-eps", oracle.name)
     sides = {"alice": [], "bob": []}
     for _ in range(mc_samples):
@@ -348,7 +363,7 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
         rand = _draw(gen, denom, mults)
         pi = oracle.transcript(inst.a if oracle.uses_a else None, inst.e_star, rand)
         for side, own in (("alice", inst.a), ("bob", inst.b)):
-            like = _likelihoods(oracle, mults, own, side, pi, m).values()
+            like = _likelihoods(oracle, mults, sorted(own), side, pi, m)
             # int / int is the correctly rounded float of the exact shift
             sides[side].append(uniform_shift_l1(like) / (2 * len(like) * sum(like)))
     means = {k: sum(v) / len(v) for k, v in sides.items()}
@@ -371,41 +386,27 @@ def _draw(gen, denom, mults):
     return mults[-1][0]
 
 
-def _likelihoods(oracle: SIOracle, mults, own_set, side: str, pi: str, m: int):
-    """P(transcript = pi | own set, target = e) for each candidate e, up to one
-    positive factor shared by every candidate, as an integer.
+def _likelihoods(oracle: SIOracle, mults, candidates, side: str, pi: str, m: int) -> list:
+    """P(transcript = pi | own set, target = e) for each e of `candidates`, the
+    own set's elements in any order, as a list aligned with them, up to one
+    positive factor shared by every candidate, as integers.
 
     `mults` is the randomness support from `_integer_support`. On Alice's
     side, or where the transcript does not read Alice's set, this is a sum of
     multiplicities over the support alone. On Bob's side of an oracle that
-    reads Alice's set, Alice's remainder is enumerated too (budget-checked),
-    and the sum is not divided by the number of remainders.
+    reads Alice's set, Alice's remainder is enumerated too (C(m - m/4, m/4 - 1)
+    of them, which Monte Carlo mode checks against A_REST_ENUM_CAP), and the
+    sum is not divided by the number of remainders.
     """
-    candidates = sorted(own_set)
-    like = {}
     if side == "alice" or not oracle.uses_a:
-        a_arg = own_set if oracle.uses_a else None
-        for e in candidates:
-            like[e] = sum(mult for rand, mult in mults
-                          if oracle.transcript(a_arg, e, rand) == pi)
-        return like
-    rest = [x for x in range(1, m + 1) if x not in own_set]
-    q = m // 4 - 1
-    n_rest = math.comb(len(rest), q)
-    if n_rest * len(mults) > A_REST_ENUM_CAP:
-        raise BudgetError(
-            f"likelihood enumeration needs {n_rest * len(mults)} evaluations; "
-            "use a Monte Carlo posterior mode"
-        )
-    for e in candidates:
-        acc = 0
-        for a_rest in combinations(rest, q):
-            a = frozenset(a_rest) | {e}
-            for rand, mult in mults:
-                if oracle.transcript(a, e, rand) == pi:
-                    acc += mult
-        like[e] = acc
-    return like
+        a_arg = frozenset(candidates) if oracle.uses_a else None
+        return [sum(mult for rand, mult in mults if oracle.transcript(a_arg, e, rand) == pi)
+                for e in candidates]
+    rest = sorted(set(range(1, m + 1)).difference(candidates))
+    rests = list(combinations(rest, m // 4 - 1))
+    return [sum(mult for a_rest in rests for rand, mult in mults
+                if oracle.transcript(frozenset(a_rest) | {e}, e, rand) == pi)
+            for e in candidates]
 
 
 @lru_cache(maxsize=64)
@@ -494,24 +495,22 @@ def boost_si(oracle: SIOracle, inst: SIInstance, eps: float,
     k, k_formula, t_budget, tau = amplification_parameters(eps, gamma1, gamma2, m)
     gen = rngmod.substream(seed, "boost")
     denom, mults = _integer_support(oracle.randomness_support(m))
-    counts = {e: 0 for e in sorted(inst.a)}
-    half = len(inst.a) // 2
     a_elems = sorted(inst.a)
+    half = len(a_elems) // 2
+    zero_based = np.array(a_elems + [inst.e_star]) - 1  # Alice's sorted set, then the target
+    votes = np.zeros(len(a_elems), np.int64)
     total_bits = 0
     for _ in range(k):
         # public re-randomization: uniformly relabel the universe
         sigma = gen.permutation(m)
-        a_img = frozenset(int(sigma[e - 1]) + 1 for e in a_elems)
-        e_img = int(sigma[inst.e_star - 1]) + 1
+        *a_img, e_img = (sigma[zero_based] + 1).tolist()
         rand = _draw(gen, denom, mults)
-        pi = oracle.transcript(a_img if oracle.uses_a else None, e_img, rand)
+        pi = oracle.transcript(frozenset(a_img) if oracle.uses_a else None, e_img, rand)
         total_bits += len(pi)
         like = _likelihoods(oracle, mults, a_img, "alice", pi, m)
-        ranked = sorted(like, key=lambda e: (-like[e], e))
-        top = set(ranked[:half])
-        for e in counts:
-            if int(sigma[e - 1]) + 1 in top:
-                counts[e] += 1
+        # the top half by likelihood, ties to the smaller image
+        votes[sorted(range(len(a_img)), key=lambda i: (-like[i], a_img[i]))[:half]] += 1
+    counts = dict(zip(a_elems, votes.tolist()))
     survivors = frozenset(e for e, c in counts.items() if c > tau)
     if len(survivors) > t_budget:
         return BoostResult(None, True, k, k_formula, tau, t_budget, survivors, counts, total_bits)

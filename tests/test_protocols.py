@@ -7,7 +7,7 @@ import pytest
 
 from streamlb import rng as rngmod
 from streamlb import experiments, infometrics, instances, protocols
-from streamlb.common import BudgetError, encode_int
+from streamlb.common import BudgetError, encode_int, encode_ints
 from streamlb.infometrics import from_weights, tvd, uniform
 from streamlb.instances import iter_si, sample_si, si_support_size
 from streamlb.protocols import (
@@ -196,6 +196,32 @@ def test_exact_mode_computes_a_transcript_per_target_unless_a_set_is_read(monkey
         assert all(a is None for a, _, _ in calls)
 
 
+class SpellAllOracle(SIOracle):
+    """Spells Alice's set, the target and one of three rands: every argument and
+    rand gets its own transcript, so exact mode's row keys span their widest
+    range, C(m, m/4) own sets times C(m, m/4) * m/4 * 3 transcripts."""
+
+    name = "spell-all"
+    uses_a = True
+
+    def randomness_support(self, m):
+        return ((0, Fraction(1, 6)), (1, Fraction(1, 3)), (2, Fraction(1, 2)))
+
+    def transcript(self, a, e_star, rand):
+        return encode_ints([x - 1 for x in sorted(a)] + [e_star - 1, rand], 4)
+
+
+@pytest.mark.parametrize("m", [4, 8, 12])
+def test_exact_mode_numbers_rows_over_the_widest_key_range(m):
+    oracle = SpellAllOracle()
+    report = measure_internal_eps(oracle, m, mode="exact")
+    if m < 12:
+        assert report == _reference_exact_report(oracle, m)
+    # the transcript names the target, so every row is a point mass
+    expected = float(1 - Fraction(4, m))
+    assert report.alice_side == report.bob_side == report.value == expected
+
+
 class UndeclaredMinOracle(MinAnnouncerOracle):
     """Reads Alice's set without declaring it."""
 
@@ -324,6 +350,54 @@ def test_monte_carlo_enumerates_bob_side_likelihoods():
     assert exact.alice_side == mc.alice_side == 0.0
     assert exact.bob_side == pytest.approx(1 / 3, abs=1e-12)
     assert abs(mc.bob_side - exact.bob_side) < 5 * mc.stderr
+
+
+def test_monte_carlo_budget_checked_before_sampling(monkeypatch):
+    # Bob's likelihoods for min-announcer at m = 32 would sum C(24, 7) = 346104
+    # (rest of Alice's set, rand) pairs each: refused before any transcript
+    oracle = MinAnnouncerOracle()
+
+    def refuse(a, e_star, rand):
+        raise AssertionError("the budget must be checked before sampling")
+
+    monkeypatch.setattr(oracle, "transcript", refuse)
+    with pytest.raises(BudgetError) as refused:
+        measure_internal_eps(oracle, 32, mode="monte-carlo")
+    message = str(refused.value)
+    assert all(part in message for part in ("'min-announcer'", "m=32", "346104", "200000"))
+    assert "monte" not in message.lower()
+
+
+# sha256 of the JSON of `as_dict()` of Monte Carlo reports with mc_samples=500,
+# seed=m: the means and the standard error move with any change to a draw,
+# a likelihood or the order of the sums
+MONTE_CARLO_HASHES = {
+    ("reveal-1/3", 8): "d03cde883a27755e6ab378b25de3159d9da1cba6b264a849d8147b3f6d356305",
+    ("reveal-1/3", 16): "7fa462a082622fe4a0ac9f878a6524f28f70e93e4e139fc12c37dfe6046a8d5c",
+    ("reveal-1/3", 32): "ca9c832cd7305b5f1448d481cc7a0efdea75d3efe3384444498c2d542d7d8700",
+    ("parity-hint-2/7", 8): "c9b346a5ab699225a3ea72975fcecec84e5731922d0be5d8e43a435a26806963",
+    ("parity-hint-2/7", 16): "edaccaf01c1fbc988ab8e2f46921793d047ee6466e4265ded74ba248992ae587",
+    ("parity-hint-2/7", 32): "ec4175bf87d05fbec899e7aa66e0bcc4c27f0a966a52aac431d385b192398b66",
+    ("null", 8): "d2a17b0c0bcf4cbb53dfb879ac8772fbc5dfae4af18426253421d7285aa9291f",
+    ("null", 16): "d2a17b0c0bcf4cbb53dfb879ac8772fbc5dfae4af18426253421d7285aa9291f",
+    ("null", 32): "d2a17b0c0bcf4cbb53dfb879ac8772fbc5dfae4af18426253421d7285aa9291f",
+    ("min-announcer", 8): "d134d37e2ce5343cad2c8a78b9b0fd62b3d29b85668ccbac1482584e539c00a1",
+    ("min-announcer", 16): "39ca49028269b77531a2e1e1c8085fe8ab3f8c3f7ee2466a98966da47b939346",
+}
+MONTE_CARLO_ORACLES = {
+    "reveal-1/3": RevealOracle(Fraction(1, 3)),
+    "parity-hint-2/7": ParityHintOracle(Fraction(2, 7)),
+    "null": NullOracle(),
+    "min-announcer": MinAnnouncerOracle(),
+}
+
+
+@pytest.mark.parametrize("name, m", list(MONTE_CARLO_HASHES))
+def test_monte_carlo_reports_are_pinned(name, m):
+    report = measure_internal_eps(MONTE_CARLO_ORACLES[name], m, mode="monte-carlo",
+                                  mc_samples=500, seed=m)
+    digest = hashlib.sha256(json.dumps(report.as_dict()).encode()).hexdigest()
+    assert digest == MONTE_CARLO_HASHES[name, m]
 
 
 def test_measure_value_in_unit_interval():
