@@ -27,6 +27,7 @@ from .infometrics import (
 )
 from .instances import sample_si, sample_st, to_stream, verify_st_instance, verify_ur_promise
 from .protocols import (
+    REVEAL_M_CAP,
     NullOracle,
     RevealOracle,
     SIOracle,
@@ -68,17 +69,23 @@ def _fan_out(worker, jobs, workers: int):
 
 
 def make_si_oracle(tag: str, eps: float, m: int) -> SIOracle:
+    """The oracle a tag names, for universe size m; a RevealOracle above
+    REVEAL_M_CAP is refused once built, before any round asks it to speak."""
     if not 0 <= eps <= 1:
         raise ValueError("eps must lie in [0, 1]")
     if tag == "perfect":
-        return RevealOracle(1)
-    if tag == "null":
-        return NullOracle()
-    if tag == "mock-reveal":
-        return mock_eps_solver(eps, "reveal", m)
-    if tag == "mock-bias":
-        return mock_eps_solver(eps, "bias", m)
-    raise ValueError(f"unknown oracle tag {tag!r}")
+        oracle = RevealOracle(1)
+    elif tag == "null":
+        oracle = NullOracle()
+    elif tag == "mock-reveal":
+        oracle = mock_eps_solver(eps, "reveal", m)
+    elif tag == "mock-bias":
+        oracle = mock_eps_solver(eps, "bias", m)
+    else:
+        raise ValueError(f"unknown oracle tag {tag!r}")
+    if isinstance(oracle, RevealOracle) and m > REVEAL_M_CAP:
+        raise ValueError(f"m={m} is above {REVEAL_M_CAP}: the {tag} oracle writes its target in 16 bits")
+    return oracle
 
 
 def rs_verify(m: int = 100, strategy: str = "behrend-sphere") -> dict:

@@ -58,15 +58,65 @@ class SIInstance:
             raise ValueError("sets must have size m/4")
 
 
+@dataclass(frozen=True, eq=False)
+class SIRows:
+    """t intersection pairs over [1..m] as arrays: row i - 1 of `a` and `b` is
+    pair i's two sets, each ascending, and `e_star[i - 1]` its shared element.
+
+    Construction checks every row at once, as `SIInstance` checks one pair:
+    both rows strictly increase inside [1, m], so each is a set of size m/4,
+    both hold the target, and the two share nothing else.
+    """
+
+    m: int
+    a: np.ndarray  # (t, m/4)
+    b: np.ndarray  # (t, m/4)
+    e_star: np.ndarray  # (t,)
+
+    def __post_init__(self):
+        t, k = len(self.e_star), self.m // 4
+        if self.a.shape != (t, k) or self.b.shape != (t, k):
+            raise ValueError("rows must be two (t, m/4) arrays for t targets")
+        checks = []
+        for side, rows in (("first", self.a), ("second", self.b)):
+            checks.append((f"{side} set is not strictly increasing inside [1, m]",
+                           (rows[:, 0] < 1) | (rows[:, -1] > self.m) | (np.diff(rows, axis=1) <= 0).any(axis=1)))
+            checks.append((f"{side} set misses the target element", ~(rows == self.e_star[:, None]).any(axis=1)))
+        merged = np.sort(np.concatenate((self.a, self.b), axis=1), axis=1)
+        checks.append(("sets share more than the target element", (np.diff(merged, axis=1) == 0).sum(axis=1) != 1))
+        for reason, bad in checks:
+            if bad.any():
+                raise ValueError(f"pair {int(np.argmax(bad)) + 1}: {reason}")
+
+    @classmethod
+    def of_picks(cls, m: int, picks: np.ndarray) -> SIRows:
+        """Pair i from `picks[i - 1]`: 2q + 1 distinct elements of [1..m],
+        q = m/4 - 1, read as the first rest, the second rest and the target,
+        as `sample_si` reads one draw."""
+        q = m // 4 - 1
+        return cls(m, np.sort(np.delete(picks, np.s_[q : 2 * q], axis=1), axis=1),
+                   np.sort(picks[:, q:], axis=1), picks[:, -1])
+
+    def __eq__(self, other):
+        if not isinstance(other, SIRows):
+            return NotImplemented
+        return self.m == other.m and all(map(np.array_equal, (self.a, self.b, self.e_star),
+                                             (other.a, other.b, other.e_star)))
+
+
+def _draw_si(m: int, gen) -> np.ndarray:
+    """One intersection draw's picks: 2q + 1 distinct elements of [1..m], q = m/4 - 1."""
+    return gen.choice(m, size=m // 2 - 1, replace=False) + 1
+
+
 def sample_si(m: int, rng) -> SIInstance:
     """Draw disjoint rests of size m/4-1 and a shared target from the remainder."""
     if m < 4 or m % 4:
         raise ValueError(f"universe size must be a positive multiple of 4, got {m}")
     if m > SI_M_CAP:
         raise ValueError(f"universe size m={m} is above the cap of {SI_M_CAP} for a drawn instance")
-    rng = _as_generator(rng, "si")
     q = m // 4 - 1
-    picks = (rng.choice(m, size=2 * q + 1, replace=False) + 1).tolist()
+    picks = _draw_si(m, _as_generator(rng, "si")).tolist()
     e_star = picks[-1]
     return SIInstance(
         m=m,
@@ -161,7 +211,7 @@ class URInstance:
 
     rs: RSDigraph
     direction: str
-    si_pairs: tuple  # one SIInstance over [1..r] per matching
+    si_rows: SIRows  # one intersection pair over [1..r] per matching, pair i on matching i
     i_star: int
     e_star: int
     edges_a: EdgeBlock
@@ -189,7 +239,13 @@ class URInstance:
 
 
 def sample_ur(rs: RSDigraph, direction: str = FORWARD, seed: int = 0, path=("ur",)) -> URInstance:
-    """Sample the unique-reach distribution over the given RS digraph."""
+    """Sample the unique-reach distribution over the given RS digraph.
+
+    Matching i carries intersection pair i over [1..r], drawn from substream
+    (seed, *path, "si", i). All t substreams are derived at once
+    (`rng.each_substream`) and each draw is held as one row of `SIRows`, whose
+    construction checks every row; `verify_ur_promise` then checks the edges.
+    """
     if direction not in (FORWARD, INVERSE):
         raise ValueError(f"direction must be {FORWARD!r} or {INVERSE!r}")
     if rs.r < 4 or rs.r % 4:
@@ -197,19 +253,19 @@ def sample_ur(rs: RSDigraph, direction: str = FORWARD, seed: int = 0, path=("ur"
     if 4 * rs.n_side + 2 * rs.r + 1 >= 2**63:
         raise ValueError(f"N = {rs.n_side} is too large: instance vertex ids are int64")
     N, r, t = rs.n_side, rs.r, rs.t
-    pairs = tuple(
-        sample_si(r, rngmod.substream(seed, *path, "si", i)) for i in range(1, t + 1)
-    )
+    picks = np.empty((t, r // 2 - 1), dtype=np.int64)
+    for row, gen in zip(picks, rngmod.each_substream(seed, *path, "si", ids=range(1, t + 1))):
+        row[:] = _draw_si(r, gen)
+    si_rows = SIRows.of_picks(r, picks)
     i_star = int(rngmod.substream(seed, *path, "istar").integers(1, t + 1))
-    live = pairs[i_star - 1]
-    e_star = live.e_star
+    e_star = int(si_rows.e_star[i_star - 1])
 
     # row i - 1: the 0-based indices of Alice's edges in matching i, ascending
-    rows = np.sort([list(pair.a) for pair in pairs], axis=1) - 1
+    rows = si_rows.a - 1
     edges_a = EdgeBlock(np.concatenate([m.us[row] for m, row in zip(rs.matchings, rows, strict=True)]),
                         N + np.concatenate([m.vs[row] for m, row in zip(rs.matchings, rows, strict=True)]))
     # for each j of the live second set, ascending: (0, u_j), then (N + v_j, 2N + j)
-    js = np.array(sorted(live.b))
+    js = si_rows.b[i_star - 1]
     star = rs.matching(i_star)
     edges_b = EdgeBlock(np.column_stack((np.zeros_like(js), N + star.vs[js - 1])).ravel(),
                         np.column_stack((star.us[js - 1], 2 * N + js)).ravel())
@@ -222,7 +278,7 @@ def sample_ur(rs: RSDigraph, direction: str = FORWARD, seed: int = 0, path=("ur"
     inst = URInstance(
         rs=rs,
         direction=direction,
-        si_pairs=pairs,
+        si_rows=si_rows,
         i_star=i_star,
         e_star=e_star,
         edges_a=edges_a,
@@ -246,7 +302,7 @@ def ur_witnesses(inst: URInstance) -> dict:
         "e_star": inst.e_star,
         "witness": inst.witness,
         "b_size": inst.b_size,
-        "live_t": sorted(inst.si_pairs[inst.i_star - 1].b),
+        "live_t": inst.si_rows.b[inst.i_star - 1].tolist(),
     }
 
 

@@ -111,6 +111,11 @@ class CoinOracle(SIOracle):
         return tuple(out)
 
 
+# RevealOracle writes the target e* - 1 in 16 bits, so it serves universes up to 2^16
+_REVEAL_TARGET_BITS = 16
+REVEAL_M_CAP = 1 << _REVEAL_TARGET_BITS
+
+
 class RevealOracle(CoinOracle):
     """Announces the target element with probability p, else stays silent."""
 
@@ -120,7 +125,7 @@ class RevealOracle(CoinOracle):
 
     def transcript(self, a, e_star, rand) -> str:
         if rand == "reveal":
-            return "1" + encode_int(e_star - 1, 16)
+            return "1" + encode_int(e_star - 1, _REVEAL_TARGET_BITS)
         return "0"
 
 

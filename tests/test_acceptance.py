@@ -80,8 +80,8 @@ def test_criterion_4_ur_promise():
     for i in range(1000):
         inst = sample_ur(rs, seed=int(rngmod.substream(4, "acc4", i).integers(0, 2**63)))
         report = verify_ur_promise(inst)
-        live = inst.si_pairs[inst.i_star - 1]
-        if not (report.ok and len(live.b) == rs.r // 4):
+        live_b = set(inst.si_rows.b[inst.i_star - 1].tolist())
+        if not (report.ok and len(live_b) == rs.r // 4 and inst.e_star in live_b):
             failures += 1
     criterion(4, failures == 0,
               f"1000 unique-reach samples at r=4,t=6: {failures} promise violations")

@@ -2,11 +2,13 @@ import argparse
 import contextlib
 import copy
 import hashlib
+import importlib
 import inspect
 import io
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -22,7 +24,7 @@ from streamlb.instances import sample_st, to_stream
 from streamlb.reductions import BipartiteGraph
 from streamlb.rsgraph import RSDigraph, verify_induced
 import streamlb
-from streamlb import experiments, instances, streamio
+from streamlb import experiments, instances, protocols, streamio
 
 
 @pytest.fixture
@@ -1134,12 +1136,41 @@ def test_si_draws_refuse_a_huge_m_within_bounded_memory(tmp_path):
     # refuses any m above its cap before drawing, and nothing is written
     commands = [["gen", "si", "--m", str(10**8), "--out", "si"],
                 ["experiment", "si-uniformity", "--param", f"m={10**8}"],
-                ["protocol", "boost", "--m", str(10**8), "--oracle", "perfect", "--trials", "1"]]
+                ["protocol", "boost", "--m", str(10**8), "--oracle", "null", "--trials", "1"]]
     proc = _dispatch_in_bounded_child(commands, cwd=tmp_path, timeout=60)
     assert proc.stdout == f"{USAGE}\n" * len(commands), proc.stderr[-500:]
     assert proc.stderr == (f"error: universe size m={10**8} is above the cap of "
                            f"{instances.SI_M_CAP} for a drawn instance\n") * len(commands)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_caps_match_the_code():
+    # every cap README names with a value, as `NAME` = value, is that constant
+    # of the package, so the docs cannot drift from the code
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = [(name, int(base.replace(",", "")) ** int(exp or 1))
+             for name, base, exp in re.findall(r"`([A-Z][A-Z0-9_]*)` = (\d[\d,]*)(?:\^(\d+))?", text)]
+    assert {"SI_M_CAP", "MAX_BIPARTITE_SIDE", "REVEAL_M_CAP"} <= {name for name, _ in named}
+    constants = {}
+    for info in pkgutil.iter_modules(streamlb.__path__):
+        module = importlib.import_module(f"streamlb.{info.name}")
+        constants.update((k, v) for k, v in vars(module).items() if k.isupper() and type(v) is int)
+    assert [(name, constants.get(name)) for name, _ in named] == named
+
+
+def test_perfect_oracle_refuses_a_target_beyond_16_bits_before_any_round():
+    # RevealOracle writes e* - 1 in 16 bits: the oracle is refused as built,
+    # where the refusal names the size and the cap, not from inside a round
+    commands = [["protocol", "boost", "--m", str(m), "--oracle", "perfect", "--trials", "1"]
+                for m in (65544, 10**8)]
+    commands += [["protocol", "measure-eps", "--m", "65544", "--oracle", "perfect"],
+                 ["experiment", "boost-trials", "--param", "m=65544", "--param", "oracle_tag=perfect"]]
+    proc = _dispatch_in_bounded_child(commands, timeout=60)
+    assert proc.stdout == f"{USAGE}\n" * len(commands), proc.stderr[-500:]
+    sizes = (65544, 10**8, 65544, 65544)
+    assert proc.stderr == "".join(f"error: m={m} is above {protocols.REVEAL_M_CAP}: the perfect oracle "
+                                  "writes its target in 16 bits\n" for m in sizes)
+    assert protocols.REVEAL_M_CAP == 65536
 
 
 FUZZ_BIPARTITE = streamio.render_bipartite(BipartiteGraph(

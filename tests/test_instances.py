@@ -4,6 +4,7 @@ from collections import Counter
 from functools import cache
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from streamlb import rng as rngmod
@@ -15,6 +16,7 @@ from streamlb.instances import (
     INVERSE,
     EdgeStream,
     SIInstance,
+    SIRows,
     STInstance,
     iter_si,
     sample_si,
@@ -39,6 +41,12 @@ def identity_matching_rs(r: int) -> RSDigraph:
     """Degenerate single-matching graph: r parallel edges (i, i)."""
     return RSDigraph(n_side=r, r=r, t=1,
                      matchings=(tuple((i, i) for i in range(1, r + 1)),))
+
+
+def si_pair(rows: SIRows, i: int) -> SIInstance:
+    """Pair i of `rows` (1-indexed, as the matchings are) as an `SIInstance`."""
+    return SIInstance(rows.m, frozenset(rows.a[i - 1].tolist()), frozenset(rows.b[i - 1].tolist()),
+                      int(rows.e_star[i - 1]))
 
 
 # --- set intersection ---------------------------------------------------------
@@ -116,8 +124,46 @@ def test_sample_ur_degenerate_single_matching():
     rs = identity_matching_rs(4)
     inst = sample_ur(rs, FORWARD, seed=5)
     assert inst.i_star == 1
-    assert len(inst.si_pairs[0].a) == 1 and len(inst.si_pairs[0].b) == 1
+    assert inst.si_rows.a.shape == inst.si_rows.b.shape == (1, 1)
     assert verify_ur_promise(inst).ok
+
+
+def test_sample_ur_rows_are_the_per_matching_draws():
+    # pair i is what `sample_si` draws from substream (seed, *path, "si", i)
+    rs = small_rs()
+    inst = sample_ur(rs, INVERSE, seed=11, path=("st", "bwd"))
+    assert inst.si_rows.a.shape == inst.si_rows.b.shape == (rs.t, rs.r // 4)
+    for i in range(1, rs.t + 1):
+        assert si_pair(inst.si_rows, i) == sample_si(rs.r, rngmod.substream(11, "st", "bwd", "si", i))
+    assert inst.e_star == inst.si_rows.e_star[inst.i_star - 1]
+
+
+def test_si_rows_refuse_a_corrupted_row():
+    # four pairs over [1..16]; each corruption of pair 3 is refused by name
+    picks = np.array([rngmod.substream(2, "rows", i).choice(16, 7, replace=False) + 1 for i in range(4)])
+    rows = SIRows.of_picks(16, picks)
+    assert rows == SIRows(16, rows.a.copy(), rows.b.copy(), rows.e_star.copy())
+    a, b, e = rows.a[2].tolist(), rows.b[2].tolist(), int(rows.e_star[2])
+    a_other, b_other = next(x for x in a if x != e), next(x for x in b if x != e)
+    free = next(x for x in range(1, 17) if x not in a + b)
+
+    def swap(row, old, new):
+        return sorted(new if x == old else x for x in row)
+
+    cases = [
+        ("first set is not strictly increasing", swap(a, a_other, e), b),  # a repeated element
+        ("first set is not strictly increasing", swap(a, a_other, 0), b),  # below [1, 16]
+        ("second set is not strictly increasing", a, swap(b, b_other, 17)),  # above [1, 16]
+        ("second set misses the target", a, swap(b, e, free)),
+        ("sets share more than the target", swap(a, a_other, b_other), b),
+    ]
+    for reason, a_row, b_row in cases:
+        a_rows, b_rows = rows.a.copy(), rows.b.copy()
+        a_rows[2], b_rows[2] = a_row, b_row
+        with pytest.raises(ValueError, match=f"pair 3: {reason}"):
+            SIRows(16, a_rows, b_rows, rows.e_star)
+    with pytest.raises(ValueError, match="two \\(t, m/4\\) arrays"):
+        SIRows(16, rows.a[:, 1:], rows.b, rows.e_star)
 
 
 def test_ur_conditional_support_exhaustive_r4():
@@ -132,8 +178,8 @@ def test_ur_conditional_support_uniform_monte_carlo():
     by_t = {}
     for i in range(4000):
         inst = sample_ur(rs, FORWARD, seed=i)
-        live = inst.si_pairs[inst.i_star - 1]
-        by_t.setdefault(frozenset(live.b), Counter())[inst.e_star] += 1
+        live = si_pair(inst.si_rows, inst.i_star)
+        by_t.setdefault(live.b, Counter())[inst.e_star] += 1
     for t_set, counts in by_t.items():
         assert set(counts) <= t_set
         total = sum(counts.values())
@@ -174,8 +220,8 @@ def test_sample_ur_gathers_alice_edges_exactly_and_refuses_a_huge_n():
     rs = RSDigraph(100, r, 2, (tuple((big + j, big + 50 + j) for j in range(r)),
                                tuple((10 + j, 60 + j) for j in range(r))))
     inst = sample_ur(rs, FORWARD, seed=3)
-    expected = [(u, 100 + v) for matching, pair in zip(rs.matchings, inst.si_pairs)
-                for j, (u, v) in enumerate(matching, start=1) if j in pair.a]
+    expected = [(u, 100 + v) for i, matching in enumerate(rs.matchings, start=1)
+                for j, (u, v) in enumerate(matching, start=1) if j in si_pair(inst.si_rows, i).a]
     assert list(inst.edges_a) == expected
     with pytest.raises(ValueError, match="too large"):
         sample_ur(RSDigraph(2**62, 4, 1, (((1, 1), (2, 2), (3, 3), (4, 4)),)), FORWARD, seed=0)
@@ -184,7 +230,7 @@ def test_sample_ur_gathers_alice_edges_exactly_and_refuses_a_huge_n():
 def test_ur_promise_detects_second_path():
     rs = identity_matching_rs(8)
     inst = sample_ur(rs, FORWARD, seed=3)
-    live = inst.si_pairs[0]
+    live = si_pair(inst.si_rows, 1)
     other = next(j for j in sorted(live.a) if j != inst.e_star)
     extra = ((0, other), (rs.n_side + other, 2 * rs.n_side + other))
     tampered = dataclasses.replace(inst, edges_b=EdgeBlock.of(tuple(inst.edges_b) + extra))
