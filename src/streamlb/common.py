@@ -86,12 +86,17 @@ class EdgeBlock:
             return NotImplemented
 
 
+ARRAY_LEVELS = 64  # BFS levels expanded as arrays; a deeper search goes on vertex by vertex
+
+
 def bfs(edges, start: int, directed: bool = True) -> dict[int, int]:
     """Hop distance from `start` to every vertex it reaches, `start` included,
     over `edges` (an `EdgeBlock` or any (u, v) pairs), both ways if undirected.
 
-    One CSR build, then a queue over Python lists: linear in the edges at any
-    depth. Ids index the CSR when they lie in [0, 2·|edges|], else their ranks do.
+    One CSR build over int64 arrays. The first ARRAY_LEVELS levels are each one
+    gather of the frontier's neighbour runs; past them (a deep graph) a queue
+    over Python lists takes the rest, so the search is linear in the edges at
+    any depth. Ids index the CSR when they lie in [0, 2·|edges|], else their ranks do.
     """
     block = EdgeBlock.of(edges)
     us, vs = block.us, block.vs
@@ -106,19 +111,33 @@ def bfs(edges, start: int, directed: bool = True) -> dict[int, int]:
         ids, ranks = np.unique(np.concatenate((us, vs, id_array([start]))), return_inverse=True)
         us, vs, start = ranks[:k], ranks[k : 2 * k], int(ranks[-1])
     n = max(int(us.max()), int(vs.max()), start) + 1
-    dst = vs[np.argsort(us)].tolist()
-    ptr = [0] + np.cumsum(np.bincount(us, minlength=n)).tolist()
-    dist = {start: 0}
-    queue = [start]
-    for u in queue:  # the queue grows while it is read
-        hops = dist[u] + 1
-        for v in dst[ptr[u] : ptr[u + 1]]:
-            if v not in dist:
-                dist[v] = hops
-                queue.append(v)
-    if ids is None:
-        return dist
-    return dict(zip(ids[list(dist)].tolist(), dist.values()))
+    dst = vs[np.argsort(us)]
+    ptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(us, minlength=n), out=ptr[1:])
+    dist = np.full(n, -1, np.int64)
+    dist[start] = 0
+    frontier = np.array([start])
+    for hops in range(1, ARRAY_LEVELS + 1):
+        lo, runs = ptr[frontier], ptr[frontier + 1] - ptr[frontier]
+        # slot p, in run r, reads dst[lo[r] + p - (the slots before run r)]
+        slots = np.arange(runs.sum()) + np.repeat(lo - np.cumsum(runs) + runs, runs)
+        heads = dst[slots]
+        frontier = np.unique(heads[dist[heads] < 0])
+        if not len(frontier):
+            break
+        dist[frontier] = hops
+    else:
+        dst, ptr, dist = dst.tolist(), ptr.tolist(), dist.tolist()
+        queue = frontier.tolist()
+        for u in queue:  # the queue grows while it is read
+            hops = dist[u] + 1
+            for v in dst[ptr[u] : ptr[u + 1]]:
+                if dist[v] < 0:
+                    dist[v] = hops
+                    queue.append(v)
+        dist = np.array(dist)
+    reached = np.flatnonzero(dist >= 0)
+    return dict(zip((reached if ids is None else ids[reached]).tolist(), dist[reached].tolist()))
 
 
 # --- bit strings -----------------------------------------------------------
@@ -139,6 +158,10 @@ def int_width(max_value: int) -> int:
     return max(1, math.ceil(math.log2(max_value + 1))) if max_value > 0 else 0
 
 
+# the eight ASCII digits of each byte value, as one uint64 word each
+_OCTET_DIGITS = (np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) + ord("0")).view(np.uint64).ravel()
+
+
 @lru_cache(maxsize=4096)
 def encode_int(value: int, width: int) -> str:
     if value < 0 or (width < value.bit_length()):
@@ -147,35 +170,53 @@ def encode_int(value: int, width: int) -> str:
 
 
 def encode_ints(values, width: int) -> str:
-    """Concatenate the `width`-bit forms of nonnegative integers (any iterable)."""
-    values = list(values)
-    if values and (min(values) < 0 or max(values).bit_length() > width):
-        bad = next(v for v in values if v < 0 or v.bit_length() > width)
-        raise ValueError(f"{bad} does not fit in {width} bits")
-    if not values or width == 0:
+    """Concatenate the `width`-bit forms of nonnegative integers.
+
+    `values` is any iterable of ints or an integer array. Up to 64 bits the
+    values pass as one uint64 array: each of a value's low big-endian bytes
+    becomes its eight ASCII digits by one table lookup, and the last `width`
+    digits are kept, so an array argument is never turned into Python ints.
+    The first value that does not fit raises, as in the string-at-a-time form.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "ui":
+        bad = values < 0
+        if width < 64:
+            bad |= (values.astype(np.uint64) >> np.uint64(width)) != 0
+        if bad.any():
+            raise ValueError(f"{values[np.argmax(bad)]} does not fit in {width} bits")
+    else:
+        values = list(values)
+        if values and (min(values) < 0 or max(values).bit_length() > width):
+            bad = next(v for v in values if v < 0 or v.bit_length() > width)
+            raise ValueError(f"{bad} does not fit in {width} bits")
+    if not len(values) or width == 0:
         return ""
     if width > 64:  # beyond uint64: one exact Python int per value
         return "".join(format(v, f"0{width}b") for v in values)
-    octets = np.array(values, dtype=">u8").view(np.uint8).reshape(-1, 8)
-    digits = np.unpackbits(octets, axis=1)[:, 64 - width :]
-    digits += ord("0")
-    return digits.tobytes().decode("ascii")
+    nbytes = -(-width // 8)  # the low bytes of each big-endian word that hold its field
+    octets = np.asarray(values, dtype=">u8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes :]
+    digits = _OCTET_DIGITS[octets].view(np.uint8).reshape(len(octets), 8 * nbytes)
+    return digits[:, 8 * nbytes - width :].tobytes().decode("ascii")
 
 
-def decode_ints(bits: str, width: int) -> list[int]:
-    """Split a concatenation of `width`-bit fields back into its integers."""
+def decode_array(bits: str, width: int) -> np.ndarray:
+    """Split a concatenation of `width`-bit fields into an array of their
+    integers: uint64 up to 64 bits, exact Python ints (object) beyond."""
     if not is_bit_string(bits):
         raise ValueError("bit strings hold only '0' and '1'")
     if width == 0:
         if bits:
             raise ValueError("0-bit fields concatenate only to the empty string")
-        return []
+        return np.zeros(0, np.uint64)
     if len(bits) % width:
         raise ValueError("bit string length is not a multiple of the field width")
     if width > 64:
-        return [int(bits[i : i + width], 2) for i in range(0, len(bits), width)]
-    # right-align each field in 64 bits and read the rows as big-endian words
-    padded = np.zeros((len(bits) // width, 64), dtype=np.uint8)
-    digits = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
-    padded[:, 64 - width :] = digits.reshape(-1, width)
-    return np.packbits(padded, axis=1).view(">u8").ravel().tolist()
+        return np.array([int(bits[i : i + width], 2) for i in range(0, len(bits), width)], dtype=object)
+    # right-align each field in whole bytes, pack, and read the rows as big-endian words
+    nbytes = -(-width // 8)
+    padded = np.zeros((len(bits) // width, 8 * nbytes), dtype=np.uint8)
+    padded[:, 8 * nbytes - width :] = np.frombuffer(bits.encode("ascii"), dtype=np.uint8).reshape(-1, width)
+    padded &= 1  # '0' and '1' are 0x30 and 0x31
+    words = np.zeros((len(padded), 8), dtype=np.uint8)
+    words[:, 8 - nbytes :] = np.packbits(padded, axis=1)
+    return words.view(">u8").ravel().astype(np.uint64)

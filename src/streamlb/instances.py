@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -501,8 +501,8 @@ class EdgeStream:
         object.__setattr__(self, "segments", tuple((tag, EdgeBlock.of(seg)) for tag, seg in self.segments))
 
     def edges(self):
-        for _, seg in self.segments:
-            yield from seg
+        """An iterator over every segment's (u, v) pairs, in stream order."""
+        return chain.from_iterable(seg for _, seg in self.segments)
 
     def edge_block(self) -> EdgeBlock:
         """Every segment's edges, in stream order, as one block."""

@@ -24,26 +24,43 @@ from .instances import EdgeStream
 MAX_BIPARTITE_SIDE = 1 << 18
 
 
+def _dense(ids: np.ndarray, bound: int) -> bool:
+    """Whether int64 ids all lie in [0, bound), so a table of `bound` cells indexes them."""
+    return ids.dtype != object and (not len(ids) or (ids.min() >= 0 and ids.max() < bound))
+
+
 @dataclass(frozen=True)
 class Digraph:
-    """Distinct edges between its vertices, first occurrences in order, as one `EdgeBlock`."""
+    """Distinct edges between its vertices, first occurrences in order, as one `EdgeBlock`.
+
+    Construction keys each edge by one int64 made of its two ids, or of their
+    `np.unique` ranks when an id lies outside [0, |V|), and keeps the least
+    edge index of each key.
+    """
 
     vertices: frozenset
     edges: EdgeBlock
 
     def __post_init__(self):
         block = EdgeBlock.of(self.edges)
-        ids, ranks = np.unique(np.concatenate((block.us, block.vs)), return_inverse=True)
+        ends = np.concatenate((block.us, block.vs))
+        if _dense(ends, len(self.vertices)):  # ids in [0, |V|) key as they are
+            present = np.zeros(int(ends.max(initial=-1)) + 1, bool)
+            present[ends] = True
+            ids, ranks = np.flatnonzero(present), ends
+        else:
+            ids, ranks = np.unique(ends, return_inverse=True)
         if not self.vertices.issuperset(ids.tolist()):
             raise ValueError("an edge has an endpoint that is not a vertex")
-        # distinct rows of ranks, not of ids, so ids beyond int64 sort alike; the
-        # stable lexsort puts each row's first occurrence first among its copies
+        # one int64 key per row of ranks, not of ids, so ids beyond int64 key
+        # alike; each run of equal keys keeps its least edge index
         ru, rv = ranks.reshape(2, -1)
-        order = np.lexsort((rv, ru))
-        ru, rv = ru[order], rv[order]
-        new = np.ones(len(order), bool)
-        new[1:] = (ru[1:] != ru[:-1]) | (rv[1:] != rv[:-1])
-        first = np.sort(order[new])
+        key = ru * (int(ranks.max(initial=0)) + 1) + rv
+        order = np.argsort(key)
+        key = key[order]
+        first = np.zeros(len(key), bool)
+        if len(key):
+            first[np.minimum.reduceat(order, np.flatnonzero(np.r_[True, key[1:] != key[:-1]]))] = True
         object.__setattr__(self, "edges", EdgeBlock(block.us[first], block.vs[first]))
 
     @staticmethod
@@ -79,7 +96,9 @@ def reduce_to_matching(h: Digraph, s, t):
     vertices ascending; the labels are vertex ids.
 
     Edges into s and out of t (they can never help an s-t path) and loops are
-    dropped; the count of dropped edges is reported alongside the graph.
+    dropped; the count of dropped edges is reported alongside the graph. The
+    kept edges' ids become indices through a table from id to 1 + rank when
+    every id lies in [0, 2·|V|), and by binary search otherwise.
     """
     if s == t:
         raise ValueError(f"s and t must differ, not both {s}")
@@ -89,64 +108,107 @@ def reduce_to_matching(h: Digraph, s, t):
     keep = (vs != s) & (us != t) & (us != vs)
     us, vs = us[keep], vs[keep]
     identity = np.arange(1, len(inner) + 1)  # each inner vertex's left copy to its right copy
-    edges = EdgeBlock(np.concatenate((np.where(us == s, 0, np.searchsorted(ids, us) + 1), identity)),
-                      np.concatenate((np.where(vs == t, 0, np.searchsorted(ids, vs) + 1), identity)))
+    known = np.concatenate((ids, id_array([s, t])))
+    if _dense(known, 2 * len(h.vertices)):
+        # a table from id to 1 + rank; s and t, the only other endpoints, read 0
+        table = np.zeros(int(known.max()) + 1, np.int64)
+        table[ids] = identity
+        left, right = table[us], table[vs]
+    else:
+        left = np.where(us == s, 0, np.searchsorted(ids, us) + 1)
+        right = np.where(vs == t, 0, np.searchsorted(ids, vs) + 1)
+    edges = EdgeBlock(np.concatenate((left, identity)), np.concatenate((right, identity)))
     return BipartiteGraph((s, *inner), (t, *inner), edges), len(keep) - len(us)
+
+
+GREEDY_ROUNDS = 8  # numpy proposal rounds before Hopcroft-Karp takes over
+
+
+def _greedy_matching(us, vs, n_left: int, n_right: int):
+    """A start for Hopcroft-Karp, in at most GREEDY_ROUNDS array passes.
+
+    `us` is sorted (stably) and `vs` follows it. In each round every free left
+    vertex proposes along its first edge to a free right vertex, and each right
+    vertex keeps the proposer with the fewest edges, the lowest-numbered among
+    equals: a left vertex with one edge has no other choice. Returns the match
+    arrays (-1 where free) and the number of matched pairs.
+    """
+    degree = np.bincount(us, minlength=n_left)
+    match_l = np.full(n_left, -1, np.int64)
+    match_r = np.full(n_right, -1, np.int64)
+    for _ in range(GREEDY_ROUNDS):
+        open_edges = np.flatnonzero((match_l[us] < 0) & (match_r[vs] < 0))
+        if not len(open_edges):
+            break
+        pu = us[open_edges]
+        first = open_edges[np.concatenate(([True], pu[1:] != pu[:-1]))]  # each free left's first open edge
+        pu, pv = us[first], vs[first]
+        order = np.lexsort((pu, degree[pu], pv))
+        pu, pv = pu[order], pv[order]
+        won = np.concatenate(([True], pv[1:] != pv[:-1]))  # each right vertex's best proposer
+        match_l[pu[won]], match_r[pv[won]] = pv[won], pu[won]
+    return match_l, match_r, int((match_l >= 0).sum())
 
 
 def perfect_matching_exists(g: BipartiteGraph) -> bool:
     """Hopcroft-Karp with an explicit stack, so path length is not bounded by
     the interpreter's recursion limit; exact.
 
-    Each phase layers the left vertices by BFS from the free ones, then
-    augments along layered paths found by an iterative DFS; a left vertex that
-    reaches no free right vertex is cut from its layer for the rest of the phase.
+    The graph is one CSR: `dst` lists each left vertex's neighbours in edge
+    order, from `ptr[u]` to `ptr[u + 1]`, as flat Python lists. A greedy start
+    (`_greedy_matching`) matches most vertices in array passes. Each phase then
+    layers the left vertices by BFS from the free ones, and augments along
+    layered paths found by an iterative DFS; a left vertex that reaches no free
+    right vertex is cut from its layer for the rest of the phase.
     """
-    if len(g.left) != len(g.right):
+    n = len(g.left)
+    if n != len(g.right):
         return False
-    dst = g.edges.vs[np.argsort(g.edges.us, kind="stable")].tolist()  # neighbours in edge order
-    ptr = [0] + np.cumsum(np.bincount(g.edges.us, minlength=len(g.left))).tolist()
-    adj = [dst[ptr[u] : ptr[u + 1]] for u in range(len(g.left))]
-    match_l = [-1] * len(g.left)
-    match_r = [-1] * len(g.right)
-    matched = 0
-    while True:
+    # a stable sort keeps each vertex's edges in order; uint16 keys sort by radix
+    order = np.argsort(g.edges.us.astype(np.uint16) if n <= 1 << 16 else g.edges.us, kind="stable")
+    us, vs = g.edges.us[order], g.edges.vs[order]
+    match_l, match_r, matched = _greedy_matching(us, vs, n, n)
+    match_l, match_r = match_l.tolist(), match_r.tolist()
+    dst = vs.tolist()
+    ptr = [0] + np.cumsum(np.bincount(us, minlength=n)).tolist()
+    while matched < n:
         free = [u for u, v in enumerate(match_l) if v < 0]
-        layer = [-1] * len(g.left)
+        layer = [-1] * n
         for u in free:
             layer[u] = 0
         queue = list(free)
         for u in queue:  # the queue grows while it is read
-            for v in adj[u]:
+            for v in dst[ptr[u] : ptr[u + 1]]:
                 w = match_r[v]
                 if w >= 0 and layer[w] < 0:
                     layer[w] = layer[u] + 1
                     queue.append(w)
-        nxt = [0] * len(g.left)  # per left vertex, the next neighbour to try
+        nxt = ptr[:-1]  # per left vertex, the index in `dst` of the next neighbour to try
         grew = 0
         for root in free:
             stack = [root]
             while stack:
                 u = stack[-1]
-                if nxt[u] == len(adj[u]):
+                if nxt[u] == ptr[u + 1]:
                     layer[u] = -1
                     stack.pop()
                     continue
-                v = adj[u][nxt[u]]
+                v = dst[nxt[u]]
                 nxt[u] += 1
                 w = match_r[v]
                 if w < 0:
                     # stack[k] reached stack[k+1] through its last-tried neighbour
                     for x in stack:
-                        y = adj[x][nxt[x] - 1]
+                        y = dst[nxt[x] - 1]
                         match_l[x], match_r[y] = y, x
                     grew += 1
                     break
                 if layer[w] == layer[u] + 1:
                     stack.append(w)
         if not grew:
-            return matched == len(g.left)
+            return False
         matched += grew
+    return True
 
 
 def perfect_matching_brute(g: BipartiteGraph) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import EdgeBlock, bfs, decode_ints, encode_int, encode_ints, id_array, int_width, is_bit_string
+from .common import EdgeBlock, bfs, decode_array, encode_int, encode_ints, id_array, int_width, is_bit_string
 from .instances import EdgeStream
 
 
@@ -111,11 +111,10 @@ def _key_block(array: np.ndarray, width: int) -> EdgeBlock:
 def _decode_keys(name: str, bits: str, n: int, width: int) -> np.ndarray:
     """The key array of a serialized edge list, refusing any `serialize()`
     cannot write: keys not strictly increasing, or an endpoint outside [0, n)."""
-    keys = decode_ints(bits, 2 * width)
-    array = _key_array(keys, width)
+    array = decode_array(bits, 2 * width)
     if (array[1:] <= array[:-1]).any():
         raise ValueError(f"{name}: serialized edge keys are not strictly increasing")
-    if len(keys) and max((array >> width).max(), (array & ((1 << width) - 1)).max()) >= n:
+    if len(array) and max((array >> width).max(), (array & ((1 << width) - 1)).max()) >= n:
         raise ValueError(f"{name}: a serialized edge has an endpoint outside [0, {n})")
     return array
 
@@ -186,7 +185,7 @@ class StoreAll(StreamAlgorithm):
         return np.delete(keys, np.flatnonzero(keys[1:] == keys[:-1]) + 1)  # np.unique hashes: slower
 
     def serialize(self) -> str:
-        return encode_ints(self._all_keys().tolist(), 2 * self.width)
+        return encode_ints(self._all_keys(), 2 * self.width)
 
     def state_bits(self) -> int:
         return 2 * self.width * (len(self.stored) + len(self.keys))
@@ -253,14 +252,11 @@ class BfsFrontier(StreamAlgorithm):
     def serialize(self) -> str:
         if 17 + 2 * self.n > sys.maxsize:
             raise ValueError(f"{self.name}: a {17 + 2 * self.n}-bit state is longer than any string")
-        bitmap = ["0"] * self.n
-        for v in self.reached:
-            bitmap[v] = "1"
-        adds = ["0"] * self.n
-        for v in self.additions:
-            adds[v] = "1"
+        bitmaps = np.full(2 * self.n, ord("0"), dtype=np.uint8)
+        bitmaps[id_array(self.reached)] = ord("1")
+        bitmaps[self.n + id_array(self.additions)] = ord("1")
         flags = "1" if self.exhausted else "0"
-        return encode_int(self.hops, 16) + flags + "".join(bitmap) + "".join(adds)
+        return encode_int(self.hops, 16) + flags + bitmaps.tobytes().decode("ascii")
 
     def state_bits(self) -> int:
         return 17 + 2 * self.n
@@ -269,9 +265,10 @@ class BfsFrontier(StreamAlgorithm):
         _check_state(self.name, bits, 17 + 2 * self.n)
         self.hops = int(bits[:16], 2)
         self.exhausted = bits[16] == "1"
-        body = bits[17:]
-        self.reached = {i for i, c in enumerate(body[: self.n]) if c == "1"}
-        self.additions = {i for i, c in enumerate(body[self.n : 2 * self.n]) if c == "1"}
+        ones = np.flatnonzero(np.frombuffer(bits[17:].encode("ascii"), dtype=np.uint8) == ord("1"))
+        split = np.searchsorted(ones, self.n)
+        self.reached = set(ones[:split].tolist())
+        self.additions = set((ones[split:] - self.n).tolist())
         self._pass = pass_index
 
     def result(self):
@@ -316,7 +313,7 @@ class SpanningForest(StreamAlgorithm):
             self.forest.append(u << self.width | v)
 
     def serialize(self) -> str:
-        return encode_ints(np.sort(_key_array(self.forest, self.width)).tolist(), 2 * self.width)
+        return encode_ints(np.sort(_key_array(self.forest, self.width)), 2 * self.width)
 
     def state_bits(self) -> int:
         return 2 * self.width * len(self.forest)

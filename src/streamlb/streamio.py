@@ -12,6 +12,8 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
+
 from .common import EdgeBlock, Report, id_array
 from .instances import (
     FORWARD,
@@ -37,16 +39,26 @@ def sha256_file(path) -> str:
 
 # --- streams -------------------------------------------------------------------
 
-def render_stream(stream: EdgeStream) -> str:
-    lines = [f"STREAM {stream.n} directed={1 if stream.directed else 0}"]
+RENDER_CHUNK = 1 << 16  # edges per formatted string: no stream is held as one string per edge
+
+
+def _stream_text(stream: EdgeStream):
+    """The text form of a stream, in strings of at most RENDER_CHUNK edge lines."""
+    yield f"STREAM {stream.n} directed={1 if stream.directed else 0}\n"
     for tag, seg in stream.segments:
-        lines.append(f"SEG {tag}")
-        lines.extend(f"{u} {v}" for u, v in zip(seg.us.tolist(), seg.vs.tolist()))  # caches no pairs
-    return "\n".join(lines) + "\n"
+        yield f"SEG {tag}\n"
+        for lo in range(0, len(seg), RENDER_CHUNK):
+            ids = np.column_stack((seg.us[lo : lo + RENDER_CHUNK], seg.vs[lo : lo + RENDER_CHUNK]))
+            yield "%d %d\n" * len(ids) % tuple(ids.ravel().tolist())
+
+
+def render_stream(stream: EdgeStream) -> str:
+    return "".join(_stream_text(stream))
 
 
 def write_stream(path, stream: EdgeStream):
-    Path(path).write_text(render_stream(stream))
+    with Path(path).open("w") as out:
+        out.writelines(_stream_text(stream))
 
 
 _HEADER = re.compile(r"STREAM[ \t]+(\d+)[ \t]+directed=([01])", re.ASCII)
@@ -55,14 +67,76 @@ _SEG_LINE = re.compile(r"^[ \t]*SEG(?:[ \t].*)?$", re.MULTILINE)
 _EDGE_LINES = re.compile(r"(?:\s*\n[ \t]*-?\d+[ \t]+-?\d+)*\s*", re.ASCII)
 
 
-def _edge_ids(body: str, where: str) -> list[int]:
-    """The ids of a block of `u v` edge lines, flat; any other line raises."""
+_PLAIN_BYTES = np.zeros(256, bool)  # the bytes of a plain block: digits, '-', space, tab, newline
+_PLAIN_BYTES[list(b"0123456789- \t\n")] = True
+_SPACE_BYTES = np.zeros(256, bool)
+_SPACE_BYTES[list(b" \t\n")] = True
+_INT64 = np.iinfo(np.int64)
+
+
+def _plain_ids(body: str) -> np.ndarray | None:
+    """The ids of a plain block of edge lines, or None where only the exact path can tell.
+
+    Plain means: only the bytes of `[0-9 \\t\\n-]`, a '-' only where a token
+    starts and before a digit (so every token is -?\\d+), and exactly two
+    tokens on each nonblank line after the first; such a block matches
+    `_EDGE_LINES`, and `np.fromstring` reads it in one pass. A value at either
+    end of int64 may have saturated there, so it is not trusted either.
+    """
+    try:
+        raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return None
+    if not len(raw) or not _PLAIN_BYTES[raw].all():
+        return None
+    space = _SPACE_BYTES[raw]
+    after_space = np.concatenate(([True], space[:-1]))
+    starts = np.flatnonzero(after_space & ~space)
+    minus = np.flatnonzero(raw == ord("-"))
+    if len(minus) and not (after_space[minus].all() and minus[-1] + 1 < len(raw)
+                           and (raw[minus + 1] - ord("0") < 10).all()):
+        return None
+    lines = np.searchsorted(np.flatnonzero(raw == ord("\n")), starts)  # the line of each token
+    if not len(starts) or len(starts) % 2 or lines[0] == 0 or (lines[0::2] != lines[1::2]).any() \
+            or (lines[2::2] == lines[1:-1:2]).any():
+        return None
+    ids = np.fromstring(raw, dtype=np.int64, sep=" ")
+    if len(ids) != len(starts) or ids.min() == _INT64.min or ids.max() == _INT64.max:
+        return None
+    return ids
+
+
+def _marker_lines(pattern: re.Pattern, word: str, text: str) -> list[re.Match]:
+    """The matches of `pattern`, a whole-line pattern of lines holding `word`,
+    in text order, as `pattern.finditer(text)` finds them. Only the lines where
+    `word` occurs are tried, each once, so the edge lines are skipped by
+    `str.find` rather than tried one by one."""
+    marks, at = [], text.find(word)
+    while at >= 0:
+        mark = pattern.match(text, text.rfind("\n", 0, at) + 1)
+        if mark:
+            marks.append(mark)
+            at = text.find(word, mark.end())
+        else:
+            stop = text.find("\n", at)
+            at = text.find(word, stop) if stop >= 0 else -1
+    return marks
+
+
+def _edge_ids(body: str, where: str) -> np.ndarray:
+    """The ids of a block of `u v` edge lines, flat, typed as `id_array` types
+    them; any other line raises. A plain block (`_plain_ids`) is read in one
+    C-level pass; any other, or one without edges, is checked by the strict
+    regex and read one Python int per token."""
+    ids = _plain_ids(body)
+    if ids is not None:
+        return ids
     valid = _EDGE_LINES.match(body).end()
     if valid != len(body):
         stop = body.find("\n", valid)
         bad = body[body.rfind("\n", 0, valid) + 1 : stop if stop >= 0 else len(body)].strip()
         raise ValueError(f"malformed edge line {bad[:80]!r} in {where}: expected 'u v'")
-    return list(map(int, body.split()))
+    return id_array(list(map(int, body.split())))
 
 
 def parse_stream(text: str, layers: LayerMap | None = None) -> EdgeStream:
@@ -71,8 +145,15 @@ def parse_stream(text: str, layers: LayerMap | None = None) -> EdgeStream:
     The file opens with `STREAM <n> directed=<0|1>` (n >= 1). Every edge line
     `u v` holds two vertex ids in [0, n) and follows a `SEG <tag>` line, and no
     tag repeats. Blank lines and whitespace around lines are ignored.
+
+    The SEG lines are found by `str.find`. A segment of plain lines (digits,
+    '-', spaces, tabs and newlines; two -?\\d+ tokens a line) is checked by a
+    byte-class pass and read by one `np.fromstring`; anything else, a segment
+    without edges, or an id at either end of int64 (where that read saturates)
+    goes through the strict regex and one Python int per token, so an error
+    names the exact line or id.
     """
-    marks = list(_SEG_LINE.finditer(text))
+    marks = _marker_lines(_SEG_LINE, "SEG", text)
     rows = [ln.strip() for ln in text[: marks[0].start() if marks else len(text)].splitlines()]
     rows = [ln for ln in rows if ln]
     if not rows:
@@ -93,7 +174,7 @@ def parse_stream(text: str, layers: LayerMap | None = None) -> EdgeStream:
         tag = seg_head[1].strip()
         if any(tag == seen for seen, _ in segments):
             raise ValueError(f"segment tag {tag!r} repeats")
-        ids = id_array(_edge_ids(text[mark.end() : nxt.start() if nxt else len(text)], f"segment {tag!r}"))
+        ids = _edge_ids(text[mark.end() : nxt.start() if nxt else len(text)], f"segment {tag!r}")
         if len(ids) and (ids.min() < 0 or ids.max() >= n):
             bad_id = ids.min() if ids.min() < 0 else ids.max()
             raise ValueError(f"vertex id {bad_id} in segment {tag!r} is outside [0, {n})")
@@ -242,7 +323,7 @@ def parse_rs(text: str) -> RSDigraph:
     ignored. Counts that disagree with the header and ids outside [1, N] are
     left to `verify_induced`.
     """
-    marks = list(_M_LINE.finditer(text))
+    marks = _marker_lines(_M_LINE, "M", text)
     rows = [ln.strip() for ln in text[: marks[0].start() if marks else len(text)].splitlines()]
     rows = [ln for ln in rows if ln]
     if not rows:
@@ -259,7 +340,7 @@ def parse_rs(text: str) -> RSDigraph:
         index = _M_INDEX.fullmatch(mark[0].strip())
         if index is None or int(index[1]) != i:
             raise ValueError(f"matching header {mark[0].strip()[:80]!r} out of order: expected 'M {i}'")
-        ids = id_array(_edge_ids(text[mark.end() : nxt.start() if nxt else len(text)], f"matching {i}"))
+        ids = _edge_ids(text[mark.end() : nxt.start() if nxt else len(text)], f"matching {i}")
         if not len(ids) and r:
             raise ValueError(f"matching {i} has no edges")
         matchings.append(EdgeBlock(ids[0::2], ids[1::2]))

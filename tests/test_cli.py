@@ -862,6 +862,38 @@ def test_stream_run_accepts_the_wellformed_neighbour(tmp_path):
     assert run("stream", "run", "--alg", "store-all", "--input", path, "--s", 4) == USAGE
 
 
+def test_parse_stream_reads_a_segment_with_no_edges(tmp_path):
+    back = streamio.parse_stream("STREAM 4 directed=1\nSEG E1\nSEG E2\n1 2\n \nSEG E3\n\n")
+    assert [(tag, list(seg), seg.us.dtype.name) for tag, seg in back.segments] == \
+        [("E1", [], "int64"), ("E2", [(1, 2)], "int64"), ("E3", [], "int64")]
+    # `gen st --e1-mode empty` writes such a segment, and reads it back
+    stream = to_stream(sample_st(small_rs(), seed=3, e1_mode="empty"), shuffle_seed=1)
+    path = tmp_path / "empty-e1.stream"
+    streamio.write_stream(path, stream)
+    assert streamio.read_stream(path).segments == stream.segments
+    assert dict(stream.segments)["E1"] == ()
+
+
+@pytest.mark.parametrize("bad", [10**20, -10**20, 2**63 - 1, -2**63])
+def test_parse_stream_names_an_id_beyond_int64_exactly(bad):
+    # a C-level read would saturate these at the ends of int64
+    for line in (f"2 {bad}", f"{bad} 2"):
+        with pytest.raises(ValueError) as info:
+            streamio.parse_stream(f"STREAM 10 directed=1\nSEG E1\n0 1\n{line}\n")
+        assert str(info.value) == f"vertex id {bad} in segment 'E1' is outside [0, 10)"
+
+
+def test_parse_stream_reads_other_whitespace_as_the_plain_form_does():
+    # CRLF, form feeds and vertical tabs are outside the plain bytes, so the strict regex reads these
+    plain = streamio.parse_stream("STREAM 6 directed=0\nSEG A\n0 1\n\t2   3 \n\nSEG B\n4 5\n")
+    for text in ("STREAM 6 directed=0\r\nSEG A\r\n0 1\r\n2\t3\r\nSEG B\r\n4 5\r\n",
+                 "STREAM 6 directed=0\nSEG A\n 0\t1\f\n2 3\v\nSEG B\n4 5"):
+        back = streamio.parse_stream(text)
+        assert (back.n, back.directed, back.segments) == (plain.n, plain.directed, plain.segments)
+    with pytest.raises(ValueError, match=r"malformed edge line '00 \+1' in segment 'A'"):
+        streamio.parse_stream("STREAM 6 directed=0\nSEG A\n00 +1\n2 3\n")
+
+
 FUZZ_BASE = streamio.render_stream(to_stream(sample_st(small_rs(), seed=3), shuffle_seed=1))
 FUZZ_N = int(FUZZ_BASE.split()[1])
 JUNK = st.sampled_from(["x", "1.5", "SEG", "STREAM", "--", "0x1", "+3", "1_0", "\u0663", "directed=1", "\t",

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import streamlb
-from streamlb.common import EdgeBlock, bfs, decode_ints, encode_int, encode_ints, is_bit_string
+from streamlb.common import ARRAY_LEVELS, EdgeBlock, bfs, decode_array, encode_int, encode_ints, is_bit_string
 from streamlb.protocols import Transcript
 
 
@@ -41,10 +41,12 @@ def test_encode_decode_equal_string_reference(width):
     assert encode_ints(values, width) == bits
     assert encode_ints((v for v in values), width) == bits  # generators, as intersection_protocol passes
     assert encode_ints([], width) == "" == encode_ints(iter(()), width)
-    assert decode_ints(bits, width) == decode_ints_reference(bits, width)
+    decoded = decode_array(bits, width)
+    assert decoded.dtype == (np.uint64 if width <= 64 else object)
+    assert decoded.tolist() == decode_ints_reference(bits, width)
     if width:
-        assert decode_ints(bits, width) == values
-    assert decode_ints("", width) == []
+        assert decoded.tolist() == values
+    assert decode_array("", width).tolist() == []
 
 
 @pytest.mark.parametrize("width", [0, 1, 5, 14, 62, 63, 64, 70])
@@ -55,13 +57,31 @@ def test_encode_decode_raise_the_reference_errors(width):
         assert error_of(encode_ints, iter(values), width) == expected
     if width > 1:
         bits = "0" * (3 * width + 1)
-        assert error_of(decode_ints, bits, width) == error_of(decode_ints_reference, bits, width)
+        assert error_of(decode_array, bits, width) == error_of(decode_ints_reference, bits, width)
+
+
+@pytest.mark.parametrize("width", range(1, 65))
+def test_encode_ints_of_an_array_equals_the_list_path(width):
+    # store-all and the spanning forest serialize their key arrays without a list
+    gen = random.Random(width)
+    top = (1 << width) - 1
+    values = [0, top, top, 0] + [gen.getrandbits(width) for _ in range(60)]
+    dtypes = (np.uint64, np.int64) if width < 64 else (np.uint64,)
+    for dtype in dtypes:
+        assert encode_ints(np.array(values, dtype=dtype), width) == encode_ints(values, width)
+        assert encode_ints(np.array([], dtype=dtype), width) == ""
+    for values in ([3, top + 1, 5, top + 2], [top, 2 * top + 1]):
+        if values[1] < 1 << 64:
+            assert error_of(encode_ints, np.array(values, dtype=np.uint64), width) == \
+                error_of(encode_ints, values, width)
+    assert error_of(encode_ints, np.array([1, -2, 0], dtype=np.int64), width) == \
+        error_of(encode_ints, [1, -2, 0], width) == f"-2 does not fit in {width} bits"
 
 
 def test_decode_rejects_non_bits():
     for bits in ("0120", "01a1", "0 11"):
         with pytest.raises(ValueError):
-            decode_ints(bits, 2)
+            decode_array(bits, 2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -140,6 +160,17 @@ def test_bfs_on_any_ids_equals_the_loop_reference(edges, start, directed):
     assert bfs(EdgeBlock.of(edges), start, directed) == expected
 
 
+@pytest.mark.parametrize("directed", [True, False])
+def test_bfs_past_its_array_levels_equals_the_loop_reference(directed):
+    # a spine longer than ARRAY_LEVELS, with chords and dead ends off it
+    gen = random.Random(int(directed))
+    spine = [(v, v + 1) for v in range(3 * ARRAY_LEVELS)]
+    extra = [(gen.randrange(400), gen.randrange(400)) for _ in range(300)]
+    edges = spine + extra
+    gen.shuffle(edges)
+    assert bfs(EdgeBlock.of(edges), 0, directed) == bfs_reference(edges, 0, directed)
+
+
 def test_bfs_stays_iterative_on_a_deep_path():
     n = 100_000
     block = EdgeBlock(np.arange(n - 1), np.arange(1, n))
@@ -170,10 +201,10 @@ def test_importing_streamlb_loads_no_scipy():
 
 
 def test_decode_at_width_zero_takes_only_the_empty_string():
-    assert decode_ints("", 0) == []
+    assert decode_array("", 0).tolist() == []
     for bits in ("101", "0", "1111"):
         with pytest.raises(ValueError, match="0-bit fields"):
-            decode_ints(bits, 0)
+            decode_array(bits, 0)
 
 
 @pytest.mark.parametrize("width", [0, 3, 70])
@@ -181,4 +212,4 @@ def test_decode_rejects_non_bits_at_every_width(width):
     # int(..., 2) alone would read "1_0", " 10" and "0b1" on the exact-int path
     for bits in ("1_0", " 10", "0b1", "1é0"):
         with pytest.raises(ValueError, match="only '0' and '1'"):
-            decode_ints(bits * max(width, 1), width)  # a multiple of the width
+            decode_array(bits * max(width, 1), width)  # a multiple of the width

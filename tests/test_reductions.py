@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from streamlb.instances import sample_st, to_stream
 from streamlb.reductions import (
     BipartiteGraph,
     Digraph,
+    _greedy_matching,
     bfs_reachable,
     perfect_matching_brute,
     perfect_matching_exists,
@@ -80,6 +82,17 @@ def test_digraph_keeps_the_first_occurrences_of_a_dict_reference():
         assert digraph(*edges, vertices=range(12)).edges == tuple(dict.fromkeys(edges))
 
 
+def test_matching_reduction_ranks_any_ids_alike():
+    # ids in [0, 2|V|) rank through a table, others by search; the graphs must agree
+    edges = ((0, 2), (2, 1), (1, 3), (2, 3), (3, 2), (4, 4))
+    small, _ = reduce_to_matching(Digraph(frozenset(range(5)), edges), 0, 3)
+    for shift in (-7, 10**6, 2**64):
+        moved = tuple((u + shift, v + shift) for u, v in edges)
+        g, _ = reduce_to_matching(Digraph(frozenset(range(shift, shift + 5)), moved), shift, shift + 3)
+        assert g.edges == small.edges
+        assert (g.left, g.right) == tuple(tuple(v + shift for v in side) for side in (small.left, small.right))
+
+
 def test_digraph_refuses_an_endpoint_outside_its_vertices():
     for edge in ((S, 7), (-1, T)):
         with pytest.raises(ValueError, match="not a vertex"):
@@ -109,6 +122,22 @@ def test_pm_oracle_examples():
     assert perfect_matching_exists(complete) and perfect_matching_brute(complete)
     single = BipartiteGraph((0, 1), (0, 1), ((0, 0),))
     assert not perfect_matching_exists(single) and not perfect_matching_brute(single)
+
+
+def test_pm_oracle_undoes_what_the_greedy_start_took():
+    # left 0-{r1, r2}, 1-{r0, r1}, 2-{r0}: the proposal rounds match 0-r1 and 2-r0 and
+    # leave left 1 free, so only the augmenting path 1-r1-0-r2 (undoing 0-r1) completes it;
+    # without the edge 0-r2 no path exists
+    perfect = ((0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
+    for edges, expected in ((perfect, True), (perfect[:1] + perfect[2:], False)):
+        us, vs = (np.array(col) for col in zip(*edges))
+        assert _greedy_matching(us, vs, 3, 3)[2] == 2
+        g = BipartiteGraph((0, 1, 2), (0, 1, 2), edges)
+        assert perfect_matching_exists(g) == perfect_matching_brute(g) == expected
+    # left 0-{r0, r1}, 1-{r0}: a first-proposer start would take 0-r0; likewise on both sides
+    for edges, expected in ((((0, 0), (0, 1), (1, 0)), True), (((0, 0), (1, 0)), False)):
+        g = BipartiteGraph((0, 1), (0, 1), edges)
+        assert perfect_matching_exists(g) == perfect_matching_brute(g) == expected
 
 
 def test_pm_unbalanced_is_false():
