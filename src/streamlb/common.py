@@ -44,6 +44,9 @@ def id_array(ids) -> np.ndarray:
         return np.array(ids, dtype=object)
 
 
+_END = object()  # what an exhausted iterator's `next` returns
+
+
 class EdgeBlock:
     """A run of edges (us[i], vs[i]) as two id arrays, typed as `id_array` types
     them. It iterates as (u, v) pairs of ints; `==` holds against a block or
@@ -62,7 +65,15 @@ class EdgeBlock:
         """`edges` itself if it is a block, else its (u, v) pairs as one."""
         if isinstance(edges, EdgeBlock):
             return edges
-        ids = id_array(chain.from_iterable(edges))
+        edges = edges if isinstance(edges, list) else list(edges)
+        flat = chain.from_iterable(edges)
+        try:  # one pass, while every pair is two ids within int64; else `id_array` types them all
+            ids = np.fromiter(flat, dtype=np.int64, count=2 * len(edges))
+            if next(flat, _END) is _END:
+                return cls(ids[0::2], ids[1::2])
+        except (OverflowError, ValueError):
+            pass
+        ids = id_array(list(chain.from_iterable(edges)))
         return cls(ids[0::2], ids[1::2])
 
     @classmethod
@@ -93,10 +104,13 @@ def bfs(edges, start: int, directed: bool = True) -> dict[int, int]:
     """Hop distance from `start` to every vertex it reaches, `start` included,
     over `edges` (an `EdgeBlock` or any (u, v) pairs), both ways if undirected.
 
-    One CSR build over int64 arrays. The first ARRAY_LEVELS levels are each one
-    gather of the frontier's neighbour runs; past them (a deep graph) a queue
-    over Python lists takes the rest, so the search is linear in the edges at
-    any depth. Ids index the CSR when they lie in [0, 2·|edges|], else their ranks do.
+    One CSR build over int64 arrays: a stable sort of the tails (a radix sort
+    of uint16 keys when the ids fit) puts each vertex's heads in one run. The
+    first ARRAY_LEVELS levels are each one gather of the frontier's runs; the
+    heads not yet reached, kept once each by a scatter of their positions, are
+    the next frontier. Past them (a deep graph) a queue over Python lists
+    takes the rest, so the search is linear in the edges at any depth. Ids
+    index the CSR when they lie in [0, 2·|edges|], else their ranks do.
     """
     block = EdgeBlock.of(edges)
     us, vs = block.us, block.vs
@@ -111,20 +125,24 @@ def bfs(edges, start: int, directed: bool = True) -> dict[int, int]:
         ids, ranks = np.unique(np.concatenate((us, vs, id_array([start]))), return_inverse=True)
         us, vs, start = ranks[:k], ranks[k : 2 * k], int(ranks[-1])
     n = max(int(us.max()), int(vs.max()), start) + 1
-    dst = vs[np.argsort(us)]
+    dst = vs[np.argsort(us.astype(np.uint16) if n <= 1 << 16 else us, kind="stable")]
     ptr = np.zeros(n + 1, np.int64)
     np.cumsum(np.bincount(us, minlength=n), out=ptr[1:])
     dist = np.full(n, -1, np.int64)
     dist[start] = 0
+    where = np.empty(n, np.int64)  # a vertex's last position among a level's new heads
     frontier = np.array([start])
     for hops in range(1, ARRAY_LEVELS + 1):
         lo, runs = ptr[frontier], ptr[frontier + 1] - ptr[frontier]
         # slot p, in run r, reads dst[lo[r] + p - (the slots before run r)]
         slots = np.arange(runs.sum()) + np.repeat(lo - np.cumsum(runs) + runs, runs)
         heads = dst[slots]
-        frontier = np.unique(heads[dist[heads] < 0])
-        if not len(frontier):
+        heads = heads[dist[heads] < 0]
+        if not len(heads):
             break
+        at = np.arange(len(heads))
+        where[heads] = at
+        frontier = heads[where[heads] == at]
         dist[frontier] = hops
     else:
         dst, ptr, dist = dst.tolist(), ptr.tolist(), dist.tolist()
@@ -158,10 +176,6 @@ def int_width(max_value: int) -> int:
     return max(1, math.ceil(math.log2(max_value + 1))) if max_value > 0 else 0
 
 
-# the eight ASCII digits of each byte value, as one uint64 word each
-_OCTET_DIGITS = (np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) + ord("0")).view(np.uint64).ravel()
-
-
 @lru_cache(maxsize=4096)
 def encode_int(value: int, width: int) -> str:
     if value < 0 or (width < value.bit_length()):
@@ -173,9 +187,9 @@ def encode_ints(values, width: int) -> str:
     """Concatenate the `width`-bit forms of nonnegative integers.
 
     `values` is any iterable of ints or an integer array. Up to 64 bits the
-    values pass as one uint64 array: each of a value's low big-endian bytes
-    becomes its eight ASCII digits by one table lookup, and the last `width`
-    digits are kept, so an array argument is never turned into Python ints.
+    values pass as one uint64 array: each value is shifted to the top of its
+    low big-endian bytes, whose first `width` bits are unpacked as ASCII
+    digits, so an array argument is never turned into Python ints.
     The first value that does not fit raises, as in the string-at-a-time form.
     """
     if isinstance(values, np.ndarray) and values.dtype.kind in "ui":
@@ -194,15 +208,28 @@ def encode_ints(values, width: int) -> str:
     if width > 64:  # beyond uint64: one exact Python int per value
         return "".join(format(v, f"0{width}b") for v in values)
     nbytes = -(-width // 8)  # the low bytes of each big-endian word that hold its field
-    octets = np.asarray(values, dtype=">u8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes :]
-    digits = _OCTET_DIGITS[octets].view(np.uint8).reshape(len(octets), 8 * nbytes)
-    return digits[:, 8 * nbytes - width :].tobytes().decode("ascii")
+    top = np.asarray(values, dtype=np.uint64) << np.uint64(8 * nbytes - width)  # each field at its bytes' top
+    octets = top.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes :]
+    digits = np.unpackbits(octets, axis=1, count=width)
+    digits += np.uint8(ord("0"))
+    return digits.tobytes().decode("ascii")
 
 
 def decode_array(bits: str, width: int) -> np.ndarray:
     """Split a concatenation of `width`-bit fields into an array of their
-    integers: uint64 up to 64 bits, exact Python ints (object) beyond."""
-    if not is_bit_string(bits):
+    integers: uint64 up to 64 bits, exact Python ints (object) beyond.
+
+    The text becomes its digit values in one array pass, which also refuses
+    any byte but '0' and '1'. Up to 64 bits the digits are packed into bytes
+    as they stand; every eighth field then starts at the same bit of its byte,
+    w bytes after the last, so each of the eight classes is read in one strided
+    pass: the nine bytes from a field's first, shifted into place.
+    """
+    try:
+        digits = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - np.uint8(ord("0"))
+    except (AttributeError, UnicodeEncodeError):  # not a str, or a non-ASCII character
+        digits = None
+    if digits is None or (len(digits) and digits.max() > 1):  # any other byte wraps past 1
         raise ValueError("bit strings hold only '0' and '1'")
     if width == 0:
         if bits:
@@ -212,11 +239,12 @@ def decode_array(bits: str, width: int) -> np.ndarray:
         raise ValueError("bit string length is not a multiple of the field width")
     if width > 64:
         return np.array([int(bits[i : i + width], 2) for i in range(0, len(bits), width)], dtype=object)
-    # right-align each field in whole bytes, pack, and read the rows as big-endian words
-    nbytes = -(-width // 8)
-    padded = np.zeros((len(bits) // width, 8 * nbytes), dtype=np.uint8)
-    padded[:, 8 * nbytes - width :] = np.frombuffer(bits.encode("ascii"), dtype=np.uint8).reshape(-1, width)
-    padded &= 1  # '0' and '1' are 0x30 and 0x31
-    words = np.zeros((len(padded), 8), dtype=np.uint8)
-    words[:, 8 - nbytes :] = np.packbits(padded, axis=1)
-    return words.view(">u8").ravel().astype(np.uint64)
+    packed = np.concatenate((np.packbits(digits), np.zeros(9, dtype=np.uint8)))
+    values = np.empty(len(bits) // width, dtype=np.uint64)
+    for first in range(min(8, len(values))):
+        start, skip = divmod(first * width, 8)  # field 8q + first starts at bit `skip` of byte start + q·w
+        count = len(range(first, len(values), 8))
+        word = np.ndarray(count, ">u8", packed, start, (width,)).astype(np.uint64)
+        spill = np.ndarray(count, np.uint8, packed, start + 8, (width,)).astype(np.uint64)
+        values[first::8] = (word << np.uint64(skip) | spill >> np.uint64(8 - skip)) >> np.uint64(64 - width)
+    return values

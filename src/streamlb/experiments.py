@@ -12,7 +12,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from . import rng as rngmod
 from .behrend import BehrendSet, construct_ap_free, verify_no_3ap
@@ -230,7 +229,9 @@ def si_uniformity(m: int = 8, samples: int = 100_000, seed: int = 0) -> dict:
         expected = n_a / len(a)
         stat += sum((by_e.get(e, 0) - expected) ** 2 / expected for e in a)
         df += len(a) - 1
-    p_value = float(scipy_stats.chi2.sf(stat, df))
+    from scipy import stats  # only this experiment needs scipy; the CLI loads it here, not at start
+
+    p_value = float(stats.chi2.sf(stat, df))
     return {
         "experiment": "si-uniformity",
         "m": m,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -107,6 +107,78 @@ class SIRows:
 def _draw_si(m: int, gen) -> np.ndarray:
     """One intersection draw's picks: 2q + 1 distinct elements of [1..m], q = m/4 - 1."""
     return gen.choice(m, size=m // 2 - 1, replace=False) + 1
+
+
+# `Generator.choice(m, size, replace=False)` draws by Floyd's algorithm and a
+# shuffle while m is at most this; past it, by a shuffle of all of [0, m)
+CHOICE_FLOYD_MAX = 10_000
+_DRAW_CELLS = 1 << 20  # a chunk of rows drawn at once holds about this many words and table cells
+_MASK32 = 0xFFFFFFFF
+
+
+def _choice_draws(m: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The m - 3 bounded draws `choice` makes for one `_draw_si(m, ...)`, for
+    each row of raw 64-bit words (`rng.substream_words`, (m - 2)/2 a row).
+
+    Floyd's algorithm draws a value in [0, j] for j = m/2 + 1 .. m - 1, then
+    the shuffle a place in [0, i] for i = m/2 - 2 .. 1. Each draw is Lemire's
+    bounded integer of the next 32-bit word, a word's low half before its
+    high half: the high half of word × (bound + 1), unless the low half is
+    below 2^32 mod (bound + 1), when `choice` rejects the word and reads
+    another. Returns the draws laid out as (draw, row), and whether each row
+    rejects a word, which shifts every later draw of that row.
+    """
+    size = m // 2 - 1
+    bounds = np.concatenate((np.arange(m - size, m), np.arange(size - 1, 0, -1))).astype(np.uint64)
+    span = bounds[:, None] + np.uint64(1)  # each draw's count of values
+    words = words.T
+    halves = np.empty((2 * len(words), words.shape[1]), dtype=np.uint64)
+    halves[0::2], halves[1::2] = words & np.uint64(_MASK32), words >> np.uint64(32)
+    product = halves[: m - 3] * span
+    rejects = ((product & np.uint64(_MASK32)) < (1 << 32) % span).any(axis=0)
+    return (product >> np.uint64(32)).astype(np.int64), rejects
+
+
+def _draw_si_rows(m: int, seed: int, path: tuple, t: int) -> np.ndarray:
+    """Rows of picks: row i - 1 is `_draw_si(m, rng.substream(seed, *path, "si", i))`, i in 1..t.
+
+    While m <= CHOICE_FLOYD_MAX, a chunk of rows takes its words at once and
+    runs each of `choice`'s steps (`_choice_draws`) on every row: Floyd's on a
+    table of the values each row has picked, then the shuffle's swaps. A row
+    that rejects a word, and every row past the Floyd range, is drawn by
+    `_draw_si` itself.
+    """
+    size = m // 2 - 1
+    picks = np.empty((t, size), dtype=np.int64)
+    if m > CHOICE_FLOYD_MAX:
+        for row, gen in zip(picks, rngmod.each_substream(seed, *path, "si", ids=range(1, t + 1))):
+            row[:] = _draw_si(m, gen)
+        return picks
+    rows = max(1, _DRAW_CELLS // m)
+    for lo in range(0, t, rows):
+        ids = np.arange(lo + 1, min(t, lo + rows) + 1)
+        draws, rejects = _choice_draws(m, rngmod.substream_words(seed, *path, "si", ids=ids, count=(m - 2) // 2))
+        # Floyd: a value already picked gives j instead, on cells col·m + x
+        cols = np.arange(len(ids)) * m
+        cells = draws[:size] + cols
+        instead = np.arange(m - size, m)[:, None] + cols
+        picked = np.zeros(len(ids) * m, dtype=bool)
+        for cell, j in zip(cells, instead):
+            np.copyto(cell, j, where=picked[cell])
+            picked[cell] = True
+        chosen = cells - cols
+        # the shuffle swaps place i with the drawn place, on the flat (place, row) layout
+        flat = chosen.reshape(-1)
+        places = draws[size:] * len(ids) + np.arange(len(ids))
+        for i, there in zip(range(size - 1, 0, -1), places):
+            swapped = flat[there]
+            flat[there] = chosen[i]
+            chosen[i] = swapped
+        block = picks[lo : lo + len(ids)]
+        block[:] = chosen.T + 1
+        for col in np.flatnonzero(rejects).tolist():
+            block[col] = _draw_si(m, rngmod.substream(seed, *path, "si", lo + col + 1))
+    return picks
 
 
 def sample_si(m: int, rng) -> SIInstance:
@@ -241,29 +313,34 @@ class URInstance:
 def sample_ur(rs: RSDigraph, direction: str = FORWARD, seed: int = 0, path=("ur",)) -> URInstance:
     """Sample the unique-reach distribution over the given RS digraph.
 
-    Matching i carries intersection pair i over [1..r], drawn from substream
-    (seed, *path, "si", i). All t substreams are derived at once
-    (`rng.each_substream`) and each draw is held as one row of `SIRows`, whose
-    construction checks every row; `verify_ur_promise` then checks the edges.
+    Matching i carries intersection pair i over [1..r], exactly what
+    `sample_si` draws from substream (seed, *path, "si", i). The t draws are
+    made in array passes (`_draw_si_rows`): one Philox, numpy's own, is reset
+    to each row's key (`rng.substream_words`) for its raw words, and
+    `Generator.choice`'s selection (`_choice_draws`, Floyd's algorithm, the
+    shuffle) runs on a chunk of rows at a time; a row whose words hold a
+    rejected draw is drawn by `choice` itself. The pairs are held as one
+    `SIRows`, whose construction checks every row. Alice's edges are one
+    gather from the RS digraph's (t, r) id arrays, and `verify_ur_promise`
+    then checks the edges.
     """
     if direction not in (FORWARD, INVERSE):
         raise ValueError(f"direction must be {FORWARD!r} or {INVERSE!r}")
     if rs.r < 4 or rs.r % 4:
         raise ValueError(f"matching size must be a positive multiple of 4, got {rs.r}")
+    if rs.us is None or len(rs.us) != rs.t:
+        raise ValueError(f"sampling needs t = {rs.t} matchings of r = {rs.r} edges each")
     if 4 * rs.n_side + 2 * rs.r + 1 >= 2**63:
         raise ValueError(f"N = {rs.n_side} is too large: instance vertex ids are int64")
     N, r, t = rs.n_side, rs.r, rs.t
-    picks = np.empty((t, r // 2 - 1), dtype=np.int64)
-    for row, gen in zip(picks, rngmod.each_substream(seed, *path, "si", ids=range(1, t + 1))):
-        row[:] = _draw_si(r, gen)
-    si_rows = SIRows.of_picks(r, picks)
+    si_rows = SIRows.of_picks(r, _draw_si_rows(r, seed, path, t))
     i_star = int(rngmod.substream(seed, *path, "istar").integers(1, t + 1))
     e_star = int(si_rows.e_star[i_star - 1])
 
     # row i - 1: the 0-based indices of Alice's edges in matching i, ascending
     rows = si_rows.a - 1
-    edges_a = EdgeBlock(np.concatenate([m.us[row] for m, row in zip(rs.matchings, rows, strict=True)]),
-                        N + np.concatenate([m.vs[row] for m, row in zip(rs.matchings, rows, strict=True)]))
+    edges_a = EdgeBlock(np.take_along_axis(rs.us, rows, axis=1).reshape(-1),
+                        N + np.take_along_axis(rs.vs, rows, axis=1).reshape(-1))
     # for each j of the live second set, ascending: (0, u_j), then (N + v_j, 2N + j)
     js = si_rows.b[i_star - 1]
     star = rs.matching(i_star)
@@ -502,7 +579,7 @@ class EdgeStream:
 
     def edges(self):
         """An iterator over every segment's (u, v) pairs, in stream order."""
-        return chain.from_iterable(seg for _, seg in self.segments)
+        return iter(self.edge_block())
 
     def edge_block(self) -> EdgeBlock:
         """Every segment's edges, in stream order, as one block."""

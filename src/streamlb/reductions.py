@@ -53,14 +53,20 @@ class Digraph:
         if not self.vertices.issuperset(ids.tolist()):
             raise ValueError("an edge has an endpoint that is not a vertex")
         # one int64 key per row of ranks, not of ids, so ids beyond int64 key
-        # alike; each run of equal keys keeps its least edge index
+        # alike; a stable sort starts each run of equal keys at its least edge
+        # index, by two radix passes on uint16 ranks (v, then u) when they fit
         ru, rv = ranks.reshape(2, -1)
-        key = ru * (int(ranks.max(initial=0)) + 1) + rv
-        order = np.argsort(key)
+        top = int(ranks.max(initial=0)) + 1
+        key = ru * top + rv
+        if top <= 1 << 16:
+            order = np.argsort(rv.astype(np.uint16), kind="stable")
+            order = order[np.argsort(ru[order].astype(np.uint16), kind="stable")]
+        else:
+            order = np.argsort(key, kind="stable")
         key = key[order]
         first = np.zeros(len(key), bool)
         if len(key):
-            first[np.minimum.reduceat(order, np.flatnonzero(np.r_[True, key[1:] != key[:-1]]))] = True
+            first[order[np.r_[True, key[1:] != key[:-1]]]] = True
         object.__setattr__(self, "edges", EdgeBlock(block.us[first], block.vs[first]))
 
     @staticmethod
@@ -167,12 +173,12 @@ def perfect_matching_exists(g: BipartiteGraph) -> bool:
     # a stable sort keeps each vertex's edges in order; uint16 keys sort by radix
     order = np.argsort(g.edges.us.astype(np.uint16) if n <= 1 << 16 else g.edges.us, kind="stable")
     us, vs = g.edges.us[order], g.edges.vs[order]
-    match_l, match_r, matched = _greedy_matching(us, vs, n, n)
+    match_l, match_r, _ = _greedy_matching(us, vs, n, n)
+    free = np.flatnonzero(match_l < 0).tolist()
     match_l, match_r = match_l.tolist(), match_r.tolist()
     dst = vs.tolist()
     ptr = [0] + np.cumsum(np.bincount(us, minlength=n)).tolist()
-    while matched < n:
-        free = [u for u, v in enumerate(match_l) if v < 0]
+    while free:
         layer = [-1] * n
         for u in free:
             layer[u] = 0
@@ -184,7 +190,6 @@ def perfect_matching_exists(g: BipartiteGraph) -> bool:
                     layer[w] = layer[u] + 1
                     queue.append(w)
         nxt = ptr[:-1]  # per left vertex, the index in `dst` of the next neighbour to try
-        grew = 0
         for root in free:
             stack = [root]
             while stack:
@@ -201,13 +206,13 @@ def perfect_matching_exists(g: BipartiteGraph) -> bool:
                     for x in stack:
                         y = dst[nxt[x] - 1]
                         match_l[x], match_r[y] = y, x
-                    grew += 1
                     break
                 if layer[w] == layer[u] + 1:
                     stack.append(w)
-        if not grew:
+        still = [u for u in free if match_l[u] < 0]  # an augmenting path matches its root
+        if len(still) == len(free):
             return False
-        matched += grew
+        free = still
     return True
 
 

@@ -21,18 +21,46 @@ _CHUNK_PAIRS = 2**16  # cross pairs looked up per gather
 _SLICE_BITS = 2**20  # bitmap cells per slice of left ranks, unless one left needs more
 
 
+def _rows(arrays: list, r: int) -> np.ndarray:
+    """`arrays`, each of length r, as the rows of one array: the array they
+    already are the rows of, in order, or else a stacked copy."""
+    base = arrays[0].base if arrays else None
+    if isinstance(base, np.ndarray) and base.shape == (len(arrays), r) and base.flags.c_contiguous \
+            and all(a.base is base for a in arrays):
+        start, step = base.ctypes.data, base.strides[0]
+        if all(a.ctypes.data == start + i * step for i, a in enumerate(arrays)):
+            return base
+    return np.stack(arrays) if arrays else np.zeros((0, r), dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class RSDigraph:
-    """t edge-disjoint induced matchings of size r, directed L -> R, N per side."""
+    """t edge-disjoint induced matchings of size r, directed L -> R, N per side.
+
+    When every matching has r edges, `us` and `vs` hold them once, as two
+    (count, r) id arrays whose row i - 1 is matching i, and each matching is a
+    row view of them. A matching of another size leaves both None: such a
+    graph is only read and refused (`verify_induced`), never sampled from.
+    """
 
     n_side: int
     r: int
     t: int
     matchings: tuple  # (EdgeBlock, ...), one per matching, made from any (u, v) pairs
     source: dict = field(default_factory=dict, compare=False)
+    us: np.ndarray | None = field(init=False, repr=False, compare=False)
+    vs: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "matchings", tuple(map(EdgeBlock.of, self.matchings)))
+        blocks = tuple(map(EdgeBlock.of, self.matchings))
+        us = vs = None
+        if all(len(block) == self.r for block in blocks):
+            us, vs = (_rows([getattr(block, side) for block in blocks], self.r) for side in ("us", "vs"))
+            if blocks and (blocks[0].us.base is not us or blocks[0].vs.base is not vs):  # stacked copies
+                blocks = tuple(map(EdgeBlock, us, vs))
+        object.__setattr__(self, "matchings", blocks)
+        object.__setattr__(self, "us", us)
+        object.__setattr__(self, "vs", vs)
 
     def matching(self, i: int) -> EdgeBlock:
         """Matching i, 1-indexed as everywhere in this package."""
@@ -143,7 +171,8 @@ def verify_induced(g: RSDigraph) -> Report:
     sized = next((i for i, matching in enumerate(g.matchings) if len(matching) != g.r), g.t)
     count = sized * g.r
     if count:
-        edges = EdgeBlock.join(g.matchings[:sized])
+        edges = EdgeBlock(g.us.reshape(-1), g.vs.reshape(-1)) if g.us is not None \
+            else EdgeBlock.join(g.matchings[:sized])
         # ids become ranks first, so no key outgrows int64 whatever N claims
         left = np.unique(edges.us, return_inverse=True)[1].reshape(-1)
         right = np.unique(edges.vs, return_inverse=True)[1].reshape(-1)

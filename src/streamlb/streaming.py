@@ -181,6 +181,8 @@ class StoreAll(StreamAlgorithm):
 
     def _all_keys(self, *more) -> np.ndarray:
         """Every distinct key, sorted, with the key arrays `more` merged in."""
+        if not self.keys and not more:  # `stored` alone is sorted and distinct already
+            return self.stored
         keys = np.sort(np.concatenate((self.stored, _key_array(self.keys, self.width), *more)))
         return np.delete(keys, np.flatnonzero(keys[1:] == keys[:-1]) + 1)  # np.unique hashes: slower
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -34,25 +35,78 @@ from .rsgraph import RSDigraph
 
 
 def sha256_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The file's sha256, read a megabyte at a time."""
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as data:
+        for block in iter(lambda: data.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 # --- streams -------------------------------------------------------------------
 
 RENDER_CHUNK = 1 << 16  # edges per formatted string: no stream is held as one string per edge
+TABLE_SLACK = 1 << 16  # ids a decimal table may hold beyond the edges it formats
+
+
+def _decimal_table(count: int, head: bytes = b"", end: bytes = b"") -> np.ndarray:
+    """Row i, for i in [0, count): `head`, the decimal digits of i, then `end`,
+    padded with NUL bytes to the table's fixed width."""
+    places = len(str(max(count - 1, 0)))
+    digits = np.arange(count).astype(f"S{places}").view(np.uint8).reshape(count, places)
+    table = np.zeros((count, len(head) + digits.shape[1] + len(end)), dtype=np.uint8)
+    table[:, : len(head)] = np.frombuffer(head, dtype=np.uint8)
+    table[:, len(head) : len(head) + digits.shape[1]] = digits
+    stop = len(head) + np.count_nonzero(digits, axis=1)  # where each row's digits end
+    table[np.arange(count)[:, None], stop[:, None] + np.arange(len(end))] = np.frombuffer(end, dtype=np.uint8)
+    return table
+
+
+@lru_cache(maxsize=2)
+def _line_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tables of "i " and "i\\n" for the ids i in [0, n), read-only: every caller shares them."""
+    tables = _decimal_table(n, end=b" "), _decimal_table(n, end=b"\n")
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _tabled(ids: np.ndarray, n: int) -> bool:
+    """Whether every id lies in [0, n), so a line table of n rows formats them."""
+    return ids.dtype != object and (not ids.size or (ids.min() >= 0 and ids.max() < n))
+
+
+def _table_lines(rows: np.ndarray) -> str:
+    """The text of fixed-width NUL-padded rows of bytes, without the padding."""
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _stream_text(stream: EdgeStream):
-    """The text form of a stream, in strings of at most RENDER_CHUNK edge lines."""
+    """The text of `render_stream`, in strings of at most RENDER_CHUNK edge lines."""
     yield f"STREAM {stream.n} directed={1 if stream.directed else 0}\n"
+    tabled = stream.n <= stream.edge_count() + TABLE_SLACK
     for tag, seg in stream.segments:
         yield f"SEG {tag}\n"
         for lo in range(0, len(seg), RENDER_CHUNK):
-            ids = np.column_stack((seg.us[lo : lo + RENDER_CHUNK], seg.vs[lo : lo + RENDER_CHUNK]))
-            yield "%d %d\n" * len(ids) % tuple(ids.ravel().tolist())
+            us, vs = seg.us[lo : lo + RENDER_CHUNK], seg.vs[lo : lo + RENDER_CHUNK]
+            if tabled and _tabled(us, stream.n) and _tabled(vs, stream.n):
+                first, last = _line_tables(stream.n)
+                yield _table_lines(np.concatenate((first[us], last[vs]), axis=1))
+            else:
+                yield "%d %d\n" * len(us) % tuple(np.column_stack((us, vs)).ravel().tolist())
 
 
 def render_stream(stream: EdgeStream) -> str:
+    """The text form of a stream: its header, then each segment's SEG line and
+    its edges, one "u v" line each.
+
+    The edges are formatted in chunks of RENDER_CHUNK. While the stream's n is
+    at most TABLE_SLACK beyond its edge count, a chunk whose ids lie in [0, n)
+    is one gather from two fixed-width byte tables of "i " and "i\\n", NUL
+    padded (`_line_tables`, built on first use and kept for the next stream of
+    that n), with the padding deleted by `bytes.translate`. Any other chunk,
+    with an id outside [0, n) or past int64, is formatted by `%`.
+    """
     return "".join(_stream_text(stream))
 
 
@@ -67,8 +121,6 @@ _SEG_LINE = re.compile(r"^[ \t]*SEG(?:[ \t].*)?$", re.MULTILINE)
 _EDGE_LINES = re.compile(r"(?:\s*\n[ \t]*-?\d+[ \t]+-?\d+)*\s*", re.ASCII)
 
 
-_PLAIN_BYTES = np.zeros(256, bool)  # the bytes of a plain block: digits, '-', space, tab, newline
-_PLAIN_BYTES[list(b"0123456789- \t\n")] = True
 _SPACE_BYTES = np.zeros(256, bool)
 _SPACE_BYTES[list(b" \t\n")] = True
 _INT64 = np.iinfo(np.int64)
@@ -77,31 +129,42 @@ _INT64 = np.iinfo(np.int64)
 def _plain_ids(body: str) -> np.ndarray | None:
     """The ids of a plain block of edge lines, or None where only the exact path can tell.
 
-    Plain means: only the bytes of `[0-9 \\t\\n-]`, a '-' only where a token
-    starts and before a digit (so every token is -?\\d+), and exactly two
-    tokens on each nonblank line after the first; such a block matches
-    `_EDGE_LINES`, and `np.fromstring` reads it in one pass. A value at either
-    end of int64 may have saturated there, so it is not trusted either.
+    Plain means: only the bytes of `[0-9 \\t\\n-]`, split by the runs of
+    space, tab and newline into tokens -?\\d+ (a '-' only where a token starts
+    and before a digit); a newline in the run before each line's first token,
+    none in the run between its two, and an even count of tokens. Such a block
+    matches `_EDGE_LINES`, and `np.fromstring` reads it in one pass. The checks
+    run on the separator bytes alone, found by one comparison. A value at
+    either end of int64 may have saturated there, so it is not trusted either.
     """
     try:
         raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
     except UnicodeEncodeError:
         return None
-    if not len(raw) or not _PLAIN_BYTES[raw].all():
+    if not len(raw) or raw.max() > ord("9"):
         return None
-    space = _SPACE_BYTES[raw]
-    after_space = np.concatenate(([True], space[:-1]))
-    starts = np.flatnonzero(after_space & ~space)
-    minus = np.flatnonzero(raw == ord("-"))
-    if len(minus) and not (after_space[minus].all() and minus[-1] + 1 < len(raw)
-                           and (raw[minus + 1] - ord("0") < 10).all()):
+    seps = np.flatnonzero(raw < ord("0"))  # whitespace and '-', once every other byte is a digit
+    kind = raw[seps]
+    minus = kind == ord("-")
+    signs = seps[minus]
+    if len(signs):
+        seps, kind = seps[~minus], kind[~minus]
+    if not len(seps) or seps[0] != 0 or not _SPACE_BYTES[kind].all():
         return None
-    lines = np.searchsorted(np.flatnonzero(raw == ord("\n")), starts)  # the line of each token
-    if not len(starts) or len(starts) % 2 or lines[0] == 0 or (lines[0::2] != lines[1::2]).any() \
-            or (lines[2::2] == lines[1:-1:2]).any():
+    if len(signs) and not (_SPACE_BYTES[raw[signs - 1]].all() and signs[-1] + 1 < len(raw)
+                           and (raw[signs + 1] >= ord("0")).all()):
+        return None
+    gap = np.empty(len(seps), dtype=bool)  # where each run of separators starts
+    gap[0] = True
+    np.not_equal(seps[1:], seps[:-1] + 1, out=gap[1:])
+    runs = np.flatnonzero(gap)
+    newline = np.logical_or.reduceat(kind == ord("\n"), runs)
+    tokens = len(runs) - (seps[-1] == len(raw) - 1)  # one after each run, but a run that ends the block
+    between = newline[1:tokens]  # the run after each token but the last
+    if not tokens or tokens % 2 or not newline[0] or between[0::2].any() or not between[1::2].all():
         return None
     ids = np.fromstring(raw, dtype=np.int64, sep=" ")
-    if len(ids) != len(starts) or ids.min() == _INT64.min or ids.max() == _INT64.max:
+    if len(ids) != tokens or ids.min() == _INT64.min or ids.max() == _INT64.max:
         return None
     return ids
 
@@ -297,16 +360,40 @@ def verify_st_file(stream: EdgeStream, meta: dict) -> Report:
 
 # --- RS digraphs ------------------------------------------------------------------
 
-def render_rs(g: RSDigraph) -> str:
-    blocks = [f"RS {g.n_side} {g.t} {g.r}"]  # one string per matching: no list of every line
+def _rs_text(g: RSDigraph):
+    """The text form of an RS digraph, in strings of whole matchings of at most
+    RENDER_CHUNK edges (one matching at least).
+
+    When every matching has r edges with ids in [0, N], which holds for every
+    graph `verify_induced` accepts, and N is at most TABLE_SLACK beyond the
+    edge count, a chunk is one gather: each matching's "M i" line from a table
+    of them, then its edge lines from the stream's line tables. Otherwise each
+    matching is formatted line by line.
+    """
+    yield f"RS {g.n_side} {g.t} {g.r}\n"
+    bound = g.n_side + 1
+    if g.us is not None and bound <= g.us.size + TABLE_SLACK and _tabled(g.us, bound) and _tabled(g.vs, bound):
+        first, last = _line_tables(bound)
+        width = first.shape[1] + last.shape[1]
+        heads = _decimal_table(len(g.us) + 1, head=b"M ", end=b"\n")[1:]
+        step = max(1, RENDER_CHUNK // max(g.r, 1))
+        for lo in range(0, len(g.us), step):
+            us, vs = g.us[lo : lo + step], g.vs[lo : lo + step]
+            lines = np.concatenate((first[us], last[vs]), axis=2).reshape(len(us), g.r * width)
+            yield _table_lines(np.concatenate((heads[lo : lo + step], lines), axis=1))
+        return
     for i, matching in enumerate(g.matchings, start=1):
         pairs = zip(matching.us.tolist(), matching.vs.tolist())
-        blocks.append("\n".join([f"M {i}", *(f"{u} {v}" for u, v in pairs)]))
-    return "\n".join(blocks) + "\n"
+        yield "".join([f"M {i}\n", *(f"{u} {v}\n" for u, v in pairs)])
+
+
+def render_rs(g: RSDigraph) -> str:
+    return "".join(_rs_text(g))
 
 
 def write_rs(path, g: RSDigraph):
-    Path(path).write_text(render_rs(g))
+    with Path(path).open("w") as out:
+        out.writelines(_rs_text(g))
 
 
 _RS_HEADER = re.compile(r"RS[ \t]+(\d+)[ \t]+(\d+)[ \t]+(\d+)", re.ASCII)
@@ -334,6 +421,10 @@ def parse_rs(text: str) -> RSDigraph:
     if len(rows) > 1:
         raise ValueError(f"line {rows[1][:80]!r} comes before the first 'M 1' line")
     n_side, t, r = int(head[1]), int(head[2]), int(head[3])
+    # matchings of r int64 edges fill the rows of two arrays, which the graph
+    # then holds as they are; the arrays are never larger than the text's ids
+    us_rows, vs_rows = (np.empty((len(marks), r), dtype=np.int64) for _ in range(2)) \
+        if 2 * len(marks) * r <= len(text) else (None, None)
     matchings = []
     for mark, nxt in zip(marks, marks[1:] + [None]):
         i = len(matchings) + 1
@@ -343,7 +434,11 @@ def parse_rs(text: str) -> RSDigraph:
         ids = _edge_ids(text[mark.end() : nxt.start() if nxt else len(text)], f"matching {i}")
         if not len(ids) and r:
             raise ValueError(f"matching {i} has no edges")
-        matchings.append(EdgeBlock(ids[0::2], ids[1::2]))
+        if us_rows is not None and len(ids) == 2 * r and ids.dtype != object:
+            us_rows[i - 1], vs_rows[i - 1] = ids[0::2], ids[1::2]
+            matchings.append(EdgeBlock(us_rows[i - 1], vs_rows[i - 1]))
+        else:
+            matchings.append(EdgeBlock(ids[0::2], ids[1::2]))
     return RSDigraph(n_side=n_side, r=r, t=t, matchings=tuple(matchings), source={"file": True})
 
 

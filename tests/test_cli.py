@@ -1040,6 +1040,45 @@ def test_rs_reader_keeps_what_it_is_given(tmp_path):
     assert run("verify", "rs", path) == OK
 
 
+def percent_stream_text(stream):
+    """The stream's text as one `%` per edge line writes it."""
+    lines = [f"STREAM {stream.n} directed={1 if stream.directed else 0}"]
+    for tag, seg in stream.segments:
+        lines += [f"SEG {tag}", *("%d %d" % edge for edge in seg)]
+    return "\n".join(lines) + "\n"
+
+
+def test_render_stream_from_tables_equals_the_percent_text():
+    from streamlb.instances import EdgeStream
+    streams = [
+        EdgeStream(1, True, (("A", [(0, 0), (0, 0)]),)),
+        EdgeStream(12, True, (("A", [(10, 11), (0, 9), (11, 0)]), ("B", []), ("C", [(1, 2)]))),
+        EdgeStream(5, False, (("A", [(0, 4), (-1, 3)]), ("B", [(4, 5), (2, 2)]))),  # a negative id, an id >= n
+        EdgeStream(3, True, (("A", [(2**63, 1)]), ("B", [(0, 2)]))),  # an id past int64
+        EdgeStream(10**9, True, (("A", [(10, 11)]),)),  # n far beyond the edges: no table
+        to_stream(sample_st(small_rs(), seed=3), shuffle_seed=1),
+    ]
+    for stream in streams:
+        assert streamio.render_stream(stream) == percent_stream_text(stream)
+
+
+def test_render_rs_from_tables_equals_the_line_text():
+    def lines(g):
+        blocks = [f"RS {g.n_side} {g.t} {g.r}"]
+        blocks += ["\n".join([f"M {i}", *(f"{u} {v}" for u, v in m)]) for i, m in enumerate(g.matchings, 1)]
+        return "\n".join(blocks) + "\n"
+    graphs = [
+        small_rs(),
+        RSDigraph(9, 0, 3, ((), (), ())),
+        RSDigraph(9, 2, 2, (((1, 4), (2, 5)), ((3, 6), (9, 9)))),
+        RSDigraph(9, 2, 2, (((1, 4),), ((3, 6), (9, 9)))),  # a matching of the wrong size
+        RSDigraph(9, 1, 2, (((0, 10),), ((-1, 2),))),  # ids outside [0, N]
+        RSDigraph(2**64, 1, 1, (((2**64, 1),),)),  # ids past int64
+    ]
+    for g in graphs:
+        assert streamio.render_rs(g) == lines(g)
+
+
 FUZZ_RS = streamio.render_rs(small_rs())
 
 

@@ -171,6 +171,24 @@ def test_bfs_past_its_array_levels_equals_the_loop_reference(directed):
     assert bfs(EdgeBlock.of(edges), 0, directed) == bfs_reference(edges, 0, directed)
 
 
+@pytest.mark.parametrize("depth", [ARRAY_LEVELS - 1, ARRAY_LEVELS, ARRAY_LEVELS + 1])
+@pytest.mark.parametrize("directed", [True, False])
+def test_bfs_reaches_a_hub_by_many_edges_around_its_array_levels(depth, directed):
+    # a spine to depth - 1, a fan of 40 vertices there, each with repeated
+    # edges and a self-loop into one hub at `depth`, and a tail past the hub
+    gen = random.Random(depth)
+    spine = [(v, v + 1) for v in range(depth - 2)]
+    fan = list(range(1000, 1040))
+    hub = 2000
+    edges = spine + [(depth - 2, f) for f in fan] + [(f, f) for f in fan] + [(f, hub) for f in fan] * 3
+    edges += [(hub, hub), (hub, 2001), (2001, 2002), (2002, hub)]
+    gen.shuffle(edges)
+    expected = bfs_reference(edges, 0, directed)
+    assert expected[hub] == depth
+    assert bfs(EdgeBlock.of(edges), 0, directed) == expected
+    assert bfs(edges, 0, directed) == expected
+
+
 def test_bfs_stays_iterative_on_a_deep_path():
     n = 100_000
     block = EdgeBlock(np.arange(n - 1), np.arange(1, n))
@@ -191,6 +209,15 @@ def test_edge_block_is_its_pairs():
     assert huge.us.dtype == object and list(huge) == [(0, 2**63), (10**20, 1)]
     with pytest.raises(ValueError):
         EdgeBlock(np.arange(3), np.arange(2))
+
+
+def test_edge_block_of_pairs_types_a_late_wide_id_as_object():
+    # the one-pass read overflows at the last pair and every id is read again exactly
+    pairs = [(i, i + 1) for i in range(1000)] + [(2**63, 0)]
+    for edges in (pairs, iter(pairs)):
+        block = EdgeBlock.of(edges)
+        assert block.us.dtype == block.vs.dtype == object and list(block) == pairs
+    assert EdgeBlock.of([(1, 2, 3), (4, 5, 6)]) == ((1, 2), (3, 4), (5, 6))  # read as a flat run of ids
 
 
 def test_importing_streamlb_loads_no_scipy():

@@ -6,12 +6,15 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamlb import rng as rngmod
 from streamlb.behrend import construct_ap_free, trim_to_multiple
 from streamlb.common import EdgeBlock
 from streamlb.experiments import small_rs
 from streamlb.instances import (
+    CHOICE_FLOYD_MAX,
     FORWARD,
     INVERSE,
     EdgeStream,
@@ -25,6 +28,9 @@ from streamlb.instances import (
     to_stream,
     verify_st_instance,
     verify_ur_promise,
+    _choice_draws,
+    _draw_si,
+    _draw_si_rows,
 )
 from streamlb.reductions import reduce_to_sssp
 from streamlb.rsgraph import RSDigraph, build_rs_digraph
@@ -138,6 +144,34 @@ def test_sample_ur_rows_are_the_per_matching_draws():
     assert inst.e_star == inst.si_rows.e_star[inst.i_star - 1]
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.one_of(st.sampled_from([0, 2**63 - 1, 2**64, 2**64 + 5]), st.integers(2**64, 2**130)),
+       path=st.sampled_from([("ur",), ("st", "fwd"), ("st", "bwd")]),
+       r=st.sampled_from([4, 8, 12, 104, 1000, 8000]), t=st.integers(1, 6))
+def test_batched_si_rows_are_numpys_draws(seed, path, r, t):
+    # every row of the batch is what `Generator.choice` draws from that row's substream
+    rows = _draw_si_rows(r, seed, path, t)
+    for i in range(1, t + 1):
+        assert rows[i - 1].tolist() == _draw_si(r, rngmod.substream(seed, *path, "si", i)).tolist()
+
+
+def test_a_row_that_rejects_a_word_is_drawn_by_numpy():
+    # row 172 of seed 3 at r = 8000 holds a Lemire rejection: its draws after it
+    # read a later word, so the batch hands the row to `choice`
+    words = rngmod.substream_words(3, "ur", "si", ids=[171, 172], count=(8000 - 2) // 2)
+    assert _choice_draws(8000, words)[1].tolist() == [False, True]
+    rows = _draw_si_rows(8000, 3, ("ur",), 172)
+    for i in (171, 172):
+        assert rows[i - 1].tolist() == _draw_si(8000, rngmod.substream(3, "ur", "si", i)).tolist()
+
+
+def test_rows_past_the_floyd_range_take_numpys_path():
+    r = CHOICE_FLOYD_MAX + 4  # `choice` shuffles all of [0, r) here
+    rows = _draw_si_rows(r, 5, ("ur",), 2)
+    for i in (1, 2):
+        assert rows[i - 1].tolist() == _draw_si(r, rngmod.substream(5, "ur", "si", i)).tolist()
+
+
 def test_si_rows_refuse_a_corrupted_row():
     # four pairs over [1..16]; each corruption of pair 3 is refused by name
     picks = np.array([rngmod.substream(2, "rows", i).choice(16, 7, replace=False) + 1 for i in range(4)])
@@ -211,6 +245,10 @@ def test_sample_ur_inverse():
 def test_sample_ur_rejects_bad_r():
     with pytest.raises(ValueError):
         sample_ur(identity_matching_rs(3), FORWARD, seed=0)
+    ragged = RSDigraph(8, 4, 2, (((1, 1), (2, 2), (3, 3), (4, 4)), ((1, 2),)))  # matching 2 has one edge
+    assert ragged.us is None
+    with pytest.raises(ValueError, match="sampling needs t = 2 matchings of r = 4 edges"):
+        sample_ur(ragged, FORWARD, seed=0)
 
 
 def test_sample_ur_gathers_alice_edges_exactly_and_refuses_a_huge_n():

@@ -24,6 +24,10 @@ def test_batched_keys_and_draws_equal_seed_sequence(seed, path, t, r):
     for i, gen in zip(ids, rngmod.each_substream(seed, *path, ids=ids), strict=True):
         draw = gen.choice(r, size=r // 2 - 1, replace=False)
         assert draw.tolist() == rngmod.substream(seed, *path, i).choice(r, size=r // 2 - 1, replace=False).tolist()
+    words = rngmod.substream_words(seed, *path, ids=ids, count=r)
+    assert words.shape == (t, r) and words.dtype == np.uint64
+    for i, row in zip(ids, words, strict=True):
+        assert row.tolist() == rngmod.substream(seed, *path, i).bit_generator.random_raw(r).tolist()
 
 
 def test_batched_keys_cover_the_one_word_ids():
