@@ -221,7 +221,7 @@ def _cmd_reduce(args, argv) -> int:
         else:  # reachcount
             out, fresh = reduce_to_reach_count(h, s, t, stream.n)
             streamio.write_stream(args.out, EdgeStream(
-                n=max(out.vertices) + 1, directed=True,
+                n=out.n, directed=True,
                 segments=(("E", out.edges),), layers=None))
             print(json.dumps({"fresh_vertices": len(fresh)}))
     _write_manifest(argv, None, [], [args.input], [args.out], time.perf_counter() - t0)

@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
+from operator import index
 
 import numpy as np
 
@@ -35,45 +36,44 @@ def fail_report(reason: str, **detail) -> Report:
     return Report(False, reason, detail)
 
 
-def id_array(ids) -> np.ndarray:
-    """Integer ids as one array: int64, or object (exact Python ints) once an id outgrows int64."""
-    ids = ids if isinstance(ids, list) else list(ids)
-    try:
-        return np.array(ids, dtype=np.int64)
-    except OverflowError:
-        return np.array(ids, dtype=object)
+_INT64 = np.iinfo(np.int64)
 
 
-_END = object()  # what an exhausted iterator's `next` returns
+def _int64_ids(ids) -> np.ndarray:
+    """`ids` as an int64 array; any value that is not an int within int64 raises."""
+    array = np.asarray(ids)
+    kind = array.dtype.kind
+    if kind == "i" or not array.size or (kind == "u" and array.max() <= _INT64.max):
+        return array.astype(np.int64, copy=False)
+    values = ids.tolist() if isinstance(ids, np.ndarray) else ids
+    bad = next((x for x in values if not (isinstance(x, (int, np.integer)) and _INT64.min <= x <= _INT64.max)),
+               array.dtype)
+    raise ValueError(f"vertex ids are int64, not {bad!r}")
 
 
 class EdgeBlock:
-    """A run of edges (us[i], vs[i]) as two id arrays, typed as `id_array` types
-    them. It iterates as (u, v) pairs of ints; `==` holds against a block or
+    """A run of edges (us[i], vs[i]) as two int64 id arrays; anything else is
+    refused. It iterates as (u, v) pairs of ints; `==` holds against a block or
     any sequence of pairs with the same edges in the same order."""
 
     __slots__ = ("us", "vs")
 
     def __init__(self, us, vs):
-        us, vs = (a if a.dtype == object else a.astype(np.int64, copy=False) for a in map(np.asarray, (us, vs)))
+        us, vs = _int64_ids(us), _int64_ids(vs)
         if us.ndim != 1 or us.shape != vs.shape:
             raise ValueError("an edge block is two id arrays of one length")
         self.us, self.vs = us, vs
 
     @classmethod
     def of(cls, edges) -> EdgeBlock:
-        """`edges` itself if it is a block, else its (u, v) pairs as one."""
+        """`edges` itself if it is a block, else its (u, v) pairs as one, read
+        as a flat run of ids by one `np.fromiter` of their `operator.index`."""
         if isinstance(edges, EdgeBlock):
             return edges
-        edges = edges if isinstance(edges, list) else list(edges)
-        flat = chain.from_iterable(edges)
-        try:  # one pass, while every pair is two ids within int64; else `id_array` types them all
-            ids = np.fromiter(flat, dtype=np.int64, count=2 * len(edges))
-            if next(flat, _END) is _END:
-                return cls(ids[0::2], ids[1::2])
-        except (OverflowError, ValueError):
-            pass
-        ids = id_array(list(chain.from_iterable(edges)))
+        try:
+            ids = np.fromiter(map(index, chain.from_iterable(edges)), dtype=np.int64)
+        except (OverflowError, TypeError) as exc:
+            raise ValueError(f"vertex ids are int64: {exc}") from None
         return cls(ids[0::2], ids[1::2])
 
     @classmethod
@@ -120,9 +120,8 @@ def bfs(edges, start: int, directed: bool = True) -> dict[int, int]:
     if not k:
         return {start: 0}
     ids = None
-    if us.dtype == object or vs.dtype == object or not (
-            0 <= min(us.min(), vs.min(), start) and max(us.max(), vs.max(), start) <= 2 * k):
-        ids, ranks = np.unique(np.concatenate((us, vs, id_array([start]))), return_inverse=True)
+    if not (0 <= min(us.min(), vs.min(), start) and max(us.max(), vs.max(), start) <= 2 * k):
+        ids, ranks = np.unique(np.concatenate((us, vs, _int64_ids([start]))), return_inverse=True)
         us, vs, start = ranks[:k], ranks[k : 2 * k], int(ranks[-1])
     n = max(int(us.max()), int(vs.max()), start) + 1
     dst = vs[np.argsort(us.astype(np.uint16) if n <= 1 << 16 else us, kind="stable")]
@@ -176,6 +175,11 @@ def int_width(max_value: int) -> int:
     return max(1, math.ceil(math.log2(max_value + 1))) if max_value > 0 else 0
 
 
+def _check_width(width: int):
+    if width > 64:
+        raise ValueError(f"a packed field is at most 64 bits, not {width}")
+
+
 @lru_cache(maxsize=4096)
 def encode_int(value: int, width: int) -> str:
     if value < 0 or (width < value.bit_length()):
@@ -184,14 +188,15 @@ def encode_int(value: int, width: int) -> str:
 
 
 def encode_ints(values, width: int) -> str:
-    """Concatenate the `width`-bit forms of nonnegative integers.
+    """Concatenate the `width`-bit forms of nonnegative integers, width <= 64.
 
-    `values` is any iterable of ints or an integer array. Up to 64 bits the
-    values pass as one uint64 array: each value is shifted to the top of its
-    low big-endian bytes, whose first `width` bits are unpacked as ASCII
-    digits, so an array argument is never turned into Python ints.
-    The first value that does not fit raises, as in the string-at-a-time form.
+    `values` is any iterable of ints or an integer array. The values pass as
+    one uint64 array: each value is shifted to the top of its low big-endian
+    bytes, whose first `width` bits are unpacked as ASCII digits, so an array
+    argument is never turned into Python ints. The first value that does not
+    fit raises, as in the string-at-a-time form.
     """
+    _check_width(width)
     if isinstance(values, np.ndarray) and values.dtype.kind in "ui":
         bad = values < 0
         if width < 64:
@@ -205,8 +210,6 @@ def encode_ints(values, width: int) -> str:
             raise ValueError(f"{bad} does not fit in {width} bits")
     if not len(values) or width == 0:
         return ""
-    if width > 64:  # beyond uint64: one exact Python int per value
-        return "".join(format(v, f"0{width}b") for v in values)
     nbytes = -(-width // 8)  # the low bytes of each big-endian word that hold its field
     top = np.asarray(values, dtype=np.uint64) << np.uint64(8 * nbytes - width)  # each field at its bytes' top
     octets = top.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes :]
@@ -216,15 +219,16 @@ def encode_ints(values, width: int) -> str:
 
 
 def decode_array(bits: str, width: int) -> np.ndarray:
-    """Split a concatenation of `width`-bit fields into an array of their
-    integers: uint64 up to 64 bits, exact Python ints (object) beyond.
+    """Split a concatenation of `width`-bit fields, width <= 64, into a uint64
+    array of their integers.
 
     The text becomes its digit values in one array pass, which also refuses
-    any byte but '0' and '1'. Up to 64 bits the digits are packed into bytes
-    as they stand; every eighth field then starts at the same bit of its byte,
-    w bytes after the last, so each of the eight classes is read in one strided
-    pass: the nine bytes from a field's first, shifted into place.
+    any byte but '0' and '1'. The digits are packed into bytes as they stand;
+    every eighth field then starts at the same bit of its byte, w bytes after
+    the last, so each of the eight classes is read in one strided pass: the
+    nine bytes from a field's first, shifted into place.
     """
+    _check_width(width)
     try:
         digits = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - np.uint8(ord("0"))
     except (AttributeError, UnicodeEncodeError):  # not a str, or a non-ASCII character
@@ -237,8 +241,6 @@ def decode_array(bits: str, width: int) -> np.ndarray:
         return np.zeros(0, np.uint64)
     if len(bits) % width:
         raise ValueError("bit string length is not a multiple of the field width")
-    if width > 64:
-        return np.array([int(bits[i : i + width], 2) for i in range(0, len(bits), width)], dtype=object)
     packed = np.concatenate((np.packbits(digits), np.zeros(9, dtype=np.uint8)))
     values = np.empty(len(bits) // width, dtype=np.uint64)
     for first in range(min(8, len(values))):

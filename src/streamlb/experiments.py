@@ -250,7 +250,7 @@ def reduction_equiv(pm_trials: int = 500, seed: int = 0) -> dict:
     mismatches = 0
     for mask in range(1 << len(pairs)):
         edges = tuple(p for i, p in enumerate(pairs) if mask >> i & 1)
-        h = Digraph(frozenset(range(4)), edges)
+        h = Digraph(4, edges)
         g, _ = reduce_to_matching(h, s, t)
         if bfs_reachable(edges, s, t) != perfect_matching_exists(g):
             mismatches += 1

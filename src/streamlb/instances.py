@@ -32,6 +32,15 @@ INVERSE = "inverse"
 # 547 MiB peak RSS (4·10^6: 0.7 s, 214 MiB), in a fresh process (2 vCPUs,
 # Python 3.11, numpy 2.4)
 SI_M_CAP = 10**7
+# most vertices a stream may have: ids then fit 31 bits, so the packed edge
+# keys of store-all and the spanning forest (2·int_width(n - 1) bits) fit uint64
+MAX_STREAM_N = 1 << 31
+
+
+def check_vertex_count(n: int, what: str):
+    """Refuse `what`, a graph on n vertices, when no stream can hold it."""
+    if n > MAX_STREAM_N:
+        raise ValueError(f"{what} has {n} vertices; a stream holds at most {MAX_STREAM_N}")
 
 
 def _as_generator(rng, *default_path):
@@ -330,9 +339,8 @@ def sample_ur(rs: RSDigraph, direction: str = FORWARD, seed: int = 0, path=("ur"
         raise ValueError(f"matching size must be a positive multiple of 4, got {rs.r}")
     if rs.us is None or len(rs.us) != rs.t:
         raise ValueError(f"sampling needs t = {rs.t} matchings of r = {rs.r} edges each")
-    if 4 * rs.n_side + 2 * rs.r + 1 >= 2**63:
-        raise ValueError(f"N = {rs.n_side} is too large: instance vertex ids are int64")
     N, r, t = rs.n_side, rs.r, rs.t
+    check_vertex_count(2 * N + r + 1, f"a unique-reach instance on N = {N}, r = {r}")
     si_rows = SIRows.of_picks(r, _draw_si_rows(r, seed, path, t))
     i_star = int(rngmod.substream(seed, *path, "istar").integers(1, t + 1))
     e_star = int(si_rows.e_star[i_star - 1])
@@ -472,6 +480,7 @@ def sample_st(
     if e1_mode not in ("random", "complete", "empty"):
         raise ValueError(f"unknown e1 mode {e1_mode!r}")
     N, r = rs.n_side, rs.r
+    check_vertex_count(4 * N + 2 * r + 2, f"an st instance on N = {N}, r = {r}")
     fwd_seed = seed if forward_seed is None else forward_seed
     bwd_seed = seed if backward_seed is None else backward_seed
     mid_seed = seed if e1_seed is None else e1_seed
@@ -567,7 +576,12 @@ def verify_st_instance(inst: STInstance) -> Report:
 
 @dataclass(frozen=True)
 class EdgeStream:
-    """Ordered, segmented edge sequence: the unit streaming algorithms consume."""
+    """Ordered, segmented edge sequence: the unit streaming algorithms consume.
+
+    The vertices are [0, n), n at most MAX_STREAM_N. Construction refuses an
+    edge with an endpoint outside them, naming it as `parse_stream` does; past
+    this check no layer tests an id again.
+    """
 
     n: int
     directed: bool
@@ -575,7 +589,16 @@ class EdgeStream:
     layers: LayerMap | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "segments", tuple((tag, EdgeBlock.of(seg)) for tag, seg in self.segments))
+        check_vertex_count(self.n, "a stream")
+        segments = tuple((tag, EdgeBlock.of(seg)) for tag, seg in self.segments)
+        for tag, seg in segments:
+            if not len(seg):
+                continue
+            lo, hi = min(seg.us.min(), seg.vs.min()), max(seg.us.max(), seg.vs.max())
+            if lo < 0 or hi >= self.n:
+                bad = lo if lo < 0 else hi
+                raise ValueError(f"vertex id {bad} in segment {tag!r} is outside [0, {self.n})")
+        object.__setattr__(self, "segments", segments)
 
     def edges(self):
         """An iterator over every segment's (u, v) pairs, in stream order."""

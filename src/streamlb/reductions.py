@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import EdgeBlock, bfs, id_array
-from .instances import EdgeStream
+from .common import EdgeBlock, bfs
+from .instances import EdgeStream, check_vertex_count
 
 
 # Graphs whose vertices are made before any edge is read (a stream's
@@ -24,50 +24,38 @@ from .instances import EdgeStream
 MAX_BIPARTITE_SIDE = 1 << 18
 
 
-def _dense(ids: np.ndarray, bound: int) -> bool:
-    """Whether int64 ids all lie in [0, bound), so a table of `bound` cells indexes them."""
-    return ids.dtype != object and (not len(ids) or (ids.min() >= 0 and ids.max() < bound))
-
-
 @dataclass(frozen=True)
 class Digraph:
-    """Distinct edges between its vertices, first occurrences in order, as one `EdgeBlock`.
+    """The vertices [0, n), n at most MAX_STREAM_N, and the distinct edges
+    between them, first occurrences in order, as one `EdgeBlock`.
 
-    Construction keys each edge by one int64 made of its two ids, or of their
-    `np.unique` ranks when an id lies outside [0, |V|), and keeps the least
-    edge index of each key.
+    Construction refuses an endpoint outside [0, n), keys each edge by the
+    int64 u·top + v (top past every id) and keeps the least edge index of each key.
     """
 
-    vertices: frozenset
+    n: int
     edges: EdgeBlock
 
     def __post_init__(self):
+        check_vertex_count(self.n, "a digraph")
         block = EdgeBlock.of(self.edges)
-        ends = np.concatenate((block.us, block.vs))
-        if _dense(ends, len(self.vertices)):  # ids in [0, |V|) key as they are
-            present = np.zeros(int(ends.max(initial=-1)) + 1, bool)
-            present[ends] = True
-            ids, ranks = np.flatnonzero(present), ends
-        else:
-            ids, ranks = np.unique(ends, return_inverse=True)
-        if not self.vertices.issuperset(ids.tolist()):
-            raise ValueError("an edge has an endpoint that is not a vertex")
-        # one int64 key per row of ranks, not of ids, so ids beyond int64 key
-        # alike; a stable sort starts each run of equal keys at its least edge
-        # index, by two radix passes on uint16 ranks (v, then u) when they fit
-        ru, rv = ranks.reshape(2, -1)
-        top = int(ranks.max(initial=0)) + 1
-        key = ru * top + rv
+        us, vs = block.us, block.vs
+        top = int(max(us.max(initial=0), vs.max(initial=0))) + 1
+        if len(block) and (min(us.min(), vs.min()) < 0 or top > self.n):
+            raise ValueError(f"an edge has an endpoint outside [0, {self.n})")
+        # a stable sort starts each run of equal keys at its least edge index,
+        # by two radix passes on uint16 ids (v, then u) when they fit
+        key = us * top + vs
         if top <= 1 << 16:
-            order = np.argsort(rv.astype(np.uint16), kind="stable")
-            order = order[np.argsort(ru[order].astype(np.uint16), kind="stable")]
+            order = np.argsort(vs.astype(np.uint16), kind="stable")
+            order = order[np.argsort(us[order].astype(np.uint16), kind="stable")]
         else:
             order = np.argsort(key, kind="stable")
         key = key[order]
         first = np.zeros(len(key), bool)
         if len(key):
             first[order[np.r_[True, key[1:] != key[:-1]]]] = True
-        object.__setattr__(self, "edges", EdgeBlock(block.us[first], block.vs[first]))
+        object.__setattr__(self, "edges", EdgeBlock(us[first], vs[first]))
 
     @staticmethod
     def from_stream(stream: EdgeStream) -> "Digraph":
@@ -76,7 +64,7 @@ class Digraph:
         if stream.n > MAX_BIPARTITE_SIDE:
             raise ValueError(f"a graph is built on at most {MAX_BIPARTITE_SIDE} vertices, "
                              f"not the stream's {stream.n}")
-        return Digraph(frozenset(range(stream.n)), stream.edge_block())
+        return Digraph(stream.n, stream.edge_block())
 
 
 @dataclass(frozen=True)
@@ -96,34 +84,27 @@ class BipartiteGraph:
             raise ValueError(f"an edge lies outside [0, {len(self.left)}) x [0, {len(self.right)})")
 
 
-def reduce_to_matching(h: Digraph, s, t):
+def reduce_to_matching(h: Digraph, s: int, t: int):
     """Split every inner vertex into a left/right pair; reachability becomes
     perfect matching. Left is s, right is t, then each side has the inner
     vertices ascending; the labels are vertex ids.
 
     Edges into s and out of t (they can never help an s-t path) and loops are
     dropped; the count of dropped edges is reported alongside the graph. The
-    kept edges' ids become indices through a table from id to 1 + rank when
-    every id lies in [0, 2·|V|), and by binary search otherwise.
+    kept edges' ids become indices through a table from id to 1 + rank.
     """
     if s == t:
         raise ValueError(f"s and t must differ, not both {s}")
-    inner = sorted(h.vertices - {s, t})
-    ids = id_array(inner)
+    inner = np.arange(h.n)
+    inner = inner[(inner != s) & (inner != t)]
     us, vs = h.edges.us, h.edges.vs
     keep = (vs != s) & (us != t) & (us != vs)
     us, vs = us[keep], vs[keep]
     identity = np.arange(1, len(inner) + 1)  # each inner vertex's left copy to its right copy
-    known = np.concatenate((ids, id_array([s, t])))
-    if _dense(known, 2 * len(h.vertices)):
-        # a table from id to 1 + rank; s and t, the only other endpoints, read 0
-        table = np.zeros(int(known.max()) + 1, np.int64)
-        table[ids] = identity
-        left, right = table[us], table[vs]
-    else:
-        left = np.where(us == s, 0, np.searchsorted(ids, us) + 1)
-        right = np.where(vs == t, 0, np.searchsorted(ids, vs) + 1)
-    edges = EdgeBlock(np.concatenate((left, identity)), np.concatenate((right, identity)))
+    table = np.zeros(h.n, np.int64)  # s and t, the only other endpoints, read 0
+    table[inner] = identity
+    edges = EdgeBlock(np.concatenate((table[us], identity)), np.concatenate((table[vs], identity)))
+    inner = inner.tolist()
     return BipartiteGraph((s, *inner), (t, *inner), edges), len(keep) - len(us)
 
 
@@ -247,16 +228,15 @@ def reduce_to_acyclicity(h: Digraph, s, t) -> Digraph:
     """Append the edge (t, s): the result stays acyclic iff s cannot reach t."""
     if topological_order(h) is None:
         raise ValueError("input graph must be acyclic")
-    return Digraph(h.vertices, EdgeBlock.join([h.edges, EdgeBlock.of([(t, s)])]))
+    return Digraph(h.n, EdgeBlock.join([h.edges, EdgeBlock([t], [s])]))
 
 
 def reduce_to_reach_count(h: Digraph, s, t, n: int):
-    """Hang 2n fresh vertices off t; the reach count from s then separates
-    at-least-2n from at-most-n."""
-    base = max(h.vertices, default=0) + 1
-    fresh = tuple(range(base, base + 2 * n))
-    edges = EdgeBlock.join([h.edges, EdgeBlock(id_array([t] * len(fresh)), id_array(fresh))])
-    return Digraph(h.vertices | set(fresh), edges), fresh
+    """Hang 2n fresh vertices, h.n to h.n + 2n - 1, off t; the reach count
+    from s then separates at-least-2n from at-most-n."""
+    fresh = np.arange(h.n, h.n + 2 * n)
+    edges = EdgeBlock.join([h.edges, EdgeBlock(np.full(len(fresh), t), fresh)])
+    return Digraph(h.n + 2 * n, edges), tuple(fresh.tolist())
 
 
 # --- offline oracles ----------------------------------------------------------
@@ -272,11 +252,10 @@ def undirected_distance(edges, s, t):
 
 def topological_order(h: Digraph):
     """Kahn's algorithm, largest ready vertex first; None when the graph has a cycle."""
-    ids = id_array(sorted(h.vertices))
-    us, vs = np.searchsorted(ids, h.edges.us), np.searchsorted(ids, h.edges.vs)  # vertex ranks
-    indeg = np.bincount(vs, minlength=len(ids)).tolist()
+    us, vs = h.edges.us, h.edges.vs
+    indeg = np.bincount(vs, minlength=h.n).tolist()
     dst = vs[np.argsort(us, kind="stable")].tolist()
-    ptr = [0] + np.cumsum(np.bincount(us, minlength=len(ids))).tolist()
+    ptr = [0] + np.cumsum(np.bincount(us, minlength=h.n)).tolist()
     ready = [v for v, d in enumerate(indeg) if d == 0]
     order = []
     while ready:
@@ -286,4 +265,4 @@ def topological_order(h: Digraph):
             indeg[w] -= 1
             if indeg[w] == 0:
                 ready.append(w)
-    return ids[order].tolist() if len(order) == len(ids) else None
+    return order if len(order) == h.n else None

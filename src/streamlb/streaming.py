@@ -10,13 +10,12 @@ communication simulation hand a computation across players mid-pass.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .common import EdgeBlock, bfs, decode_array, encode_int, encode_ints, id_array, int_width, is_bit_string
+from .common import EdgeBlock, bfs, decode_array, encode_int, encode_ints, int_width, is_bit_string
 from .instances import EdgeStream
 
 
@@ -48,9 +47,16 @@ class StreamAlgorithm:
     def process(self, u: int, v: int):
         raise NotImplementedError
 
+    def _check_edge(self, u: int, v: int):
+        """Refuse an edge with an endpoint outside [0, n): `process` is where a
+        bare int enters an algorithm, while a block comes from an `EdgeStream`,
+        whose ids are vertices already."""
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"vertex id {v if 0 <= u < self.n else u} is outside [0, {self.n})")
+
     def process_block(self, us, vs):
-        """The edges (us[i], vs[i]) in order, one `process` call each; an
-        override must leave the same state, and raise the same error."""
+        """A segment's edges (us[i], vs[i]) in order, one `process` call each;
+        an override must leave the same state."""
         for u, v in zip(us.tolist(), vs.tolist()):
             self.process(u, v)
 
@@ -83,24 +89,12 @@ def _check_state(name: str, bits: str, length: int | None = None):
 # An edge (u, v) between w-bit vertex ids is the 2w-bit key u << w | v. The
 # 2w-bit form of the key is the w-bit form of u followed by that of v, and keys
 # sort as their pairs do lexicographically, so a sorted key list encodes to the
-# same bits as the sorted pair list.
+# same bits as the sorted pair list. A stream has at most 2^31 vertices, so a
+# key has at most 62 bits.
 
-def _bad_endpoint(u: int, v: int, n: int, width: int) -> ValueError:
-    """The error for an edge with an endpoint outside [0, n); n <= 2^width."""
-    bad = v if 0 <= u < n else u
-    if bad < 0 or bad >> width:
-        return ValueError(f"{bad} does not fit in {width} bits")
-    return ValueError(f"{bad} is not a vertex of [0, {n})")
-
-
-def _outside(us, vs, n: int) -> bool:
-    """Whether a block's id arrays hold an id outside [0, n)."""
-    return len(us) > 0 and bool(min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= n)
-
-
-def _key_array(keys, width: int) -> np.ndarray:
-    """Keys as one array: uint64 while 2w <= 64, exact Python ints beyond."""
-    return np.fromiter(keys, dtype=np.uint64 if 2 * width <= 64 else object, count=len(keys))
+def _key_array(keys) -> np.ndarray:
+    """A collection of keys as one uint64 array."""
+    return np.fromiter(keys, dtype=np.uint64, count=len(keys))
 
 
 def _key_block(array: np.ndarray, width: int) -> EdgeBlock:
@@ -158,32 +152,27 @@ class StoreAll(StreamAlgorithm):
 
     def reset(self):
         self.width = int_width(self.n - 1)
-        self.stored = _key_array((), self.width)
+        self.stored = _key_array(())
         self.keys: set[int] = set()  # empty unless `stored` is
 
     def process(self, u, v):
         if self._pass == 1:
-            n = self.n
-            if not (0 <= u < n and 0 <= v < n):
-                raise _bad_endpoint(u, v, n, self.width)
+            self._check_edge(u, v)
             if len(self.stored):  # an edge at a time, the set holds every key
                 self.keys, self.stored = set(self.stored.tolist()), self.stored[:0]
             self.keys.add(u << self.width | v)
 
     def process_block(self, us, vs):
-        """Pass 1 keys the block at once while its ids are vertices and keys
-        fit int64; otherwise per edge, so an error names the same first edge."""
+        """Pass 1 keys the block at once."""
         if self._pass != 1 or not len(us):
             return
-        if us.dtype == object or vs.dtype == object or 2 * self.width > 63 or _outside(us, vs, self.n):
-            return super().process_block(us, vs)
         self.stored, self.keys = self._all_keys((us << self.width | vs).astype(np.uint64)), set()
 
     def _all_keys(self, *more) -> np.ndarray:
         """Every distinct key, sorted, with the key arrays `more` merged in."""
         if not self.keys and not more:  # `stored` alone is sorted and distinct already
             return self.stored
-        keys = np.sort(np.concatenate((self.stored, _key_array(self.keys, self.width), *more)))
+        keys = np.sort(np.concatenate((self.stored, _key_array(self.keys), *more)))
         return np.delete(keys, np.flatnonzero(keys[1:] == keys[:-1]) + 1)  # np.unique hashes: slower
 
     def serialize(self) -> str:
@@ -200,10 +189,15 @@ class StoreAll(StreamAlgorithm):
         return self.t in bfs(_key_block(self._all_keys(), self.width), self.s, self.directed)
 
 
+def _vertex_array(ids: set) -> np.ndarray:
+    """A set of vertex ids as one int64 array."""
+    return np.fromiter(ids, dtype=np.int64, count=len(ids))
+
+
 class BfsFrontier(StreamAlgorithm):
     """One frontier expansion per pass: after pass j the set of vertices
     within j hops of s is known. Three-valued answer; `unknown` is exactly the
-    few-pass limitation made observable. An edge with an endpoint outside [0, n) is refused."""
+    few-pass limitation made observable."""
 
     name = "bfs-frontier"
 
@@ -225,20 +219,15 @@ class BfsFrontier(StreamAlgorithm):
         self.additions = set()
 
     def process(self, u, v):
-        n = self.n
-        if not (0 <= u < n and 0 <= v < n):
-            raise _bad_endpoint(u, v, n, int_width(n - 1))
+        self._check_edge(u, v)
         if u in self.reached:
             self.additions.add(v)
         if not self.directed and v in self.reached:
             self.additions.add(u)
 
     def process_block(self, us, vs):
-        """One gather: the heads of the block's edges whose tail is reached;
-        per edge when an id is outside [0, n), so an error names the same first edge."""
-        if _outside(us, vs, self.n):
-            return super().process_block(us, vs)
-        reached = id_array(self.reached)
+        """One gather: the heads of the block's edges whose tail is reached."""
+        reached = _vertex_array(self.reached)
         self.additions.update(vs[np.isin(us, reached)].tolist())
         if not self.directed:
             self.additions.update(us[np.isin(vs, reached)].tolist())
@@ -252,11 +241,9 @@ class BfsFrontier(StreamAlgorithm):
             self.exhausted = True
 
     def serialize(self) -> str:
-        if 17 + 2 * self.n > sys.maxsize:
-            raise ValueError(f"{self.name}: a {17 + 2 * self.n}-bit state is longer than any string")
         bitmaps = np.full(2 * self.n, ord("0"), dtype=np.uint8)
-        bitmaps[id_array(self.reached)] = ord("1")
-        bitmaps[self.n + id_array(self.additions)] = ord("1")
+        bitmaps[_vertex_array(self.reached)] = ord("1")
+        bitmaps[self.n + _vertex_array(self.additions)] = ord("1")
         flags = "1" if self.exhausted else "0"
         return encode_int(self.hops, 16) + flags + bitmaps.tobytes().decode("ascii")
 
@@ -306,16 +293,14 @@ class SpanningForest(StreamAlgorithm):
         return x
 
     def process(self, u, v):
-        n = self.n
-        if not (0 <= u < n and 0 <= v < n):
-            raise _bad_endpoint(u, v, n, self.width)
+        self._check_edge(u, v)
         ru, rv = self._find(u), self._find(v)
         if ru != rv:
             self.parent[ru] = rv
             self.forest.append(u << self.width | v)
 
     def serialize(self) -> str:
-        return encode_ints(np.sort(_key_array(self.forest, self.width)), 2 * self.width)
+        return encode_ints(np.sort(_key_array(self.forest)), 2 * self.width)
 
     def state_bits(self) -> int:
         return 2 * self.width * len(self.forest)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .common import EdgeBlock, Report, id_array
+from .common import EdgeBlock, Report
 from .instances import (
     FORWARD,
     INVERSE,
@@ -25,6 +25,7 @@ from .instances import (
     URInstance,
     check_st,
     check_ur,
+    check_vertex_count,
     st_layer_map,
     st_witnesses,
     ur_layer_map,
@@ -73,7 +74,7 @@ def _line_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _tabled(ids: np.ndarray, n: int) -> bool:
     """Whether every id lies in [0, n), so a line table of n rows formats them."""
-    return ids.dtype != object and (not ids.size or (ids.min() >= 0 and ids.max() < n))
+    return not ids.size or (ids.min() >= 0 and ids.max() < n)
 
 
 def _table_lines(rows: np.ndarray) -> str:
@@ -89,7 +90,7 @@ def _stream_text(stream: EdgeStream):
         yield f"SEG {tag}\n"
         for lo in range(0, len(seg), RENDER_CHUNK):
             us, vs = seg.us[lo : lo + RENDER_CHUNK], seg.vs[lo : lo + RENDER_CHUNK]
-            if tabled and _tabled(us, stream.n) and _tabled(vs, stream.n):
+            if tabled:
                 first, last = _line_tables(stream.n)
                 yield _table_lines(np.concatenate((first[us], last[vs]), axis=1))
             else:
@@ -101,11 +102,11 @@ def render_stream(stream: EdgeStream) -> str:
     its edges, one "u v" line each.
 
     The edges are formatted in chunks of RENDER_CHUNK. While the stream's n is
-    at most TABLE_SLACK beyond its edge count, a chunk whose ids lie in [0, n)
-    is one gather from two fixed-width byte tables of "i " and "i\\n", NUL
-    padded (`_line_tables`, built on first use and kept for the next stream of
-    that n), with the padding deleted by `bytes.translate`. Any other chunk,
-    with an id outside [0, n) or past int64, is formatted by `%`.
+    at most TABLE_SLACK beyond its edge count, a chunk is one gather from two
+    fixed-width byte tables of "i " and "i\\n", NUL padded (`_line_tables`,
+    built on first use and kept for the next stream of that n), with the
+    padding deleted by `bytes.translate`; `EdgeStream` holds every id in
+    [0, n). A stream of fewer edges is formatted by `%`.
     """
     return "".join(_stream_text(stream))
 
@@ -186,11 +187,12 @@ def _marker_lines(pattern: re.Pattern, word: str, text: str) -> list[re.Match]:
     return marks
 
 
-def _edge_ids(body: str, where: str) -> np.ndarray:
-    """The ids of a block of `u v` edge lines, flat, typed as `id_array` types
-    them; any other line raises. A plain block (`_plain_ids`) is read in one
-    C-level pass; any other, or one without edges, is checked by the strict
-    regex and read one Python int per token."""
+def _edge_ids(body: str, where: str, span: str) -> np.ndarray:
+    """The ids of a block of `u v` edge lines, flat, as one int64 array; any
+    other line raises, and so does an id past int64, as outside `span`. A
+    plain block (`_plain_ids`) is read in one C-level pass; any other, or one
+    without edges, is checked by the strict regex and read one Python int per
+    token."""
     ids = _plain_ids(body)
     if ids is not None:
         return ids
@@ -199,15 +201,21 @@ def _edge_ids(body: str, where: str) -> np.ndarray:
         stop = body.find("\n", valid)
         bad = body[body.rfind("\n", 0, valid) + 1 : stop if stop >= 0 else len(body)].strip()
         raise ValueError(f"malformed edge line {bad[:80]!r} in {where}: expected 'u v'")
-    return id_array(list(map(int, body.split())))
+    ids = list(map(int, body.split()))
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        bad = min(ids) if min(ids) < _INT64.min else max(ids)
+        raise ValueError(f"vertex id {bad} in {where} is outside {span}") from None
 
 
 def parse_stream(text: str, layers: LayerMap | None = None) -> EdgeStream:
     """Read the text form strictly; every defect raises a one-line ValueError.
 
-    The file opens with `STREAM <n> directed=<0|1>` (n >= 1). Every edge line
-    `u v` holds two vertex ids in [0, n) and follows a `SEG <tag>` line, and no
-    tag repeats. Blank lines and whitespace around lines are ignored.
+    The file opens with `STREAM <n> directed=<0|1>`, 1 <= n <= MAX_STREAM_N.
+    Every edge line `u v` holds two vertex ids in [0, n), which `EdgeStream`
+    checks, and follows a `SEG <tag>` line, and no tag repeats. Blank lines
+    and whitespace around lines are ignored.
 
     The SEG lines are found by `str.find`. A segment of plain lines (digits,
     '-', spaces, tabs and newlines; two -?\\d+ tokens a line) is checked by a
@@ -229,6 +237,7 @@ def parse_stream(text: str, layers: LayerMap | None = None) -> EdgeStream:
     if len(rows) > 1:
         raise ValueError(f"line {rows[1][:80]!r} comes between the header and the first SEG line")
     n = int(head[1])
+    check_vertex_count(n, f"stream header {rows[0][:80]!r}")
     segments = []
     for mark, nxt in zip(marks, marks[1:] + [None]):
         seg_head = mark[0].split(maxsplit=1)
@@ -237,10 +246,7 @@ def parse_stream(text: str, layers: LayerMap | None = None) -> EdgeStream:
         tag = seg_head[1].strip()
         if any(tag == seen for seen, _ in segments):
             raise ValueError(f"segment tag {tag!r} repeats")
-        ids = _edge_ids(text[mark.end() : nxt.start() if nxt else len(text)], f"segment {tag!r}")
-        if len(ids) and (ids.min() < 0 or ids.max() >= n):
-            bad_id = ids.min() if ids.min() < 0 else ids.max()
-            raise ValueError(f"vertex id {bad_id} in segment {tag!r} is outside [0, {n})")
+        ids = _edge_ids(text[mark.end() : nxt.start() if nxt else len(text)], f"segment {tag!r}", f"[0, {n})")
         segments.append((tag, EdgeBlock(ids[0::2], ids[1::2])))
     return EdgeStream(n=n, directed=head[2] == "1", segments=tuple(segments), layers=layers)
 
@@ -407,8 +413,8 @@ def parse_rs(text: str) -> RSDigraph:
     The file opens with `RS <N> <t> <r>`, then blocks `M 1`, `M 2`, ... in
     order, each followed by its edge lines `u v` (two integers); a block is
     empty only when r = 0. Blank lines and whitespace around lines are
-    ignored. Counts that disagree with the header and ids outside [1, N] are
-    left to `verify_induced`.
+    ignored; an id past int64 raises. Counts that disagree with the header
+    and ids outside [1, N] are left to `verify_induced`.
     """
     marks = _marker_lines(_M_LINE, "M", text)
     rows = [ln.strip() for ln in text[: marks[0].start() if marks else len(text)].splitlines()]
@@ -431,10 +437,10 @@ def parse_rs(text: str) -> RSDigraph:
         index = _M_INDEX.fullmatch(mark[0].strip())
         if index is None or int(index[1]) != i:
             raise ValueError(f"matching header {mark[0].strip()[:80]!r} out of order: expected 'M {i}'")
-        ids = _edge_ids(text[mark.end() : nxt.start() if nxt else len(text)], f"matching {i}")
+        ids = _edge_ids(text[mark.end() : nxt.start() if nxt else len(text)], f"matching {i}", "int64")
         if not len(ids) and r:
             raise ValueError(f"matching {i} has no edges")
-        if us_rows is not None and len(ids) == 2 * r and ids.dtype != object:
+        if us_rows is not None and len(ids) == 2 * r:
             us_rows[i - 1], vs_rows[i - 1] = ids[0::2], ids[1::2]
             matchings.append(EdgeBlock(us_rows[i - 1], vs_rows[i - 1]))
         else:

@@ -10,6 +10,7 @@ import math
 import os
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -831,27 +832,27 @@ def test_stream_run_rejects_malformed_input(tmp_path, capsys, case, alg):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_ids_beyond_int64_run_under_every_command(tmp_path, capsys):
-    path = tmp_path / "huge.stream"
-    path.write_text(f"STREAM {10**20} directed=1\nSEG E1\n0 5\n5 {10**20 - 1}\nSEG E2\n{10**20 - 1} {2**63}\n"
-                    f"SEG E3\n{2**63} {10**20 - 1}\n0 0\n")
-    # the outputs of the per-edge harness, which read these ids as Python ints
-    for alg, output in {"edge-count": 5, "store-all": True, "bfs-frontier:2": True,
-                        "xor-sketch:3": [15194187978533636053, 5]}.items():
-        assert run("stream", "run", "--alg", alg, "--input", path, "--passes", 2) == OK
-        assert json.loads(capsys.readouterr().out)["output"] == output
-        if alg != "bfs-frontier:2":  # its 2·10^20-bit state is never serialized in a run
-            assert run("protocol", "simulate", "--alg", alg, "--instance", path) == OK
-            assert json.loads(capsys.readouterr().out)["match"] is True
-    assert run("oracle", "bfs", "--input", path, "--t", 2**63) == OK
-    assert json.loads(capsys.readouterr().out) == {"reachable": True}
-    refusals = {("stream", "run", "--alg", "spanning-forest", "--input", path):
-                "spanning forest needs an undirected stream",
-                ("protocol", "simulate", "--alg", "bfs-frontier:2", "--instance", path):
-                "bfs-frontier: a 200000000000000000017-bit state is longer than any string"}
-    for argv, message in refusals.items():
-        assert run(*argv) == USAGE
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+def test_a_header_past_the_vertex_cap_is_refused_under_every_command(tmp_path, capsys):
+    # a header n past MAX_STREAM_N, whose ids could outgrow int64 and whose
+    # packed edge keys would outgrow 64 bits, is refused before any edge is read
+    cap = instances.MAX_STREAM_N
+    edges = f"SEG E1\n0 5\n5 {cap}\nSEG E2\n{cap} {2**63}\n"
+    for n in (10**20, cap + 1):
+        path = tmp_path / "huge.stream"
+        path.write_text(f"STREAM {n} directed=1\n{edges}")
+        commands = [("stream", "run", "--alg", alg, "--input", path, "--passes", 2)
+                    for alg in ("edge-count", "store-all", "bfs-frontier:2", "xor-sketch:3", "spanning-forest")]
+        commands += [("protocol", "simulate", "--alg", "store-all", "--instance", path),
+                     ("oracle", "bfs", "--input", path), ("oracle", "toposort", "--input", path)]
+        commands += [("reduce", kind, "--input", path, "--out", tmp_path / kind)
+                     for kind in ("sssp", "matching", "acyclic", "reachcount")]
+        for argv in commands:
+            assert run(*argv) == USAGE
+            assert capsys.readouterr() == ("", f"error: stream header 'STREAM {n} directed=1' has {n} vertices; "
+                                               f"a stream holds at most {cap}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["huge.stream"]
+    # a header n at the cap still parses
+    assert streamio.parse_stream(f"STREAM {cap} directed=1\nSEG E1\n0 {cap - 1}\n").n == cap
 
 
 def test_stream_run_accepts_the_wellformed_neighbour(tmp_path):
@@ -977,13 +978,13 @@ BAD_RS = {
     "edge with a junk token": GOOD_RS.replace("4 6", "4 x"),
     "edge with a non-ASCII digit": GOOD_RS.replace("4 6", "4 \u0666"),
     "edge with an underscore": GOOD_RS.replace("4 6", "4 1_0"),
+    "huge id": GOOD_RS.replace("4 6", f"4 {10**30}"),  # past int64: no graph holds it
 }
 TAMPERED_RS = {  # well formed, so verify_induced has the last word: exit 1
     "fewer matchings than t": "RS 9 4 2\nM 1\n2 3\n3 5\nM 2\n3 4\n4 6\nM 3\n4 5\n5 7\n",
     "matching smaller than r": GOOD_RS.replace("4 6\n", ""),
     "id beyond N": GOOD_RS.replace("4 6", "4 10"),
     "negative id": GOOD_RS.replace("4 6", "-4 6"),
-    "huge id": GOOD_RS.replace("4 6", f"4 {10**30}"),
     "cross edge": GOOD_RS.replace("4 6", "2 5"),
 }
 
@@ -1007,8 +1008,6 @@ TAMPERED_RS_LINES = {
         '{"detail": {"cross_edge": [2, 5], "matching": 1}, "ok": false, "reason": "induced-ness violated"}',
     "fewer matchings than t":
         '{"detail": {"expected": 4, "got": 3}, "ok": false, "reason": "matching count differs from t"}',
-    "huge id":
-        '{"detail": {"edge": [4, 1000000000000000000000000000000], "matching": 2}, "ok": false, "reason": "vertex outside [1, N]"}',
     "id beyond N":
         '{"detail": {"edge": [4, 10], "matching": 2}, "ok": false, "reason": "vertex outside [1, N]"}',
     "matching smaller than r":
@@ -1053,8 +1052,7 @@ def test_render_stream_from_tables_equals_the_percent_text():
     streams = [
         EdgeStream(1, True, (("A", [(0, 0), (0, 0)]),)),
         EdgeStream(12, True, (("A", [(10, 11), (0, 9), (11, 0)]), ("B", []), ("C", [(1, 2)]))),
-        EdgeStream(5, False, (("A", [(0, 4), (-1, 3)]), ("B", [(4, 5), (2, 2)]))),  # a negative id, an id >= n
-        EdgeStream(3, True, (("A", [(2**63, 1)]), ("B", [(0, 2)]))),  # an id past int64
+        EdgeStream(6, False, (("A", [(0, 4), (5, 3)]), ("B", [(4, 5), (2, 2)]))),
         EdgeStream(10**9, True, (("A", [(10, 11)]),)),  # n far beyond the edges: no table
         to_stream(sample_st(small_rs(), seed=3), shuffle_seed=1),
     ]
@@ -1073,7 +1071,7 @@ def test_render_rs_from_tables_equals_the_line_text():
         RSDigraph(9, 2, 2, (((1, 4), (2, 5)), ((3, 6), (9, 9)))),
         RSDigraph(9, 2, 2, (((1, 4),), ((3, 6), (9, 9)))),  # a matching of the wrong size
         RSDigraph(9, 1, 2, (((0, 10),), ((-1, 2),))),  # ids outside [0, N]
-        RSDigraph(2**64, 1, 1, (((2**64, 1),),)),  # ids past int64
+        RSDigraph(2**64, 1, 1, (((2**63 - 1, 1),),)),  # N past int64, an id at its end
     ]
     for g in graphs:
         assert streamio.render_rs(g) == lines(g)
@@ -1176,17 +1174,22 @@ def _dispatch_in_bounded_child(commands, cwd=None, timeout=120):
 
 def test_graph_commands_refuse_a_huge_header_within_bounded_memory(tmp_path):
     # `oracle toposort` and `reduce matching|acyclic|reachcount` build a graph
-    # over the stream's n vertices, so a build for n = 10^20 must be refused
-    path = tmp_path / "huge.stream"
-    path.write_text(f"STREAM {10**20} directed=1\nSEG E\n0 1\n1 2\n2 3\n")
-    commands = [["oracle", "toposort", "--input", str(path)]]
-    commands += [["reduce", kind, "--input", str(path), "--out", str(tmp_path / kind)]
-                 for kind in ("matching", "acyclic", "reachcount")]
-    proc = _dispatch_in_bounded_child(commands)
-    assert proc.stdout == f"{USAGE}\n" * len(commands), proc.stderr[-500:]
-    assert proc.stderr == (f"error: a graph is built on at most {streamio.MAX_BIPARTITE_SIDE} "
-                           f"vertices, not the stream's {10**20}\n") * len(commands)
-    assert [p.name for p in tmp_path.iterdir()] == ["huge.stream"]
+    # over the stream's n vertices: n = 10^20 is refused at the header, and
+    # n = 2^20, which a stream may have, where the graph would be built
+    refusals = {10**20: f"stream header 'STREAM {10**20} directed=1' has {10**20} vertices; "
+                        f"a stream holds at most {instances.MAX_STREAM_N}",
+                2**20: f"a graph is built on at most {streamio.MAX_BIPARTITE_SIDE} vertices, "
+                       f"not the stream's {2**20}"}
+    for n, message in refusals.items():
+        path = tmp_path / "huge.stream"
+        path.write_text(f"STREAM {n} directed=1\nSEG E\n0 1\n1 2\n2 3\n")
+        commands = [["oracle", "toposort", "--input", str(path)]]
+        commands += [["reduce", kind, "--input", str(path), "--out", str(tmp_path / kind)]
+                     for kind in ("matching", "acyclic", "reachcount")]
+        proc = _dispatch_in_bounded_child(commands)
+        assert proc.stdout == f"{USAGE}\n" * len(commands), proc.stderr[-500:]
+        assert proc.stderr == f"error: {message}\n" * len(commands)
+        assert [p.name for p in tmp_path.iterdir()] == ["huge.stream"]
 
 
 def test_symmetric_measurement_refuses_a_huge_m_within_bounded_memory():
@@ -1221,7 +1224,7 @@ def test_readme_caps_match_the_code():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     named = [(name, int(base.replace(",", "")) ** int(exp or 1))
              for name, base, exp in re.findall(r"`([A-Z][A-Z0-9_]*)` = (\d[\d,]*)(?:\^(\d+))?", text)]
-    assert {"SI_M_CAP", "MAX_BIPARTITE_SIDE", "REVEAL_M_CAP"} <= {name for name, _ in named}
+    assert {"SI_M_CAP", "MAX_BIPARTITE_SIDE", "REVEAL_M_CAP", "MAX_STREAM_N"} <= {name for name, _ in named}
     constants = {}
     for info in pkgutil.iter_modules(streamlb.__path__):
         module = importlib.import_module(f"streamlb.{info.name}")
@@ -1261,3 +1264,32 @@ def test_bipartite_reader_fuzz(tmp_path, text):
         assert code == USAGE
     else:
         assert code == OK
+
+
+def workflow_commands(text):
+    """The argv after `streamlb` of every `streamlb ...` line of a workflow
+    file, read as plain text: a `> file` redirect and an `|| ...` fallback are
+    cut off, and the rest is split as the shell would."""
+    commands = []
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("streamlb "):
+            line = line.split("||")[0].split(">")[0]
+            commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_ci_workflow_commands_parse():
+    # the CI job runs these lines through the installed console script; a
+    # renamed option or command must fail here, where tier-1 runs
+    text = (Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml").read_text()
+    commands = workflow_commands(text)
+    assert len(commands) >= 12 and ["verify", "rs", "rs.txt"] in commands
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"tier1.yml runs `streamlb {shlex.join(argv)}`, which the parser refuses")
+    assert workflow_commands("  streamlb gen si --m 8 --out x || code=$?\n  streamlb verify rs a > b.json\n") \
+        == [["gen", "si", "--m", "8", "--out", "x"], ["verify", "rs", "a"]]

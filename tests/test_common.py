@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import streamlb
 from streamlb.common import ARRAY_LEVELS, EdgeBlock, bfs, decode_array, encode_int, encode_ints, is_bit_string
+from streamlb.instances import EdgeStream
 from streamlb.protocols import Transcript
 
 
@@ -32,17 +33,22 @@ def error_of(fn, *args):
     return str(info.value)
 
 
-@pytest.mark.parametrize("width", range(0, 71))  # widths above 64 take the exact-int path
+@pytest.mark.parametrize("width", range(0, 71))  # widths above 64 are refused
 def test_encode_decode_equal_string_reference(width):
     gen = random.Random(width)
     top = (1 << width) - 1
     values = [0, top, top, 0] + [gen.getrandbits(width) for _ in range(60)]
     bits = encode_ints_reference(values, width)
+    if width > 64:
+        for fn, arg in ((encode_ints, values), (encode_ints, []), (decode_array, bits), (decode_array, "")):
+            with pytest.raises(ValueError, match=f"^a packed field is at most 64 bits, not {width}$"):
+                fn(arg, width)
+        return
     assert encode_ints(values, width) == bits
     assert encode_ints((v for v in values), width) == bits  # generators, as intersection_protocol passes
     assert encode_ints([], width) == "" == encode_ints(iter(()), width)
     decoded = decode_array(bits, width)
-    assert decoded.dtype == (np.uint64 if width <= 64 else object)
+    assert decoded.dtype == np.uint64
     assert decoded.tolist() == decode_ints_reference(bits, width)
     if width:
         assert decoded.tolist() == values
@@ -51,6 +57,10 @@ def test_encode_decode_equal_string_reference(width):
 
 @pytest.mark.parametrize("width", [0, 1, 5, 14, 62, 63, 64, 70])
 def test_encode_decode_raise_the_reference_errors(width):
+    if width > 64:  # no value is read at a width no field has
+        assert error_of(encode_ints, [1 << width], width) == error_of(decode_array, "0" * width, width) \
+            == f"a packed field is at most 64 bits, not {width}"
+        return
     for values in ([1 << width], [0, 1, -1], [3, (1 << width) + 5, -2], [-(1 << 70)], [1 << 70]):
         expected = error_of(encode_ints_reference, values, width)
         assert error_of(encode_ints, values, width) == expected
@@ -145,13 +155,13 @@ def test_bfs_equals_the_loop_reference(edges, start, directed):
     assert bfs(EdgeBlock.of(edges), start, directed) == expected  # the array entry point
 
 
-# ids the CSR cannot index directly: negative, sparse, and beyond int64 (object arrays)
-wide_ids = st.sampled_from([-7, -1, 0, 3, 2**40, 2**63 - 1, 2**63, 10**20])
+# ids the CSR cannot index directly, so their ranks do: negative, and sparse up to the ends of int64
+wide_ids = st.sampled_from([-2**63, -7, -1, 0, 3, 2**40, 2**63 - 1])
 
 
 @settings(max_examples=300, deadline=None)
 @given(edges=st.lists(st.tuples(wide_ids, wide_ids), max_size=20), start=wide_ids, directed=st.booleans())
-@example(edges=[(0, 2**63), (2**63, 10**20), (10**20, 10**20)], start=0, directed=True)
+@example(edges=[(0, 2**63 - 1), (2**63 - 1, -2**63), (-2**63, -2**63)], start=0, directed=True)
 @example(edges=[(-7, -1), (-1, 3)], start=3, directed=False)
 @example(edges=[(3, 3)], start=2**40, directed=True)  # the start is no edge's endpoint
 def test_bfs_on_any_ids_equals_the_loop_reference(edges, start, directed):
@@ -205,19 +215,32 @@ def test_edge_block_is_its_pairs():
     assert block != ((0, 1),) and block != ((0, 1), (3, 2)) and block != EdgeBlock.of(((0, 1),))
     assert block != "ab" and block != 5 and block != ((0, 1, 2),)
     assert EdgeBlock.of(()) == () and len(EdgeBlock.of(())) == 0
-    huge = EdgeBlock.of([(0, 2**63), (10**20, 1)])
-    assert huge.us.dtype == object and list(huge) == [(0, 2**63), (10**20, 1)]
+    assert EdgeBlock.of(iter([(0, 2**63 - 1), (-2**63, 1)])) == ((0, 2**63 - 1), (-2**63, 1))
+    assert EdgeBlock(np.array([2**63 - 1], np.uint64), [0]).us.dtype == np.int64
     with pytest.raises(ValueError):
         EdgeBlock(np.arange(3), np.arange(2))
-
-
-def test_edge_block_of_pairs_types_a_late_wide_id_as_object():
-    # the one-pass read overflows at the last pair and every id is read again exactly
-    pairs = [(i, i + 1) for i in range(1000)] + [(2**63, 0)]
-    for edges in (pairs, iter(pairs)):
-        block = EdgeBlock.of(edges)
-        assert block.us.dtype == block.vs.dtype == object and list(block) == pairs
     assert EdgeBlock.of([(1, 2, 3), (4, 5, 6)]) == ((1, 2), (3, 4), (5, 6))  # read as a flat run of ids
+
+
+def test_edge_block_refuses_what_is_not_an_int64_id():
+    # each once became a wrong edge: a float64 cast, a uint64 wrap, a truncated float
+    big = "vertex ids are int64, not 9223372036854775808"
+    probes = [
+        (big, lambda: EdgeBlock([1, 2**63], [0, 0])),
+        (big, lambda: EdgeBlock([2**63], [1])),
+        ("vertex ids are int64, not 0.7", lambda: EdgeBlock([0.7], [1])),
+        (big, lambda: EdgeStream(3, True, (("A", EdgeBlock([1, 2**63], [0, 0])),))),
+        ("vertex ids are int64, not -9223372036854775809", lambda: EdgeBlock([0], [-2**63 - 1])),
+        ("vertex ids are int64, not dtype('bool')", lambda: EdgeBlock([True], [False])),
+    ]
+    for message, build in probes:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+    for pairs in ([(0, 1), (2**63, 0)], [(0, 1), (-2**63 - 1, 0)], [(0, 0.7)], [("1", 2)]):
+        for edges in (pairs, iter(pairs)):
+            with pytest.raises(ValueError, match="^vertex ids are int64: "):
+                EdgeBlock.of(edges)
 
 
 def test_importing_streamlb_loads_no_scipy():
@@ -236,7 +259,11 @@ def test_decode_at_width_zero_takes_only_the_empty_string():
 
 @pytest.mark.parametrize("width", [0, 3, 70])
 def test_decode_rejects_non_bits_at_every_width(width):
-    # int(..., 2) alone would read "1_0", " 10" and "0b1" on the exact-int path
+    # int(..., 2) alone would read "1_0", " 10" and "0b1"; no field is wider than 64 bits
+    if width > 64:
+        with pytest.raises(ValueError, match="at most 64 bits"):
+            decode_array("1_0" * width, width)
+        return
     for bits in ("1_0", " 10", "0b1", "1é0"):
         with pytest.raises(ValueError, match="only '0' and '1'"):
             decode_array(bits * max(width, 1), width)  # a multiple of the width

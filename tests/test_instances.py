@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamlb import instances
 from streamlb import rng as rngmod
 from streamlb.behrend import construct_ap_free, trim_to_multiple
 from streamlb.common import EdgeBlock
@@ -17,6 +18,7 @@ from streamlb.instances import (
     CHOICE_FLOYD_MAX,
     FORWARD,
     INVERSE,
+    MAX_STREAM_N,
     EdgeStream,
     SIInstance,
     SIRows,
@@ -251,18 +253,24 @@ def test_sample_ur_rejects_bad_r():
         sample_ur(ragged, FORWARD, seed=0)
 
 
-def test_sample_ur_gathers_alice_edges_exactly_and_refuses_a_huge_n():
-    # matching 1 has ids beyond int64 (object arrays); edges_a must equal the
-    # loop over each matching's Alice indices, ascending
-    big, r = 2**70, 8
-    rs = RSDigraph(100, r, 2, (tuple((big + j, big + 50 + j) for j in range(r)),
+def test_sample_ur_gathers_alice_edges_exactly_and_refuses_a_huge_n(monkeypatch):
+    # edges_a must equal the loop over each matching's Alice indices, ascending
+    r = 8
+    rs = RSDigraph(100, r, 2, (tuple((30 + j, 80 + j) for j in range(r)),
                                tuple((10 + j, 60 + j) for j in range(r))))
     inst = sample_ur(rs, FORWARD, seed=3)
     expected = [(u, 100 + v) for i, matching in enumerate(rs.matchings, start=1)
                 for j, (u, v) in enumerate(matching, start=1) if j in si_pair(inst.si_rows, i).a]
     assert list(inst.edges_a) == expected
-    with pytest.raises(ValueError, match="too large"):
-        sample_ur(RSDigraph(2**62, 4, 1, (((1, 1), (2, 2), (3, 3), (4, 4)),)), FORWARD, seed=0)
+    with pytest.raises(ValueError, match="^vertex ids are int64"):  # ids past int64 never make a graph
+        RSDigraph(100, r, 1, (tuple((2**70 + j, 50 + j) for j in range(r)),))
+    # an instance no stream can hold is refused before any draw
+    monkeypatch.setattr(instances, "_draw_si_rows", None)
+    square = (((1, 1), (2, 2), (3, 3), (4, 4)),)
+    for N, kind, n in ((2**62, "unique-reach", 2**63 + 5), (2**29 + 1, "st", 2**31 + 14)):
+        message = rf"^an? {kind} instance on N = {N}, r = 4 has {n} vertices; a stream holds at most {MAX_STREAM_N}$"
+        with pytest.raises(ValueError, match=message):
+            (sample_ur if kind == "unique-reach" else sample_st)(RSDigraph(N, 4, 1, square), seed=0)
 
 
 def test_ur_promise_detects_second_path():

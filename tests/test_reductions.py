@@ -25,28 +25,28 @@ from streamlb.reductions import (
 S, A, B, T = 0, 1, 2, 3
 
 
-def digraph(*edges, vertices=(S, A, B, T)):
-    return Digraph(frozenset(vertices), tuple(edges))
+def digraph(*edges, n=4):
+    return Digraph(n, tuple(edges))
 
 
 # --- matching reduction ---------------------------------------------------------
 
 def test_matching_single_edge():
-    g, dropped = reduce_to_matching(digraph((S, T), vertices=(S, T)), S, T)
-    assert (g.left, g.right, g.edges) == ((S,), (T,), ((0, 0),))
+    g, dropped = reduce_to_matching(digraph((0, 1), n=2), 0, 1)
+    assert (g.left, g.right, g.edges) == ((0,), (1,), ((0, 0),))
     assert dropped == 0
     assert perfect_matching_exists(g)
 
 
 def test_matching_path_through_inner():
-    g, _ = reduce_to_matching(digraph((S, A), (A, T), vertices=(S, A, T)), S, T)
-    assert (g.left, g.right, set(g.edges)) == ((S, A), (T, A), {(0, 1), (1, 0), (1, 1)})
+    g, _ = reduce_to_matching(digraph((0, 1), (1, 2), n=3), 0, 2)
+    assert (g.left, g.right, set(g.edges)) == ((0, 1), (2, 1), {(0, 1), (1, 0), (1, 1)})
     assert perfect_matching_exists(g)
 
 
 def test_matching_isolated_endpoints():
-    g, _ = reduce_to_matching(digraph(vertices=(S, A, T)), S, T)
-    assert (g.left, g.right, set(g.edges)) == ((S, A), (T, A), {(1, 1)})
+    g, _ = reduce_to_matching(digraph(n=3), 0, 2)
+    assert (g.left, g.right, set(g.edges)) == ((0, 1), (2, 1), {(1, 1)})
     assert not perfect_matching_exists(g)
 
 
@@ -67,36 +67,39 @@ def test_digraph_keeps_first_occurrences_in_order():
     h = digraph((A, B), (S, A), (A, B), (B, T), (S, A))
     assert h.edges == ((A, B), (S, A), (B, T))
     assert digraph().edges == ()
-    big = 2**64  # beyond int64, so the block holds Python ints
-    h = digraph((big, big + 1), (0, big), (big, big + 1), vertices=(0, big, big + 1))
-    assert h.edges == ((big, big + 1), (0, big))
-    g, dropped = reduce_to_matching(h, 0, big + 1)
-    assert (g.left, g.right, g.edges, dropped) == ((0, big), (big + 1, big), ((1, 0), (0, 1), (1, 1)), 0)
-    assert perfect_matching_exists(g) and topological_order(h) == [0, big, big + 1]
+    h = digraph((1, 2), (0, 1), (1, 2), n=3)
+    assert h.edges == ((1, 2), (0, 1))
+    g, dropped = reduce_to_matching(h, 0, 2)
+    assert (g.left, g.right, g.edges, dropped) == ((0, 1), (2, 1), ((1, 0), (0, 1), (1, 1)), 0)
+    assert perfect_matching_exists(g) and topological_order(h) == [0, 1, 2]
 
 
 def test_digraph_keeps_the_first_occurrences_of_a_dict_reference():
     gen = rngmod.substream(0, "digraph-dedup")
     for size in (1, 2, 40, 3000):
         edges = tuple(zip(gen.integers(0, 12, size).tolist(), gen.integers(0, 12, size).tolist()))
-        assert digraph(*edges, vertices=range(12)).edges == tuple(dict.fromkeys(edges))
+        assert digraph(*edges, n=12).edges == tuple(dict.fromkeys(edges))
 
 
 def test_matching_reduction_ranks_any_ids_alike():
-    # ids in [0, 2|V|) rank through a table, others by search; the graphs must agree
+    # every vertex of [0, n) but s and t is an inner vertex, ranked by id;
+    # ids outside [0, n), or past int64, never reach the reduction
     edges = ((0, 2), (2, 1), (1, 3), (2, 3), (3, 2), (4, 4))
-    small, _ = reduce_to_matching(Digraph(frozenset(range(5)), edges), 0, 3)
-    for shift in (-7, 10**6, 2**64):
+    g, dropped = reduce_to_matching(Digraph(5, edges), 0, 3)
+    assert (g.left, g.right, dropped) == ((0, 1, 2, 4), (3, 1, 2, 4), 2)
+    assert g.edges == ((0, 2), (2, 1), (1, 0), (2, 0), (1, 1), (2, 2), (3, 3))
+    for shift, message in ((-7, "outside"), (10**6, "outside"), (2**64, "int64")):
         moved = tuple((u + shift, v + shift) for u, v in edges)
-        g, _ = reduce_to_matching(Digraph(frozenset(range(shift, shift + 5)), moved), shift, shift + 3)
-        assert g.edges == small.edges
-        assert (g.left, g.right) == tuple(tuple(v + shift for v in side) for side in (small.left, small.right))
+        with pytest.raises(ValueError, match=message):
+            Digraph(5, moved)
 
 
 def test_digraph_refuses_an_endpoint_outside_its_vertices():
-    for edge in ((S, 7), (-1, T)):
-        with pytest.raises(ValueError, match="not a vertex"):
+    for edge in ((S, 7), (-1, T), (4, S)):
+        with pytest.raises(ValueError, match=r"^an edge has an endpoint outside \[0, 4\)$"):
             digraph((S, A), edge)
+    with pytest.raises(ValueError, match="^a digraph has 2147483649 vertices"):
+        Digraph(2**31 + 1, ())
 
 
 def test_bipartite_graph_refuses_an_edge_outside_its_sides():
@@ -110,7 +113,7 @@ def test_matching_equivalence_random():
     pairs = [(u, v) for u in range(5) for v in range(5) if u != v]
     for _ in range(300):
         edges = tuple(p for p in pairs if gen.random() < 0.25)
-        h = Digraph(frozenset(range(5)), edges)
+        h = Digraph(5, edges)
         g, _ = reduce_to_matching(h, 0, 4)
         assert bfs_reachable(edges, 0, 4) == perfect_matching_exists(g)
 
@@ -178,10 +181,10 @@ def test_pm_oracle_on_a_deep_chain():
     # augmenting paths thousands of edges long: no recursion-depth limit applies
     n = 5001
     path = tuple((v, v + 1) for v in range(n - 1))
-    g, dropped = reduce_to_matching(Digraph(frozenset(range(n)), path), 0, n - 1)
+    g, dropped = reduce_to_matching(Digraph(n, path), 0, n - 1)
     assert dropped == 0 and perfect_matching_exists(g)
     cut = path[: n // 2] + path[n // 2 + 1 :]
-    g, _ = reduce_to_matching(Digraph(frozenset(range(n)), cut), 0, n - 1)
+    g, _ = reduce_to_matching(Digraph(n, cut), 0, n - 1)
     assert not perfect_matching_exists(g)
 
 
@@ -212,16 +215,16 @@ def test_sssp_gap_random():
 # --- acyclicity --------------------------------------------------------------------
 
 def test_acyclicity_examples():
-    cyclic = reduce_to_acyclicity(digraph((S, T), vertices=(S, T)), S, T)
+    cyclic = reduce_to_acyclicity(digraph((S, T)), S, T)
     assert topological_order(cyclic) is None
-    still_acyclic = reduce_to_acyclicity(digraph(vertices=(S, T)), S, T)
+    still_acyclic = reduce_to_acyclicity(digraph(), S, T)
     assert topological_order(still_acyclic) is not None
 
 
 def test_acyclicity_appends_an_edge_already_there_once():
-    out = reduce_to_acyclicity(digraph((T, S), vertices=(S, T)), S, T)
-    assert out.edges == ((T, S),)
-    assert topological_order(out) == [T, S]
+    out = reduce_to_acyclicity(digraph((1, 0), n=2), 0, 1)
+    assert out.edges == ((1, 0),)
+    assert topological_order(out) == [1, 0]
 
 
 def test_acyclicity_rejects_cyclic_input():
@@ -233,7 +236,7 @@ def test_acyclicity_batch_equivalence():
     rs = small_rs()
     for seed in range(25):
         inst = sample_st(rs, seed=seed)
-        h = Digraph(frozenset(range(inst.n)), tuple(inst.all_edges()))
+        h = Digraph(inst.n, tuple(inst.all_edges()))
         out = reduce_to_acyclicity(h, 0, inst.n - 1)
         assert (topological_order(out) is None) == inst.reachable
 
@@ -242,7 +245,7 @@ def test_feedback_arc_separation():
     rs = small_rs()
     for seed in range(10):
         inst = sample_st(rs, seed=seed)
-        h = Digraph(frozenset(range(inst.n)), tuple(inst.all_edges()))
+        h = Digraph(inst.n, tuple(inst.all_edges()))
         out = reduce_to_acyclicity(h, 0, inst.n - 1)
         fas = min_feedback_arcs_upper(out)
         assert fas == (1 if inst.reachable else 0)
@@ -255,7 +258,7 @@ def min_feedback_arcs_upper(h: Digraph, cap: int = 1):
     if cap >= 1:
         edges = tuple(h.edges)
         for i in range(len(edges)):
-            pruned = Digraph(h.vertices, edges[:i] + edges[i + 1 :])
+            pruned = Digraph(h.n, edges[:i] + edges[i + 1 :])
             if topological_order(pruned) is not None:
                 return 1
     return f">{cap}"
@@ -264,12 +267,12 @@ def min_feedback_arcs_upper(h: Digraph, cap: int = 1):
 # --- reach count --------------------------------------------------------------------
 
 def test_reach_count_examples():
-    h = digraph((S, T), vertices=(S, T))
+    h = digraph((S, T))
     out, fresh = reduce_to_reach_count(h, S, T, 2)
-    assert len(fresh) == 4
+    assert fresh == (4, 5, 6, 7) and out.n == 8
     assert len(bfs(out.edges, S)) - 1 == 5  # t plus four fresh
 
-    h2 = digraph(vertices=(S, A, B, T))
+    h2 = digraph()
     out2, _ = reduce_to_reach_count(h2, S, T, 3)
     assert len(bfs(out2.edges, S)) - 1 <= 3
 
@@ -278,7 +281,7 @@ def test_reach_count_threshold_batch():
     rs = small_rs()
     for seed in range(25):
         inst = sample_st(rs, seed=seed)
-        h = Digraph(frozenset(range(inst.n)), tuple(inst.all_edges()))
+        h = Digraph(inst.n, tuple(inst.all_edges()))
         out, _ = reduce_to_reach_count(h, 0, inst.n - 1, inst.n)
         others = len(bfs(out.edges, 0)) - 1
         if inst.reachable:

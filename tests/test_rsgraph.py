@@ -159,7 +159,7 @@ def relabel(g: RSDigraph, n_side: int, seed: int) -> RSDigraph:
 @st.composite
 def rs_graphs(draw):
     """AP-free and progression-containing midpoint graphs, some relabelled into
-    ids far beyond int32 (and beyond int64), with 0-3 edges rewritten."""
+    ids far beyond int32 (up to the end of int64), with 0-3 edges rewritten."""
     m = draw(st.integers(1, 60))
     if draw(st.booleans()):
         base = random_ap_free(m, rngmod.substream(draw(st.integers(0, 2**31)), "rs"))
@@ -168,7 +168,7 @@ def rs_graphs(draw):
         base = BehrendSet(m, tuple(sorted(elements)), "explicit")
     g = build_rs_digraph(base, check=False)
     if draw(st.booleans()):
-        g = relabel(g, draw(st.sampled_from([10**12, 10**15 + 7, 2**63 - 1, 2**63, 2**70])),
+        g = relabel(g, draw(st.sampled_from([10**12, 10**15 + 7, 2**62 + 3, 2**63 - 1])),
                     draw(st.integers(0, 2**31)))
     matchings = [list(matching) for matching in g.matchings]
     lefts = [u for matching in matchings for u, _ in matching]
@@ -198,9 +198,11 @@ def test_verify_induced_empty_and_single_edge_matchings():
     one = RSDigraph(9, 3, 1, (((1, 4), (2, 5), (3, 6)),))
     shared = RSDigraph(singles.n_side, 1, singles.t, (singles.matchings[0],) * singles.t)
     wide = RSDigraph(2**64, one.r, one.t, one.matchings)  # N beyond int64, ids within
-    for g in (empty, singles, one, shared, relabel(one, 2**70, 3), wide):
+    for g in (empty, singles, one, shared, relabel(one, 2**63 - 1, 3), wide):
         assert verify_induced(g) == reference_verify_induced(g)
     assert verify_induced(empty).ok and verify_induced(singles).ok and verify_induced(one).ok
+    with pytest.raises(ValueError, match="^vertex ids are int64"):  # ids past int64 make no graph
+        relabel(one, 2**70, 3)
 
 
 @pytest.mark.parametrize("n_side", [None, 10**12, 2**70])
@@ -212,7 +214,11 @@ def test_verify_induced_reports_a_cross_edge_in_the_last_chunk(n_side):
     matchings = [[(k * r + j + 1, k * r + j + 1) for j in range(r)] for k in range(t)]
     matchings[0][0] = (matchings[-1][0][0], matchings[-1][1][1])
     g = RSDigraph(t * r, r, t, tuple(map(tuple, matchings)))
-    if n_side:
+    if n_side and n_side >> 63:  # ids past int64 are refused where the graph is built
+        with pytest.raises(ValueError, match="^vertex ids are int64"):
+            relabel(g, n_side, 11)
+        g = relabel(g, 2**63 - 1, 11)
+    elif n_side:
         g = relabel(g, n_side, 11)
     report = verify_induced(g)
     assert report == reference_verify_induced(g)
@@ -222,9 +228,9 @@ def test_verify_induced_reports_a_cross_edge_in_the_last_chunk(n_side):
 
 @pytest.mark.parametrize("slice_bits", [1, 2**8])
 def test_verify_induced_reports_a_cross_edge_in_the_last_slice(monkeypatch, slice_bits):
-    # disjoint matchings with ids past 2^63; matching 1's first edge becomes
+    # disjoint matchings with ids past 2^62; matching 1's first edge becomes
     # (u_tr, v_t1), so the only cross pair is row (t, r) of the largest left
-    r, t, offset = 5, 12, 2**63
+    r, t, offset = 5, 12, 2**62
     matchings = [[(offset + k * r + j, offset + k * r + j) for j in range(1, r + 1)] for k in range(t)]
     matchings[0][0] = (matchings[-1][-1][0], matchings[-1][0][1])
     g = RSDigraph(offset + t * r, r, t, tuple(map(tuple, matchings)))
@@ -252,5 +258,5 @@ def test_verify_induced_structural_order_equals_the_reference(case):
     report = verify_induced(g)
     assert not report.ok
     assert report == reference_verify_induced(g)
-    big = relabel(g, 2**70, 5)
+    big = relabel(g, 2**63 - 1, 5)
     assert verify_induced(big) == reference_verify_induced(big)

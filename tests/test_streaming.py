@@ -11,7 +11,7 @@ from streamlb import streamio
 from streamlb.cli import OK, dispatch
 from streamlb.common import encode_ints, int_width
 from streamlb.experiments import small_rs
-from streamlb.instances import FORWARD, INVERSE, EdgeStream, sample_st, sample_ur, to_stream
+from streamlb.instances import FORWARD, INVERSE, MAX_STREAM_N, EdgeStream, sample_st, sample_ur, to_stream
 from streamlb.reductions import reduce_to_sssp
 from streamlb.streaming import (
     BfsFrontier,
@@ -259,14 +259,6 @@ def test_space_ordering_observed():
 
 ALGORITHM_TAGS = ["edge-count", "store-all", "bfs-frontier:1", "bfs-frontier:3", "spanning-forest", "xor-sketch:5"]
 
-# n = 10^20: ids beyond int64 make object-dtype blocks, and no n-sized state can be built
-HUGE_STREAM = EdgeStream(n=10**20, directed=True, segments=(
-    ("E1", ((0, 5), (5, 10**20 - 1))),
-    ("E2", ((10**20 - 1, 2**63),)),
-    ("E3", ((2**63, 10**20 - 1), (0, 0))),
-))
-
-
 def _run_outcome(tag, stream, per_edge):
     """What a run shows: its segment and pass checkpoints, output and final
     serialization, or the type and text of the error that stopped it."""
@@ -282,40 +274,31 @@ def _run_outcome(tag, stream, per_edge):
     return tuple(c for c in run.checkpoints if "->" not in c[0]), run.output, final
 
 
-# streams with an id outside [0, n), each with the error that an algorithm
-# keeping vertices raises at its first such edge
-OUT_OF_RANGE = {
-    "9 does not fit in 2 bits": tiny_stream([(0, 1), (1, 9), (2, 3)], 4),  # the error names (1, 9)
-    "-1 does not fit in 2 bits": tiny_stream([(0, 1), (1, 2), (-1, 2)], 3),
-    "3 is not a vertex of [0, 3)": tiny_stream([(0, 1), (1, 3), (2, 0)], 3),  # 1 is reached in pass 2 only
-}
-KEEPS_VERTICES = ("store-all", "bfs-frontier:1", "bfs-frontier:3", "spanning-forest")
-
-
 @pytest.mark.parametrize("tag", ALGORITHM_TAGS)
 def test_segment_blocks_equal_the_per_edge_run(tag):
     """The default run hands `process_block` whole segments; `per_edge=True`
     calls `process` once per edge. Both must show the same run."""
-    streams = [*contract_streams(), HUGE_STREAM, *OUT_OF_RANGE.values(),
-               EdgeStream(4, True, (("A", ((0, 1), (1, 2))), ("B", ((2, 3), (3, 4)))))]  # a block, then per edge
+    streams = [*contract_streams(), EdgeStream(5, True, (("A", ((0, 1), (1, 2))), ("B", ((2, 3), (3, 4)))))]
     for stream in streams:
         if tag == "spanning-forest":
             stream = reduce_to_sssp(stream)[0]
         assert _run_outcome(tag, stream, False) == _run_outcome(tag, stream, True)
-    for message, stream in OUT_OF_RANGE.items():
-        if tag in KEEPS_VERTICES:
-            stream = reduce_to_sssp(stream)[0] if tag == "spanning-forest" else stream
-            assert _run_outcome(tag, stream, False) == (ValueError, message)
 
 
-def test_the_huge_stream_runs_as_it_did_per_edge():
-    # outputs of the per-edge harness, before segments were handed over as blocks
-    assert run_stream(StoreAll(), HUGE_STREAM, passes=1, s=0, t=2**63).output is True
-    assert run_stream(BfsFrontier(2), HUGE_STREAM, passes=2, s=0, t=10**20 - 1).output is True
-    run = run_stream(XorSketch(3), HUGE_STREAM, passes=1)
-    assert run.output == (15194187978533636053, 5)
-    with pytest.raises(ValueError, match="^bfs-frontier: a 200000000000000000017-bit state is longer"):
-        _started(BfsFrontier(2), 10**20).serialize()
+def test_a_stream_refuses_ids_outside_n_and_n_past_the_cap():
+    # no algorithm is handed a block with an id outside [0, n), named as parse_stream names it
+    for edges, n, bad in (([(0, 1), (1, 9), (2, 3)], 4, 9), ([(0, 1), (1, 2), (-1, 2)], 3, -1),
+                          ([(0, 1), (1, 3), (2, 0)], 3, 3)):
+        with pytest.raises(ValueError, match=rf"^vertex id {bad} in segment 'E' is outside \[0, {n}\)$"):
+            tiny_stream(edges, n)
+    # store-all and forest keys take 2·int_width(n - 1) bits, at most 62 under the cap
+    assert EdgeStream(MAX_STREAM_N, True, (("E", ((0, MAX_STREAM_N - 1),)),)).n == MAX_STREAM_N
+    assert 2 * int_width(MAX_STREAM_N - 1) == 62
+    for n in (MAX_STREAM_N + 1, 10**20):
+        with pytest.raises(ValueError, match=f"^a stream has {n} vertices; a stream holds at most {MAX_STREAM_N}$"):
+            EdgeStream(n, True, (("E", ((0, 5),)),))
+    with pytest.raises(ValueError, match="^vertex ids are int64"):
+        EdgeStream(10, True, (("E1", ((0, 5),)), ("E2", ((5, 2**63),))))
 
 
 def _finish(alg, stream, from_pass, from_segment):
@@ -440,27 +423,30 @@ def test_packed_keys_serialize_as_the_tuple_layout(case):
     assert forest.state_bits() == len(forest.serialize())
 
 
+# `process` is where a bare int enters an algorithm: it refuses an endpoint
+# outside [0, n), naming the first one, and keeps no state of the edge
 @pytest.mark.parametrize("n", [1, 5, 8, 9])
-@pytest.mark.parametrize("make", [StoreAll, SpanningForest])
+@pytest.mark.parametrize("make", [StoreAll, SpanningForest, BfsFrontier])
 def test_an_endpoint_outside_the_key_width_raises(make, n):
     w = int_width(n - 1)
-    for u, v in ((0, 1 << w), (1 << w, 0), ((1 << w) + 3, 1 << (w + 5)), (-1, 0), (0, -1), (-5, -7)):
-        alg = _started(make(), n, directed=make is StoreAll)
-        with pytest.raises(ValueError, match=f"does not fit in {w} bits"):
+    for u, v, bad in ((0, 1 << w, 1 << w), (1 << w, 0, 1 << w), ((1 << w) + 3, 1 << (w + 5), (1 << w) + 3),
+                      (-1, 0, -1), (0, -1, -1), (-5, -7, -5)):
+        alg = _started(make(), n, directed=make is not SpanningForest)
+        with pytest.raises(ValueError, match=rf"^vertex id {bad} is outside \[0, {n}\)$"):
             alg.process(u, v)
-        assert alg.state_bits() == 0
+        assert alg.serialize() == _started(make(), n, directed=make is not SpanningForest).serialize()
 
 
 @pytest.mark.parametrize("n", [5, 9])
-@pytest.mark.parametrize("make", [StoreAll, SpanningForest])
+@pytest.mark.parametrize("make", [StoreAll, SpanningForest, BfsFrontier])
 def test_an_endpoint_that_fits_the_width_but_is_no_vertex_raises(make, n):
     # what process accepts, serialize writes and restore must read back
     top = (1 << int_width(n - 1)) - 1
-    for u, v in ((n, 0), (0, n), (top, top)):
-        alg = _started(make(), n, directed=make is StoreAll)
-        with pytest.raises(ValueError, match=rf"is not a vertex of \[0, {n}\)"):
+    for u, v, bad in ((n, 0, n), (0, n, n), (top, top, top)):
+        alg = _started(make(), n, directed=make is not SpanningForest)
+        with pytest.raises(ValueError, match=rf"^vertex id {bad} is outside \[0, {n}\)$"):
             alg.process(u, v)
-        assert alg.state_bits() == 0
+        assert alg.serialize() == _started(make(), n, directed=make is not SpanningForest).serialize()
 
 
 # sha256 of what the tuple layout serialized on the README tour's st-0000
