@@ -26,6 +26,7 @@ from .infometrics import (
 )
 from .instances import sample_si, sample_st, to_stream, verify_st_instance, verify_ur_promise
 from .protocols import (
+    EXACT_FULL_M_CAP,
     REVEAL_M_CAP,
     NullOracle,
     RevealOracle,
@@ -69,7 +70,8 @@ def _fan_out(worker, jobs, workers: int):
 
 def make_si_oracle(tag: str, eps: float, m: int) -> SIOracle:
     """The oracle a tag names, for universe size m; a RevealOracle above
-    REVEAL_M_CAP is refused once built, before any round asks it to speak."""
+    REVEAL_M_CAP is refused once built, before any round asks it to speak,
+    and mock-bias above EXACT_FULL_M_CAP before it is calibrated."""
     if not 0 <= eps <= 1:
         raise ValueError("eps must lie in [0, 1]")
     if tag == "perfect":
@@ -79,6 +81,9 @@ def make_si_oracle(tag: str, eps: float, m: int) -> SIOracle:
     elif tag == "mock-reveal":
         oracle = mock_eps_solver(eps, "reveal", m)
     elif tag == "mock-bias":
+        if m > EXACT_FULL_M_CAP:
+            raise ValueError(f"m={m} is above {EXACT_FULL_M_CAP}: the mock-bias oracle is calibrated "
+                             "by exact enumeration")
         oracle = mock_eps_solver(eps, "bias", m)
     else:
         raise ValueError(f"unknown oracle tag {tag!r}")

@@ -160,8 +160,8 @@ def _draw_si_rows(m: int, seed: int, path: tuple, t: int) -> np.ndarray:
     size = m // 2 - 1
     picks = np.empty((t, size), dtype=np.int64)
     if m > CHOICE_FLOYD_MAX:
-        for row, gen in zip(picks, rngmod.each_substream(seed, *path, "si", ids=range(1, t + 1))):
-            row[:] = _draw_si(m, gen)
+        for i in range(1, t + 1):
+            picks[i - 1] = _draw_si(m, rngmod.substream(seed, *path, "si", i))
         return picks
     rows = max(1, _DRAW_CELLS // m)
     for lo in range(0, t, rows):
@@ -330,14 +330,14 @@ def sample_ur(rs: RSDigraph, direction: str = FORWARD, seed: int = 0, path=("ur"
     shuffle) runs on a chunk of rows at a time; a row whose words hold a
     rejected draw is drawn by `choice` itself. The pairs are held as one
     `SIRows`, whose construction checks every row. Alice's edges are one
-    gather from the RS digraph's (t, r) id arrays, and `verify_ur_promise`
+    gather from the RS digraph's edges by flat index, and `verify_ur_promise`
     then checks the edges.
     """
     if direction not in (FORWARD, INVERSE):
         raise ValueError(f"direction must be {FORWARD!r} or {INVERSE!r}")
     if rs.r < 4 or rs.r % 4:
         raise ValueError(f"matching size must be a positive multiple of 4, got {rs.r}")
-    if rs.us is None or len(rs.us) != rs.t:
+    if rs.sizes != (rs.r,) * rs.t:
         raise ValueError(f"sampling needs t = {rs.t} matchings of r = {rs.r} edges each")
     N, r, t = rs.n_side, rs.r, rs.t
     check_vertex_count(2 * N + r + 1, f"a unique-reach instance on N = {N}, r = {r}")
@@ -345,10 +345,9 @@ def sample_ur(rs: RSDigraph, direction: str = FORWARD, seed: int = 0, path=("ur"
     i_star = int(rngmod.substream(seed, *path, "istar").integers(1, t + 1))
     e_star = int(si_rows.e_star[i_star - 1])
 
-    # row i - 1: the 0-based indices of Alice's edges in matching i, ascending
-    rows = si_rows.a - 1
-    edges_a = EdgeBlock(np.take_along_axis(rs.us, rows, axis=1).reshape(-1),
-                        N + np.take_along_axis(rs.vs, rows, axis=1).reshape(-1))
+    # Alice's edges, matching by matching: edge j of matching i is edge (i - 1)·r + j - 1
+    flat = (np.arange(0, t * r, r)[:, None] + si_rows.a - 1).reshape(-1)
+    edges_a = EdgeBlock(rs.edges.us[flat], N + rs.edges.vs[flat])
     # for each j of the live second set, ascending: (0, u_j), then (N + v_j, 2N + j)
     js = si_rows.b[i_star - 1]
     star = rs.matching(i_star)

@@ -36,6 +36,11 @@ A_REST_ENUM_CAP = 200_000
 # (reveal with p = 1/3 at m = 8944) it takes 0.4-0.6 s and 106 MiB peak RSS in a
 # fresh process (2 vCPUs, Python 3.11, numpy 2.4)
 SYMMETRIC_CELL_CAP = 10_000_000
+# longest state `simulate_two_pass` sends, in bits: at the cap (bfs-frontier:2
+# on n = 2^26 - 9) `protocol simulate` takes 2.9 s and 675 MiB peak RSS in a
+# fresh process (2 vCPUs, Python 3.11, numpy 2.4); store-all's largest state at
+# m = 10^4 is 90.8M bits
+MESSAGE_BITS_CAP = 1 << 27
 
 
 @dataclass
@@ -549,6 +554,8 @@ def simulate_two_pass(alg_factory, stream: EdgeStream):
     to both after one round; each takes a segment whole (`process_block`).
     The messages are exactly the serialized memory states at the hand-off
     points; the final output must match a direct two-pass run bit for bit.
+    A state of more than MESSAGE_BITS_CAP bits is refused before it is
+    serialized.
     """
     if len(stream.segments) != 3:
         raise ValueError("the simulation needs a three-segment stream")
@@ -557,19 +564,26 @@ def simulate_two_pass(alg_factory, stream: EdgeStream):
     def fresh():
         return start_on(alg_factory(), stream, passes=2)
 
+    def send(sender, state, label):
+        bits = state.state_bits()
+        if bits > MESSAGE_BITS_CAP:
+            raise ValueError(f"{state.name}: a {bits}-bit state is above the message cap of "
+                             f"{MESSAGE_BITS_CAP} bits")
+        message = state.serialize()
+        tr.send(sender, message, label=label)
+        return message
+
     tr = Transcript()
 
     alice = fresh()
     alice.begin_pass(1)
     alice.process_block(e1.us, e1.vs)
-    m11 = alice.serialize()
-    tr.send("alice", m11, label="A1")
+    m11 = send("alice", alice, "A1")
 
     bob = fresh()
     bob.restore(m11, 1)
     bob.process_block(e2.us, e2.vs)
-    m12 = bob.serialize()
-    tr.send("bob", m12, label="B1")
+    m12 = send("bob", bob, "B1")
 
     alice2 = fresh()
     alice2.restore(m12, 1)
@@ -577,8 +591,7 @@ def simulate_two_pass(alg_factory, stream: EdgeStream):
     alice2.end_pass(1)
     alice2.begin_pass(2)
     alice2.process_block(e1.us, e1.vs)
-    m21 = alice2.serialize()
-    tr.send("alice", m21, label="A2")
+    m21 = send("alice", alice2, "A2")
 
     bob2 = fresh()
     bob2.restore(m21, 2)

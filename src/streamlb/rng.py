@@ -7,9 +7,8 @@ substream's path isolates it from reseeding of the others.
 
 A run of substreams that differ only in a last integer id, such as one per
 matching, can be derived at once: `substream_keys` gives all their Philox keys
-as one array, `each_substream` walks one generator through them, and
-`substream_words` reads each one's first raw words. Each yields exactly
-what `substream` yields for that id.
+as one array, and `substream_words` reads each one's first raw words. Each
+yields exactly what `substream` yields for that id.
 """
 
 from __future__ import annotations
@@ -104,41 +103,23 @@ def substream_keys(seed: int, *path, ids) -> np.ndarray:
     return np.column_stack((state[0] | state[1] << 32, state[2] | state[3] << 32))
 
 
-def _walk(bit_generator: np.random.Philox, keys: np.ndarray):
-    """Reset `bit_generator` to the start of each key's substream in turn (its
-    key, counter 0 and an empty buffer), yielding once after each reset."""
-    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
-             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for key in keys.tolist():  # Python ints: the state setter reads them faster than array items
-        state["state"]["key"] = key
-        bit_generator.state = state
-        yield
-
-
-def each_substream(seed: int, *path, ids):
-    """Yield `substream(seed, *path, i)` for each i in `ids`, in order.
-
-    It is one Generator over one Philox, reset before each yield to that
-    substream's start, so each yield must be used before the next one is taken.
-    """
-    bit_generator = np.random.Philox(0)
-    gen = np.random.Generator(bit_generator)
-    for _ in _walk(bit_generator, substream_keys(seed, *path, ids=ids)):
-        yield gen
-
-
 def substream_words(seed: int, *path, ids, count: int) -> np.ndarray:
     """The first `count` raw 64-bit words of `substream(seed, *path, i)` for
     every i in `ids`, one uint64 row each, in the order of `ids`.
 
     A row is that substream's `bit_generator.random_raw(count)`: the words its
     Generator reads in turn, each 32-bit draw taking a word's low half, then
-    its high half.
+    its high half. One Philox is reset to each substream's start in turn: its
+    key, counter 0 and an empty buffer.
     """
     bit_generator = np.random.Philox(0)
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     keys = substream_keys(seed, *path, ids=ids)
     words = np.empty((len(keys), count), dtype=np.uint64)
-    for row, _ in zip(words, _walk(bit_generator, keys)):
+    for row, key in zip(words, keys.tolist()):  # Python ints: the state setter reads them faster
+        state["state"]["key"] = key
+        bit_generator.state = state
         row[:] = bit_generator.random_raw(count)
     return words
 

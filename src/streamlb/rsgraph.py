@@ -11,6 +11,7 @@ disjoint namespaces: an edge (u, v) always means u in L, v in R.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -21,52 +22,49 @@ _CHUNK_PAIRS = 2**16  # cross pairs looked up per gather
 _SLICE_BITS = 2**20  # bitmap cells per slice of left ranks, unless one left needs more
 
 
-def _rows(arrays: list, r: int) -> np.ndarray:
-    """`arrays`, each of length r, as the rows of one array: the array they
-    already are the rows of, in order, or else a stacked copy."""
-    base = arrays[0].base if arrays else None
-    if isinstance(base, np.ndarray) and base.shape == (len(arrays), r) and base.flags.c_contiguous \
-            and all(a.base is base for a in arrays):
-        start, step = base.ctypes.data, base.strides[0]
-        if all(a.ctypes.data == start + i * step for i, a in enumerate(arrays)):
-            return base
-    return np.stack(arrays) if arrays else np.zeros((0, r), dtype=np.int64)
-
-
 @dataclass(frozen=True)
 class RSDigraph:
     """t edge-disjoint induced matchings of size r, directed L -> R, N per side.
 
-    When every matching has r edges, `us` and `vs` hold them once, as two
-    (count, r) id arrays whose row i - 1 is matching i, and each matching is a
-    row view of them. A matching of another size leaves both None: such a
-    graph is only read and refused (`verify_induced`), never sampled from.
+    `edges` holds every matching's edges once, matching after matching, in
+    (i, j) order; `sizes` holds each matching's edge count and must add up to
+    `len(edges)`. Matching i is the slice of `edges` between the prefix sums
+    of the first i - 1 and i sizes, taken once at construction. A graph read
+    from a file may have other sizes or another count of matchings than t:
+    `verify_induced` refuses it and `sample_ur` never samples from it.
     """
 
     n_side: int
     r: int
     t: int
-    matchings: tuple  # (EdgeBlock, ...), one per matching, made from any (u, v) pairs
+    edges: EdgeBlock
+    sizes: tuple  # (int, ...), one per matching
     source: dict = field(default_factory=dict, compare=False)
-    us: np.ndarray | None = field(init=False, repr=False, compare=False)
-    vs: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _offsets: list = field(init=False, repr=False, compare=False)  # the prefix sums of sizes
 
     def __post_init__(self):
-        blocks = tuple(map(EdgeBlock.of, self.matchings))
-        us = vs = None
-        if all(len(block) == self.r for block in blocks):
-            us, vs = (_rows([getattr(block, side) for block in blocks], self.r) for side in ("us", "vs"))
-            if blocks and (blocks[0].us.base is not us or blocks[0].vs.base is not vs):  # stacked copies
-                blocks = tuple(map(EdgeBlock, us, vs))
-        object.__setattr__(self, "matchings", blocks)
-        object.__setattr__(self, "us", us)
-        object.__setattr__(self, "vs", vs)
+        offsets = list(accumulate(self.sizes, initial=0))
+        if offsets[-1] != len(self.edges):
+            raise ValueError(f"matching sizes add up to {offsets[-1]} edges, not {len(self.edges)}")
+        object.__setattr__(self, "_offsets", offsets)
+
+    @classmethod
+    def of(cls, n_side: int, r: int, t: int, matchings) -> RSDigraph:
+        """The graph of `matchings`, each an `EdgeBlock` or any (u, v) pairs, in order."""
+        blocks = list(map(EdgeBlock.of, matchings))
+        return cls(n_side, r, t, EdgeBlock.join(blocks), tuple(map(len, blocks)))
+
+    @property
+    def matchings(self) -> tuple:
+        """Every matching in order, each a view into `edges`."""
+        return tuple(map(self.matching, range(1, len(self.sizes) + 1)))
 
     def matching(self, i: int) -> EdgeBlock:
-        """Matching i, 1-indexed as everywhere in this package."""
-        if not 1 <= i <= self.t:
-            raise IndexError(f"matching index {i} outside [1, {self.t}]")
-        return self.matchings[i - 1]
+        """Matching i, 1-indexed as everywhere in this package, a view into `edges`."""
+        if not 1 <= i <= len(self.sizes):
+            raise IndexError(f"matching index {i} outside [1, {len(self.sizes)}]")
+        lo, hi = self._offsets[i - 1], self._offsets[i]
+        return EdgeBlock(self.edges.us[lo:hi], self.edges.vs[lo:hi])
 
 
 def build_rs_digraph(a: BehrendSet, check: bool = True) -> RSDigraph:
@@ -86,7 +84,8 @@ def build_rs_digraph(a: BehrendSet, check: bool = True) -> RSDigraph:
         n_side=3 * m,
         r=len(alphas),
         t=m,
-        matchings=tuple(map(EdgeBlock, x + alphas, x + 2 * alphas)),  # row x - 1: matching x
+        edges=EdgeBlock((x + alphas).reshape(-1), (x + 2 * alphas).reshape(-1)),  # row x - 1: matching x
+        sizes=(len(alphas),) * m,
         source={"m": m, "construction": a.construction, "size": len(alphas)},
     )
 
@@ -161,35 +160,37 @@ def _first_structural_flaw(g: RSDigraph, edges: EdgeBlock, left: np.ndarray,
 def verify_induced(g: RSDigraph) -> Report:
     """Exhaustive check of all structural invariants; reports first violation.
 
-    The checks run on the matchings' edges joined in (i, j) order, and the
+    The checks run on the edges of the matchings before the first one of
+    another size than r, a prefix of `edges` in (i, j) order, and the
     report is the first violating edge under the order and the reason
     priority of one loop over the edges: size of its matching, range,
     repeated endpoint, shared edge; then induced-ness, first in (i, j, jp) order.
+    Vertex ids are ranked first, so any int64 ids work; the cross pairs are
+    gathered from bitmaps over slices of left ranks (`_first_cross_pair`), and
+    memory beyond the edges is one bitmap of max(_SLICE_BITS, n_right) cells,
+    whatever N is.
     """
-    if len(g.matchings) != g.t:
-        return fail_report("matching count differs from t", expected=g.t, got=len(g.matchings))
-    sized = next((i for i, matching in enumerate(g.matchings) if len(matching) != g.r), g.t)
+    if len(g.sizes) != g.t:
+        return fail_report("matching count differs from t", expected=g.t, got=len(g.sizes))
+    sized = next((i for i, size in enumerate(g.sizes) if size != g.r), g.t)
     count = sized * g.r
     if count:
-        edges = EdgeBlock(g.us.reshape(-1), g.vs.reshape(-1)) if g.us is not None \
-            else EdgeBlock.join(g.matchings[:sized])
+        edges = EdgeBlock(g.edges.us[:count], g.edges.vs[:count])
         # ids become ranks first, so no key outgrows int64 whatever N claims
         left = np.unique(edges.us, return_inverse=True)[1].reshape(-1)
         right = np.unique(edges.vs, return_inverse=True)[1].reshape(-1)
         flaw = _first_structural_flaw(g, edges, left, right)
         if flaw is not None:
             return flaw
-        del edges  # only the ranks go on to the cross-pair pass
     if sized < g.t:
-        return fail_report("matching has wrong size", matching=sized + 1, size=len(g.matchings[sized]))
+        return fail_report("matching has wrong size", matching=sized + 1, size=g.sizes[sized])
     # induced-ness: no edge may join matching i's left side to its right side
     # except the matching's own edges
     if count and g.r >= 2:
         first = _first_cross_pair(left, right, g.r)
         if first is not None:
             row, jp = divmod(first, g.r)
-            i, j = divmod(row, g.r)
-            matching = g.matchings[i]
+            i = row // g.r
             return fail_report("induced-ness violated", matching=i + 1,
-                               cross_edge=(int(matching.us[j]), int(matching.vs[jp])))
+                               cross_edge=(int(g.edges.us[row]), int(g.edges.vs[i * g.r + jp])))
     return ok_report(matchings_checked=g.t, edges=count)

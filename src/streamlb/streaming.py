@@ -274,7 +274,8 @@ class SpanningForest(StreamAlgorithm):
     Forest edges are packed keys `u << w | v`, as in `StoreAll`, and serialize
     the same way: sorted keys in 2w bits each, the bits of the sorted pairs.
     `restore` replays union-find over the decoded edges and refuses, besides
-    what store-all refuses, an edge that joins no two components.
+    what store-all refuses, an edge that joins no two components. Parents are
+    kept for the vertices seen only; any other vertex is its own root.
     """
 
     name = "spanning-forest"
@@ -283,13 +284,14 @@ class SpanningForest(StreamAlgorithm):
         if self.directed:
             raise ValueError("spanning forest needs an undirected stream")
         self.width = int_width(self.n - 1)
-        self.parent = list(range(self.n))
+        self.parent: dict[int, int] = {}
         self.forest: list[int] = []
 
     def _find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
+        parent = self.parent
+        while (up := parent.get(x, x)) != x:
+            parent[x] = parent.get(up, up)
+            x = parent[x]
         return x
 
     def process(self, u, v):
@@ -307,7 +309,7 @@ class SpanningForest(StreamAlgorithm):
 
     def restore(self, bits, pass_index):
         keys = _decode_keys(self.name, bits, self.n, self.width)
-        self.parent = list(range(self.n))
+        self.parent = {}
         self.forest = []
         for u, v in _key_block(keys, self.width):
             self.process(u, v)

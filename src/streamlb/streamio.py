@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from array import array
 from functools import lru_cache
 from pathlib import Path
 
@@ -373,18 +374,21 @@ def _rs_text(g: RSDigraph):
     When every matching has r edges with ids in [0, N], which holds for every
     graph `verify_induced` accepts, and N is at most TABLE_SLACK beyond the
     edge count, a chunk is one gather: each matching's "M i" line from a table
-    of them, then its edge lines from the stream's line tables. Otherwise each
-    matching is formatted line by line.
+    of them, then its edge lines from the stream's line tables, read from
+    (count, r) views of the edges. Otherwise each matching is formatted line
+    by line.
     """
     yield f"RS {g.n_side} {g.t} {g.r}\n"
-    bound = g.n_side + 1
-    if g.us is not None and bound <= g.us.size + TABLE_SLACK and _tabled(g.us, bound) and _tabled(g.vs, bound):
+    bound, k, edges = g.n_side + 1, len(g.sizes), g.edges
+    if g.sizes == (g.r,) * k and bound <= len(edges) + TABLE_SLACK and _tabled(edges.us, bound) \
+            and _tabled(edges.vs, bound):
         first, last = _line_tables(bound)
         width = first.shape[1] + last.shape[1]
-        heads = _decimal_table(len(g.us) + 1, head=b"M ", end=b"\n")[1:]
+        heads = _decimal_table(k + 1, head=b"M ", end=b"\n")[1:]
+        left, right = edges.us.reshape(k, g.r), edges.vs.reshape(k, g.r)
         step = max(1, RENDER_CHUNK // max(g.r, 1))
-        for lo in range(0, len(g.us), step):
-            us, vs = g.us[lo : lo + step], g.vs[lo : lo + step]
+        for lo in range(0, k, step):
+            us, vs = left[lo : lo + step], right[lo : lo + step]
             lines = np.concatenate((first[us], last[vs]), axis=2).reshape(len(us), g.r * width)
             yield _table_lines(np.concatenate((heads[lo : lo + step], lines), axis=1))
         return
@@ -427,25 +431,22 @@ def parse_rs(text: str) -> RSDigraph:
     if len(rows) > 1:
         raise ValueError(f"line {rows[1][:80]!r} comes before the first 'M 1' line")
     n_side, t, r = int(head[1]), int(head[2]), int(head[3])
-    # matchings of r int64 edges fill the rows of two arrays, which the graph
-    # then holds as they are; the arrays are never larger than the text's ids
-    us_rows, vs_rows = (np.empty((len(marks), r), dtype=np.int64) for _ in range(2)) \
-        if 2 * len(marks) * r <= len(text) else (None, None)
-    matchings = []
+    # the ids are appended to one growing buffer as each matching is read: a
+    # list of one array per matching would leave its freed blocks behind in
+    # the heap once joined
+    ids, sizes = array("q"), []
     for mark, nxt in zip(marks, marks[1:] + [None]):
-        i = len(matchings) + 1
+        i = len(sizes) + 1
         index = _M_INDEX.fullmatch(mark[0].strip())
         if index is None or int(index[1]) != i:
             raise ValueError(f"matching header {mark[0].strip()[:80]!r} out of order: expected 'M {i}'")
-        ids = _edge_ids(text[mark.end() : nxt.start() if nxt else len(text)], f"matching {i}", "int64")
-        if not len(ids) and r:
+        block = _edge_ids(text[mark.end() : nxt.start() if nxt else len(text)], f"matching {i}", "int64")
+        if not len(block) and r:
             raise ValueError(f"matching {i} has no edges")
-        if us_rows is not None and len(ids) == 2 * r:
-            us_rows[i - 1], vs_rows[i - 1] = ids[0::2], ids[1::2]
-            matchings.append(EdgeBlock(us_rows[i - 1], vs_rows[i - 1]))
-        else:
-            matchings.append(EdgeBlock(ids[0::2], ids[1::2]))
-    return RSDigraph(n_side=n_side, r=r, t=t, matchings=tuple(matchings), source={"file": True})
+        ids.frombytes(block.view(np.uint8))
+        sizes.append(len(block) // 2)
+    ids = np.frombuffer(ids, dtype=np.int64)
+    return RSDigraph(n_side, r, t, EdgeBlock(ids[0::2], ids[1::2]), tuple(sizes), source={"file": True})
 
 
 def read_rs(path) -> RSDigraph:

@@ -331,6 +331,31 @@ def test_tour_artifacts_and_verify_lines_are_unchanged(tmp_path, capsys):
             assert capsys.readouterr().out == line + "\n"
 
 
+# sha256 of `gen rs --m 1000 --trim 4` (the benchmark's graph, r = 104, so
+# `render_rs` writes it in two table chunks) and of `gen st --seed 7 --count 1` on it
+M1000_HASHES = {
+    "rs.txt": "49df98ce5f21a0b9b4bbe3e5d89ec7b192e590472e92ada5143494c2d812de04",
+    "st/st-0000.stream": "2bedf84f55cabb99228b1d0c190e3d6c3b4aa1b286cdde0704d8c39471aaf565",
+    "st/st-0000.stream.meta.json": "107863759612079220dc18883d034a72c20a6e959e41601fbd7aca99bec6ba67",
+}
+
+
+def test_benchmark_size_artifacts_and_verify_lines_are_unchanged(tmp_path, capsys):
+    assert run("gen", "rs", "--m", 1000, "--trim", 4, "--out", tmp_path / "rs.txt") == OK
+    g = streamio.read_rs(tmp_path / "rs.txt")
+    assert (g.r, g.t) == (104, 1000)
+    assert len(list(streamio._rs_text(g))) == 3  # the header, then two chunks of whole matchings
+    assert run("gen", "st", "--rs", tmp_path / "rs.txt", "--seed", 7, "--count", 1,
+               "--out", tmp_path / "st") == OK
+    for name, digest in M1000_HASHES.items():
+        assert streamio.sha256_file(tmp_path / name) == digest, name
+    capsys.readouterr()
+    assert run("verify", "rs", tmp_path / "rs.txt") == OK
+    assert capsys.readouterr().out == \
+        '{"detail": {"edges": 104000, "matchings_checked": 1000}, "ok": true, "reason": null}\n'
+    assert run("verify", "st", tmp_path / "st" / "st-0000.stream") == OK
+
+
 # sha256 of `gen` outputs the tour does not make: the inverse direction, both
 # forced middle layers and pinned component seeds, on the tour's rs.txt with
 # --seed 7 --count 2
@@ -1032,7 +1057,7 @@ def test_rs_reader_keeps_what_it_is_given(tmp_path):
     spaced = "\n  RS 9 3 2 \n\nM 1\n 2  3\n3\t5\n\nM 2\n3 4\n4 6\nM 3\n4 5\n5 7"
     assert streamio.parse_rs(spaced) == streamio.parse_rs(GOOD_RS)
     # r = 0: every matching is empty, and the file still reads back
-    empty = RSDigraph(9, 0, 3, ((), (), ()))
+    empty = RSDigraph.of(9, 0, 3, ((), (), ()))
     assert streamio.parse_rs(streamio.render_rs(empty)) == empty
     path = tmp_path / "empty.txt"
     streamio.write_rs(path, empty)
@@ -1067,11 +1092,11 @@ def test_render_rs_from_tables_equals_the_line_text():
         return "\n".join(blocks) + "\n"
     graphs = [
         small_rs(),
-        RSDigraph(9, 0, 3, ((), (), ())),
-        RSDigraph(9, 2, 2, (((1, 4), (2, 5)), ((3, 6), (9, 9)))),
-        RSDigraph(9, 2, 2, (((1, 4),), ((3, 6), (9, 9)))),  # a matching of the wrong size
-        RSDigraph(9, 1, 2, (((0, 10),), ((-1, 2),))),  # ids outside [0, N]
-        RSDigraph(2**64, 1, 1, (((2**63 - 1, 1),),)),  # N past int64, an id at its end
+        RSDigraph.of(9, 0, 3, ((), (), ())),
+        RSDigraph.of(9, 2, 2, (((1, 4), (2, 5)), ((3, 6), (9, 9)))),
+        RSDigraph.of(9, 2, 2, (((1, 4),), ((3, 6), (9, 9)))),  # a matching of the wrong size
+        RSDigraph.of(9, 1, 2, (((0, 10),), ((-1, 2),))),  # ids outside [0, N]
+        RSDigraph.of(2**64, 1, 1, (((2**63 - 1, 1),),)),  # N past int64, an id at its end
     ]
     for g in graphs:
         assert streamio.render_rs(g) == lines(g)
@@ -1192,6 +1217,25 @@ def test_graph_commands_refuse_a_huge_header_within_bounded_memory(tmp_path):
         assert [p.name for p in tmp_path.iterdir()] == ["huge.stream"]
 
 
+def test_stream_commands_on_a_header_at_the_vertex_cap_within_bounded_memory(tmp_path):
+    # n = 2^31 over three edges: the spanning forest keeps parents for the
+    # vertices it sees, `stream run` only asks the frontier's state size, and
+    # `protocol simulate` refuses the frontier's 2n-bit state before serializing it
+    n = instances.MAX_STREAM_N
+    path = tmp_path / "huge.stream"
+    path.write_text(f"STREAM {n} directed=0\nSEG E1\n0 1\nSEG E2\n1 2\nSEG E3\n2 3\n")
+    commands = [["stream", "run", "--alg", alg, "--passes", "2", "--input", str(path),
+                 "--report", str(tmp_path / f"{alg}.json")] for alg in ("spanning-forest", "bfs-frontier:2")]
+    commands += [["protocol", "simulate", "--alg", "bfs-frontier:2", "--instance", str(path)]]
+    proc = _dispatch_in_bounded_child(commands, timeout=60)
+    codes = [int(line) for line in proc.stdout.splitlines() if line.isdigit()]
+    assert codes == [OK, OK, USAGE], proc.stderr[-500:]
+    assert json.loads((tmp_path / "spanning-forest.json").read_text())["output"] is False
+    assert json.loads((tmp_path / "bfs-frontier:2.json").read_text())["max_state_bits"] == 2 * n + 17
+    assert proc.stderr == (f"error: bfs-frontier: a {2 * n + 17}-bit state is above the message cap "
+                           f"of {protocols.MESSAGE_BITS_CAP} bits\n")
+
+
 def test_symmetric_measurement_refuses_a_huge_m_within_bounded_memory():
     # mock-reveal is calibrated in exact-symmetric mode, whose rows hold
     # (m/4)^2 cells per rand: the budget refuses them before any row is built
@@ -1245,6 +1289,21 @@ def test_perfect_oracle_refuses_a_target_beyond_16_bits_before_any_round():
     assert proc.stderr == "".join(f"error: m={m} is above {protocols.REVEAL_M_CAP}: the perfect oracle "
                                   "writes its target in 16 bits\n" for m in sizes)
     assert protocols.REVEAL_M_CAP == 65536
+
+
+def test_mock_bias_refuses_an_m_beyond_exact_enumeration_before_calibrating(monkeypatch, capsys):
+    # mock-bias is calibrated by exact enumeration of the full joint, which
+    # stops at EXACT_FULL_M_CAP: the refusal names the oracle and echoes m
+    monkeypatch.setattr(experiments, "mock_eps_solver", None)  # calibrating would raise TypeError
+    commands = [("protocol", "boost", "--oracle", "mock-bias", "--m", 32),
+                ("protocol", "measure-eps", "--oracle", "mock-bias", "--m", 16),
+                ("experiment", "boost-trials", "--param", "m=16", "--param", "oracle_tag=mock-bias")]
+    for argv, m in zip(commands, (32, 16, 16)):
+        assert run(*argv) == USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: m={m} is above 12: the mock-bias oracle is calibrated by exact enumeration\n"
+    assert protocols.EXACT_FULL_M_CAP == 12
 
 
 FUZZ_BIPARTITE = streamio.render_bipartite(BipartiteGraph(

@@ -47,7 +47,7 @@ from streamlb.streamio import (
 
 def identity_matching_rs(r: int) -> RSDigraph:
     """Degenerate single-matching graph: r parallel edges (i, i)."""
-    return RSDigraph(n_side=r, r=r, t=1,
+    return RSDigraph.of(n_side=r, r=r, t=1,
                      matchings=(tuple((i, i) for i in range(1, r + 1)),))
 
 
@@ -247,8 +247,8 @@ def test_sample_ur_inverse():
 def test_sample_ur_rejects_bad_r():
     with pytest.raises(ValueError):
         sample_ur(identity_matching_rs(3), FORWARD, seed=0)
-    ragged = RSDigraph(8, 4, 2, (((1, 1), (2, 2), (3, 3), (4, 4)), ((1, 2),)))  # matching 2 has one edge
-    assert ragged.us is None
+    ragged = RSDigraph.of(8, 4, 2, (((1, 1), (2, 2), (3, 3), (4, 4)), ((1, 2),)))  # matching 2 has one edge
+    assert ragged.sizes == (4, 1)
     with pytest.raises(ValueError, match="sampling needs t = 2 matchings of r = 4 edges"):
         sample_ur(ragged, FORWARD, seed=0)
 
@@ -256,21 +256,21 @@ def test_sample_ur_rejects_bad_r():
 def test_sample_ur_gathers_alice_edges_exactly_and_refuses_a_huge_n(monkeypatch):
     # edges_a must equal the loop over each matching's Alice indices, ascending
     r = 8
-    rs = RSDigraph(100, r, 2, (tuple((30 + j, 80 + j) for j in range(r)),
+    rs = RSDigraph.of(100, r, 2, (tuple((30 + j, 80 + j) for j in range(r)),
                                tuple((10 + j, 60 + j) for j in range(r))))
     inst = sample_ur(rs, FORWARD, seed=3)
     expected = [(u, 100 + v) for i, matching in enumerate(rs.matchings, start=1)
                 for j, (u, v) in enumerate(matching, start=1) if j in si_pair(inst.si_rows, i).a]
     assert list(inst.edges_a) == expected
     with pytest.raises(ValueError, match="^vertex ids are int64"):  # ids past int64 never make a graph
-        RSDigraph(100, r, 1, (tuple((2**70 + j, 50 + j) for j in range(r)),))
+        RSDigraph.of(100, r, 1, (tuple((2**70 + j, 50 + j) for j in range(r)),))
     # an instance no stream can hold is refused before any draw
     monkeypatch.setattr(instances, "_draw_si_rows", None)
     square = (((1, 1), (2, 2), (3, 3), (4, 4)),)
     for N, kind, n in ((2**62, "unique-reach", 2**63 + 5), (2**29 + 1, "st", 2**31 + 14)):
         message = rf"^an? {kind} instance on N = {N}, r = 4 has {n} vertices; a stream holds at most {MAX_STREAM_N}$"
         with pytest.raises(ValueError, match=message):
-            (sample_ur if kind == "unique-reach" else sample_st)(RSDigraph(N, 4, 1, square), seed=0)
+            (sample_ur if kind == "unique-reach" else sample_st)(RSDigraph.of(N, 4, 1, square), seed=0)
 
 
 def test_ur_promise_detects_second_path():

@@ -522,7 +522,7 @@ def test_ur_measure_full_reveal_keys_rows_by_the_live_index():
     # with two matchings the same (T, transcript) arises for either live
     # index, with different witnesses; rows keyed by the live index keep the
     # witness pinned, so the shift is still 1 - 1/|T| = 1/2
-    rs = RSDigraph(n_side=16, r=8, t=2, matchings=(tuple((i, i) for i in range(1, 9)),
+    rs = RSDigraph.of(n_side=16, r=8, t=2, matchings=(tuple((i, i) for i in range(1, 9)),
                                                     tuple((i, i) for i in range(9, 17))))
     report = measure_internal_eps_ur(FullRevealUROracle(), rs)
     assert report.value == 0.5

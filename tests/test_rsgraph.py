@@ -80,9 +80,24 @@ def test_matching_index_outside_t_raises(g3):
             g3.matching(i)
 
 
+@pytest.mark.parametrize("matchings", [
+    (((1, 4), (2, 5)), ((3, 6),), ((7, 8), (8, 9), (9, 7))),  # ragged
+    ((), ((1, 2),), ()),  # empty matchings around one edge
+    ((), (), ()),  # r = 0
+])
+def test_matchings_are_the_given_pairs(matchings):
+    g = RSDigraph.of(9, 2, len(matchings), matchings)
+    assert g.sizes == tuple(map(len, matchings)) and len(g.edges) == sum(g.sizes)
+    assert g.matchings == matchings
+    assert [g.matching(i) for i in range(1, g.t + 1)] == list(matchings)
+    assert all(m.us.base is not None for m in g.matchings)  # views into the one edge block
+    with pytest.raises(ValueError, match="^matching sizes add up to"):
+        RSDigraph(9, 2, g.t, g.edges, g.sizes[:-1] + (g.sizes[-1] + 1,))
+
+
 def test_injected_cross_edge_fails(g3):
     # (2,5) joins matching 1's left side to its right side without being its edge
-    tampered = RSDigraph(
+    tampered = RSDigraph.of(
         g3.n_side, g3.r, g3.t,
         (g3.matchings[0], ((3, 4), (2, 5)), g3.matchings[2]),
     )
@@ -93,7 +108,7 @@ def test_injected_cross_edge_fails(g3):
 
 
 def test_shared_edge_fails(g3):
-    tampered = RSDigraph(g3.n_side, g3.r, g3.t,
+    tampered = RSDigraph.of(g3.n_side, g3.r, g3.t,
                          (g3.matchings[0], g3.matchings[0], g3.matchings[2]))
     report = verify_induced(tampered)
     assert not report.ok
@@ -102,7 +117,7 @@ def test_shared_edge_fails(g3):
 
 
 def test_wrong_size_fails(g3):
-    tampered = RSDigraph(g3.n_side, g3.r, g3.t,
+    tampered = RSDigraph.of(g3.n_side, g3.r, g3.t,
                          (tuple(g3.matchings[0])[:1], g3.matchings[1], g3.matchings[2]))
     assert not verify_induced(tampered).ok
     assert verify_induced(tampered) == reference_verify_induced(tampered)
@@ -153,7 +168,7 @@ def relabel(g: RSDigraph, n_side: int, seed: int) -> RSDigraph:
     left_id = fresh_ids({u for matching in g.matchings for u, _ in matching})
     right_id = fresh_ids({v for matching in g.matchings for _, v in matching})
     matchings = tuple(tuple((left_id[u], right_id[v]) for u, v in matching) for matching in g.matchings)
-    return RSDigraph(n_side, g.r, g.t, matchings)
+    return RSDigraph.of(n_side, g.r, g.t, matchings)
 
 
 @st.composite
@@ -179,7 +194,7 @@ def rs_graphs(draw):
         u = gen.choice(lefts) if gen.random() < 0.8 else gen.randint(0, g.n_side + 1)
         v = gen.choice(rights) if gen.random() < 0.8 else gen.randint(0, g.n_side + 1)
         matchings[gen.randrange(g.t)][gen.randrange(g.r)] = (u, v)
-    return RSDigraph(g.n_side, g.r, g.t, tuple(tuple(matching) for matching in matchings))
+    return RSDigraph.of(g.n_side, g.r, g.t, tuple(tuple(matching) for matching in matchings))
 
 
 @settings(max_examples=300, deadline=None)
@@ -195,9 +210,9 @@ def test_verify_induced_empty_and_single_edge_matchings():
     empty = build_rs_digraph(BehrendSet(5, (), "explicit"))
     assert (empty.t, empty.r) == (5, 0)
     singles = build_rs_digraph(BehrendSet(4, (3,), "explicit"))
-    one = RSDigraph(9, 3, 1, (((1, 4), (2, 5), (3, 6)),))
-    shared = RSDigraph(singles.n_side, 1, singles.t, (singles.matchings[0],) * singles.t)
-    wide = RSDigraph(2**64, one.r, one.t, one.matchings)  # N beyond int64, ids within
+    one = RSDigraph.of(9, 3, 1, (((1, 4), (2, 5), (3, 6)),))
+    shared = RSDigraph.of(singles.n_side, 1, singles.t, (singles.matchings[0],) * singles.t)
+    wide = RSDigraph.of(2**64, one.r, one.t, one.matchings)  # N beyond int64, ids within
     for g in (empty, singles, one, shared, relabel(one, 2**63 - 1, 3), wide):
         assert verify_induced(g) == reference_verify_induced(g)
     assert verify_induced(empty).ok and verify_induced(singles).ok and verify_induced(one).ok
@@ -213,7 +228,7 @@ def test_verify_induced_reports_a_cross_edge_in_the_last_chunk(n_side):
     t = 3 * rsgraph._CHUNK_PAIRS // (r * r) + 2
     matchings = [[(k * r + j + 1, k * r + j + 1) for j in range(r)] for k in range(t)]
     matchings[0][0] = (matchings[-1][0][0], matchings[-1][1][1])
-    g = RSDigraph(t * r, r, t, tuple(map(tuple, matchings)))
+    g = RSDigraph.of(t * r, r, t, tuple(map(tuple, matchings)))
     if n_side and n_side >> 63:  # ids past int64 are refused where the graph is built
         with pytest.raises(ValueError, match="^vertex ids are int64"):
             relabel(g, n_side, 11)
@@ -233,7 +248,7 @@ def test_verify_induced_reports_a_cross_edge_in_the_last_slice(monkeypatch, slic
     r, t, offset = 5, 12, 2**62
     matchings = [[(offset + k * r + j, offset + k * r + j) for j in range(1, r + 1)] for k in range(t)]
     matchings[0][0] = (matchings[-1][-1][0], matchings[-1][0][1])
-    g = RSDigraph(offset + t * r, r, t, tuple(map(tuple, matchings)))
+    g = RSDigraph.of(offset + t * r, r, t, tuple(map(tuple, matchings)))
     monkeypatch.setattr(rsgraph, "_SLICE_BITS", slice_bits)
     report = verify_induced(g)
     assert report == reference_verify_induced(g)
@@ -254,7 +269,7 @@ STRUCTURAL_CASES = {  # the first violating edge wins, then the reason priority
 
 @pytest.mark.parametrize("case", sorted(STRUCTURAL_CASES))
 def test_verify_induced_structural_order_equals_the_reference(case):
-    g = RSDigraph(9, 2, 3, tuple(map(tuple, STRUCTURAL_CASES[case])))
+    g = RSDigraph.of(9, 2, 3, tuple(map(tuple, STRUCTURAL_CASES[case])))
     report = verify_induced(g)
     assert not report.ok
     assert report == reference_verify_induced(g)
