@@ -133,11 +133,10 @@ def _st_sample_record(args) -> dict:
     return rec
 
 
-def st_batch(count: int = 1000, seed: int = 0, rs=None, with_distances: bool = False,
-             workers: int = 1) -> dict:
+def st_batch(count: int = 1000, seed: int = 0, with_distances: bool = False, workers: int = 1) -> dict:
     if count < 1:
         raise ValueError("count must be at least 1")
-    rs = rs or small_rs()
+    rs = small_rs()
     jobs = [(rs, seed, i, with_distances) for i in range(count)]
     records = _fan_out(_st_sample_record, jobs, workers)
     distances = {"seven": 0, "nine_plus": 0, "infinite": 0, "eight": 0}
@@ -221,6 +220,8 @@ def boost_trials(oracle_tag: str = "mock-reveal", m: int = 32, eps: float = 0.5,
 
 def si_uniformity(m: int = 8, samples: int = 100_000, seed: int = 0) -> dict:
     """Chi-square of the target's conditional distribution given Alice's set."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     gen = rngmod.substream(seed, "si-uniformity")
     counts: dict = {}
     for _ in range(samples):
@@ -250,6 +251,8 @@ def si_uniformity(m: int = 8, samples: int = 100_000, seed: int = 0) -> dict:
 
 def reduction_equiv(pm_trials: int = 500, seed: int = 0) -> dict:
     """Exhaustive matching equivalence on 4 vertices plus the oracle cross-check."""
+    if pm_trials < 0:
+        raise ValueError("pm_trials must be at least 0")
     s, t = 0, 3
     pairs = [(u, v) for u in range(4) for v in range(4) if u != v]
     mismatches = 0
@@ -301,6 +304,8 @@ def _compositions(total: int, parts: int):
 
 def info_props(cases: int = 10_000, seed: int = 0) -> dict:
     """Randomized checks of the distance/divergence facts, all at 1e-9."""
+    if cases < 1:
+        raise ValueError("cases must be at least 1")
     gen = rngmod.substream(seed, "info-props")
     fails = {
         "pinsker": 0,
@@ -381,6 +386,10 @@ def info_props(cases: int = 10_000, seed: int = 0) -> dict:
 
 def random_ap_free_batch(count: int = 50, max_m: int = 50, seed: int = 0) -> dict:
     """Random progression-free sets fed through the RS construction and verifier."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if max_m < 1:
+        raise ValueError("max_m must be at least 1")
     from .behrend import random_ap_free
 
     violations = 0

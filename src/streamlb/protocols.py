@@ -10,6 +10,11 @@ exact solver: k re-randomized runs, top-half votes, a threshold, and a final
 intersection subprotocol on the surviving candidates. Finally, a two-pass
 streaming algorithm is simulated exactly by the three-message pattern: the
 serialized memory states are the messages.
+
+One weight representation serves throughout: every posterior, likelihood and
+shift is an integer multiplicity over the randomness support's common
+denominator (`_integer_support`), in the exact, exact-symmetric and Monte
+Carlo modes, the unique-reach measurement and the booster's ranking.
 """
 
 from __future__ import annotations
@@ -498,6 +503,10 @@ def boost_si(oracle: SIOracle, inst: SIInstance, eps: float,
     given the transcript from Alice's side, and votes for the posterior's top
     half. Elements whose votes clear tau survive into the candidate set; if
     few enough survive, an intersection subprotocol finishes the job.
+
+    A round relabels Alice's sorted set and the target with one gather of its
+    permutation, takes the likelihoods as a list aligned with the relabeled
+    set (`_likelihoods`), and adds its votes with one indexed add.
     """
     m = inst.m
     if m % 8:

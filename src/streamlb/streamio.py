@@ -2,7 +2,9 @@
 
 Streams are grep-able text; witnesses live in a sibling JSON metadata file
 that only `read_meta` opens, so an algorithm under test never sees them.
-Every format round-trips exactly.
+Every format round-trips exactly. The three graph formats are a header,
+marker lines and blocks of `u v` edge lines: every edge line is written by
+`_edge_text` and read by `_edge_ids`.
 """
 
 from __future__ import annotations
@@ -47,35 +49,24 @@ def sha256_file(path) -> str:
 
 # --- streams -------------------------------------------------------------------
 
-RENDER_CHUNK = 1 << 16  # edges per formatted string: no stream is held as one string per edge
+RENDER_CHUNK = 1 << 16  # edge lines per formatted string: no file is held as one string per edge
 TABLE_SLACK = 1 << 16  # ids a decimal table may hold beyond the edges it formats
-
-
-def _decimal_table(count: int, head: bytes = b"", end: bytes = b"") -> np.ndarray:
-    """Row i, for i in [0, count): `head`, the decimal digits of i, then `end`,
-    padded with NUL bytes to the table's fixed width."""
-    places = len(str(max(count - 1, 0)))
-    digits = np.arange(count).astype(f"S{places}").view(np.uint8).reshape(count, places)
-    table = np.zeros((count, len(head) + digits.shape[1] + len(end)), dtype=np.uint8)
-    table[:, : len(head)] = np.frombuffer(head, dtype=np.uint8)
-    table[:, len(head) : len(head) + digits.shape[1]] = digits
-    stop = len(head) + np.count_nonzero(digits, axis=1)  # where each row's digits end
-    table[np.arange(count)[:, None], stop[:, None] + np.arange(len(end))] = np.frombuffer(end, dtype=np.uint8)
-    return table
 
 
 @lru_cache(maxsize=2)
 def _line_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The tables of "i " and "i\\n" for the ids i in [0, n), read-only: every caller shares them."""
-    tables = _decimal_table(n, end=b" "), _decimal_table(n, end=b"\n")
-    for table in tables:
+    """The tables of "i " and "i\\n" for the ids i in [0, n), read-only: every
+    caller shares them. Row i holds the decimal digits of i, then the space or
+    the newline, padded with NUL bytes to the table's fixed width."""
+    places = len(str(max(n - 1, 0)))
+    digits = np.zeros((n, places + 1), dtype=np.uint8)
+    digits[:, :places] = np.arange(n).astype(f"S{places}").view(np.uint8).reshape(n, places)
+    rows, stop = np.arange(n), np.count_nonzero(digits, axis=1)  # where each row's digits end
+    tables = digits, digits.copy()
+    for table, end in zip(tables, b" \n"):
+        table[rows, stop] = end
         table.flags.writeable = False
     return tables
-
-
-def _tabled(ids: np.ndarray, n: int) -> bool:
-    """Whether every id lies in [0, n), so a line table of n rows formats them."""
-    return not ids.size or (ids.min() >= 0 and ids.max() < n)
 
 
 def _table_lines(rows: np.ndarray) -> str:
@@ -83,32 +74,38 @@ def _table_lines(rows: np.ndarray) -> str:
     return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
+def _edge_text(us: np.ndarray, vs: np.ndarray, n: int, tabled: bool):
+    """The edges' "u v" lines, in strings of at most RENDER_CHUNK lines: the
+    one formatter of every file's edge lines.
+
+    Each file takes one rule for all its edges: `tabled` only when every id
+    lies in [0, n) and n is at most TABLE_SLACK beyond the file's edge count.
+    A tabled string is one gather from two fixed-width byte tables of "i " and
+    "i\\n", NUL padded (`_line_tables`, built on first use and kept for the
+    next file of that n), with the padding deleted by `bytes.translate`; any
+    other is one `%` format.
+    """
+    for lo in range(0, len(us), RENDER_CHUNK):
+        u, v = us[lo : lo + RENDER_CHUNK], vs[lo : lo + RENDER_CHUNK]
+        if tabled:
+            first, last = _line_tables(n)
+            yield _table_lines(np.concatenate((first[u], last[v]), axis=1))
+        else:
+            yield "%d %d\n" * len(u) % tuple(np.column_stack((u, v)).ravel().tolist())
+
+
 def _stream_text(stream: EdgeStream):
     """The text of `render_stream`, in strings of at most RENDER_CHUNK edge lines."""
     yield f"STREAM {stream.n} directed={1 if stream.directed else 0}\n"
-    tabled = stream.n <= stream.edge_count() + TABLE_SLACK
+    tabled = stream.n <= stream.edge_count() + TABLE_SLACK  # `EdgeStream` holds every id in [0, n)
     for tag, seg in stream.segments:
         yield f"SEG {tag}\n"
-        for lo in range(0, len(seg), RENDER_CHUNK):
-            us, vs = seg.us[lo : lo + RENDER_CHUNK], seg.vs[lo : lo + RENDER_CHUNK]
-            if tabled:
-                first, last = _line_tables(stream.n)
-                yield _table_lines(np.concatenate((first[us], last[vs]), axis=1))
-            else:
-                yield "%d %d\n" * len(us) % tuple(np.column_stack((us, vs)).ravel().tolist())
+        yield from _edge_text(seg.us, seg.vs, stream.n, tabled)
 
 
 def render_stream(stream: EdgeStream) -> str:
     """The text form of a stream: its header, then each segment's SEG line and
-    its edges, one "u v" line each.
-
-    The edges are formatted in chunks of RENDER_CHUNK. While the stream's n is
-    at most TABLE_SLACK beyond its edge count, a chunk is one gather from two
-    fixed-width byte tables of "i " and "i\\n", NUL padded (`_line_tables`,
-    built on first use and kept for the next stream of that n), with the
-    padding deleted by `bytes.translate`; `EdgeStream` holds every id in
-    [0, n). A stream of fewer edges is formatted by `%`.
-    """
+    its edges, one "u v" line each (`_edge_text`)."""
     return "".join(_stream_text(stream))
 
 
@@ -117,7 +114,7 @@ def write_stream(path, stream: EdgeStream):
         out.writelines(_stream_text(stream))
 
 
-_HEADER = re.compile(r"STREAM[ \t]+(\d+)[ \t]+directed=([01])", re.ASCII)
+_HEADER = re.compile(r"STREAM[ \t]+0*([1-9]\d*)[ \t]+directed=([01])", re.ASCII)
 _SEG_LINE = re.compile(r"^[ \t]*SEG(?:[ \t].*)?$", re.MULTILINE)
 # the text between two SEG lines: edge lines of two integers, blank lines between
 _EDGE_LINES = re.compile(r"(?:\s*\n[ \t]*-?\d+[ \t]+-?\d+)*\s*", re.ASCII)
@@ -210,6 +207,30 @@ def _edge_ids(body: str, where: str, span: str) -> np.ndarray:
         raise ValueError(f"vertex id {bad} in {where} is outside {span}") from None
 
 
+def _marked_blocks(text: str, kind: str, header: re.Pattern, form: str, rule: str,
+                   marker: re.Pattern, word: str, before: str):
+    """The header match of a file of `kind` and its blocks, as (marker line,
+    the text up to the next one), each sliced only when it is reached.
+
+    The header is the first non-blank line and fully matches `header`; no
+    other line comes before the first line that `marker` matches (found by
+    `_marker_lines` with `word`). Each defect raises a one-line ValueError
+    naming the file's `form` and the `rule` its header keeps.
+    """
+    marks = _marker_lines(marker, word, text)
+    rows = [ln.strip() for ln in text[: marks[0].start() if marks else len(text)].splitlines()]
+    rows = [ln for ln in rows if ln]
+    if not rows:
+        raise ValueError(f"missing {kind} header '{form}'" if marks else f"empty {kind} file")
+    head = header.fullmatch(rows[0])
+    if head is None:
+        raise ValueError(f"malformed {kind} header {rows[0][:80]!r}: expected '{form}'{rule}")
+    if len(rows) > 1:
+        raise ValueError(f"line {rows[1][:80]!r} comes {before}")
+    stops = [mark.start() for mark in marks[1:]] + [len(text)]
+    return head, ((mark, text[mark.end() : stop]) for mark, stop in zip(marks, stops))
+
+
 def parse_stream(text: str, layers: LayerMap | None = None) -> EdgeStream:
     """Read the text form strictly; every defect raises a one-line ValueError.
 
@@ -225,29 +246,19 @@ def parse_stream(text: str, layers: LayerMap | None = None) -> EdgeStream:
     goes through the strict regex and one Python int per token, so an error
     names the exact line or id.
     """
-    marks = _marker_lines(_SEG_LINE, "SEG", text)
-    rows = [ln.strip() for ln in text[: marks[0].start() if marks else len(text)].splitlines()]
-    rows = [ln for ln in rows if ln]
-    if not rows:
-        raise ValueError("missing stream header 'STREAM <n> directed=<0|1>'" if marks
-                         else "empty stream file")
-    head = _HEADER.fullmatch(rows[0])
-    if head is None or int(head[1]) < 1:
-        raise ValueError(f"malformed stream header {rows[0][:80]!r}: "
-                         "expected 'STREAM <n> directed=<0|1>' with n >= 1")
-    if len(rows) > 1:
-        raise ValueError(f"line {rows[1][:80]!r} comes between the header and the first SEG line")
+    head, blocks = _marked_blocks(text, "stream", _HEADER, "STREAM <n> directed=<0|1>", " with n >= 1",
+                                  _SEG_LINE, "SEG", "between the header and the first SEG line")
     n = int(head[1])
-    check_vertex_count(n, f"stream header {rows[0][:80]!r}")
+    check_vertex_count(n, f"stream header {head[0][:80]!r}")
     segments = []
-    for mark, nxt in zip(marks, marks[1:] + [None]):
+    for mark, body in blocks:
         seg_head = mark[0].split(maxsplit=1)
         if len(seg_head) != 2:
             raise ValueError("a SEG line has no tag")
         tag = seg_head[1].strip()
         if any(tag == seen for seen, _ in segments):
             raise ValueError(f"segment tag {tag!r} repeats")
-        ids = _edge_ids(text[mark.end() : nxt.start() if nxt else len(text)], f"segment {tag!r}", f"[0, {n})")
+        ids = _edge_ids(body, f"segment {tag!r}", f"[0, {n})")
         segments.append((tag, EdgeBlock(ids[0::2], ids[1::2])))
     return EdgeStream(n=n, directed=head[2] == "1", segments=tuple(segments), layers=layers)
 
@@ -368,33 +379,15 @@ def verify_st_file(stream: EdgeStream, meta: dict) -> Report:
 # --- RS digraphs ------------------------------------------------------------------
 
 def _rs_text(g: RSDigraph):
-    """The text form of an RS digraph, in strings of whole matchings of at most
-    RENDER_CHUNK edges (one matching at least).
-
-    When every matching has r edges with ids in [0, N], which holds for every
-    graph `verify_induced` accepts, and N is at most TABLE_SLACK beyond the
-    edge count, a chunk is one gather: each matching's "M i" line from a table
-    of them, then its edge lines from the stream's line tables, read from
-    (count, r) views of the edges. Otherwise each matching is formatted line
-    by line.
-    """
+    """The text form of an RS digraph: its header, then one string per matching,
+    its "M i" line and its edge lines (`_edge_text`). Tabled when every id lies
+    in [0, N], which holds for every graph `verify_induced` accepts."""
     yield f"RS {g.n_side} {g.t} {g.r}\n"
-    bound, k, edges = g.n_side + 1, len(g.sizes), g.edges
-    if g.sizes == (g.r,) * k and bound <= len(edges) + TABLE_SLACK and _tabled(edges.us, bound) \
-            and _tabled(edges.vs, bound):
-        first, last = _line_tables(bound)
-        width = first.shape[1] + last.shape[1]
-        heads = _decimal_table(k + 1, head=b"M ", end=b"\n")[1:]
-        left, right = edges.us.reshape(k, g.r), edges.vs.reshape(k, g.r)
-        step = max(1, RENDER_CHUNK // max(g.r, 1))
-        for lo in range(0, k, step):
-            us, vs = left[lo : lo + step], right[lo : lo + step]
-            lines = np.concatenate((first[us], last[vs]), axis=2).reshape(len(us), g.r * width)
-            yield _table_lines(np.concatenate((heads[lo : lo + step], lines), axis=1))
-        return
+    bound, edges = g.n_side + 1, g.edges
+    tabled = bound <= len(edges) + TABLE_SLACK and (not len(edges) or (
+        min(edges.us.min(), edges.vs.min()) >= 0 and max(edges.us.max(), edges.vs.max()) < bound))
     for i, matching in enumerate(g.matchings, start=1):
-        pairs = zip(matching.us.tolist(), matching.vs.tolist())
-        yield "".join([f"M {i}\n", *(f"{u} {v}\n" for u, v in pairs)])
+        yield "".join((f"M {i}\n", *_edge_text(matching.us, matching.vs, bound, tabled)))
 
 
 def render_rs(g: RSDigraph) -> str:
@@ -420,27 +413,19 @@ def parse_rs(text: str) -> RSDigraph:
     ignored; an id past int64 raises. Counts that disagree with the header
     and ids outside [1, N] are left to `verify_induced`.
     """
-    marks = _marker_lines(_M_LINE, "M", text)
-    rows = [ln.strip() for ln in text[: marks[0].start() if marks else len(text)].splitlines()]
-    rows = [ln for ln in rows if ln]
-    if not rows:
-        raise ValueError("missing RS header 'RS <N> <t> <r>'" if marks else "empty RS file")
-    head = _RS_HEADER.fullmatch(rows[0])
-    if head is None:
-        raise ValueError(f"malformed RS header {rows[0][:80]!r}: expected 'RS <N> <t> <r>'")
-    if len(rows) > 1:
-        raise ValueError(f"line {rows[1][:80]!r} comes before the first 'M 1' line")
+    head, blocks = _marked_blocks(text, "RS", _RS_HEADER, "RS <N> <t> <r>", "",
+                                  _M_LINE, "M", "before the first 'M 1' line")
     n_side, t, r = int(head[1]), int(head[2]), int(head[3])
     # the ids are appended to one growing buffer as each matching is read: a
     # list of one array per matching would leave its freed blocks behind in
     # the heap once joined
     ids, sizes = array("q"), []
-    for mark, nxt in zip(marks, marks[1:] + [None]):
+    for mark, body in blocks:
         i = len(sizes) + 1
         index = _M_INDEX.fullmatch(mark[0].strip())
         if index is None or int(index[1]) != i:
             raise ValueError(f"matching header {mark[0].strip()[:80]!r} out of order: expected 'M {i}'")
-        block = _edge_ids(text[mark.end() : nxt.start() if nxt else len(text)], f"matching {i}", "int64")
+        block = _edge_ids(body, f"matching {i}", "int64")
         if not len(block) and r:
             raise ValueError(f"matching {i} has no edges")
         ids.frombytes(block.view(np.uint8))
@@ -455,58 +440,70 @@ def read_rs(path) -> RSDigraph:
 
 # --- bipartite graphs --------------------------------------------------------------
 
+def _bipartite_text(g: BipartiteGraph):
+    """The text form of a bipartite graph: its header, its label lines, then
+    its edges 1-based (`_edge_text`)."""
+    n_l, n_r = len(g.left), len(g.right)
+    yield f"BIPARTITE {n_l} {n_r}\n"
+    yield "".join([*(f"# L{i} {u}\n" for i, u in enumerate(g.left, 1)),
+                   *(f"# R{j} {v}\n" for j, v in enumerate(g.right, 1))])
+    bound = max(n_l, n_r) + 1  # `BipartiteGraph` holds every index in [0, nL) x [0, nR)
+    yield from _edge_text(g.edges.us + 1, g.edges.vs + 1, bound, bound <= len(g.edges) + TABLE_SLACK)
+
+
 def render_bipartite(g: BipartiteGraph) -> str:
-    lines = [f"BIPARTITE {len(g.left)} {len(g.right)}"]
-    lines += [f"# L{i} {u}" for i, u in enumerate(g.left, 1)]
-    lines += [f"# R{j} {v}" for j, v in enumerate(g.right, 1)]
-    lines += [f"{i} {j}" for i, j in zip((g.edges.us + 1).tolist(), (g.edges.vs + 1).tolist())]
-    return "\n".join(lines) + "\n"
+    return "".join(_bipartite_text(g))
 
 
 def write_bipartite(path, g: BipartiteGraph):
-    Path(path).write_text(render_bipartite(g))
+    with Path(path).open("w") as out:
+        out.writelines(_bipartite_text(g))
 
 
 # the header's side counts size the graph before any edge is read, so they are capped
 _BIPARTITE_HEADER = re.compile(r"BIPARTITE[ \t]+(\d+)[ \t]+(\d+)", re.ASCII)
+_LABEL_MARK = re.compile(r"^[ \t]*#.*$", re.MULTILINE)
 _LABEL_LINE = re.compile(r"#[ \t]*([LR])(\d+)[ \t]+\S.*", re.ASCII)
-_INDEX_PAIR = re.compile(r"(\d+)[ \t]+(\d+)", re.ASCII)
+_FIRST_LINE = re.compile(r"\s*([^\n]*)")  # the first non-blank line, from its first non-blank
 
 
 def parse_bipartite(text: str) -> BipartiteGraph:
     """Read the text form strictly; every defect raises a one-line ValueError.
 
-    The file opens with `BIPARTITE <nL> <nR>`. Every later line is a label
-    `# L<i> <id>` / `# R<i> <id>` or an edge `i j` with i in [1, nL] and j in
-    [1, nR]. Labels are not read back: both sides are labelled from 1, and the
-    edges are 0-based. Neither side may exceed MAX_BIPARTITE_SIDE vertices.
+    The file opens with `BIPARTITE <nL> <nR>`. A later line whose first
+    non-blank is '#' is a label `# L<i> <id>` / `# R<i> <id>`, i on its side,
+    and may come anywhere; the lines around the labels are read as one block
+    of edge lines `i j` by `_edge_ids`, as a stream's segment is, with i in
+    [1, nL] and j in [1, nR]. Labels are not read back: both sides are
+    labelled from 1, and the edges are 0-based. Neither side may exceed
+    MAX_BIPARTITE_SIDE vertices.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
+    first = _FIRST_LINE.match(text)
+    line = first[1].strip()
+    if not line:
         raise ValueError("empty bipartite file")
-    head = _BIPARTITE_HEADER.fullmatch(lines[0])
+    head = _BIPARTITE_HEADER.fullmatch(line)
     if head is None:
-        raise ValueError(f"malformed bipartite header {lines[0][:80]!r}: expected 'BIPARTITE <nL> <nR>'")
+        raise ValueError(f"malformed bipartite header {line[:80]!r}: expected 'BIPARTITE <nL> <nR>'")
     n_l, n_r = int(head[1]), int(head[2])
     if max(n_l, n_r) > MAX_BIPARTITE_SIDE:
-        raise ValueError(f"bipartite header {lines[0][:80]!r} declares more than "
+        raise ValueError(f"bipartite header {line[:80]!r} declares more than "
                          f"{MAX_BIPARTITE_SIDE} vertices on a side")
-    edges = []
-    for ln in lines[1:]:
-        if ln.startswith("#"):
-            label = _LABEL_LINE.fullmatch(ln)
-            if label is None or not 1 <= int(label[2]) <= (n_l if label[1] == "L" else n_r):
-                raise ValueError(f"malformed label line {ln[:80]!r}: expected '# L<i> <id>' or '# R<i> <id>'")
-            continue
-        pair = _INDEX_PAIR.fullmatch(ln)
-        if pair is None:
-            raise ValueError(f"malformed edge line {ln[:80]!r}: expected 'i j'")
-        i, j = int(pair[1]), int(pair[2])
-        if not (1 <= i <= n_l and 1 <= j <= n_r):
-            raise ValueError(f"edge {ln[:80]!r} is outside [1, {n_l}] x [1, {n_r}]")
-        edges.append((i - 1, j - 1))
-    return BipartiteGraph(tuple(range(1, n_l + 1)), tuple(range(1, n_r + 1)), edges)
+    marks = _marker_lines(_LABEL_MARK, "#", text)
+    for mark in marks:
+        ln = mark[0].strip()
+        label = _LABEL_LINE.fullmatch(ln)
+        if label is None or not 1 <= int(label[2]) <= (n_l if label[1] == "L" else n_r):
+            raise ValueError(f"malformed label line {ln[:80]!r}: expected '# L<i> <id>' or '# R<i> <id>'")
+    starts = [first.end()] + [mark.end() for mark in marks]
+    stops = [mark.start() for mark in marks] + [len(text)]
+    sides = f"[1, {n_l}] x [1, {n_r}]"
+    ids = _edge_ids("".join(text[lo:hi] for lo, hi in zip(starts, stops)), "the bipartite file", sides)
+    us, vs = ids[0::2], ids[1::2]
+    outside = np.flatnonzero((us < 1) | (us > n_l) | (vs < 1) | (vs > n_r))
+    if len(outside):
+        raise ValueError(f"edge '{us[outside[0]]} {vs[outside[0]]}' is outside {sides}")
+    return BipartiteGraph(tuple(range(1, n_l + 1)), tuple(range(1, n_r + 1)), EdgeBlock(us - 1, vs - 1))
 
 
 def read_bipartite(path) -> BipartiteGraph:

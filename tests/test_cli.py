@@ -331,12 +331,14 @@ def test_tour_artifacts_and_verify_lines_are_unchanged(tmp_path, capsys):
             assert capsys.readouterr().out == line + "\n"
 
 
-# sha256 of `gen rs --m 1000 --trim 4` (the benchmark's graph, r = 104, so
-# `render_rs` writes it in two table chunks) and of `gen st --seed 7 --count 1` on it
+# sha256 of `gen rs --m 1000 --trim 4` (the benchmark's graph, r = 104), of
+# `gen st --seed 7 --count 1` on it, and of `reduce matching` on that stream
+# (69,697 edge lines, so `write_bipartite` writes them in two table chunks)
 M1000_HASHES = {
     "rs.txt": "49df98ce5f21a0b9b4bbe3e5d89ec7b192e590472e92ada5143494c2d812de04",
     "st/st-0000.stream": "2bedf84f55cabb99228b1d0c190e3d6c3b4aa1b286cdde0704d8c39471aaf565",
     "st/st-0000.stream.meta.json": "107863759612079220dc18883d034a72c20a6e959e41601fbd7aca99bec6ba67",
+    "bip.txt": "a29dfa21c571a1b8256fea4d0b99a73e0dc615b0e5d4133ae982c94b27ad1ab8",
 }
 
 
@@ -344,9 +346,17 @@ def test_benchmark_size_artifacts_and_verify_lines_are_unchanged(tmp_path, capsy
     assert run("gen", "rs", "--m", 1000, "--trim", 4, "--out", tmp_path / "rs.txt") == OK
     g = streamio.read_rs(tmp_path / "rs.txt")
     assert (g.r, g.t) == (104, 1000)
-    assert len(list(streamio._rs_text(g))) == 3  # the header, then two chunks of whole matchings
+    # after the header, each string `write_rs` writes is one whole matching
+    pieces = list(streamio._rs_text(g))
+    assert len(pieces) == 1 + g.t
+    assert all(piece.startswith(f"M {i}\n") and piece.count("\n") == 1 + g.r
+               for i, piece in enumerate(pieces[1:], start=1))
     assert run("gen", "st", "--rs", tmp_path / "rs.txt", "--seed", 7, "--count", 1,
                "--out", tmp_path / "st") == OK
+    assert run("reduce", "matching", "--input", tmp_path / "st" / "st-0000.stream",
+               "--out", tmp_path / "bip.txt") == OK
+    lines = (tmp_path / "bip.txt").read_text().splitlines()
+    assert sum(not ln.startswith("#") for ln in lines) == 1 + 69697  # the header, then the edges
     for name, digest in M1000_HASHES.items():
         assert streamio.sha256_file(tmp_path / name) == digest, name
     capsys.readouterr()
@@ -797,6 +807,12 @@ REFUSALS = {
     "protocol boost --m 8 --trials 0": "trials must be at least 1",
     "experiment boost-trials --param trials=0": "trials must be at least 1",
     "experiment st-batch --param count=-3": "count must be at least 1",
+    "experiment st-batch --param rs=5": "st_batch() got an unexpected keyword argument 'rs'",
+    "experiment si-uniformity --param samples=0": "samples must be at least 1",
+    "experiment random-apfree-rs --param count=-3": "count must be at least 1",
+    "experiment random-apfree-rs --param max_m=0": "max_m must be at least 1",
+    "experiment info-props --param cases=-1": "cases must be at least 1",
+    "experiment reduction-equiv --param pm_trials=-1": "pm_trials must be at least 0",
     "gen si --m 6 --out out": "universe size must be a positive multiple of 4, got 6",
     "gen st --rs {rs} --e1-seed -1 --out out": "streamlb gen st: argument --e1-seed: must be at least 0, got -1",
     "gen rs --m 8 --trim -2 --out rs.txt": "streamlb gen rs: argument --trim: must be at least 0, got -2",
@@ -845,6 +861,28 @@ BAD_STREAMS = {
     "id equal to n": "STREAM 4 directed=1\nSEG E1\n0 1\nSEG E2\n3 4\n",
     "negative id": "STREAM 4 directed=1\nSEG E1\n-1 2\n",
 }
+# the exact error of each case, which `error:` prints
+BAD_STREAM_ERRORS = {
+    "SEG without a tag": "a SEG line has no tag",
+    "blank file": "empty stream file",
+    "edge before the first SEG": "line '0 1' comes between the header and the first SEG line",
+    "edge with a junk token": "malformed edge line '0 x' in segment 'E1': expected 'u v'",
+    "edge with one id": "malformed edge line '2' in segment 'E1': expected 'u v'",
+    "edge with three ids": "malformed edge line '0 1 2' in segment 'E1': expected 'u v'",
+    "empty file": "empty stream file",
+    "header with a bad direction":
+        "malformed stream header 'STREAM 4 directed=yes': expected 'STREAM <n> directed=<0|1>' with n >= 1",
+    "header with a word for n":
+        "malformed stream header 'STREAM four directed=1': expected 'STREAM <n> directed=<0|1>' with n >= 1",
+    "header with no vertices":
+        "malformed stream header 'STREAM 0 directed=1': expected 'STREAM <n> directed=<0|1>' with n >= 1",
+    "header without direction":
+        "malformed stream header 'STREAM 4': expected 'STREAM <n> directed=<0|1>' with n >= 1",
+    "id equal to n": "vertex id 4 in segment 'E2' is outside [0, 4)",
+    "missing header": "missing stream header 'STREAM <n> directed=<0|1>'",
+    "negative id": "vertex id -1 in segment 'E1' is outside [0, 4)",
+    "repeated tag": "segment tag 'E1' repeats",
+}
 
 
 @pytest.mark.parametrize("alg", ["store-all", "bfs-frontier:2", "edge-count"])
@@ -852,9 +890,11 @@ BAD_STREAMS = {
 def test_stream_run_rejects_malformed_input(tmp_path, capsys, case, alg):
     path = tmp_path / "bad.stream"
     path.write_text(BAD_STREAMS[case])
+    with pytest.raises(ValueError) as info:
+        streamio.parse_stream(BAD_STREAMS[case])
+    assert str(info.value) == BAD_STREAM_ERRORS[case]
     assert run("stream", "run", "--alg", alg, "--input", path, "--passes", 2) == USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: {BAD_STREAM_ERRORS[case]}\n"
 
 
 def test_a_header_past_the_vertex_cap_is_refused_under_every_command(tmp_path, capsys):
@@ -1005,6 +1045,29 @@ BAD_RS = {
     "edge with an underscore": GOOD_RS.replace("4 6", "4 1_0"),
     "huge id": GOOD_RS.replace("4 6", f"4 {10**30}"),  # past int64: no graph holds it
 }
+# the exact error of each case, which `error:` prints
+BAD_RS_ERRORS = {
+    "M line without an index": "matching header 'M' out of order: expected 'M 2'",
+    "blank file": "empty RS file",
+    "edge before the first M": "line '1 1' comes before the first 'M 1' line",
+    "edge with a junk token": "malformed edge line '4 x' in matching 2: expected 'u v'",
+    "edge with a non-ASCII digit": "malformed edge line '4 \u0666' in matching 2: expected 'u v'",
+    "edge with an underscore": "malformed edge line '4 1_0' in matching 2: expected 'u v'",
+    "edge with one id": "malformed edge line '4' in matching 2: expected 'u v'",
+    "edge with three ids": "malformed edge line '4 6 1' in matching 2: expected 'u v'",
+    "empty file": "empty RS file",
+    "empty last matching": "matching 3 has no edges",
+    "empty matching": "matching 1 has no edges",
+    "header with a word for N": "malformed RS header 'RS nine 3 2': expected 'RS <N> <t> <r>'",
+    "header with a wrong keyword": "malformed RS header 'RX 9 3 2': expected 'RS <N> <t> <r>'",
+    "header with an extra token": "malformed RS header 'RS 9 3 2 1': expected 'RS <N> <t> <r>'",
+    "header without r": "malformed RS header 'RS 9 3': expected 'RS <N> <t> <r>'",
+    "huge id": "vertex id 1000000000000000000000000000000 in matching 2 is outside int64",
+    "matching index repeated": "matching header 'M 2' out of order: expected 'M 3'",
+    "matching index skipped": "matching header 'M 3' out of order: expected 'M 2'",
+    "matchings out of order": "matching header 'M 3' out of order: expected 'M 2'",
+    "missing header": "missing RS header 'RS <N> <t> <r>'",
+}
 TAMPERED_RS = {  # well formed, so verify_induced has the last word: exit 1
     "fewer matchings than t": "RS 9 4 2\nM 1\n2 3\n3 5\nM 2\n3 4\n4 6\nM 3\n4 5\n5 7\n",
     "matching smaller than r": GOOD_RS.replace("4 6\n", ""),
@@ -1018,12 +1081,12 @@ TAMPERED_RS = {  # well formed, so verify_induced has the last word: exit 1
 def test_rs_readers_reject_malformed_input(tmp_path, capsys, case):
     path = tmp_path / "bad.txt"
     path.write_text(BAD_RS[case])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         streamio.parse_rs(BAD_RS[case])
+    assert str(info.value) == BAD_RS_ERRORS[case]
     assert run("verify", "rs", path) == USAGE
     assert run("gen", "st", "--rs", path, "--seed", 1, "--count", 1, "--out", tmp_path / "st") == USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 2
+    assert capsys.readouterr().err == f"error: {BAD_RS_ERRORS[case]}\n" * 2
 
 
 # the whole `verify rs` line on each tampered file: a numpy scalar in a report
@@ -1139,6 +1202,28 @@ BAD_BIPARTITE = {
     "label without an id": GOOD_BIPARTITE.replace("# L2 b", "# L2"),
     "label beyond nR": GOOD_BIPARTITE.replace("# R2 d", "# R3 d"),
     "bare comment": GOOD_BIPARTITE.replace("# L2 b", "# note"),
+    "index past int64": GOOD_BIPARTITE.replace("2 1\n", f"2 {10**30}\n"),
+}
+# the exact error of each case, which `error:` prints
+BAD_BIPARTITE_ERRORS = {
+    "bare comment": "malformed label line '# note': expected '# L<i> <id>' or '# R<i> <id>'",
+    "blank file": "empty bipartite file",
+    "edge with a junk token": "malformed edge line '2 x' in the bipartite file: expected 'u v'",
+    "edge with a non-ASCII digit": "malformed edge line '2 \u0661' in the bipartite file: expected 'u v'",
+    "edge with three indices": "malformed edge line '2 1 1' in the bipartite file: expected 'u v'",
+    "index past int64": f"vertex id {10**30} in the bipartite file is outside [1, 2] x [1, 2]",
+    "empty file": "empty bipartite file",
+    "header with a word for nL": "malformed bipartite header 'BIPARTITE two 2': expected 'BIPARTITE <nL> <nR>'",
+    "header with an extra token": "malformed bipartite header 'BIPARTITE 2 2 2': expected 'BIPARTITE <nL> <nR>'",
+    "index zero": "edge '0 1' is outside [1, 2] x [1, 2]",
+    "label beyond nR": "malformed label line '# R3 d': expected '# L<i> <id>' or '# R<i> <id>'",
+    "label of no side": "malformed label line '# X2 b': expected '# L<i> <id>' or '# R<i> <id>'",
+    "label without an id": "malformed label line '# L2': expected '# L<i> <id>' or '# R<i> <id>'",
+    "left index beyond nL": "edge '3 1' is outside [1, 2] x [1, 2]",
+    "missing header": "malformed bipartite header '1 2': expected 'BIPARTITE <nL> <nR>'",
+    "negative index": "edge '-2 1' is outside [1, 2] x [1, 2]",
+    "right index beyond nR": "edge '2 3' is outside [1, 2] x [1, 2]",
+    "truncated header": "malformed bipartite header 'BIPARTITE 2': expected 'BIPARTITE <nL> <nR>'",
 }
 
 
@@ -1146,11 +1231,11 @@ BAD_BIPARTITE = {
 def test_oracle_pm_rejects_malformed_input(tmp_path, capsys, case):
     path = tmp_path / "bad.txt"
     path.write_text(BAD_BIPARTITE[case])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         streamio.parse_bipartite(BAD_BIPARTITE[case])
+    assert str(info.value) == BAD_BIPARTITE_ERRORS[case]
     assert run("oracle", "pm", "--input", path) == USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: {BAD_BIPARTITE_ERRORS[case]}\n"
 
 
 def test_oracle_pm_accepts_the_wellformed_neighbour(tmp_path, capsys):
@@ -1323,6 +1408,90 @@ def test_bipartite_reader_fuzz(tmp_path, text):
         assert code == USAGE
     else:
         assert code == OK
+
+
+_REFERENCE_HEADER = re.compile(r"BIPARTITE[ \t]+(\d+)[ \t]+(\d+)", re.ASCII)
+_REFERENCE_LABEL = re.compile(r"#[ \t]*([LR])(\d+)[ \t]+\S.*", re.ASCII)
+_REFERENCE_PAIR = re.compile(r"(\d+)[ \t]+(\d+)", re.ASCII)
+
+
+def reference_parse_bipartite(text):
+    """The bipartite reader as it once was, line by line: the (left, right,
+    edges) it reads, or None where it refuses the text."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln]
+    head = _REFERENCE_HEADER.fullmatch(lines[0]) if lines else None
+    if head is None or max(int(head[1]), int(head[2])) > streamio.MAX_BIPARTITE_SIDE:
+        return None
+    n_l, n_r = int(head[1]), int(head[2])
+    edges = []
+    for ln in lines[1:]:
+        if ln.startswith("#"):
+            label = _REFERENCE_LABEL.fullmatch(ln)
+            if label is None or not 1 <= int(label[2]) <= (n_l if label[1] == "L" else n_r):
+                return None
+            continue
+        pair = _REFERENCE_PAIR.fullmatch(ln)
+        if pair is None or not (1 <= int(pair[1]) <= n_l and 1 <= int(pair[2]) <= n_r):
+            return None
+        edges.append((int(pair[1]) - 1, int(pair[2]) - 1))
+    return tuple(range(1, n_l + 1)), tuple(range(1, n_r + 1)), tuple(edges)
+
+
+# the tokens of a bipartite file's grammar, CRLF as one line break
+BIPARTITE_TOKENS = [" ", "\t", "\n", "\r\n", "#", "L", "R", "-", "x", *"0123456789"]
+
+
+@st.composite
+def bipartite_token_texts(draw):
+    """A bipartite file's lines (header, labels and edges in any order, blank
+    lines), each padded by spaces and tabs and ended by LF or CRLF, each part
+    well formed nine times in ten; then 0-2 of its tokens dropped, inserted
+    or replaced by tokens of `BIPARTITE_TOKENS`."""
+    def pick(good, bad):
+        return draw(st.sampled_from(good if draw(st.integers(0, 9)) else bad))
+
+    n_l, n_r = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    index = {"L": [str(i) for i in range(1, n_l + 1)] or ["1"], "R": [str(j) for j in range(1, n_r + 1)] or ["1"]}
+    odd = ["0", "4", "00", "01", "-1", "-0", "x", ""]
+    blank = [" ", "\t", " \t "]
+    lines = [f"BIPARTITE {n_l} {n_r}"]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["label", "edge", "blank"]))
+        if kind == "label":
+            side = pick(["L", "R"], ["x", "LR", ""])
+            lines.append("#" + pick(["", " "], ["\t", " \t"]) + side + pick(index.get(side, ["1"]), odd)
+                         + pick([" ", "\t"], [""]) + pick(["a", "x", "#", "L1", "9 9"], ["", " "]))
+        elif kind == "edge":
+            lines.append(pick(index["L"], odd) + pick([" ", "\t", "  "], [""]) + pick(index["R"], odd)
+                         + pick([""], [" 1", " #", "-"]))
+        else:
+            lines.append("")
+    tokens = [pick([""], ["\n", " \n", "\t\r\n"])]  # a blank line before the header
+    for line in lines:
+        tokens += [pick([""], blank), *line, pick([""], blank), draw(st.sampled_from(["\n", "\r\n"]))]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(tokens)))
+        kind = draw(st.sampled_from(["drop", "insert", "replace"]))
+        if kind == "insert" or at == len(tokens):
+            tokens.insert(at, draw(st.sampled_from(BIPARTITE_TOKENS)))
+        elif kind == "drop":
+            del tokens[at]
+        else:
+            tokens[at] = draw(st.sampled_from(BIPARTITE_TOKENS))
+    return "".join(tokens)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=bipartite_token_texts())
+def test_bipartite_reader_equals_the_line_by_line_reference(text):
+    expected = reference_parse_bipartite(text)
+    try:
+        g = streamio.parse_bipartite(text)
+    except ValueError:
+        assert expected is None
+    else:
+        assert (g.left, g.right, tuple(g.edges)) == expected
 
 
 def workflow_commands(text):
