@@ -133,9 +133,17 @@ def _st_sample_record(args) -> dict:
     return rec
 
 
+# most instances `st_batch` draws: its job list and records hold about 350 B
+# per instance (tracemalloc), about 0.35 GiB at the cap, and one draw takes
+# about 1.7 ms, half an hour at the cap (2 vCPUs, Python 3.11, numpy 2.4)
+ST_BATCH_COUNT_CAP = 10**6
+
+
 def st_batch(count: int = 1000, seed: int = 0, with_distances: bool = False, workers: int = 1) -> dict:
     if count < 1:
         raise ValueError("count must be at least 1")
+    if count > ST_BATCH_COUNT_CAP:
+        raise ValueError(f"count must be at most {ST_BATCH_COUNT_CAP}")
     rs = small_rs()
     jobs = [(rs, seed, i, with_distances) for i in range(count)]
     records = _fan_out(_st_sample_record, jobs, workers)
@@ -184,11 +192,20 @@ def _boost_trial_record(args) -> dict:
     }
 
 
+# most trials `boost_trials` runs: its job list and records hold about 420 B
+# per trial (tracemalloc), about 0.4 GiB at the cap, and one mock-reveal trial
+# at m = 32 takes about 12 ms, over three hours at the cap (2 vCPUs, Python
+# 3.11, numpy 2.4); a bound on the time over m, eps and trials is still open
+BOOST_TRIALS_CAP = 10**6
+
+
 def boost_trials(oracle_tag: str = "mock-reveal", m: int = 32, eps: float = 0.5,
                  gamma1: float = 0.5, gamma2: float = 2.0, trials: int = 300,
                  seed: int = 0, workers: int = 1) -> dict:
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if trials > BOOST_TRIALS_CAP:
+        raise ValueError(f"trials must be at most {BOOST_TRIALS_CAP}")
     oracle = make_si_oracle(oracle_tag, eps, m)
     jobs = [(oracle_tag, m, eps, gamma1, gamma2, seed, i) for i in range(trials)]
     records = _fan_out(_boost_trial_record, jobs, workers)

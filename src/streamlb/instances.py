@@ -43,12 +43,6 @@ def check_vertex_count(n: int, what: str):
         raise ValueError(f"{what} has {n} vertices; a stream holds at most {MAX_STREAM_N}")
 
 
-def _as_generator(rng, *default_path):
-    if isinstance(rng, (int, np.integer)):
-        return rngmod.substream(int(rng), *default_path)
-    return rng
-
-
 # --- set intersection --------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -190,14 +184,14 @@ def _draw_si_rows(m: int, seed: int, path: tuple, t: int) -> np.ndarray:
     return picks
 
 
-def sample_si(m: int, rng) -> SIInstance:
+def sample_si(m: int, gen: np.random.Generator) -> SIInstance:
     """Draw disjoint rests of size m/4-1 and a shared target from the remainder."""
     if m < 4 or m % 4:
         raise ValueError(f"universe size must be a positive multiple of 4, got {m}")
     if m > SI_M_CAP:
         raise ValueError(f"universe size m={m} is above the cap of {SI_M_CAP} for a drawn instance")
     q = m // 4 - 1
-    picks = _draw_si(m, _as_generator(rng, "si")).tolist()
+    picks = _draw_si(m, gen).tolist()
     e_star = picks[-1]
     return SIInstance(
         m=m,

@@ -556,58 +556,43 @@ def intersection_protocol(a, b, m: int):
 
 # --- streaming simulation -------------------------------------------------------
 
+# who holds the state in each segment (E1, E2, E3) of pass 1 and of pass 2
+_HOLDERS = (("alice", "bob", "alice"), ("alice", "bob", "bob"))
+
+
 def simulate_two_pass(alg_factory, stream: EdgeStream):
     """Run a two-pass streaming algorithm through the three-message pattern.
 
-    Alice holds the first segment, Bob the second, and the third is revealed
-    to both after one round; each takes a segment whole (`process_block`).
-    The messages are exactly the serialized memory states at the hand-off
-    points; the final output must match a direct two-pass run bit for bit.
-    A state of more than MESSAGE_BITS_CAP bits is refused before it is
-    serialized.
+    `_HOLDERS` is the schedule: in pass p, segment j is processed whole
+    (`process_block`) by `_HOLDERS[p - 1][j]`. Alice holds E1 and Bob E2.
+    E3 is revealed to both after the first round, so whoever holds the state
+    when it comes processes it: Alice in pass 1, who got Bob's first message,
+    and Bob in pass 2, who got Alice's second. Wherever the holder changes,
+    the state is serialized, sent as the message labelled by the sender's
+    initial and the pass (A1, B1, A2), and restored into a fresh algorithm
+    on the receiver's side. The final output must match a direct two-pass
+    run bit for bit. A state of more than MESSAGE_BITS_CAP bits is refused
+    before it is serialized.
     """
     if len(stream.segments) != 3:
         raise ValueError("the simulation needs a three-segment stream")
-    (t1, e1), (t2, e2), (t3, e3) = stream.segments
-
-    def fresh():
-        return start_on(alg_factory(), stream, passes=2)
-
-    def send(sender, state, label):
-        bits = state.state_bits()
-        if bits > MESSAGE_BITS_CAP:
-            raise ValueError(f"{state.name}: a {bits}-bit state is above the message cap of "
-                             f"{MESSAGE_BITS_CAP} bits")
-        message = state.serialize()
-        tr.send(sender, message, label=label)
-        return message
-
     tr = Transcript()
-
-    alice = fresh()
-    alice.begin_pass(1)
-    alice.process_block(e1.us, e1.vs)
-    m11 = send("alice", alice, "A1")
-
-    bob = fresh()
-    bob.restore(m11, 1)
-    bob.process_block(e2.us, e2.vs)
-    m12 = send("bob", bob, "B1")
-
-    alice2 = fresh()
-    alice2.restore(m12, 1)
-    alice2.process_block(e3.us, e3.vs)
-    alice2.end_pass(1)
-    alice2.begin_pass(2)
-    alice2.process_block(e1.us, e1.vs)
-    m21 = send("alice", alice2, "A2")
-
-    bob2 = fresh()
-    bob2.restore(m21, 2)
-    bob2.process_block(e2.us, e2.vs)
-    bob2.process_block(e3.us, e3.vs)
-    bob2.end_pass(2)
-    return tr, bob2.result()
+    holder, state = _HOLDERS[0][0], start_on(alg_factory(), stream, passes=2)
+    for p, holders in enumerate(_HOLDERS, start=1):
+        state.begin_pass(p)
+        for receiver, (_, seg) in zip(holders, stream.segments):
+            if receiver != holder:
+                bits = state.state_bits()
+                if bits > MESSAGE_BITS_CAP:
+                    raise ValueError(f"{state.name}: a {bits}-bit state is above the message cap of "
+                                     f"{MESSAGE_BITS_CAP} bits")
+                message = state.serialize()
+                tr.send(holder, message, label=f"{holder[0].upper()}{p}")
+                holder, state = receiver, start_on(alg_factory(), stream, passes=2)
+                state.restore(message, p)
+            state.process_block(seg.us, seg.vs)
+        state.end_pass(p)
+    return tr, state.result()
 
 
 # --- unique-reach shaped measurement (one-way, Bob-side only) -------------------

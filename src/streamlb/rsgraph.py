@@ -67,16 +67,14 @@ class RSDigraph:
         return EdgeBlock(self.edges.us[lo:hi], self.edges.vs[lo:hi])
 
 
-def build_rs_digraph(a: BehrendSet, check: bool = True) -> RSDigraph:
+def build_rs_digraph(a: BehrendSet) -> RSDigraph:
     """Expand a 3-AP-free set into the midpoint-construction digraph.
 
-    Unverified sets are rejected; `check=False` skips that gate so tests can
-    watch the construction break on a progression-containing seed.
+    A set that fails `verify_no_3ap` is refused.
     """
-    if check:
-        report = verify_no_3ap(a)
-        if not report:
-            raise ValueError(f"input set failed 3-AP verification: {report.reason}")
+    report = verify_no_3ap(a)
+    if not report:
+        raise ValueError(f"input set failed 3-AP verification: {report.reason}")
     m = a.m
     alphas = np.array(a.elements, dtype=np.int64)
     x = np.arange(1, m + 1)[:, None]

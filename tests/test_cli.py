@@ -807,6 +807,9 @@ REFUSALS = {
     "protocol boost --m 8 --trials 0": "trials must be at least 1",
     "experiment boost-trials --param trials=0": "trials must be at least 1",
     "experiment st-batch --param count=-3": "count must be at least 1",
+    "experiment st-batch --param count=1000001": "count must be at most 1000000",
+    "experiment boost-trials --param trials=1000001": "trials must be at most 1000000",
+    "protocol boost --m 8 --trials 1000001": "trials must be at most 1000000",
     "experiment st-batch --param rs=5": "st_batch() got an unexpected keyword argument 'rs'",
     "experiment si-uniformity --param samples=0": "samples must be at least 1",
     "experiment random-apfree-rs --param count=-3": "count must be at least 1",
@@ -1347,13 +1350,28 @@ def test_si_draws_refuse_a_huge_m_within_bounded_memory(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_job_lists_refuse_a_huge_count_within_bounded_memory(tmp_path):
+    # st-batch and the booster build one job per instance or trial: 10^8 is
+    # refused before the list is built, where it once ended in a MemoryError
+    commands = [["experiment", "st-batch", "--param", f"count={10**8}"],
+                ["experiment", "boost-trials", "--param", f"trials={10**8}"],
+                ["protocol", "boost", "--m", "32", "--eps", "0.5", "--oracle", "mock-reveal",
+                 "--trials", str(10**8)]]
+    proc = _dispatch_in_bounded_child(commands, cwd=tmp_path, timeout=60)
+    assert proc.stdout == f"{USAGE}\n" * len(commands), proc.stderr[-500:]
+    assert proc.stderr == (f"error: count must be at most {experiments.ST_BATCH_COUNT_CAP}\n"
+                           + f"error: trials must be at most {experiments.BOOST_TRIALS_CAP}\n" * 2)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_readme_caps_match_the_code():
     # every cap README names with a value, as `NAME` = value, is that constant
     # of the package, so the docs cannot drift from the code
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     named = [(name, int(base.replace(",", "")) ** int(exp or 1))
              for name, base, exp in re.findall(r"`([A-Z][A-Z0-9_]*)` = (\d[\d,]*)(?:\^(\d+))?", text)]
-    assert {"SI_M_CAP", "MAX_BIPARTITE_SIDE", "REVEAL_M_CAP", "MAX_STREAM_N"} <= {name for name, _ in named}
+    assert {"SI_M_CAP", "MAX_BIPARTITE_SIDE", "REVEAL_M_CAP", "MAX_STREAM_N",
+            "ST_BATCH_COUNT_CAP", "BOOST_TRIALS_CAP"} <= {name for name, _ in named}
     constants = {}
     for info in pkgutil.iter_modules(streamlb.__path__):
         module = importlib.import_module(f"streamlb.{info.name}")

@@ -29,6 +29,7 @@ from streamlb.protocols import (
     simulate_two_pass,
 )
 from streamlb.rsgraph import RSDigraph
+from streamlb.streaming import start_on
 from tests.test_instances import identity_matching_rs
 
 
@@ -620,3 +621,65 @@ def test_simulate_labels():
     tr, _ = simulate_two_pass(EdgeCounter, stream)
     assert tr.labels == ["A1", "B1", "A2"]
     assert [sender for sender, _ in tr.messages] == ["alice", "bob", "alice"]
+
+
+def reference_simulate_two_pass(alg_factory, stream):
+    """The four hand-unrolled players the holder table replaced, kept as the
+    reference (without the message cap, which its own tests hold)."""
+    (t1, e1), (t2, e2), (t3, e3) = stream.segments
+
+    def fresh():
+        return start_on(alg_factory(), stream, passes=2)
+
+    def send(sender, state, label):
+        message = state.serialize()
+        tr.send(sender, message, label=label)
+        return message
+
+    tr = Transcript()
+
+    alice = fresh()
+    alice.begin_pass(1)
+    alice.process_block(e1.us, e1.vs)
+    m11 = send("alice", alice, "A1")
+
+    bob = fresh()
+    bob.restore(m11, 1)
+    bob.process_block(e2.us, e2.vs)
+    m12 = send("bob", bob, "B1")
+
+    alice2 = fresh()
+    alice2.restore(m12, 1)
+    alice2.process_block(e3.us, e3.vs)
+    alice2.end_pass(1)
+    alice2.begin_pass(2)
+    alice2.process_block(e1.us, e1.vs)
+    m21 = send("alice", alice2, "A2")
+
+    bob2 = fresh()
+    bob2.restore(m21, 2)
+    bob2.process_block(e2.us, e2.vs)
+    bob2.process_block(e3.us, e3.vs)
+    bob2.end_pass(2)
+    return tr, bob2.result()
+
+
+@pytest.mark.parametrize("e1_mode", ["random", "complete", "empty"])
+def test_simulate_equals_the_unrolled_reference(e1_mode):
+    # the same labels, senders, messages and output as the four players, on
+    # st instances and, for the spanning forest, on their reduce_to_sssp form
+    from streamlb.experiments import small_rs
+    from streamlb.instances import sample_st, to_stream
+    from streamlb.reductions import reduce_to_sssp
+    from streamlb.streaming import BfsFrontier, EdgeCounter, SpanningForest, StoreAll, XorSketch
+
+    rs = small_rs()
+    for seed in range(20):
+        stream = to_stream(sample_st(rs, seed=seed, e1_mode=e1_mode))
+        cases = [(factory, stream) for factory in (EdgeCounter, StoreAll, lambda: BfsFrontier(2),
+                                                   lambda: XorSketch(3))]
+        cases.append((SpanningForest, reduce_to_sssp(stream)[0]))
+        for factory, on in cases:
+            tr, output = simulate_two_pass(factory, on)
+            ref, ref_output = reference_simulate_two_pass(factory, on)
+            assert (tr.labels, tr.messages, output) == (ref.labels, ref.messages, ref_output)

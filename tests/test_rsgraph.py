@@ -130,12 +130,20 @@ def test_partition_identity(g3):
             assert 2 * edge[0] - edge[1] == i
 
 
+def midpoint_graph(base: BehrendSet) -> RSDigraph:
+    """The midpoint construction on any set, progressions included:
+    matching x holds (x + alpha, x + 2 * alpha) for alpha in the set."""
+    m = base.m
+    return RSDigraph.of(3 * m, base.size, m, [[(x + alpha, x + 2 * alpha) for alpha in base.elements]
+                                              for x in range(1, m + 1)])
+
+
 def test_rejects_progression_seed():
     bad = BehrendSet(3, (1, 2, 3), "explicit")
     with pytest.raises(ValueError):
         build_rs_digraph(bad)
-    # contrapositive: forcing the construction through breaks induced-ness
-    g = build_rs_digraph(bad, check=False)
+    # contrapositive: the construction on a progression breaks induced-ness
+    g = midpoint_graph(bad)
     assert not verify_induced(g).ok
     assert verify_induced(g) == reference_verify_induced(g)
 
@@ -145,6 +153,7 @@ def test_rejects_progression_seed():
 def test_random_ap_free_seeds_give_induced_graphs(m, seed):
     a = random_ap_free(m, rngmod.substream(seed, "rs"))
     g = build_rs_digraph(a)
+    assert g == midpoint_graph(a)  # so the tests' midpoint graphs of progressions are the construction's
     assert g.t == m and g.r == a.size and g.n_side == 3 * m
     assert verify_induced(g).ok
     for i, matching in enumerate(g.matchings, start=1):
@@ -181,7 +190,7 @@ def rs_graphs(draw):
     else:
         elements = draw(st.sets(st.integers(1, m), min_size=1, max_size=min(m, 12)))
         base = BehrendSet(m, tuple(sorted(elements)), "explicit")
-    g = build_rs_digraph(base, check=False)
+    g = midpoint_graph(base)
     if draw(st.booleans()):
         g = relabel(g, draw(st.sampled_from([10**12, 10**15 + 7, 2**62 + 3, 2**63 - 1])),
                     draw(st.integers(0, 2**31)))

@@ -451,14 +451,25 @@ def test_an_endpoint_that_fits_the_width_but_is_no_vertex_raises(make, n):
 
 # sha256 of what the tuple layout serialized on the README tour's st-0000
 # (`gen rs --m 100 --trim 4`, `gen st --seed 7`): the three simulate_two_pass
-# messages of store-all, and the spanning forest after one pass over the
-# stream's reduce_to_sssp form
+# messages of store-all and of bfs-frontier:2, the spanning forest after one
+# pass over the stream's reduce_to_sssp form, and its three simulate_two_pass
+# messages on that form
 TOUR_STORE_ALL_MESSAGES = {
     "A1": (4488, "94b475dfaee9232b677a13b1c4c841fd60543bae2d1a4f747803f315c04375d7"),
     "B1": (26488, "d2836ed0308b42511e73b2ee50fffffc9896daf3a0f7cb98ce6af9946c1f7adc"),
     "A2": (26928, "396e182fd32a264a8e0d509656a8faa016d1cf0b48d9b3425d540ee20aab0ce2"),
 }
+TOUR_BFS_FRONTIER_MESSAGES = {
+    "A1": (2501, "dec3f7dff9a2bc856f6d1890cebe0876f8769202357e941e82afd5c48f53460f"),
+    "B1": (2501, "dec3f7dff9a2bc856f6d1890cebe0876f8769202357e941e82afd5c48f53460f"),
+    "A2": (2501, "ff411434426959db26dcc398243551b2396d23051420b36ca8b5ea170c0b5bb5"),
+}
 TOUR_FOREST = (16808, "4f11c965ad817d91941507470fd0bb9e267ad1fe0b559ee9fb05cac0840fc9f7")
+TOUR_FOREST_MESSAGES = {
+    "A1": (858, "eb5ba61ae542beb42838bdaf0de09fda6b61bc025ad10a425410390bdf87c38d"),
+    "B1": (16720, "652ba7f17a672def303b8442489e588f6a1ca98a9504ed261029ebe1fd65a58d"),
+    "A2": TOUR_FOREST,
+}
 
 
 def test_tour_serializations_are_unchanged(tmp_path):
@@ -472,9 +483,14 @@ def test_tour_serializations_are_unchanged(tmp_path):
     def digest(bits):
         return len(bits), hashlib.sha256(bits.encode("ascii")).hexdigest()
 
-    transcript, _ = simulate_two_pass(StoreAll, stream)
-    assert {label: digest(bits) for label, (_, bits) in zip(transcript.labels, transcript.messages)} \
-        == TOUR_STORE_ALL_MESSAGES
+    def digests(factory, on):
+        transcript, _ = simulate_two_pass(factory, on)
+        return {label: digest(bits) for label, (_, bits) in zip(transcript.labels, transcript.messages)}
+
+    undirected = reduce_to_sssp(stream)[0]
+    assert digests(StoreAll, stream) == TOUR_STORE_ALL_MESSAGES
+    assert digests(lambda: BfsFrontier(2), stream) == TOUR_BFS_FRONTIER_MESSAGES
+    assert digests(SpanningForest, undirected) == TOUR_FOREST_MESSAGES
     forest = SpanningForest()
-    run_stream(forest, reduce_to_sssp(stream)[0], passes=1)
+    run_stream(forest, undirected, passes=1)
     assert digest(forest.serialize()) == TOUR_FOREST
