@@ -1,11 +1,9 @@
 """Shared primitives: verification reports, budget errors, edge blocks,
-breadth-first search, bit-string encoding."""
+breadth-first search, packed bit strings and their codec."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain
 from operator import index
 
@@ -51,6 +49,9 @@ def _int64_ids(ids) -> np.ndarray:
     raise ValueError(f"vertex ids are int64, not {bad!r}")
 
 
+ITER_CHUNK = 4096  # edges an `EdgeBlock` turns into Python ints at a time as it iterates
+
+
 class EdgeBlock:
     """A run of edges (us[i], vs[i]) as two int64 id arrays; anything else is
     refused. It iterates as (u, v) pairs of ints; `==` holds against a block or
@@ -86,7 +87,8 @@ class EdgeBlock:
         return len(self.us)
 
     def __iter__(self):
-        return zip(self.us.tolist(), self.vs.tolist())
+        return chain.from_iterable(zip(self.us[i : i + ITER_CHUNK].tolist(), self.vs[i : i + ITER_CHUNK].tolist())
+                                   for i in range(0, len(self.us), ITER_CHUNK))
 
     def __eq__(self, other):
         if isinstance(other, EdgeBlock):
@@ -159,20 +161,64 @@ def bfs(edges, start: int, directed: bool = True) -> dict[int, int]:
 
 # --- bit strings -----------------------------------------------------------
 #
-# Messages and serialized algorithm states are strings over {0,1}; space and
-# communication are measured as their length.
+# Messages and serialized algorithm states are `Bits`; space and communication
+# are measured as their bit length. The '0'/'1' text (`str`) is made only where
+# a message is printed, written or hashed.
 
-def is_bit_string(bits) -> bool:
-    """Whether `bits` is a str over {'0', '1'}, read in one pass."""
-    # a non-ASCII character becomes '?', which the deletion keeps
-    return isinstance(bits, str) and not bits.encode("ascii", "replace").translate(None, b"01")
+@dataclass(frozen=True, slots=True)
+class Bits:
+    """`length` bits packed big-endian into `data`, the fewest bytes that hold
+    them, padding bits zero; construction refuses anything else. `len` is the
+    bit length, `int` the value and `str` the '0'/'1' text."""
+
+    data: bytes
+    length: int
+
+    def __post_init__(self):
+        check_bits(self)
+
+    @classmethod
+    def of_ones(cls, ones: np.ndarray, length: int) -> Bits:
+        """`length` bits, one exactly at each of the positions `ones`."""
+        data = np.zeros(-(-length // 8), np.uint8)
+        np.bitwise_or.at(data, ones >> 3, (0x80 >> (ones & 7)).astype(np.uint8))
+        return cls(data.tobytes(), length)
+
+    def ones(self) -> np.ndarray:
+        """The positions of the set bits, ascending, read from the nonzero bytes only."""
+        data = np.frombuffer(self.data, np.uint8)
+        at = np.flatnonzero(data)
+        rows, cols = np.nonzero(np.unpackbits(data[at]).reshape(-1, 8))
+        return at[rows] * 8 + cols
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __int__(self) -> int:
+        return int.from_bytes(self.data, "big") >> (-self.length % 8)
+
+    def __str__(self) -> str:
+        return format(int(self), f"0{self.length}b") if self.length else ""
+
+
+def check_bits(bits, what: str = "a bit string", length: int | None = None):
+    """Refuse anything but `Bits` whose bytes hold exactly its length with zero
+    padding, and, given `length`, of any other length: a check of the type, the
+    byte count and the last byte, whatever the length."""
+    if not isinstance(bits, Bits):
+        raise ValueError(f"{what} is packed Bits, not {type(bits).__name__}")
+    if length is not None and bits.length != length:
+        raise ValueError(f"{what} is {length} bits, not {bits.length}")
+    if bits.length < 0 or len(bits.data) != -(-bits.length // 8) \
+            or bits.data and bits.data[-1] & 0xFF >> (bits.length % 8 or 8):  # a padding bit
+        raise ValueError(f"{what} is not {bits.length} bits in its fewest bytes with zero padding")
 
 
 def int_width(max_value: int) -> int:
     """Bits needed to write any integer in [0, max_value]."""
     if max_value < 0:
         raise ValueError("max_value must be nonnegative")
-    return max(1, math.ceil(math.log2(max_value + 1))) if max_value > 0 else 0
+    return index(max_value).bit_length()
 
 
 def _check_width(width: int):
@@ -180,21 +226,18 @@ def _check_width(width: int):
         raise ValueError(f"a packed field is at most 64 bits, not {width}")
 
 
-@lru_cache(maxsize=4096)
-def encode_int(value: int, width: int) -> str:
-    if value < 0 or (width < value.bit_length()):
-        raise ValueError(f"{value} does not fit in {width} bits")
-    return format(value, f"0{width}b") if width > 0 else ""
+ENCODE_CHUNK = 1 << 13  # values packed at a time; a multiple of 8, so each chunk but the last ends on a byte
 
 
-def encode_ints(values, width: int) -> str:
+def encode_ints(values, width: int) -> Bits:
     """Concatenate the `width`-bit forms of nonnegative integers, width <= 64.
 
     `values` is any iterable of ints or an integer array. The values pass as
-    one uint64 array: each value is shifted to the top of its low big-endian
-    bytes, whose first `width` bits are unpacked as ASCII digits, so an array
-    argument is never turned into Python ints. The first value that does not
-    fit raises, as in the string-at-a-time form.
+    uint64 arrays of ENCODE_CHUNK at a time: each value is shifted to the top
+    of its big-endian word, whose first `width` bits are unpacked and packed
+    again, so an array argument is never turned into Python ints and
+    no array holds a byte per bit of more than one chunk. The first value
+    that does not fit raises, as in the string-at-a-time form.
     """
     _check_width(width)
     if isinstance(values, np.ndarray) and values.dtype.kind in "ui":
@@ -208,40 +251,30 @@ def encode_ints(values, width: int) -> str:
         if values and (min(values) < 0 or max(values).bit_length() > width):
             bad = next(v for v in values if v < 0 or v.bit_length() > width)
             raise ValueError(f"{bad} does not fit in {width} bits")
-    if not len(values) or width == 0:
-        return ""
-    nbytes = -(-width // 8)  # the low bytes of each big-endian word that hold its field
-    top = np.asarray(values, dtype=np.uint64) << np.uint64(8 * nbytes - width)  # each field at its bytes' top
-    octets = top.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes :]
-    digits = np.unpackbits(octets, axis=1, count=width)
-    digits += np.uint8(ord("0"))
-    return digits.tobytes().decode("ascii")
+    shift = np.uint64(64 - width)  # each field to the top of its big-endian word
+    chunks = (np.asarray(values[i : i + ENCODE_CHUNK], dtype=np.uint64)[:, None] << shift
+              for i in range(0, len(values), ENCODE_CHUNK))
+    return Bits(b"".join(np.packbits(np.unpackbits(top.astype(">u8").view(np.uint8), axis=1, count=width)).tobytes()
+                         for top in chunks), width * len(values))
 
 
-def decode_array(bits: str, width: int) -> np.ndarray:
+def decode_array(bits: Bits, width: int) -> np.ndarray:
     """Split a concatenation of `width`-bit fields, width <= 64, into a uint64
     array of their integers.
 
-    The text becomes its digit values in one array pass, which also refuses
-    any byte but '0' and '1'. The digits are packed into bytes as they stand;
-    every eighth field then starts at the same bit of its byte, w bytes after
-    the last, so each of the eight classes is read in one strided pass: the
-    nine bytes from a field's first, shifted into place.
+    Every eighth field starts at the same bit of its byte, w bytes after the
+    last, so each of the eight classes is read from the packed bytes in one
+    strided pass: the nine bytes from a field's first, shifted into place.
     """
     _check_width(width)
-    try:
-        digits = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - np.uint8(ord("0"))
-    except (AttributeError, UnicodeEncodeError):  # not a str, or a non-ASCII character
-        digits = None
-    if digits is None or (len(digits) and digits.max() > 1):  # any other byte wraps past 1
-        raise ValueError("bit strings hold only '0' and '1'")
+    check_bits(bits)
     if width == 0:
-        if bits:
+        if len(bits):
             raise ValueError("0-bit fields concatenate only to the empty string")
         return np.zeros(0, np.uint64)
     if len(bits) % width:
         raise ValueError("bit string length is not a multiple of the field width")
-    packed = np.concatenate((np.packbits(digits), np.zeros(9, dtype=np.uint8)))
+    packed = np.concatenate((np.frombuffer(bits.data, dtype=np.uint8), np.zeros(9, dtype=np.uint8)))
     values = np.empty(len(bits) // width, dtype=np.uint64)
     for first in range(min(8, len(values))):
         start, skip = divmod(first * width, 8)  # field 8q + first starts at bit `skip` of byte start + q·w

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -595,7 +595,7 @@ class EdgeStream:
 
     def edges(self):
         """An iterator over every segment's (u, v) pairs, in stream order."""
-        return iter(self.edge_block())
+        return chain.from_iterable(seg for _, seg in self.segments)
 
     def edge_block(self) -> EdgeBlock:
         """Every segment's edges, in stream order, as one block."""

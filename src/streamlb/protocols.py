@@ -29,7 +29,7 @@ from itertools import combinations, repeat
 import numpy as np
 
 from . import rng as rngmod
-from .common import BudgetError, encode_int, encode_ints, int_width, is_bit_string
+from .common import Bits, BudgetError, check_bits, encode_ints, int_width
 from .infometrics import uniform_shift_l1
 from .instances import EdgeStream, SIInstance, iter_si, sample_si, si_support_size
 from .streaming import start_on
@@ -42,22 +42,21 @@ A_REST_ENUM_CAP = 200_000
 # fresh process (2 vCPUs, Python 3.11, numpy 2.4)
 SYMMETRIC_CELL_CAP = 10_000_000
 # longest state `simulate_two_pass` sends, in bits: at the cap (bfs-frontier:2
-# on n = 2^26 - 9) `protocol simulate` takes 2.9 s and 675 MiB peak RSS in a
-# fresh process (2 vCPUs, Python 3.11, numpy 2.4); store-all's largest state at
-# m = 10^4 is 90.8M bits
+# on n = 2^26 - 9, three packed 16 MiB messages) `protocol simulate` takes
+# 0.4 s and 99 MiB peak RSS in a fresh process (2 vCPUs, Python 3.11, numpy
+# 2.4); store-all's largest state at m = 10^4 is 90.8M bits, 11 MiB packed
 MESSAGE_BITS_CAP = 1 << 27
 
 
 @dataclass
 class Transcript:
-    """Messages (sender, bit string) with one label each."""
+    """Messages (sender, `Bits`) with one label each."""
 
     messages: list = field(default_factory=list)
     labels: list = field(default_factory=list)
 
-    def send(self, sender: str, bits: str, label: str | None = None):
-        if not is_bit_string(bits):
-            raise ValueError("messages must be bit strings")
+    def send(self, sender: str, bits: Bits, label: str | None = None):
+        check_bits(bits, "a message")
         self.messages.append((sender, bits))
         self.labels.append(label or f"{sender}:{len(self.messages)}")
 
@@ -68,12 +67,22 @@ class Transcript:
 
 # --- set-intersection oracles -------------------------------------------------
 
+@lru_cache(maxsize=4096)
+def encode_int(value: int, width: int) -> str:
+    """The `width`-bit '0'/'1' text of a nonnegative integer, as oracle transcripts spell it."""
+    if value < 0 or (width < value.bit_length()):
+        raise ValueError(f"{value} does not fit in {width} bits")
+    return format(value, f"0{width}b") if width > 0 else ""
+
+
 class SIOracle:
     """A one-way protocol fragment from Alice over intersection instances.
 
     `randomness_support(m)` enumerates the internal coin with exact
     probabilities, and `transcript(a, e_star, rand)` must be a deterministic
-    function of what it declares it reads. Being one-way, it never reads
+    function of what it declares it reads. A transcript is a '0'/'1' `str`,
+    not packed `Bits`: it is a few bits long, and it keys the dicts of exact
+    mode, Monte Carlo and the booster. Being one-way, it never reads
     Bob's set; it is called with Alice's set `a` only if `uses_a`, and with
     a = None otherwise:
 

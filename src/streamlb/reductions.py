@@ -157,7 +157,7 @@ def perfect_matching_exists(g: BipartiteGraph) -> bool:
     match_l, match_r, _ = _greedy_matching(us, vs, n, n)
     free = np.flatnonzero(match_l < 0).tolist()
     match_l, match_r = match_l.tolist(), match_r.tolist()
-    dst = vs.tolist()
+    dst = memoryview(vs)  # each index an int, with no list of every head
     ptr = [0] + np.cumsum(np.bincount(us, minlength=n)).tolist()
     while free:
         layer = [-1] * n

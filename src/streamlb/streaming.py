@@ -3,8 +3,8 @@
 Algorithms see edges strictly in stream order, once per pass, a segment at a time
 (`process_block`), and are checkpointed at segment boundaries and pass ends by the
 length of their serialized dynamic state; the longest checkpoint is the run's space figure.
-`state_bits` gives that length without building the bit string.
-Serialization must round-trip through `restore`, which is what lets the
+`state_bits` gives that length without building the state. A state is
+`common.Bits`, packed bits; serialization must round-trip through `restore`, which is what lets the
 communication simulation hand a computation across players mid-pass.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import EdgeBlock, bfs, decode_array, encode_int, encode_ints, int_width, is_bit_string
+from .common import Bits, EdgeBlock, bfs, check_bits, decode_array, encode_ints, int_width
 from .instances import EdgeStream
 
 
@@ -63,25 +63,17 @@ class StreamAlgorithm:
     def end_pass(self, p: int):
         pass
 
-    def serialize(self) -> str:
+    def serialize(self) -> Bits:
         raise NotImplementedError
 
     def state_bits(self) -> int:
         return len(self.serialize())
 
-    def restore(self, bits: str, pass_index: int):
+    def restore(self, bits: Bits, pass_index: int):
         raise NotImplementedError
 
     def result(self):
         raise NotImplementedError
-
-
-def _check_state(name: str, bits: str, length: int | None = None):
-    """Reject a state no `serialize()` could have written: a non-bit, or the wrong length."""
-    if not is_bit_string(bits):
-        raise ValueError(f"{name}: a serialized state holds only '0' and '1'")
-    if length is not None and len(bits) != length:
-        raise ValueError(f"{name}: a serialized state is {length} bits, not {len(bits)}")
 
 
 # --- edge lists as packed keys -------------------------------------------------
@@ -92,9 +84,9 @@ def _check_state(name: str, bits: str, length: int | None = None):
 # same bits as the sorted pair list. A stream has at most 2^31 vertices, so a
 # key has at most 62 bits.
 
-def _key_array(keys) -> np.ndarray:
-    """A collection of keys as one uint64 array."""
-    return np.fromiter(keys, dtype=np.uint64, count=len(keys))
+def _array(ids, dtype=np.uint64) -> np.ndarray:
+    """A collection of keys (or of vertex ids, as int64) as one array."""
+    return np.fromiter(ids, dtype=dtype, count=len(ids))
 
 
 def _key_block(array: np.ndarray, width: int) -> EdgeBlock:
@@ -102,7 +94,7 @@ def _key_block(array: np.ndarray, width: int) -> EdgeBlock:
     return EdgeBlock(array >> width, array & ((1 << width) - 1))
 
 
-def _decode_keys(name: str, bits: str, n: int, width: int) -> np.ndarray:
+def _decode_keys(name: str, bits: Bits, n: int, width: int) -> np.ndarray:
     """The key array of a serialized edge list, refusing any `serialize()`
     cannot write: keys not strictly increasing, or an endpoint outside [0, n)."""
     array = decode_array(bits, 2 * width)
@@ -125,14 +117,14 @@ class EdgeCounter(StreamAlgorithm):
         if self._pass == 1:
             self.count += 1
 
-    def serialize(self) -> str:
-        return format(self.count, "b") if self.count else ""
+    def serialize(self) -> Bits:
+        return encode_ints([self.count], self.count.bit_length())
 
     def restore(self, bits, pass_index):
-        _check_state(self.name, bits)
-        if bits.startswith("0"):
+        check_bits(bits, f"{self.name}: a serialized state")
+        if int(bits).bit_length() != len(bits):
             raise ValueError(f"{self.name}: a serialized count has no leading zero")
-        self.count = int(bits, 2) if bits else 0
+        self.count = int(bits)
         self._pass = pass_index
 
     def result(self):
@@ -152,7 +144,7 @@ class StoreAll(StreamAlgorithm):
 
     def reset(self):
         self.width = int_width(self.n - 1)
-        self.stored = _key_array(())
+        self.stored = _array(())
         self.keys: set[int] = set()  # empty unless `stored` is
 
     def process(self, u, v):
@@ -172,10 +164,10 @@ class StoreAll(StreamAlgorithm):
         """Every distinct key, sorted, with the key arrays `more` merged in."""
         if not self.keys and not more:  # `stored` alone is sorted and distinct already
             return self.stored
-        keys = np.sort(np.concatenate((self.stored, _key_array(self.keys), *more)))
+        keys = np.sort(np.concatenate((self.stored, _array(self.keys), *more)))
         return np.delete(keys, np.flatnonzero(keys[1:] == keys[:-1]) + 1)  # np.unique hashes: slower
 
-    def serialize(self) -> str:
+    def serialize(self) -> Bits:
         return encode_ints(self._all_keys(), 2 * self.width)
 
     def state_bits(self) -> int:
@@ -187,11 +179,6 @@ class StoreAll(StreamAlgorithm):
 
     def result(self):
         return self.t in bfs(_key_block(self._all_keys(), self.width), self.s, self.directed)
-
-
-def _vertex_array(ids: set) -> np.ndarray:
-    """A set of vertex ids as one int64 array."""
-    return np.fromiter(ids, dtype=np.int64, count=len(ids))
 
 
 class BfsFrontier(StreamAlgorithm):
@@ -214,10 +201,6 @@ class BfsFrontier(StreamAlgorithm):
         self.exhausted = False
         self.hops = 0
 
-    def begin_pass(self, p):
-        self._pass = p
-        self.additions = set()
-
     def process(self, u, v):
         self._check_edge(u, v)
         if u in self.reached:
@@ -227,34 +210,33 @@ class BfsFrontier(StreamAlgorithm):
 
     def process_block(self, us, vs):
         """One gather: the heads of the block's edges whose tail is reached."""
-        reached = _vertex_array(self.reached)
+        reached = _array(self.reached, np.int64)
         self.additions.update(vs[np.isin(us, reached)].tolist())
         if not self.directed:
             self.additions.update(us[np.isin(vs, reached)].tolist())
 
     def end_pass(self, p):
-        grew = bool(self.additions - self.reached)
+        self.exhausted = self.exhausted or self.additions <= self.reached  # the pass reached no new vertex
         self.reached |= self.additions
         self.additions = set()
         self.hops += 1
-        if not grew:
-            self.exhausted = True
 
-    def serialize(self) -> str:
-        bitmaps = np.full(2 * self.n, ord("0"), dtype=np.uint8)
-        bitmaps[_vertex_array(self.reached)] = ord("1")
-        bitmaps[self.n + _vertex_array(self.additions)] = ord("1")
-        flags = "1" if self.exhausted else "0"
-        return encode_int(self.hops, 16) + flags + bitmaps.tobytes().decode("ascii")
+    def serialize(self) -> Bits:
+        """The hop count in 16 bits, the exhausted flag, then one bit per vertex
+        for `reached` and one per vertex for `additions`, set where they hold."""
+        head = [16 - i for i in range(17) if (self.hops << 1 | self.exhausted) >> i & 1]
+        ones = np.concatenate((np.array(head, np.int64), 17 + _array(self.reached, np.int64),
+                               17 + self.n + _array(self.additions, np.int64)))
+        return Bits.of_ones(ones, 17 + 2 * self.n)
 
     def state_bits(self) -> int:
         return 17 + 2 * self.n
 
     def restore(self, bits, pass_index):
-        _check_state(self.name, bits, 17 + 2 * self.n)
-        self.hops = int(bits[:16], 2)
-        self.exhausted = bits[16] == "1"
-        ones = np.flatnonzero(np.frombuffer(bits[17:].encode("ascii"), dtype=np.uint8) == ord("1"))
+        check_bits(bits, f"{self.name}: a serialized state", 17 + 2 * self.n)
+        head, ones = int.from_bytes(bits.data[:3], "big") >> 7, bits.ones()
+        self.hops, self.exhausted = head >> 1, bool(head & 1)
+        ones = ones[ones >= 17] - 17
         split = np.searchsorted(ones, self.n)
         self.reached = set(ones[:split].tolist())
         self.additions = set((ones[split:] - self.n).tolist())
@@ -301,16 +283,15 @@ class SpanningForest(StreamAlgorithm):
             self.parent[ru] = rv
             self.forest.append(u << self.width | v)
 
-    def serialize(self) -> str:
-        return encode_ints(np.sort(_key_array(self.forest)), 2 * self.width)
+    def serialize(self) -> Bits:
+        return encode_ints(np.sort(_array(self.forest)), 2 * self.width)
 
     def state_bits(self) -> int:
         return 2 * self.width * len(self.forest)
 
     def restore(self, bits, pass_index):
         keys = _decode_keys(self.name, bits, self.n, self.width)
-        self.parent = {}
-        self.forest = []
+        self.reset()
         for u, v in _key_block(keys, self.width):
             self.process(u, v)
         if len(self.forest) != len(keys):
@@ -344,13 +325,13 @@ class XorSketch(StreamAlgorithm):
             self.acc ^= _mix64((u << 24) ^ v ^ (self.seed << 48) % (1 << 63))
             self.count += 1
 
-    def serialize(self) -> str:
-        return encode_int(self.acc, 64) + encode_int(self.count, 32)
+    def serialize(self) -> Bits:
+        return encode_ints([self.acc >> 32, self.acc & 0xFFFFFFFF, self.count], 32)
 
     def restore(self, bits, pass_index):
-        _check_state(self.name, bits, 96)
-        self.acc = int(bits[:64], 2)
-        self.count = int(bits[64:96], 2)
+        check_bits(bits, f"{self.name}: a serialized state", 96)
+        high, low, self.count = decode_array(bits, 32).tolist()
+        self.acc = high << 32 | low
         self._pass = pass_index
 
     def result(self):
@@ -409,26 +390,23 @@ def run_stream(alg: StreamAlgorithm, stream: EdgeStream, passes: int,
     )
 
 
+_ALGORITHMS = {"edge-count": EdgeCounter, "store-all": StoreAll, "spanning-forest": SpanningForest,
+               "bfs-frontier": BfsFrontier, "xor-sketch": XorSketch}
+_PARAMETRIZED = ("bfs-frontier", "xor-sketch")  # the tags that take an integer after ':'
+
+
 def make_algorithm(tag: str) -> StreamAlgorithm:
-    """CLI algorithm registry; parametrized tags look like `bfs-frontier:2`."""
+    """CLI algorithm registry; parametrized tags look like `bfs-frontier:2`, and
+    without their integer take the class default (2 passes, seed 0)."""
     name, _, arg = tag.partition(":")
-    if name == "bfs-frontier":
-        return BfsFrontier(_tag_int(tag, arg, 2))
-    if name == "xor-sketch":
-        return XorSketch(_tag_int(tag, arg, 0))
-    plain = {"edge-count": EdgeCounter, "store-all": StoreAll, "spanning-forest": SpanningForest}
-    if name not in plain:
+    if name not in _ALGORITHMS:
         raise ValueError(f"unknown algorithm tag {tag!r}")
-    if arg:
-        raise ValueError(f"algorithm tag {tag!r} takes nothing after ':'")
-    return plain[name]()
-
-
-def _tag_int(tag: str, arg: str, default: int) -> int:
-    """The integer after `:` in a parametrized tag, or `default` without one."""
     if not arg:
-        return default
+        return _ALGORITHMS[name]()
+    if name not in _PARAMETRIZED:
+        raise ValueError(f"algorithm tag {tag!r} takes nothing after ':'")
     try:
-        return int(arg)
+        value = int(arg)
     except ValueError:
         raise ValueError(f"algorithm tag {tag!r} expects an integer after ':'") from None
+    return _ALGORITHMS[name](value)

@@ -1324,6 +1324,31 @@ def test_stream_commands_on_a_header_at_the_vertex_cap_within_bounded_memory(tmp
                            f"of {protocols.MESSAGE_BITS_CAP} bits\n")
 
 
+def test_simulate_just_under_the_message_cap_holds_packed_messages(tmp_path):
+    # bfs-frontier:2 on n = 2^26 - 9 sends three (2n + 17)-bit messages, the
+    # longest the cap admits; packed, each is 16 MiB, where one character per
+    # bit peaked at 675 MiB. A child's own ru_maxrss starts at its parent's
+    # RSS, so a small middle process waits for the command and reads its peak
+    n = (protocols.MESSAGE_BITS_CAP - 17) // 2
+    assert n == 2**26 - 9
+    path = tmp_path / "cap.stream"
+    path.write_text(f"STREAM {n} directed=1\nSEG E1\n0 1\nSEG E2\n1 2\nSEG E3\n2 3\n")
+    argv = [sys.executable, "-m", "streamlb.cli", "protocol", "simulate", "--alg", "bfs-frontier:2",
+            "--instance", str(path)]
+    middle = ("import resource, subprocess, sys\n"
+              f"done = subprocess.run({argv!r}, capture_output=True, text=True)\n"
+              "print(done.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+              "sys.stdout.write(done.stdout + done.stderr)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(streamlb.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", middle], capture_output=True, text=True, timeout=120, env=env)
+    first, _, report = proc.stdout.partition("\n")
+    code, peak_kib = map(int, first.split())
+    assert code == OK, report[-500:]
+    payload = json.loads(report)
+    assert (payload["match"], payload["transcript_bits"]) == (True, 3 * (2 * n + 17))
+    assert peak_kib < 200 * 1024
+
+
 def test_symmetric_measurement_refuses_a_huge_m_within_bounded_memory():
     # mock-reveal is calibrated in exact-symmetric mode, whose rows hold
     # (m/4)^2 cells per rand: the budget refuses them before any row is built

@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import streamlb
-from streamlb.common import ARRAY_LEVELS, EdgeBlock, bfs, decode_array, encode_int, encode_ints, is_bit_string
+from streamlb.common import ARRAY_LEVELS, ENCODE_CHUNK, ITER_CHUNK, Bits, EdgeBlock, bfs, check_bits, decode_array, \
+    encode_ints
 from streamlb.instances import EdgeStream
-from streamlb.protocols import Transcript
+from streamlb.protocols import Transcript, encode_int
 
 
 def encode_ints_reference(values, width):
@@ -27,6 +28,20 @@ def decode_ints_reference(bits, width):
     return [int(bits[i : i + width], 2) for i in range(0, len(bits), width)]
 
 
+def packed(text):
+    """'0'/'1' text as `Bits`, packed here by Python ints, apart from the codec."""
+    pad = -len(text) % 8
+    return Bits((int(text or "0", 2) << pad).to_bytes((len(text) + pad) // 8, "big"), len(text))
+
+
+def forged(data, length):
+    """A `Bits` built around its own check, as no constructor would build it."""
+    bits = object.__new__(Bits)
+    object.__setattr__(bits, "data", data)
+    object.__setattr__(bits, "length", length)
+    return bits
+
+
 def error_of(fn, *args):
     with pytest.raises(ValueError) as info:
         fn(*args)
@@ -40,25 +55,40 @@ def test_encode_decode_equal_string_reference(width):
     values = [0, top, top, 0] + [gen.getrandbits(width) for _ in range(60)]
     bits = encode_ints_reference(values, width)
     if width > 64:
-        for fn, arg in ((encode_ints, values), (encode_ints, []), (decode_array, bits), (decode_array, "")):
+        for fn, arg in ((encode_ints, values), (encode_ints, []), (decode_array, packed(bits)),
+                        (decode_array, packed(""))):
             with pytest.raises(ValueError, match=f"^a packed field is at most 64 bits, not {width}$"):
                 fn(arg, width)
         return
-    assert encode_ints(values, width) == bits
-    assert encode_ints((v for v in values), width) == bits  # generators, as intersection_protocol passes
-    assert encode_ints([], width) == "" == encode_ints(iter(()), width)
-    decoded = decode_array(bits, width)
+    assert str(encode_ints(values, width)) == bits
+    assert encode_ints(values, width) == packed(bits)
+    assert str(encode_ints((v for v in values), width)) == bits  # generators, as intersection_protocol passes
+    assert encode_ints([], width) == Bits(b"", 0) == encode_ints(iter(()), width)
+    decoded = decode_array(packed(bits), width)
     assert decoded.dtype == np.uint64
     assert decoded.tolist() == decode_ints_reference(bits, width)
     if width:
         assert decoded.tolist() == values
-    assert decode_array("", width).tolist() == []
+    assert decode_array(packed(""), width).tolist() == []
+
+
+@pytest.mark.parametrize("width", [1, 3, 8, 13, 34, 64])
+@pytest.mark.parametrize("extra", [-1, 0, 1, 5])
+def test_encode_decode_across_pack_chunks(width, extra):
+    # encode_ints packs ENCODE_CHUNK values at a time; every chunk but the last
+    # ends on a byte, so the chunks join bytewise whatever the width
+    gen = random.Random(width * 10 + extra)
+    values = [gen.getrandbits(width) for _ in range(2 * ENCODE_CHUNK + extra)]
+    bits = encode_ints_reference(values, width)
+    for given in (values, np.array(values, dtype=np.uint64)):
+        assert str(encode_ints(given, width)) == bits
+    assert decode_array(packed(bits), width).tolist() == values
 
 
 @pytest.mark.parametrize("width", [0, 1, 5, 14, 62, 63, 64, 70])
 def test_encode_decode_raise_the_reference_errors(width):
     if width > 64:  # no value is read at a width no field has
-        assert error_of(encode_ints, [1 << width], width) == error_of(decode_array, "0" * width, width) \
+        assert error_of(encode_ints, [1 << width], width) == error_of(decode_array, packed("0" * width), width) \
             == f"a packed field is at most 64 bits, not {width}"
         return
     for values in ([1 << width], [0, 1, -1], [3, (1 << width) + 5, -2], [-(1 << 70)], [1 << 70]):
@@ -67,7 +97,7 @@ def test_encode_decode_raise_the_reference_errors(width):
         assert error_of(encode_ints, iter(values), width) == expected
     if width > 1:
         bits = "0" * (3 * width + 1)
-        assert error_of(decode_array, bits, width) == error_of(decode_ints_reference, bits, width)
+        assert error_of(decode_array, packed(bits), width) == error_of(decode_ints_reference, bits, width)
 
 
 @pytest.mark.parametrize("width", range(1, 65))
@@ -79,7 +109,7 @@ def test_encode_ints_of_an_array_equals_the_list_path(width):
     dtypes = (np.uint64, np.int64) if width < 64 else (np.uint64,)
     for dtype in dtypes:
         assert encode_ints(np.array(values, dtype=dtype), width) == encode_ints(values, width)
-        assert encode_ints(np.array([], dtype=dtype), width) == ""
+        assert encode_ints(np.array([], dtype=dtype), width) == Bits(b"", 0)
     for values in ([3, top + 1, 5, top + 2], [top, 2 * top + 1]):
         if values[1] < 1 << 64:
             assert error_of(encode_ints, np.array(values, dtype=np.uint64), width) == \
@@ -89,31 +119,63 @@ def test_encode_ints_of_an_array_equals_the_list_path(width):
 
 
 def test_decode_rejects_non_bits():
-    for bits in ("0120", "01a1", "0 11"):
+    # only packed Bits are read: text, even of '0' and '1', bytes and forged padding are refused
+    for bits in ("0120", "01a1", "0 11", "0101", b"\x50", None, forged(b"\x51", 4), forged(b"\x50", 12)):
         with pytest.raises(ValueError):
             decode_array(bits, 2)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet=st.sampled_from("01?2 \x00é"), max_size=12) | st.binary(max_size=4)
-       | st.none() | st.integers())
-@example("")
-@example("0?1")
-@example("1é")
-@example(b"01")
-def test_is_bit_string_equals_the_set_reference(bits):
-    assert is_bit_string(bits) == (isinstance(bits, str) and set(bits) <= {"0", "1"})
+@given(data=st.binary(max_size=5), length=st.integers(-9, 42))
+@example(data=b"", length=0)
+@example(data=b"\x80", length=1)
+@example(data=b"\x81", length=8)
+@example(data=b"\x40", length=1)
+@example(data=b"", length=-3)
+def test_bits_are_exactly_the_fewest_bytes_with_zero_padding(data, length):
+    text = "".join(format(byte, "08b") for byte in data)
+    canonical = length >= 0 and len(data) == -(-length // 8) and "1" not in text[length:]
+    if not canonical:
+        for make in (Bits, forged):
+            with pytest.raises(ValueError, match="is not|packed"):
+                check_bits(make(data, length))
+        return
+    bits = Bits(data, length)
+    assert (len(bits), str(bits), int(bits)) == (length, text[:length], int(text[:length] or "0", 2))
+    assert bits == packed(text[:length]) and bits.ones().tolist() == [i for i, c in enumerate(text) if c == "1"]
+    assert Bits.of_ones(bits.ones(), length) == bits
 
 
-def test_transcript_accepts_only_bit_strings():
+def test_check_bits_names_the_type_and_the_length():
+    assert error_of(check_bits, "0101", "a message") == "a message is packed Bits, not str"
+    assert error_of(check_bits, packed("0101"), "a state", 5) == "a state is 5 bits, not 4"
+    assert error_of(check_bits, forged(b"\x51", 4)) == "a bit string is not 4 bits in its fewest bytes with zero padding"
+    check_bits(packed("0101"), "a state", 4)
+
+
+def test_transcript_accepts_only_bits():
     tr = Transcript()
-    tr.send("alice", "0101")
-    tr.send("bob", "")
+    tr.send("alice", packed("0101"))
+    tr.send("bob", Bits(b"", 0))
     assert tr.total_bits == 4
-    for bits in ("2", "01a", None, "0 1", 101):
+    for bits in ("0101", "2", "01a", None, "0 1", 101, b"\x50", forged(b"\x51", 4), forged(b"\x50\x00", 4)):
         with pytest.raises(ValueError):
             tr.send("alice", bits)
     assert len(tr.messages) == 2
+
+
+@pytest.mark.parametrize("length", [0, 1, ITER_CHUNK - 1, ITER_CHUNK, ITER_CHUNK + 1, 2 * ITER_CHUNK + 7])
+def test_edge_block_iterates_its_pairs_a_chunk_at_a_time(length):
+    gen = np.random.default_rng(length)
+    us, vs = gen.integers(-2**62, 2**62, length), gen.integers(0, 50, length)
+    block = EdgeBlock(us, vs)
+    pairs = list(zip(us.tolist(), vs.tolist()))
+    assert list(block) == pairs and all(type(u) is int and type(v) is int for u, v in block)
+    assert block == pairs and block == tuple(pairs) and block == EdgeBlock.of(pairs)
+    if length:
+        assert block != pairs[:-1] and block != pairs[:-1] + [(pairs[-1][0], pairs[-1][1] + 1)]
+    stream = EdgeStream(50, True, (("A", EdgeBlock(vs, vs)), ("B", EdgeBlock(vs[::-1], vs))))
+    assert list(stream.edges()) == list(zip(vs.tolist(), vs.tolist())) + list(zip(vs[::-1].tolist(), vs.tolist()))
 
 
 # --- breadth-first search ------------------------------------------------------
@@ -251,19 +313,19 @@ def test_importing_streamlb_loads_no_scipy():
 
 
 def test_decode_at_width_zero_takes_only_the_empty_string():
-    assert decode_array("", 0).tolist() == []
+    assert decode_array(packed(""), 0).tolist() == []
     for bits in ("101", "0", "1111"):
         with pytest.raises(ValueError, match="0-bit fields"):
-            decode_array(bits, 0)
+            decode_array(packed(bits), 0)
 
 
 @pytest.mark.parametrize("width", [0, 3, 70])
-def test_decode_rejects_non_bits_at_every_width(width):
+def test_decode_rejects_text_at_every_width(width):
     # int(..., 2) alone would read "1_0", " 10" and "0b1"; no field is wider than 64 bits
     if width > 64:
         with pytest.raises(ValueError, match="at most 64 bits"):
-            decode_array("1_0" * width, width)
+            decode_array(packed("10" * width), width)
         return
-    for bits in ("1_0", " 10", "0b1", "1é0"):
-        with pytest.raises(ValueError, match="only '0' and '1'"):
+    for bits in ("1_0", " 10", "0b1", "1é0", "101"):
+        with pytest.raises(ValueError, match="^a bit string is packed Bits, not str$"):
             decode_array(bits * max(width, 1), width)  # a multiple of the width

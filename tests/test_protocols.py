@@ -7,7 +7,7 @@ import pytest
 
 from streamlb import rng as rngmod
 from streamlb import experiments, infometrics, instances, protocols
-from streamlb.common import BudgetError, encode_int, encode_ints
+from streamlb.common import BudgetError, encode_ints
 from streamlb.infometrics import from_weights, tvd, uniform
 from streamlb.instances import iter_si, sample_si, si_support_size
 from streamlb.protocols import (
@@ -22,6 +22,7 @@ from streamlb.protocols import (
     Transcript,
     amplification_parameters,
     boost_si,
+    encode_int,
     intersection_protocol,
     measure_internal_eps,
     measure_internal_eps_ur,
@@ -209,7 +210,7 @@ class SpellAllOracle(SIOracle):
         return ((0, Fraction(1, 6)), (1, Fraction(1, 3)), (2, Fraction(1, 2)))
 
     def transcript(self, a, e_star, rand):
-        return encode_ints([x - 1 for x in sorted(a)] + [e_star - 1, rand], 4)
+        return str(encode_ints([x - 1 for x in sorted(a)] + [e_star - 1, rand], 4))  # transcripts are text
 
 
 @pytest.mark.parametrize("m", [4, 8, 12])

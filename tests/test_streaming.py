@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from streamlb import rng as rngmod
 from streamlb import streamio
 from streamlb.cli import OK, dispatch
-from streamlb.common import encode_ints, int_width
+from streamlb.common import Bits, encode_ints, int_width
 from streamlb.experiments import small_rs
 from streamlb.instances import FORWARD, INVERSE, MAX_STREAM_N, EdgeStream, sample_st, sample_ur, to_stream
 from streamlb.reductions import reduce_to_sssp
@@ -22,6 +22,7 @@ from streamlb.streaming import (
     make_algorithm,
     run_stream,
 )
+from tests.test_common import forged, packed
 
 
 def tiny_stream(edges, n, directed=True):
@@ -348,22 +349,21 @@ def _started(alg, n, directed=True):
 @pytest.mark.parametrize(
     "alg, n, bits",
     [
-        (StoreAll(), 1, "1111"),  # 0-bit vertex ids: only "" is a state
-        (StoreAll(), 4, "101"),  # not a whole number of 4-bit edges
-        (StoreAll(), 4, "01a1"),
-        (SpanningForest(), 4, "10110"),
+        (StoreAll(), 1, packed("1111")),  # 0-bit vertex ids: only "" is a state
+        (StoreAll(), 4, packed("101")),  # not a whole number of 4-bit edges
+        (SpanningForest(), 4, packed("10110")),
         (StoreAll(), 5, encode_ints([63], 6)),  # the edge (7, 7): no such vertices
         (StoreAll(), 5, encode_ints([9, 9, 1], 6)),  # serialize writes distinct sorted keys
         (SpanningForest(), 5, encode_ints([63], 6)),
         (SpanningForest(), 5, encode_ints([1, 2, 10], 6)),  # (1, 2) closes the cycle 0-1-2
-        (BfsFrontier(2), 4, "0" * 16 + "1" + "10"),  # truncated: 17 + 2n = 25 bits
-        (BfsFrontier(2), 4, "0" * 16 + "0" + "2x00" + "0000"),  # right length, not bits
-        (BfsFrontier(2), 4, "0" * 26),
-        (XorSketch(), 4, "0" * 97),  # bits beyond the 96 it writes
-        (XorSketch(), 4, "0" * 95),
-        (XorSketch(), 4, "0" * 95 + "2"),
+        (BfsFrontier(2), 4, packed("0" * 16 + "1" + "10")),  # truncated: 17 + 2n = 25 bits
+        (BfsFrontier(2), 4, "0" * 16 + "0" + "2x00" + "0000"),  # text, not packed bits
+        (BfsFrontier(2), 4, packed("0" * 26)),
+        (XorSketch(), 4, packed("0" * 97)),  # bits beyond the 96 it writes
+        (XorSketch(), 4, packed("0" * 95)),
+        (XorSketch(), 4, "0" * 96),
         (EdgeCounter(), 4, "1_0"),
-        (EdgeCounter(), 4, "011"),  # serialize writes no leading zero
+        (EdgeCounter(), 4, packed("011")),  # serialize writes no leading zero
     ],
     ids=lambda x: x.name if hasattr(x, "name") else str(x)[:8],
 )
@@ -371,6 +371,37 @@ def test_restore_rejects_what_serialize_cannot_write(alg, n, bits):
     directed = not isinstance(alg, SpanningForest)
     with pytest.raises(ValueError):
         _started(alg, n, directed).restore(bits, 1)
+
+
+# what serialize writes for each tag on n = 5 vertices after the edges 0-1, 1-2, 2-3
+THREE_EDGE_STATE_BITS = {"edge-count": 2, "store-all": 18, "bfs-frontier:1": 27, "bfs-frontier:3": 27,
+                         "spanning-forest": 18, "xor-sketch:5": 96}
+
+
+@pytest.mark.parametrize("tag", ALGORITHM_TAGS)
+def test_every_restore_refuses_a_wrong_length_a_padding_bit_and_text(tag):
+    def started():
+        return _started(make_algorithm(tag), 5, directed=tag != "spanning-forest")
+
+    alg = started()
+    for u, v in ((0, 1), (1, 2), (2, 3)):
+        alg.process(u, v)
+    state = alg.serialize()
+    assert len(state) == THREE_EDGE_STATE_BITS[tag]
+    text = str(state)
+    # one bit more: a leading zero of the count, a part of an edge for store-all
+    # and the forest, a length other than 17 + 2n or 96 for the frontier and the sketch
+    longer = packed("0" + text)
+    # the low bit of the last byte is padding, except in the sketch's 12 whole bytes,
+    # which a 13th zero byte no longer holds exactly
+    padded = forged(state.data[:-1] + bytes([state.data[-1] | 1]) if len(state) % 8 else state.data + b"\x00",
+                    len(state))
+    for bad in (longer, padded, text, text.encode("ascii"), None):
+        with pytest.raises(ValueError):
+            started().restore(bad, 1)
+    copy = started()
+    copy.restore(state, 1)
+    assert copy.serialize() == state
 
 
 def tuple_layout_bits(pairs, n):
@@ -481,7 +512,7 @@ def test_tour_serializations_are_unchanged(tmp_path):
     stream = streamio.read_stream(tmp_path / "st" / "st-0000.stream")
 
     def digest(bits):
-        return len(bits), hashlib.sha256(bits.encode("ascii")).hexdigest()
+        return len(bits), hashlib.sha256(str(bits).encode("ascii")).hexdigest()  # the text view
 
     def digests(factory, on):
         transcript, _ = simulate_two_pass(factory, on)
