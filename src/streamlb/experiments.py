@@ -24,7 +24,7 @@ from .infometrics import (
     top_half_check,
     tvd,
 )
-from .instances import sample_si, sample_st, to_stream, verify_st_instance, verify_ur_promise
+from .instances import SI_M_CAP, sample_si, sample_st, to_stream, verify_st_instance, verify_ur_promise
 from .protocols import (
     EXACT_FULL_M_CAP,
     REVEAL_M_CAP,
@@ -235,10 +235,19 @@ def boost_trials(oracle_tag: str = "mock-reveal", m: int = 32, eps: float = 0.5,
     return report
 
 
+# most samples * m `si_uniformity` draws: one draw at m = 8 takes about 13 µs,
+# 16 s at the cap, and the counts keep each distinct Alice set, so at m = 10^3,
+# 10^5 or 10^6 the cap takes about 2.5 s and 240-285 MiB peak RSS, in a fresh
+# process (2 vCPUs, Python 3.11, numpy 2.4)
+SI_SAMPLES_M_CAP = 10**7
+
+
 def si_uniformity(m: int = 8, samples: int = 100_000, seed: int = 0) -> dict:
     """Chi-square of the target's conditional distribution given Alice's set."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if samples * m > SI_SAMPLES_M_CAP and m <= SI_M_CAP:  # `sample_si` refuses a larger m itself
+        raise ValueError(f"samples * m must be at most {SI_SAMPLES_M_CAP}")
     gen = rngmod.substream(seed, "si-uniformity")
     counts: dict = {}
     for _ in range(samples):
@@ -319,10 +328,18 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
+# most cases `info_props` checks: one case takes about 0.7 ms in about 38 MiB
+# peak RSS that does not grow with the count, about 12 minutes at the cap
+# (2 vCPUs, Python 3.11, numpy 2.4)
+INFO_PROPS_CASES_CAP = 10**6
+
+
 def info_props(cases: int = 10_000, seed: int = 0) -> dict:
     """Randomized checks of the distance/divergence facts, all at 1e-9."""
     if cases < 1:
         raise ValueError("cases must be at least 1")
+    if cases > INFO_PROPS_CASES_CAP:
+        raise ValueError(f"cases must be at most {INFO_PROPS_CASES_CAP}")
     gen = rngmod.substream(seed, "info-props")
     fails = {
         "pinsker": 0,

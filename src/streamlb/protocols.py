@@ -14,7 +14,7 @@ serialized memory states are the messages.
 One weight representation serves throughout: every posterior, likelihood and
 shift is an integer multiplicity over the randomness support's common
 denominator (`_integer_support`), in the exact, exact-symmetric and Monte
-Carlo modes, the unique-reach measurement and the booster's ranking.
+Carlo modes and the booster's ranking.
 """
 
 from __future__ import annotations
@@ -317,13 +317,13 @@ def measure_internal_eps(oracle: SIOracle, m: int, mode: str = "auto",
     (`_numbered`), and each instance takes its argument's by index. The
     oracle being one-way, the argument is the target alone (m of them) when
     `uses_a` is False, else the (Alice's set, target) pair (C(m, m/4) * m/4
-    of them). Every exact measurement, both modes here and the unique-reach
-    one, counts its (own set, transcript) rows the same way, in arrays,
-    numbered by the same helper (`_row_shifts`). Row shifts are summed in
-    integers too, without forming the posterior, each distinct row once,
-    weighted by its count, and divided once (`_posterior_shift`): the same
-    exact rationals as `Fraction` weights through `tvd`. Exact-symmetric
-    mode refuses more than SYMMETRIC_CELL_CAP row cells.
+    of them). Both exact modes count their (own set, transcript) rows the
+    same way, in arrays, numbered by the same helper (`_row_shifts`). Row
+    shifts are summed in integers too, without forming the posterior, each
+    distinct row once, weighted by its count, and divided once
+    (`_posterior_shift`): the same exact rationals as `Fraction` weights
+    through `tvd`. Exact-symmetric mode refuses more than SYMMETRIC_CELL_CAP
+    row cells.
     """
     if m < 4 or m % 4:
         raise ValueError(f"universe size must be a positive multiple of 4, got {m}")
@@ -602,72 +602,3 @@ def simulate_two_pass(alg_factory, stream: EdgeStream):
             state.process_block(seg.us, seg.vs)
         state.end_pass(p)
     return tr, state.result()
-
-
-# --- unique-reach shaped measurement (one-way, Bob-side only) -------------------
-
-class UROracle:
-    """One-way protocol fragment over unique-reach inputs (Alice's edge sets)."""
-
-    name = "ur-oracle"
-
-    def randomness_support(self, rs):
-        return ((None, Fraction(1)),)
-
-    def transcript(self, s_sets, rand) -> str:
-        raise NotImplementedError
-
-
-class NullUROracle(UROracle):
-    name = "ur-null"
-
-    def transcript(self, s_sets, rand) -> str:
-        return ""
-
-
-class FullRevealUROracle(UROracle):
-    """Ships Alice's whole input; the posterior collapses to the live target."""
-
-    name = "ur-full-reveal"
-
-    def transcript(self, s_sets, rand) -> str:
-        bits = []
-        for s in s_sets:
-            mask = 0
-            for j in s:
-                mask |= 1 << (j - 1)
-            bits.append(encode_int(mask, 64))
-        return "".join(bits)
-
-
-def measure_internal_eps_ur(oracle: UROracle, rs, budget: int = 300_000) -> InternalEpsReport:
-    """Expected posterior shift of the reachable layer-3 vertex seen by Bob.
-
-    Certifies Bob's side of the unique-reach step exactly: by full enumeration
-    of the planted distribution, every joint choice of one intersection
-    instance per matching (`_si_support(r)`), the live index, and the
-    oracle's randomness, each weighed by an integer multiplicity, with rows
-    counted as in `measure_internal_eps`. The tests hold it to a `Fraction`
-    reference (`_reference_ur_report`).
-    """
-    r, t = rs.r, rs.t
-    denom, mults = _integer_support(oracle.randomness_support(rs))
-    n_inst = si_support_size(r)
-    n_joint = n_inst ** t * t * len(mults)
-    if n_joint > budget:
-        raise BudgetError(f"full enumeration needs {n_joint} items (budget {budget})")
-
-    # an item is a choice of one instance per matching; Bob's rows are keyed by
-    # his input (i_star, T) and the transcript, the witness's prior given his
-    # input alone uniform over T. So each live index i_star is a side whose own
-    # set is the i_star-th instance's, and the shift is the sides' mean
-    sets, a_idx, b_idx, _, _, rank_b = _si_support(r)
-    choices = np.indices((n_inst,) * t).reshape(t, -1)
-    a_cols = a_idx[choices].tolist()
-    pis_by_rand = (map(oracle.transcript, zip(*(map(sets.__getitem__, col) for col in a_cols)),
-                       repeat(rand))
-                   for rand, _ in mults)
-    sides = [(b_idx[c], rank_b[c]) for c in choices]
-    shift = sum(_row_shifts(sides, pis_by_rand, np.arange(choices.shape[1]), mults, denom,
-                            r // 4)) / t
-    return InternalEpsReport(float("nan"), float(shift), float(shift), "exact")

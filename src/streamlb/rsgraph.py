@@ -20,6 +20,11 @@ from .common import EdgeBlock, Report, fail_report, ok_report
 
 _CHUNK_PAIRS = 2**16  # cross pairs looked up per gather
 _SLICE_BITS = 2**20  # bitmap cells per slice of left ranks, unless one left needs more
+# most edges m * |S| `build_rs_digraph` expands, 16 bytes each: at m = 16,300
+# (|S| = 511, 8.33M edges) the build takes 0.15 s and 159 MiB peak RSS, `gen rs`
+# 1.6 s and 170 MiB, `experiment rs-verify` 15 s and 777 MiB, in a fresh
+# process (2 vCPUs, Python 3.11, numpy 2.4)
+RS_EDGE_CAP = 2**23
 
 
 @dataclass(frozen=True)
@@ -70,8 +75,12 @@ class RSDigraph:
 def build_rs_digraph(a: BehrendSet) -> RSDigraph:
     """Expand a 3-AP-free set into the midpoint-construction digraph.
 
-    A set that fails `verify_no_3ap` is refused.
+    A set whose m * |S| edges are above RS_EDGE_CAP is refused before anything
+    is built, and a set that fails `verify_no_3ap` is refused.
     """
+    if a.m * a.size > RS_EDGE_CAP:
+        raise ValueError(f"an RS digraph on m={a.m} and |S|={a.size} has {a.m * a.size} edges, "
+                         f"above the cap of {RS_EDGE_CAP}")
     report = verify_no_3ap(a)
     if not report:
         raise ValueError(f"input set failed 3-AP verification: {report.reason}")

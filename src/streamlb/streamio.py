@@ -451,10 +451,6 @@ def _bipartite_text(g: BipartiteGraph):
     yield from _edge_text(g.edges.us + 1, g.edges.vs + 1, bound, bound <= len(g.edges) + TABLE_SLACK)
 
 
-def render_bipartite(g: BipartiteGraph) -> str:
-    return "".join(_bipartite_text(g))
-
-
 def write_bipartite(path, g: BipartiteGraph):
     with Path(path).open("w") as out:
         out.writelines(_bipartite_text(g))

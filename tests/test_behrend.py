@@ -3,8 +3,11 @@ from hypothesis import strategies as st
 
 import pytest
 
+from streamlb import behrend
 from streamlb import rng as rngmod
 from streamlb.behrend import (
+    AP_FREE_M_CAP,
+    STRATEGIES,
     BehrendSet,
     construct_ap_free,
     random_ap_free,
@@ -38,6 +41,27 @@ def test_unknown_strategy_rejected():
         construct_ap_free(10, "fibonacci")
     with pytest.raises(ValueError):
         construct_ap_free(0, "digit-base3")
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_construct_refuses_an_m_above_the_cap_before_building(monkeypatch, strategy):
+    def refuse(m, strategy):
+        raise AssertionError("the cap must be checked before the construction runs")
+
+    monkeypatch.setattr(behrend, "_construct_cached", refuse)
+    with pytest.raises(ValueError, match=f"m={AP_FREE_M_CAP + 1} is above the cap of {AP_FREE_M_CAP}"):
+        construct_ap_free(AP_FREE_M_CAP + 1, strategy)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_construct_admits_an_m_at_the_cap(monkeypatch, strategy):
+    # the cap is inclusive: read at call time, a cap of 100 builds m = 100
+    # as it stands uncapped and refuses m = 101
+    expected = construct_ap_free(100, strategy)
+    monkeypatch.setattr(behrend, "AP_FREE_M_CAP", 100)
+    assert construct_ap_free(100, strategy) == expected
+    with pytest.raises(ValueError, match="above the cap of 100"):
+        construct_ap_free(101, strategy)
 
 
 def test_verify_finds_canonical_progression():

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import copy
 import hashlib
@@ -25,7 +26,7 @@ from streamlb.instances import sample_st, to_stream
 from streamlb.reductions import BipartiteGraph
 from streamlb.rsgraph import RSDigraph, verify_induced
 import streamlb
-from streamlb import experiments, instances, protocols, streamio
+from streamlb import behrend, experiments, instances, protocols, rsgraph, streamio
 
 
 @pytest.fixture
@@ -1375,18 +1376,78 @@ def test_si_draws_refuse_a_huge_m_within_bounded_memory(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_rs_constructions_refuse_a_huge_m_within_bounded_memory(tmp_path):
+    # a 3-AP-free set at m = 10^8 does not finish, and the RS digraph at
+    # m = 10^5 (|S| = 2,047) needs 1.5 GiB an array: `construct_ap_free` and
+    # `build_rs_digraph` refuse before the scan or the allocation, and the
+    # commands that call them read the same caps
+    commands = [["gen", "behrend", "--m", str(10**8), "--out", "b.json"],
+                ["gen", "rs", "--m", str(10**8), "--out", "rs.txt"],
+                ["gen", "rs", "--m", str(10**5), "--out", "rs.txt"],
+                ["experiment", "rs-verify", "--param", f"m={10**5}"]]
+    proc = _dispatch_in_bounded_child(commands, cwd=tmp_path, timeout=60)
+    assert proc.stdout == f"{USAGE}\n" * len(commands), proc.stderr[-500:]
+    huge_m = (f"error: universe size m={10**8} is above the cap of {behrend.AP_FREE_M_CAP} "
+              "for a constructed set\n")
+    huge_rs = (f"error: an RS digraph on m={10**5} and |S|=2047 has {2047 * 10**5} edges, "
+               f"above the cap of {rsgraph.RS_EDGE_CAP}\n")
+    assert proc.stderr == huge_m * 2 + huge_rs * 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_job_lists_refuse_a_huge_count_within_bounded_memory(tmp_path):
-    # st-batch and the booster build one job per instance or trial: 10^8 is
-    # refused before the list is built, where it once ended in a MemoryError
+    # st-batch and the booster build one job per instance or trial, and
+    # si-uniformity and info-props run one draw or case after another: 10^8 is
+    # refused before the list is built or the first draw, where it once ended
+    # in a MemoryError or ran for hours
     commands = [["experiment", "st-batch", "--param", f"count={10**8}"],
                 ["experiment", "boost-trials", "--param", f"trials={10**8}"],
                 ["protocol", "boost", "--m", "32", "--eps", "0.5", "--oracle", "mock-reveal",
-                 "--trials", str(10**8)]]
+                 "--trials", str(10**8)],
+                ["experiment", "si-uniformity", "--param", f"samples={10**8}"],
+                ["experiment", "info-props", "--param", f"cases={10**8}"]]
     proc = _dispatch_in_bounded_child(commands, cwd=tmp_path, timeout=60)
     assert proc.stdout == f"{USAGE}\n" * len(commands), proc.stderr[-500:]
     assert proc.stderr == (f"error: count must be at most {experiments.ST_BATCH_COUNT_CAP}\n"
-                           + f"error: trials must be at most {experiments.BOOST_TRIALS_CAP}\n" * 2)
+                           + f"error: trials must be at most {experiments.BOOST_TRIALS_CAP}\n" * 2
+                           + f"error: samples * m must be at most {experiments.SI_SAMPLES_M_CAP}\n"
+                           + f"error: cases must be at most {experiments.INFO_PROPS_CASES_CAP}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_si_uniformity_caps_samples_times_m_before_any_draw(monkeypatch):
+    # the cap bounds samples * m, not samples alone: at a cap of 80, m = 8
+    # admits 10 samples and m = 16 only 5
+    monkeypatch.setattr(experiments, "SI_SAMPLES_M_CAP", 80)
+    assert experiments.si_uniformity(m=8, samples=10)["samples"] == 10
+    assert experiments.si_uniformity(m=16, samples=5)["samples"] == 5
+
+    def refuse(m, gen):
+        raise AssertionError("the cap must be checked before the first draw")
+
+    monkeypatch.setattr(experiments, "sample_si", refuse)
+    for m, samples in ((8, 11), (16, 6)):
+        with pytest.raises(ValueError, match="samples \\* m must be at most 80"):
+            experiments.si_uniformity(m=m, samples=samples)
+
+
+def test_si_uniformity_leaves_an_m_above_si_m_cap_to_sample_si():
+    # one sample at m = 10^8 is above both caps: the refusal names m, as
+    # `sample_si` words it, not the product
+    with pytest.raises(ValueError, match=f"m={10**8} is above the cap of {instances.SI_M_CAP}"):
+        experiments.si_uniformity(m=10**8, samples=1)
+
+
+def test_info_props_caps_cases_before_any_case(monkeypatch):
+    monkeypatch.setattr(experiments, "INFO_PROPS_CASES_CAP", 3)
+    assert experiments.info_props(cases=3)["cases"] == 3
+
+    def refuse(gen, size):
+        raise AssertionError("the cap must be checked before the first case")
+
+    monkeypatch.setattr(experiments, "_random_distribution", refuse)
+    with pytest.raises(ValueError, match="cases must be at most 3"):
+        experiments.info_props(cases=4)
 
 
 def test_readme_caps_match_the_code():
@@ -1395,13 +1456,39 @@ def test_readme_caps_match_the_code():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     named = [(name, int(base.replace(",", "")) ** int(exp or 1))
              for name, base, exp in re.findall(r"`([A-Z][A-Z0-9_]*)` = (\d[\d,]*)(?:\^(\d+))?", text)]
-    assert {"SI_M_CAP", "MAX_BIPARTITE_SIDE", "REVEAL_M_CAP", "MAX_STREAM_N",
-            "ST_BATCH_COUNT_CAP", "BOOST_TRIALS_CAP"} <= {name for name, _ in named}
+    assert {"SI_M_CAP", "MAX_BIPARTITE_SIDE", "REVEAL_M_CAP", "MAX_STREAM_N", "ST_BATCH_COUNT_CAP",
+            "BOOST_TRIALS_CAP", "AP_FREE_M_CAP", "RS_EDGE_CAP", "SI_SAMPLES_M_CAP",
+            "INFO_PROPS_CASES_CAP"} <= {name for name, _ in named}
     constants = {}
     for info in pkgutil.iter_modules(streamlb.__path__):
         module = importlib.import_module(f"streamlb.{info.name}")
         constants.update((k, v) for k, v in vars(module).items() if k.isupper() and type(v) is int)
     assert [(name, constants.get(name)) for name, _ in named] == named
+
+
+def test_every_src_definition_is_reached_outside_the_tests():
+    # src holds no code that only tests reach: each def and class name of the
+    # package, top-level or a method, dunders exempt, occurs as a whole word
+    # besides the def/class lines in the package (not its re-exports), the
+    # benchmark or the CI workflow
+    root = Path(__file__).resolve().parents[1]
+    src = sorted((root / "src" / "streamlb").glob("*.py"))
+    corpus = [path for path in src if path.name != "__init__.py"]
+    corpus += [*sorted((root / "perfbench").glob("*.py")), root / ".github" / "workflows" / "tier1.yml"]
+    text = re.sub(r"\b(?:def|class)\s+\w+", "", "\n".join(path.read_text() for path in corpus))
+    words = set(re.findall(r"\w+", text))
+
+    def defined(body):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield node.name
+            if isinstance(node, ast.ClassDef):
+                yield from defined(node.body)
+
+    unreached = sorted(f"{path.name}: {name}" for path in src
+                       for name in set(defined(ast.parse(path.read_text()).body))
+                       if not (name.startswith("__") and name.endswith("__")) and name not in words)
+    assert unreached == []
 
 
 def test_perfect_oracle_refuses_a_target_beyond_16_bits_before_any_round():
@@ -1434,9 +1521,9 @@ def test_mock_bias_refuses_an_m_beyond_exact_enumeration_before_calibrating(monk
     assert protocols.EXACT_FULL_M_CAP == 12
 
 
-FUZZ_BIPARTITE = streamio.render_bipartite(BipartiteGraph(
+FUZZ_BIPARTITE = "".join(streamio._bipartite_text(BipartiteGraph(
     tuple(range(6)), tuple(range(6)),
-    tuple((i, j) for i in range(6) for j in range(6) if (j - i) % 6 in (0, 1, 3))))
+    tuple((i, j) for i in range(6) for j in range(6) if (j - i) % 6 in (0, 1, 3)))))
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -11,11 +11,9 @@ from streamlb.common import BudgetError, encode_ints
 from streamlb.infometrics import from_weights, tvd, uniform
 from streamlb.instances import iter_si, sample_si, si_support_size
 from streamlb.protocols import (
-    FullRevealUROracle,
     InternalEpsReport,
     MinAnnouncerOracle,
     NullOracle,
-    NullUROracle,
     ParityHintOracle,
     RevealOracle,
     SIOracle,
@@ -25,13 +23,10 @@ from streamlb.protocols import (
     encode_int,
     intersection_protocol,
     measure_internal_eps,
-    measure_internal_eps_ur,
     mock_eps_solver,
     simulate_two_pass,
 )
-from streamlb.rsgraph import RSDigraph
 from streamlb.streaming import start_on
-from tests.test_instances import identity_matching_rs
 
 
 # --- transcripts ---------------------------------------------------------------
@@ -503,102 +498,6 @@ def test_boost_votes_are_pinned(monkeypatch, tag, seed):
               for r in results]
     digest = hashlib.sha256(json.dumps(fields).encode()).hexdigest()
     assert digest == BOOST_VOTE_HASHES[tag, seed]
-
-
-# --- unique-reach measurement -------------------------------------------------------
-
-def test_ur_measure_null_zero():
-    rs = identity_matching_rs(8)
-    report = measure_internal_eps_ur(NullUROracle(), rs)
-    assert report.value == 0.0
-
-
-def test_ur_measure_full_reveal():
-    # revealing Alice's whole input pins the witness: shift = 1 - 1/|T| = 1/2
-    rs = identity_matching_rs(8)
-    report = measure_internal_eps_ur(FullRevealUROracle(), rs)
-    assert report.value == pytest.approx(0.5, abs=1e-12)
-
-
-def test_ur_measure_full_reveal_keys_rows_by_the_live_index():
-    # with two matchings the same (T, transcript) arises for either live
-    # index, with different witnesses; rows keyed by the live index keep the
-    # witness pinned, so the shift is still 1 - 1/|T| = 1/2
-    rs = RSDigraph.of(n_side=16, r=8, t=2, matchings=(tuple((i, i) for i in range(1, 9)),
-                                                    tuple((i, i) for i in range(9, 17))))
-    report = measure_internal_eps_ur(FullRevealUROracle(), rs)
-    assert report.value == 0.5
-
-
-def test_ur_measure_budget():
-    rs = identity_matching_rs(16)
-    with pytest.raises(BudgetError):
-        measure_internal_eps_ur(FullRevealUROracle(), rs, budget=10)
-
-
-def test_ur_measure_budget_checked_before_enumeration(monkeypatch):
-    def refuse(m):
-        raise AssertionError("the budget must be checked before enumerating")
-
-    monkeypatch.setattr(instances, "iter_si", refuse)
-    monkeypatch.setattr(protocols, "iter_si", refuse)
-    with pytest.raises(BudgetError):
-        measure_internal_eps_ur(FullRevealUROracle(), identity_matching_rs(16), budget=10)
-
-
-def _reference_ur_report(oracle, rs):
-    """The unique-reach measurement as it first stood: every weight a Fraction,
-    one recursive step per matching."""
-    r, t = rs.r, rs.t
-    rand_support = oracle.randomness_support(rs)
-    si_support = list(iter_si(r))
-    groups = {}
-
-    def rec(i, chosen, weight):
-        if i == t:
-            s_sets = tuple(inst.a for inst in chosen)
-            for i_star in range(1, t + 1):
-                live = chosen[i_star - 1]
-                w_istar = weight * Fraction(1, t)
-                for rand, p_rand in rand_support:
-                    pi = oracle.transcript(s_sets, rand)
-                    key = (i_star, frozenset(live.b))
-                    weight_by_e = groups.setdefault(key, {}).setdefault(pi, {})
-                    for e in sorted(live.b):
-                        weight_by_e.setdefault(e, Fraction(0))
-                    weight_by_e[live.e_star] += w_istar * p_rand
-            return
-        for inst, p in si_support:
-            rec(i + 1, chosen + (inst,), weight * p)
-
-    rec(0, (), Fraction(1))
-    shift = _fraction_posterior_shift(groups)
-    return InternalEpsReport(float("nan"), float(shift), float(shift), "exact")
-
-
-class SometimesRevealUROracle(FullRevealUROracle):
-    """Ships Alice's input with probability 1/3, her first set's minimum with
-    probability 1/6, and nothing otherwise."""
-
-    name = "ur-sometimes-reveal"
-
-    def randomness_support(self, rs):
-        return (("all", Fraction(1, 3)), ("min", Fraction(1, 6)), ("silent", Fraction(1, 2)))
-
-    def transcript(self, s_sets, rand):
-        if rand == "all":
-            return super().transcript(s_sets, rand)
-        return encode_int(min(s_sets[0]), 8) if rand == "min" else ""
-
-
-@pytest.mark.parametrize("oracle", [NullUROracle(), FullRevealUROracle(), SometimesRevealUROracle()],
-                         ids=lambda o: o.name)
-def test_ur_measure_equals_fraction_reference(oracle):
-    rs = identity_matching_rs(8)
-    report = measure_internal_eps_ur(oracle, rs)
-    assert report.bob_side == _reference_ur_report(oracle, rs).bob_side
-    assert (report.value, report.mode) == (report.bob_side, "exact")
-    assert math.isnan(report.alice_side)
 
 
 # --- simulation guard rails ------------------------------------------------------------

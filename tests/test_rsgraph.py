@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from streamlb import rng as rngmod
 from streamlb import rsgraph
-from streamlb.behrend import BehrendSet, random_ap_free
+from streamlb.behrend import BehrendSet, construct_ap_free, random_ap_free, trim_to_multiple
 from streamlb.common import Report, fail_report, ok_report
 from streamlb.rsgraph import (
     RSDigraph,
@@ -136,6 +136,30 @@ def midpoint_graph(base: BehrendSet) -> RSDigraph:
     m = base.m
     return RSDigraph.of(3 * m, base.size, m, [[(x + alpha, x + 2 * alpha) for alpha in base.elements]
                                               for x in range(1, m + 1)])
+
+
+def test_build_refuses_an_edge_count_above_the_cap_before_verifying(monkeypatch):
+    def refuse(a):
+        raise AssertionError("the cap must be checked before the set is verified or expanded")
+
+    monkeypatch.setattr(rsgraph, "verify_no_3ap", refuse)
+    monkeypatch.setattr(rsgraph, "RS_EDGE_CAP", 5)
+    with pytest.raises(ValueError, match="m=3 and \\|S\\|=2 has 6 edges, above the cap of 5"):
+        build_rs_digraph(BehrendSet(3, (1, 2), "explicit"))
+
+
+def test_build_admits_an_edge_count_at_the_cap(monkeypatch, g3):
+    monkeypatch.setattr(rsgraph, "RS_EDGE_CAP", 6)
+    g = build_rs_digraph(BehrendSet(3, (1, 2), "explicit"))
+    assert (g.n_side, g.t, g.r) == (g3.n_side, g3.t, g3.r)
+    assert [g.matching(i) for i in range(1, 4)] == [g3.matching(i) for i in range(1, 4)]
+
+
+def test_edge_cap_admits_m_10_4_untrimmed_and_trimmed_to_a_multiple_of_4():
+    # `experiment rs-verify --param m=10000` and `gen rs --m 10000 --trim 4`
+    base = construct_ap_free(10_000, "behrend-sphere")
+    for a in (base, trim_to_multiple(base, 4)):
+        assert a.m * a.size <= rsgraph.RS_EDGE_CAP
 
 
 def test_rejects_progression_seed():
